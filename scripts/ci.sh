@@ -73,7 +73,7 @@ pass_tsan_pinned() {
   # pinned and evicted from concurrent query threads) cannot silently drop
   # out of coverage if the suite layout changes.
   ctest --test-dir build-ci-tsan --output-on-failure \
-    -R "trace|metrics|counters|cache|server|vector|profile|mem_tracker|storage|spill|buffer_pool|cluster"
+    -R "trace|metrics|counters|cache|server|vector|profile|mem_tracker|storage|spill|buffer_pool|cluster|join_kernel|pool_stress"
 }
 
 pass_asan_build() {
@@ -112,6 +112,14 @@ pass_oocore_scale() {
   # and visible spills. Runs from the build dir (emits BENCH_oocore.json).
   cmake --build build-ci -j "${JOBS}" --target bench_oocore_scale
   (cd build-ci && ./bench/bench_oocore_scale --quick)
+}
+
+pass_perfbench_selfcheck() {
+  # The benchmark builds the library from src/ and gates its own results:
+  # short runs of every workload must build, print every BENCHMARK.json
+  # metric with its unit, report no failed operation, and count a planted
+  # wrong result as exactly one failure.
+  python3 perfbench/selfcheck.py --seconds 3
 }
 
 pass_server_smoke() {
@@ -154,6 +162,7 @@ register_pass "AddressSanitizer+UBSan build" pass_asan_build
 register_pass "tracing-overhead guard" pass_trace_overhead
 register_pass "resource-accounting overhead guard" pass_profile_overhead
 register_pass "out-of-core scale guard" pass_oocore_scale
+register_pass "benchmark self-check" pass_perfbench_selfcheck
 register_pass "server smoke over TCP" pass_server_smoke
 register_pass "cluster smoke: scatter-gather vs single node" \
   pass_cluster_smoke

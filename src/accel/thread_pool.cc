@@ -135,7 +135,10 @@ Status ThreadPool::ParallelForMorsel(int64_t n, int64_t morsel_size,
 
   std::atomic<int64_t> cursor{0};
   std::atomic<bool> failed{false};
-  std::atomic<int> remaining{workers};
+  // Guarded by done_mu: the caller's wait predicate reads it under the same
+  // lock, so the last worker's decrement and notify both finish before the
+  // caller can see 0, return, and destroy this frame's done_mu/done_cv.
+  int remaining = workers;
   Status first_error;
   std::mutex done_mu;
   std::condition_variable done_cv;
@@ -159,14 +162,12 @@ Status ThreadPool::ParallelForMorsel(int64_t n, int64_t morsel_size,
           failed.store(true, std::memory_order_relaxed);
         }
       }
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(done_mu);
-        done_cv.notify_one();
-      }
+      std::lock_guard<std::mutex> lock(done_mu);
+      if (--remaining == 0) done_cv.notify_one();
     });
   }
   std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return remaining.load() == 0; });
+  done_cv.wait(lock, [&] { return remaining == 0; });
   if (attribute) {
     tls_credited_cpu_ns += call_cpu_ns.load(std::memory_order_relaxed);
     tls_credited_queue_wait_us +=

@@ -30,20 +30,41 @@ ShardedLruCache::ShardedLruCache(std::string name, size_t capacity_bytes,
   bytes_gauge_ = reg.gauge("cache." + name_ + ".bytes");
 }
 
-ShardedLruCache::ValuePtr ShardedLruCache::Lookup(uint64_t key) {
+ShardedLruCache::ValuePtr ShardedLruCache::Find(uint64_t key) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    misses_->Increment();
-    misses_total_->Increment();
-    return nullptr;
-  }
+  if (it == shard.index.end()) return nullptr;
   // Refresh recency: splice the entry to the front of the LRU list.
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  hits_->Increment();
-  hits_total_->Increment();
   return it->second->value;
+}
+
+void ShardedLruCache::CountLookup(bool hit) {
+  if (hit) {
+    hits_->Increment();
+    hits_total_->Increment();
+  } else {
+    misses_->Increment();
+    misses_total_->Increment();
+  }
+}
+
+ShardedLruCache::ValuePtr ShardedLruCache::Lookup(uint64_t key) {
+  ValuePtr value = Find(key);
+  CountLookup(value != nullptr);
+  return value;
+}
+
+ShardedLruCache::ValuePtr ShardedLruCache::LookupFresh(
+    uint64_t key, const std::function<bool(const void*)>& fresh) {
+  ValuePtr value = Find(key);
+  if (value != nullptr && !fresh(value.get())) {
+    Erase(key);
+    value = nullptr;
+  }
+  CountLookup(value != nullptr);
+  return value;
 }
 
 void ShardedLruCache::Insert(uint64_t key, ValuePtr value, size_t charge) {

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -85,6 +86,12 @@ class ShardedLruCache {
   /// Returns the cached value or nullptr; counts a hit or a miss.
   ValuePtr Lookup(uint64_t key);
 
+  /// Lookup for entries that can go stale: returns the cached value when
+  /// `fresh(value)` accepts it, counted as a hit; otherwise erases a stale
+  /// entry and counts a miss. `fresh` runs outside the shard lock.
+  ValuePtr LookupFresh(uint64_t key,
+                       const std::function<bool(const void*)>& fresh);
+
   /// Inserts (or replaces) `key`, charging `charge` bytes against the shard
   /// budget and evicting LRU entries as needed.
   void Insert(uint64_t key, ValuePtr value, size_t charge);
@@ -112,6 +119,13 @@ class ShardedLruCache {
     return std::static_pointer_cast<const T>(Lookup(key));
   }
 
+  /// LookupFresh already cast to the payload type; `fresh` takes a const T&.
+  template <typename T, typename Pred>
+  std::shared_ptr<const T> LookupFreshAs(uint64_t key, Pred fresh) {
+    return std::static_pointer_cast<const T>(LookupFresh(
+        key, [&](const void* v) { return fresh(*static_cast<const T*>(v)); }));
+  }
+
  private:
   struct Entry {
     uint64_t key;
@@ -124,6 +138,10 @@ class ShardedLruCache {
     std::unordered_map<uint64_t, std::list<Entry>::iterator> index;
     size_t bytes = 0;
   };
+
+  /// The entry's value (refreshing its recency) or nullptr; counts nothing.
+  ValuePtr Find(uint64_t key);
+  void CountLookup(bool hit);
 
   Shard& ShardFor(uint64_t key) {
     // High bits pick the shard; low bits feed the per-shard hash map.

@@ -133,6 +133,31 @@ Status Column::Append(Value&& v) {
   return Append(static_cast<const Value&>(v));
 }
 
+void Column::AppendFrom(const Column& src, int64_t row) {
+  Detach();
+  const size_t sr = static_cast<size_t>(row);
+  const bool valid = src.IsValid(row);
+  if (!valid) EnsureValiditySized();
+  switch (type_) {
+    case DataType::kBool:
+      data_->bools.push_back(src.data_->bools[sr]);
+      break;
+    case DataType::kInt64:
+      data_->ints.push_back(src.data_->ints[sr]);
+      break;
+    case DataType::kFloat64:
+      data_->floats.push_back(src.data_->floats[sr]);
+      break;
+    case DataType::kString:
+    case DataType::kBlob:
+      data_->strings.push_back(src.data_->strings[sr]);
+      break;
+    case DataType::kNull:
+      break;
+  }
+  if (!data_->validity.empty()) data_->validity.push_back(valid ? 1 : 0);
+}
+
 Value Column::GetValue(int64_t i) const {
   if (!IsValid(i)) return Value::Null();
   const size_t si = static_cast<size_t>(i);
@@ -158,31 +183,42 @@ bool Column::HasNulls() const {
                      [](uint8_t v) { return v == 0; });
 }
 
+namespace {
+
+/// dst = src gathered at `indices`.
+template <typename T>
+void Gather(const std::vector<T>& src, const std::vector<int64_t>& indices,
+            std::vector<T>* dst) {
+  dst->resize(indices.size());
+  for (size_t i = 0; i < indices.size(); ++i) {
+    (*dst)[i] = src[static_cast<size_t>(indices[i])];
+  }
+}
+
+}  // namespace
+
 Column Column::Take(const std::vector<int64_t>& indices) const {
+  // One type dispatch per column, then a tight gather loop.
   Column out(type_);
-  out.Reserve(static_cast<int64_t>(indices.size()));
-  const bool nulls = !data_->validity.empty();
-  if (nulls) out.data_->validity.reserve(indices.size());
-  for (int64_t idx : indices) {
-    const size_t si = static_cast<size_t>(idx);
-    switch (type_) {
-      case DataType::kBool:
-        out.data_->bools.push_back(data_->bools[si]);
-        break;
-      case DataType::kInt64:
-        out.data_->ints.push_back(data_->ints[si]);
-        break;
-      case DataType::kFloat64:
-        out.data_->floats.push_back(data_->floats[si]);
-        break;
-      case DataType::kString:
-      case DataType::kBlob:
-        out.data_->strings.push_back(data_->strings[si]);
-        break;
-      case DataType::kNull:
-        break;
-    }
-    if (nulls) out.data_->validity.push_back(data_->validity[si]);
+  switch (type_) {
+    case DataType::kBool:
+      Gather(data_->bools, indices, &out.data_->bools);
+      break;
+    case DataType::kInt64:
+      Gather(data_->ints, indices, &out.data_->ints);
+      break;
+    case DataType::kFloat64:
+      Gather(data_->floats, indices, &out.data_->floats);
+      break;
+    case DataType::kString:
+    case DataType::kBlob:
+      Gather(data_->strings, indices, &out.data_->strings);
+      break;
+    case DataType::kNull:
+      break;
+  }
+  if (!data_->validity.empty()) {
+    Gather(data_->validity, indices, &out.data_->validity);
   }
   return out;
 }

@@ -68,6 +68,10 @@ class Column {
   /// payloads fall through to the copy overload (copies are free there).
   Status Append(Value&& v);
 
+  /// Appends row `row` of `src`, a column of the same type, without boxing
+  /// it into a Value. Detaches if shared.
+  void AppendFrom(const Column& src, int64_t row);
+
   /// Reads row `i` as a Value (NULL if invalid).
   Value GetValue(int64_t i) const;
 

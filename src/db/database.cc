@@ -5,7 +5,6 @@
 #include <cctype>
 #include <cmath>
 #include <map>
-#include <unordered_map>
 
 #include <cstdlib>
 
@@ -13,6 +12,7 @@
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
+#include "db/exec/hash_table.h"
 #include "db/exec/row_key.h"
 #include "db/exec/vector_aggregate.h"
 #include "db/exec/vector_batch.h"
@@ -104,24 +104,6 @@ IntrospectionOptions DefaultIntrospectionOptions() {
 
 /// Hard guard against runaway cross products.
 constexpr int64_t kMaxJoinPairs = 100'000'000;
-
-/// Composite key for the two-int64 fast paths (batched pipelines group and
-/// join on (BatchID, TupleID)-style pairs).
-struct Int2Key {
-  int64_t a;
-  int64_t b;
-  bool operator==(const Int2Key& o) const { return a == o.a && b == o.b; }
-};
-
-struct Int2KeyHash {
-  size_t operator()(const Int2Key& k) const {
-    // splitmix-style combine.
-    uint64_t x = static_cast<uint64_t>(k.a) * 0x9e3779b97f4a7c15ull;
-    x ^= static_cast<uint64_t>(k.b) + 0x9e3779b97f4a7c15ull + (x << 6) +
-         (x >> 2);
-    return static_cast<size_t>(x);
-  }
-};
 
 /// Charges `seconds` minus the inference time already charged separately.
 void ChargeOperator(CostAccumulator* costs, const std::string& bucket,
@@ -587,20 +569,21 @@ Result<Table> Database::ExecuteSelect(const SelectStmt& stmt) {
   const uint64_t key = PlanCacheKey(stmt);
   {
     DL2SQL_TRACE_SPAN("cache", "plan_probe");
-    if (auto hit = plan_cache_->LookupAs<CachedPlan>(key)) {
-      bool fresh = hit->cost_model == opt_options_.cost_model;
-      for (const auto& [name, version] : hit->deps) {
-        if (!fresh) break;
-        fresh = catalog_.VersionOf(name) == version;
-      }
-      if (fresh) {
-        if (QueryTally* tally = tls_tally_) tally->plan_cache_hit = true;
-        SetLastPlan(hit->plan);
-        return ExecRoot(*hit->plan);
-      }
-      // Stale (DDL/DML bumped a referenced relation, or the cost model was
-      // swapped): drop the entry and fall through to a fresh plan.
-      plan_cache_->Erase(key);
+    // A stale entry (DDL/DML bumped a referenced relation, or the cost
+    // model was swapped) is dropped and counted as a miss; planning falls
+    // through to a fresh plan.
+    auto hit = plan_cache_->LookupFreshAs<CachedPlan>(
+        key, [this](const CachedPlan& cached) {
+          if (cached.cost_model != opt_options_.cost_model) return false;
+          for (const auto& [name, version] : cached.deps) {
+            if (catalog_.VersionOf(name) != version) return false;
+          }
+          return true;
+        });
+    if (hit != nullptr) {
+      if (QueryTally* tally = tls_tally_) tally->plan_cache_hit = true;
+      SetLastPlan(hit->plan);
+      return ExecRoot(*hit->plan);
     }
   }
 
@@ -697,6 +680,11 @@ Result<bool> Database::TryEnsureResident(PlanKind kind, Table* t) {
 }
 
 Result<Table> Database::ExecNode(const PlanNode& node) {
+  return ExecNodeWith(node, [&] { return ExecNodeImpl(node); });
+}
+
+Result<Table> Database::ExecNodeWith(
+    const PlanNode& node, const std::function<Result<Table>()>& body) {
   DL2SQL_TRACE_SPAN("db", PlanKindToString(node.kind));
   // Per-operator accounting for the recorded statement running on this
   // thread (system.queries / system.query_profiles): output rows across all
@@ -704,11 +692,11 @@ Result<Table> Database::ExecNode(const PlanNode& node) {
   // with resource accounting enabled — charge-frame memory attribution.
   // One TLS load when no recorded statement is active.
   QueryTally* const tally = tls_tally_;
-  if (tally == nullptr && !collect_node_stats_) return ExecNodeImpl(node);
+  if (tally == nullptr && !collect_node_stats_) return body();
 
   const bool track = tally != nullptr && tally->mem != nullptr;
   if (track) tally->mem_frames.emplace_back();
-  auto result = collect_node_stats_ ? ExecNodeCollect(node) : ExecNodeImpl(node);
+  auto result = collect_node_stats_ ? ExecNodeCollect(node, body) : body();
   if (track) {
     // Children's outputs — charged into this operator's frame when their own
     // wrappers finished — die with this operator, like their Tables do.
@@ -729,7 +717,8 @@ Result<Table> Database::ExecNode(const PlanNode& node) {
   return result;
 }
 
-Result<Table> Database::ExecNodeCollect(const PlanNode& node) {
+Result<Table> Database::ExecNodeCollect(
+    const PlanNode& node, const std::function<Result<Table>()>& body) {
   ThreadPool* pool =
       exec_options_.device != nullptr ? exec_options_.device->pool() : nullptr;
   const int workers = pool != nullptr ? pool->num_threads() : 0;
@@ -739,12 +728,12 @@ Result<Table> Database::ExecNodeCollect(const PlanNode& node) {
   }
 
   Stopwatch watch;
-  auto result = ExecNodeImpl(node);
+  auto result = body();
   const double elapsed = watch.ElapsedSeconds();
 
   // Claim the vectorized-kernel stats this operator's context drains parked
-  // on this thread. Child operators ran inside ExecNodeImpl through their
-  // own ExecNode wrappers, which already claimed theirs.
+  // on this thread. Child operators ran inside `body` through their own
+  // ExecNode wrappers, which already claimed theirs.
   const vec::VectorOpStats vstats = tls_pending_vec_stats;
   tls_pending_vec_stats = vec::VectorOpStats{};
 
@@ -840,6 +829,7 @@ Result<std::string> Database::ExplainAnalyze(const std::string& sql) {
                     std::max(0.0, it->second.cumulative_seconds - children),
                     static_cast<long long>(it->second.output_bytes));
       out += buf;
+      if (it->second.fused) out += " [fused into parent Aggregate]";
       // Vectorized-kernel profile: batches processed and average
       // selection-vector density (rows surviving selection / rows entering
       // the kernels). Omitted for nodes that ran the row path.
@@ -919,6 +909,65 @@ Result<std::string> Database::ExplainAnalyze(const std::string& sql) {
   return out;
 }
 
+namespace {
+
+/// True for expressions the fused pass may evaluate batch by batch with
+/// exactly the values whole-table evaluation gives: bound column
+/// references, non-NULL literals and arithmetic over them (no UDF, nUDF,
+/// subquery or predicate).
+bool IsPlainArithmetic(const Expr& e) {
+  switch (e.kind) {
+    case ExprKind::kColumnRef:
+      return e.bound_index >= 0;
+    case ExprKind::kLiteral:
+      return !e.literal.is_null();
+    case ExprKind::kUnary:
+      return e.un_op == UnaryOp::kNeg && IsPlainArithmetic(*e.children[0]);
+    case ExprKind::kBinary:
+      return !IsComparison(e.bin_op) && e.bin_op != BinaryOp::kAnd &&
+             e.bin_op != BinaryOp::kOr && IsPlainArithmetic(*e.children[0]) &&
+             IsPlainArithmetic(*e.children[1]);
+    default:
+      return false;
+  }
+}
+
+void CollectColumnRefs(const Expr& e, std::vector<int>* out) {
+  if (e.kind == ExprKind::kColumnRef) out->push_back(e.bound_index);
+  for (const auto& c : e.children) CollectColumnRefs(*c, out);
+}
+
+/// Renumbers the column references of a (cloned) expression in place.
+void RemapColumnRefs(Expr* e, const std::vector<int>& remap) {
+  if (e->kind == ExprKind::kColumnRef) {
+    e->bound_index = remap[static_cast<size_t>(e->bound_index)];
+  }
+  for (auto& c : e->children) RemapColumnRefs(c.get(), remap);
+}
+
+/// Plan-shape conditions of the fused join→aggregate: the aggregate's child
+/// is an inner equi-join with no residual condition that is not a
+/// symmetric-hash join, and every group key and aggregate argument is plain
+/// arithmetic.
+bool FusableJoinAggregate(const PlanNode& agg, const PlanNode& join) {
+  if (join.kind != PlanKind::kJoin || join.equi_keys.empty() ||
+      join.join_condition != nullptr || join.use_symmetric_hash) {
+    return false;
+  }
+  for (const auto& k : agg.group_keys) {
+    if (!IsPlainArithmetic(*k)) return false;
+  }
+  for (const auto& call : agg.agg_calls) {
+    if (call->agg_func != AggFunc::kCountStar &&
+        !IsPlainArithmetic(*call->children[0])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 Result<Table> Database::ExecNodeImpl(const PlanNode& node) {
   switch (node.kind) {
     case PlanKind::kScan:
@@ -937,7 +986,22 @@ Result<Table> Database::ExecNodeImpl(const PlanNode& node) {
       return ExecJoin(node, std::move(l), std::move(r));
     }
     case PlanKind::kAggregate: {
-      DL2SQL_ASSIGN_OR_RETURN(Table in, ExecNode(*node.children[0]));
+      const PlanNode& child = *node.children[0];
+      if (vectorized_ && FusableJoinAggregate(node, child)) {
+        DL2SQL_ASSIGN_OR_RETURN(Table l, ExecNode(*child.children[0]));
+        DL2SQL_ASSIGN_OR_RETURN(Table r, ExecNode(*child.children[1]));
+        if (!l.is_paged() && !r.is_paged()) {
+          DL2SQL_ASSIGN_OR_RETURN(std::optional<Table> fused,
+                                  ExecJoinAggregate(node, child, l, r));
+          if (fused.has_value()) return std::move(*fused);
+        }
+        DL2SQL_ASSIGN_OR_RETURN(Table in, ExecNodeWith(child, [&] {
+                                  return ExecJoin(child, std::move(l),
+                                                  std::move(r));
+                                }));
+        return ExecAggregate(node, std::move(in));
+      }
+      DL2SQL_ASSIGN_OR_RETURN(Table in, ExecNode(child));
       return ExecAggregate(node, std::move(in));
     }
     case PlanKind::kSort: {
@@ -1135,6 +1199,145 @@ Result<Table> Database::ExecProjectPaged(const PlanNode& node,
   return out;
 }
 
+struct Database::HashJoinSides {
+  bool build_left = false;
+  /// Evaluated probe-side keys and, per probe row, the id of its key in
+  /// the build table (kAbsent: no match, or a NULL key part).
+  std::vector<ColumnHandle> probe_key_cols;
+  std::vector<const Column*> probe_keys;
+  std::vector<KeyHashTable::KeyId> probe_ids;
+  /// A reused prebuilt index, else the table built for this join.
+  std::shared_ptr<HashIndex> index;
+  KeyHashTable built;
+
+  const KeyHashTable& table() const {
+    return index != nullptr ? index->table() : built;
+  }
+
+  int64_t probe_rows() const { return static_cast<int64_t>(probe_ids.size()); }
+
+  /// Build rows matching probe row `p`, ascending (empty when none).
+  std::pair<const int64_t*, const int64_t*> Matches(int64_t p) const {
+    const KeyHashTable::KeyId k = probe_ids[static_cast<size_t>(p)];
+    if (k == KeyHashTable::kAbsent) return {nullptr, nullptr};
+    return {table().rows_begin(k), table().rows_end(k)};
+  }
+
+  /// Appends the (left, right) row pairs of probe row `p` to `lrows` and
+  /// `rrows`, in build-row order.
+  void AppendPairs(int64_t p, std::vector<int64_t>* lrows,
+                   std::vector<int64_t>* rrows) const {
+    const auto [b, e] = Matches(p);
+    if (b == e) return;
+    std::vector<int64_t>* build_rows = build_left ? lrows : rrows;
+    std::vector<int64_t>* probe_rows = build_left ? rrows : lrows;
+    build_rows->insert(build_rows->end(), b, e);
+    probe_rows->insert(probe_rows->end(), static_cast<size_t>(e - b), p);
+  }
+};
+
+Result<Database::HashJoinSides> Database::PrepareHashJoin(
+    const PlanNode& node, const Table& left, const Table& right,
+    EvalContext* ctx, ScopedMemCharge* scratch) {
+  HashJoinSides s;
+  s.build_left = node.join_build_left;
+  std::vector<ColumnHandle> build_key_cols;
+  for (const auto& [lk, rk] : node.equi_keys) {
+    DL2SQL_ASSIGN_OR_RETURN(ColumnHandle lc, EvalExpr(*lk, left, ctx));
+    DL2SQL_ASSIGN_OR_RETURN(ColumnHandle rc, EvalExpr(*rk, right, ctx));
+    build_key_cols.push_back(s.build_left ? lc : rc);
+    s.probe_key_cols.push_back(s.build_left ? rc : lc);
+  }
+  for (const auto& c : s.probe_key_cols) s.probe_keys.push_back(c.get());
+  std::vector<const Column*> build_keys;
+  for (const auto& c : build_key_cols) build_keys.push_back(c.get());
+
+  // Canonical hashes and NULL flags a morsel at a time into preallocated
+  // arrays (disjoint writes, so any wired pool may run the loop); for the
+  // probe side, `table` is given and each morsel also resolves its rows'
+  // key ids in it (read-only, so morsels may share it).
+  auto hash_keys = [&](const std::vector<const Column*>& keys, int64_t kn,
+                       std::vector<uint64_t>* hash,
+                       std::vector<uint8_t>* nulls,
+                       const KeyHashTable* table) -> Status {
+    hash->resize(static_cast<size_t>(kn));
+    nulls->resize(static_cast<size_t>(kn));
+    if (table != nullptr) s.probe_ids.resize(static_cast<size_t>(kn));
+    const int64_t m = ctx->morsel_size;
+    auto body = [&](int64_t bgn, int64_t end, int) -> Status {
+      vec::KeyNullRange(keys, bgn, end, nulls->data() + bgn);
+      vec::HashKeyRange(keys, bgn, end, hash->data() + bgn);
+      if (table != nullptr) {
+        table->FindRange(keys, bgn, end, hash->data() + bgn,
+                         nulls->data() + bgn, s.probe_ids.data() + bgn);
+      }
+      return Status::OK();
+    };
+    if (ctx->pool != nullptr) {
+      DL2SQL_RETURN_NOT_OK(ctx->pool->ParallelForMorsel(kn, m, body));
+    } else {
+      for (int64_t b = 0; b < kn; b += m) {
+        DL2SQL_RETURN_NOT_OK(body(b, std::min(kn, b + m), 0));
+      }
+    }
+    if (ctx->vectorized) {
+      ctx->vec_batches += kn == 0 ? 0 : (kn + m - 1) / m;
+      ctx->vec_rows_in += kn;
+      ctx->vec_rows_selected += kn;
+    }
+    return Status::OK();
+  };
+
+  // Reuse a prebuilt base-table index when the build side is an unfiltered
+  // scan keyed on an indexed column (the shape of the generated
+  // neural-operator joins: static kernel/mapping tables on the build side).
+  // The index is the same table this join would build.
+  const PlanNode& build_plan = *node.children[s.build_left ? 0 : 1];
+  const Expr& build_key_expr = s.build_left ? *node.equi_keys[0].first
+                                            : *node.equi_keys[0].second;
+  if (node.equi_keys.size() == 1 && build_plan.kind == PlanKind::kScan &&
+      build_plan.scan_predicates.empty() &&
+      build_key_expr.kind == ExprKind::kColumnRef &&
+      build_key_expr.bound_index >= 0) {
+    const std::string& qualified =
+        build_plan.output_schema.field(build_key_expr.bound_index).name;
+    const size_t dot = qualified.rfind('.');
+    s.index = catalog_.GetIndex(
+        build_plan.table_name,
+        dot == std::string::npos ? qualified : qualified.substr(dot + 1));
+    const int64_t build_rows = (s.build_left ? left : right).num_rows();
+    if (s.index != nullptr && s.index->indexed_rows() != build_rows) {
+      s.index = nullptr;  // stale snapshot guard
+    }
+  }
+  if (s.index != nullptr) {
+    ++index_joins_;
+    static Counter* const index_counter =
+        MetricsRegistry::Global().counter("db.index_joins");
+    index_counter->Increment();
+  } else {
+    std::vector<uint64_t> bhash;
+    std::vector<uint8_t> bnull;
+    const int64_t bn = (s.build_left ? left : right).num_rows();
+    DL2SQL_RETURN_NOT_OK(hash_keys(build_keys, bn, &bhash, &bnull, nullptr));
+    std::vector<Column> keys;
+    for (const Column* c : build_keys) keys.push_back(*c);
+    s.built = KeyHashTable::ForJoin(std::move(keys), bhash.data(), bnull.data());
+    DL2SQL_RETURN_NOT_OK(scratch->Charge(
+        s.built.ByteSize() +
+        bn * static_cast<int64_t>(sizeof(uint64_t) + 1)));
+  }
+  const int64_t pn = (s.build_left ? right : left).num_rows();
+  std::vector<uint64_t> phash;
+  std::vector<uint8_t> pnull;
+  DL2SQL_RETURN_NOT_OK(
+      hash_keys(s.probe_keys, pn, &phash, &pnull, &s.table()));
+  DL2SQL_RETURN_NOT_OK(scratch->Charge(
+      pn * static_cast<int64_t>(sizeof(uint64_t) + 1 +
+                                sizeof(KeyHashTable::KeyId))));
+  return s;
+}
+
 Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) {
   if (left.is_paged() || right.is_paged()) {
     // Try to admit each paged side into the query's memory budget; whatever
@@ -1157,10 +1360,10 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
   }
   Stopwatch watch;
   EvalContext ctx = MakeEvalContext();
-  // Transient join state — build-side hash table and the pair buffer — is
-  // charged against op.join while live and released on return. Estimates
-  // (bucket node + row-id vector entries), not malloc-exact: the accounting
-  // answers "which operator holds the memory", not "what does malloc say".
+  // Transient join state — build-side hash table, probe hashes and the pair
+  // buffer — is charged against op.join while live and released on return.
+  // Estimates, not malloc-exact: the accounting answers "which operator
+  // holds the memory", not "what does malloc say".
   ScopedMemCharge scratch_mem(OpScratchTracker(PlanKind::kJoin));
   std::vector<std::pair<int64_t, int64_t>> pairs;
 
@@ -1179,54 +1382,44 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
         MetricsRegistry::Global().counter("db.symmetric_joins");
     symmetric_counter->Increment();
   } else if (!node.equi_keys.empty()) {
-    // Hash join: build on the right, probe with the left.
-    std::vector<ColumnHandle> lkeys, rkeys;
-    for (const auto& [lk, rk] : node.equi_keys) {
-      DL2SQL_ASSIGN_OR_RETURN(ColumnHandle lc, EvalExpr(*lk, left, &ctx));
-      DL2SQL_ASSIGN_OR_RETURN(ColumnHandle rc, EvalExpr(*rk, right, &ctx));
-      lkeys.push_back(std::move(lc));
-      rkeys.push_back(std::move(rc));
-    }
-    std::vector<const Column*> lcols, rcols;
-    for (const auto& c : lkeys) lcols.push_back(c.get());
-    for (const auto& c : rkeys) rcols.push_back(c.get());
-
-    // Build the hash table on the side the optimizer estimated smaller.
-    const bool build_left = node.join_build_left;
-    const Table& build_table = build_left ? left : right;
-    const Table& probe_table = build_left ? right : left;
-    const auto& build_keys = build_left ? lcols : rcols;
-    const auto& probe_keys = build_left ? rcols : lcols;
-
-    // Morsel-parallel probe driver. The build side is immutable once
-    // constructed, so any number of workers may probe it concurrently; each
-    // probe morsel collects its (left, right) pairs into its own buffer and
-    // the buffers are concatenated in morsel order, which reproduces the
-    // serial pair order exactly for every thread count. `per_row(p, out)`
-    // appends the matches of probe row p.
-    std::atomic<int64_t> total_pairs{0};
-    auto run_probe = [&](int64_t probe_count, auto&& per_row) -> Status {
-      const int64_t m = ctx.morsel_size;
-      if (ctx.pool == nullptr || ctx.pool->num_threads() <= 1 ||
-          probe_count <= m) {
-        for (int64_t p = 0; p < probe_count; ++p) {
-          DL2SQL_RETURN_NOT_OK(per_row(p, &pairs));
-          if (static_cast<int64_t>(pairs.size()) > kMaxJoinPairs) {
-            return Status::ResourceExhausted("join produced more than ",
-                                             kMaxJoinPairs, " pairs");
+    DL2SQL_ASSIGN_OR_RETURN(
+        HashJoinSides sides,
+        PrepareHashJoin(node, left, right, &ctx, &scratch_mem));
+    // Morsel-parallel probe: the table is immutable once built, so any
+    // number of workers may probe it; each probe morsel collects its pairs
+    // into its own buffer and the buffers are concatenated in morsel order,
+    // which reproduces the serial pair order exactly for every thread count.
+    const int64_t pn = sides.probe_rows();
+    const int64_t m = ctx.morsel_size;
+    auto probe_range = [&](int64_t bgn, int64_t end,
+                           std::vector<std::pair<int64_t, int64_t>>* out) {
+      for (int64_t p = bgn; p < end; ++p) {
+        const auto [b, e] = sides.Matches(p);
+        for (const int64_t* r = b; r != e; ++r) {
+          if (sides.build_left) {
+            out->emplace_back(*r, p);
+          } else {
+            out->emplace_back(p, *r);
           }
         }
-        return Status::OK();
       }
-      const int64_t num_morsels = (probe_count + m - 1) / m;
+    };
+    if (ctx.pool == nullptr || ctx.pool->num_threads() <= 1 || pn <= m) {
+      for (int64_t bgn = 0; bgn < pn; bgn += m) {
+        probe_range(bgn, std::min(pn, bgn + m), &pairs);
+        if (static_cast<int64_t>(pairs.size()) > kMaxJoinPairs) {
+          return Status::ResourceExhausted("join produced more than ",
+                                           kMaxJoinPairs, " pairs");
+        }
+      }
+    } else {
       std::vector<std::vector<std::pair<int64_t, int64_t>>> parts(
-          static_cast<size_t>(num_morsels));
+          static_cast<size_t>((pn + m - 1) / m));
+      std::atomic<int64_t> total_pairs{0};
       DL2SQL_RETURN_NOT_OK(ctx.pool->ParallelForMorsel(
-          probe_count, m, [&](int64_t bgn, int64_t end, int) -> Status {
+          pn, m, [&](int64_t bgn, int64_t end, int) -> Status {
             auto& part = parts[static_cast<size_t>(bgn / m)];
-            for (int64_t p = bgn; p < end; ++p) {
-              DL2SQL_RETURN_NOT_OK(per_row(p, &part));
-            }
+            probe_range(bgn, end, &part);
             const int64_t sz = static_cast<int64_t>(part.size());
             if (total_pairs.fetch_add(sz) + sz > kMaxJoinPairs) {
               return Status::ResourceExhausted("join produced more than ",
@@ -1234,216 +1427,10 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
             }
             return Status::OK();
           }));
-      size_t total = pairs.size();
-      for (const auto& part : parts) total += part.size();
-      pairs.reserve(total);
+      pairs.reserve(static_cast<size_t>(total_pairs.load()));
       for (auto& part : parts) {
         pairs.insert(pairs.end(), part.begin(), part.end());
       }
-      return Status::OK();
-    };
-    auto emit_into = [build_left](std::vector<std::pair<int64_t, int64_t>>* out,
-                                  int64_t b, int64_t p) {
-      if (build_left) {
-        out->emplace_back(b, p);
-      } else {
-        out->emplace_back(p, b);
-      }
-    };
-
-    auto all_int_no_nulls = [](const std::vector<ColumnHandle>& keys) {
-      for (const auto& k : keys) {
-        if (k->type() != DataType::kInt64 || k->HasNulls()) return false;
-      }
-      return true;
-    };
-    const bool ints_only =
-        all_int_no_nulls(build_left ? lkeys : rkeys) &&
-        all_int_no_nulls(build_left ? rkeys : lkeys);
-    const bool int_fast_path = build_keys.size() == 1 && ints_only;
-    const bool int2_fast_path = build_keys.size() == 2 && ints_only;
-    if (int_fast_path) {
-      // Reuse a prebuilt base-table hash index when the build side is an
-      // unfiltered scan keyed on a plain column (the shape of the generated
-      // neural-operator joins: static kernel/mapping tables on the build
-      // side). Falls back to an on-the-fly hash table otherwise.
-      std::shared_ptr<HashIndex> index;
-      const PlanNode& build_plan = *node.children[build_left ? 0 : 1];
-      const Expr& build_key_expr =
-          build_left ? *node.equi_keys[0].first : *node.equi_keys[0].second;
-      if (build_plan.kind == PlanKind::kScan &&
-          build_plan.scan_predicates.empty() &&
-          build_key_expr.kind == ExprKind::kColumnRef &&
-          build_key_expr.bound_index >= 0) {
-        const std::string& qualified =
-            build_plan.output_schema.field(build_key_expr.bound_index).name;
-        const size_t dot = qualified.rfind('.');
-        const std::string base =
-            dot == std::string::npos ? qualified : qualified.substr(dot + 1);
-        index = catalog_.GetIndex(build_plan.table_name, base);
-        if (index != nullptr &&
-            index->indexed_rows() != build_table.num_rows()) {
-          index = nullptr;  // stale snapshot guard
-        }
-      }
-
-      const auto& pvals = probe_keys[0]->ints();
-      if (index != nullptr) {
-        ++index_joins_;
-        static Counter* const index_counter =
-            MetricsRegistry::Global().counter("db.index_joins");
-        index_counter->Increment();
-        DL2SQL_RETURN_NOT_OK(run_probe(
-            static_cast<int64_t>(pvals.size()),
-            [&](int64_t p,
-                std::vector<std::pair<int64_t, int64_t>>* out) -> Status {
-              const std::vector<int64_t>* rows =
-                  index->Lookup(pvals[static_cast<size_t>(p)]);
-              if (rows == nullptr) return Status::OK();
-              for (int64_t b : *rows) emit_into(out, b, p);
-              return Status::OK();
-            }));
-      } else {
-        // Single-int64 equi key: skip the generic key encoding entirely.
-        const auto& bvals = build_keys[0]->ints();
-        std::unordered_map<int64_t, std::vector<int64_t>> build;
-        build.reserve(bvals.size());
-        for (size_t r = 0; r < bvals.size(); ++r) {
-          build[bvals[r]].push_back(static_cast<int64_t>(r));
-        }
-        DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(static_cast<int64_t>(
-            build.size() * (sizeof(int64_t) + sizeof(std::vector<int64_t>) +
-                            16) +
-            bvals.size() * sizeof(int64_t))));
-        DL2SQL_RETURN_NOT_OK(run_probe(
-            static_cast<int64_t>(pvals.size()),
-            [&](int64_t p,
-                std::vector<std::pair<int64_t, int64_t>>* out) -> Status {
-              auto it = build.find(pvals[static_cast<size_t>(p)]);
-              if (it == build.end()) return Status::OK();
-              for (int64_t b : it->second) emit_into(out, b, p);
-              return Status::OK();
-            }));
-      }
-    } else if (int2_fast_path) {
-      // Two-int64 equi keys (e.g. batched (BatchID, TupleID) joins).
-      const auto& b0 = build_keys[0]->ints();
-      const auto& b1 = build_keys[1]->ints();
-      const auto& p0 = probe_keys[0]->ints();
-      const auto& p1 = probe_keys[1]->ints();
-      std::unordered_map<Int2Key, std::vector<int64_t>, Int2KeyHash> build;
-      build.reserve(b0.size());
-      for (size_t r = 0; r < b0.size(); ++r) {
-        build[{b0[r], b1[r]}].push_back(static_cast<int64_t>(r));
-      }
-      DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(static_cast<int64_t>(
-          build.size() *
-              (sizeof(Int2Key) + sizeof(std::vector<int64_t>) + 16) +
-          b0.size() * sizeof(int64_t))));
-      DL2SQL_RETURN_NOT_OK(run_probe(
-          static_cast<int64_t>(p0.size()),
-          [&](int64_t p,
-              std::vector<std::pair<int64_t, int64_t>>* out) -> Status {
-            const size_t sp = static_cast<size_t>(p);
-            auto it = build.find({p0[sp], p1[sp]});
-            if (it == build.end()) return Status::OK();
-            for (int64_t b : it->second) emit_into(out, b, p);
-            return Status::OK();
-          }));
-    } else if (ctx.vectorized) {
-      // Vectorized generic path: null flags and canonical key hashes are
-      // computed a batch at a time into preallocated arrays (disjoint morsel
-      // writes, so the loop parallelizes without synchronization), replacing
-      // the per-row EncodeRowKey string allocations. Buckets hold build rows
-      // in row order and probes verify candidates with exact canonical-key
-      // equality, so the emitted pair order is identical to the string-keyed
-      // row path for every thread count.
-      const int64_t bn = build_table.num_rows();
-      const int64_t pn = probe_table.num_rows();
-      std::vector<uint64_t> bhash(static_cast<size_t>(bn));
-      std::vector<uint64_t> phash(static_cast<size_t>(pn));
-      std::vector<uint8_t> bnull(static_cast<size_t>(bn));
-      std::vector<uint8_t> pnull(static_cast<size_t>(pn));
-      auto batch_keys = [&](const std::vector<const Column*>& keys, int64_t kn,
-                            uint64_t* hash, uint8_t* null_flags) -> Status {
-        const int64_t m = ctx.morsel_size;
-        auto body = [&](int64_t bgn, int64_t end, int) -> Status {
-          vec::KeyNullRange(keys, bgn, end, null_flags + bgn);
-          vec::HashKeyRange(keys, bgn, end, hash + bgn);
-          return Status::OK();
-        };
-        // Per-row output slots are disjoint, so any wired pool can run the
-        // loop (it degrades to inline execution for single-threaded pools
-        // and single-morsel inputs); this keeps pool accounting and trace
-        // spans identical to the row path.
-        if (ctx.pool != nullptr) {
-          DL2SQL_RETURN_NOT_OK(ctx.pool->ParallelForMorsel(kn, m, body));
-        } else {
-          for (int64_t b = 0; b < kn; b += m) {
-            DL2SQL_RETURN_NOT_OK(body(b, std::min(kn, b + m), 0));
-          }
-        }
-        ctx.vec_batches += kn == 0 ? 0 : (kn + m - 1) / m;
-        ctx.vec_rows_in += kn;
-        ctx.vec_rows_selected += kn;
-        return Status::OK();
-      };
-      DL2SQL_RETURN_NOT_OK(
-          batch_keys(build_keys, bn, bhash.data(), bnull.data()));
-      DL2SQL_RETURN_NOT_OK(
-          batch_keys(probe_keys, pn, phash.data(), pnull.data()));
-      std::unordered_map<uint64_t, std::vector<int64_t>> build;
-      build.reserve(static_cast<size_t>(bn));
-      for (int64_t r = 0; r < bn; ++r) {
-        if (bnull[static_cast<size_t>(r)] != 0) continue;
-        build[bhash[static_cast<size_t>(r)]].push_back(r);
-      }
-      DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(
-          (bn + pn) * static_cast<int64_t>(sizeof(uint64_t) + 1) +
-          static_cast<int64_t>(
-              build.size() *
-                  (sizeof(uint64_t) + sizeof(std::vector<int64_t>) + 16) +
-              static_cast<size_t>(bn) * sizeof(int64_t))));
-      DL2SQL_RETURN_NOT_OK(run_probe(
-          pn,
-          [&](int64_t p,
-              std::vector<std::pair<int64_t, int64_t>>* out) -> Status {
-            if (pnull[static_cast<size_t>(p)] != 0) return Status::OK();
-            auto it = build.find(phash[static_cast<size_t>(p)]);
-            if (it == build.end()) return Status::OK();
-            for (int64_t b : it->second) {
-              if (vec::CanonicalKeyRowsEqual(probe_keys, p, build_keys, b)) {
-                emit_into(out, b, p);
-              }
-            }
-            return Status::OK();
-          }));
-    } else {
-      std::unordered_map<std::string, std::vector<int64_t>> build;
-      build.reserve(static_cast<size_t>(build_table.num_rows()));
-      for (int64_t r = 0; r < build_table.num_rows(); ++r) {
-        if (RowKeyHasNull(build_keys, r)) continue;
-        build[EncodeRowKey(build_keys, r)].push_back(r);
-      }
-      int64_t key_bytes = 0;
-      for (const auto& [key, rows] : build) {
-        key_bytes += static_cast<int64_t>(key.size() + rows.size() * 8);
-      }
-      DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(
-          key_bytes +
-          static_cast<int64_t>(
-              build.size() *
-              (sizeof(std::string) + sizeof(std::vector<int64_t>) + 16))));
-      DL2SQL_RETURN_NOT_OK(run_probe(
-          probe_table.num_rows(),
-          [&](int64_t p,
-              std::vector<std::pair<int64_t, int64_t>>* out) -> Status {
-            if (RowKeyHasNull(probe_keys, p)) return Status::OK();
-            auto it = build.find(EncodeRowKey(probe_keys, p));
-            if (it == build.end()) return Status::OK();
-            for (int64_t b : it->second) emit_into(out, b, p);
-            return Status::OK();
-          }));
     }
   } else {
     // Cross product (with optional residual condition applied below).
@@ -1484,6 +1471,195 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
   const double inf = DrainEvalContext(ctx);
   ChargeOperator(costs_, "join", watch.ElapsedSeconds(), inf);
   return joined;
+}
+
+Result<std::optional<Table>> Database::ExecJoinAggregate(
+    const PlanNode& node, const PlanNode& join, const Table& left,
+    const Table& right) {
+  // Whole-table and batch-by-batch evaluation of plain arithmetic agree
+  // value for value and type for type only over NULL-free operands (a NULL
+  // operand turns an arithmetic result FLOAT64), and the aggregate kernels
+  // refuse NULL arguments; so only a bare column group key may hold NULLs.
+  const int left_width = left.num_columns();
+  auto input_column = [&](int idx) -> const Column& {
+    return idx < left_width ? left.column(idx)
+                            : right.column(idx - left_width);
+  };
+  std::vector<int> refs;
+  std::vector<int> null_free;
+  for (const auto& k : node.group_keys) {
+    CollectColumnRefs(*k, k->kind == ExprKind::kColumnRef ? &refs : &null_free);
+  }
+  for (const auto& call : node.agg_calls) {
+    if (call->agg_func != AggFunc::kCountStar) {
+      CollectColumnRefs(*call->children[0], &null_free);
+    }
+  }
+  for (int idx : null_free) {
+    if (input_column(idx).HasNulls()) return std::optional<Table>();
+  }
+  refs.insert(refs.end(), null_free.begin(), null_free.end());
+  std::sort(refs.begin(), refs.end());
+  refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
+
+  Stopwatch watch;
+  EvalContext ctx = MakeEvalContext();
+
+  // Batches carry only the referenced columns; the aggregate's expressions
+  // are renumbered onto that narrow schema.
+  std::vector<int> remap(static_cast<size_t>(join.output_schema.num_fields()),
+                         -1);
+  TableSchema batch_schema;
+  for (size_t i = 0; i < refs.size(); ++i) {
+    remap[static_cast<size_t>(refs[i])] = static_cast<int>(i);
+    batch_schema.AddField(join.output_schema.field(refs[i]));
+  }
+  auto remapped = [&](const Expr& e) {
+    ExprPtr c = e.Clone();
+    RemapColumnRefs(c.get(), remap);
+    return c;
+  };
+  std::vector<ExprPtr> key_exprs, arg_exprs(node.agg_calls.size());
+  for (const auto& k : node.group_keys) key_exprs.push_back(remapped(*k));
+  for (size_t a = 0; a < node.agg_calls.size(); ++a) {
+    if (node.agg_calls[a]->agg_func != AggFunc::kCountStar) {
+      arg_exprs[a] = remapped(*node.agg_calls[a]->children[0]);
+    }
+  }
+  std::vector<int64_t> lrows, rrows;
+  // key_cols and arg_cols may alias columns of `batch`.
+  Table batch;
+  std::vector<ColumnHandle> key_cols, arg_cols(arg_exprs.size());
+  double groupby_seconds = 0;
+  // Gathers the referenced columns of the buffered pairs (join work) and
+  // evaluates the group keys and aggregate arguments over them (groupby).
+  auto eval_batch = [&]() -> Status {
+    std::vector<Column> cols;
+    for (int idx : refs) {
+      cols.push_back(idx < left_width
+                         ? left.column(idx).Take(lrows)
+                         : right.column(idx - left_width).Take(rrows));
+    }
+    DL2SQL_ASSIGN_OR_RETURN(batch,
+                            Table::FromColumns(batch_schema, std::move(cols)));
+    batch.SetZeroColumnRows(static_cast<int64_t>(lrows.size()));
+    Stopwatch eval_watch;
+    key_cols.clear();
+    for (const auto& k : key_exprs) {
+      DL2SQL_ASSIGN_OR_RETURN(ColumnHandle c, EvalExpr(*k, batch, &ctx));
+      key_cols.push_back(std::move(c));
+    }
+    for (size_t a = 0; a < arg_exprs.size(); ++a) {
+      if (arg_exprs[a] != nullptr) {
+        DL2SQL_ASSIGN_OR_RETURN(arg_cols[a],
+                                EvalExpr(*arg_exprs[a], batch, &ctx));
+      }
+    }
+    groupby_seconds += eval_watch.ElapsedSeconds();
+    return Status::OK();
+  };
+  // Over NULL-free operands the result types do not depend on the rows, so
+  // compiling against an empty batch refuses an aggregate outside the
+  // kernel inventory before any join work is done.
+  vec::BatchAggregator agg;
+  DL2SQL_RETURN_NOT_OK(eval_batch());
+  if (!agg.Compile(node, key_cols, arg_cols)) return std::optional<Table>();
+
+  ScopedMemCharge join_mem(OpScratchTracker(PlanKind::kJoin));
+  ScopedMemCharge agg_mem(OpScratchTracker(PlanKind::kAggregate));
+  DL2SQL_ASSIGN_OR_RETURN(HashJoinSides sides,
+                          PrepareHashJoin(join, left, right, &ctx, &join_mem));
+
+  // A group key that is a bare column reference hashes through canonical
+  // key parts computed once per input row; a pair's key hash then folds the
+  // parts of its rows (HashKeyRange's hash, without rehashing every pair).
+  std::vector<std::vector<uint64_t>> key_parts(node.group_keys.size());
+  for (size_t k = 0; k < node.group_keys.size(); ++k) {
+    const Expr& key = *node.group_keys[k];
+    if (key.kind != ExprKind::kColumnRef) continue;
+    const Column& col = input_column(key.bound_index);
+    key_parts[k].resize(static_cast<size_t>(col.size()));
+    vec::KeyPartHashRange(col, 0, col.size(), key_parts[k].data());
+  }
+  std::vector<uint64_t> hashes, part_buf;
+
+  // Batches stay small enough that a batch's gathered columns, hashes and
+  // group ids remain cache-resident between the passes over them.
+  const int64_t batch_pairs = 1024;
+  DL2SQL_RETURN_NOT_OK(join_mem.Charge(
+      batch_pairs * static_cast<int64_t>(2 * sizeof(int64_t))));
+  lrows.reserve(static_cast<size_t>(batch_pairs));
+  rrows.reserve(static_cast<size_t>(batch_pairs));
+  int64_t pairs = 0;
+  // Folds the buffered pairs into the group states.
+  auto flush = [&]() -> Status {
+    const int64_t n = static_cast<int64_t>(lrows.size());
+    pairs += n;
+    if (pairs > kMaxJoinPairs) {
+      return Status::ResourceExhausted("join produced more than ",
+                                       kMaxJoinPairs, " pairs");
+    }
+    DL2SQL_RETURN_NOT_OK(eval_batch());
+    Stopwatch group_watch;
+    std::vector<const Column*> kptrs, aptrs;
+    for (const auto& c : key_cols) kptrs.push_back(c.get());
+    for (const auto& c : arg_cols) aptrs.push_back(c.get());
+    hashes.assign(static_cast<size_t>(n), vec::kKeyHashSeed);
+    for (size_t k = 0; k < key_exprs.size(); ++k) {
+      const uint64_t* parts = key_parts[k].data();
+      const int64_t* rows = nullptr;
+      if (key_parts[k].empty()) {
+        part_buf.resize(static_cast<size_t>(n));
+        vec::KeyPartHashRange(*kptrs[k], 0, n, part_buf.data());
+        parts = part_buf.data();
+      } else {
+        rows = node.group_keys[k]->bound_index < left_width ? lrows.data()
+                                                            : rrows.data();
+      }
+      for (int64_t i = 0; i < n; ++i) {
+        hashes[static_cast<size_t>(i)] = vec::CombineKeyHash(
+            hashes[static_cast<size_t>(i)], parts[rows ? rows[i] : i]);
+      }
+    }
+    agg.Consume(kptrs, aptrs, 0, n, pairs - n, hashes.data());
+    ++ctx.vec_batches;
+    ctx.vec_rows_in += n;
+    ctx.vec_rows_selected += n;
+    lrows.clear();
+    rrows.clear();
+    groupby_seconds += group_watch.ElapsedSeconds();
+    return Status::OK();
+  };
+  for (int64_t p = 0; p < sides.probe_rows(); ++p) {
+    sides.AppendPairs(p, &lrows, &rrows);
+    if (static_cast<int64_t>(lrows.size()) >= batch_pairs) {
+      DL2SQL_RETURN_NOT_OK(flush());
+    }
+  }
+  if (!lrows.empty()) DL2SQL_RETURN_NOT_OK(flush());
+  Stopwatch finish_watch;
+  DL2SQL_RETURN_NOT_OK(agg_mem.Charge(agg.ByteSize()));
+  DL2SQL_ASSIGN_OR_RETURN(Table out, agg.Finish(node));
+  groupby_seconds += finish_watch.ElapsedSeconds();
+
+  // The join bucket gets the measured wall time outside the aggregate's
+  // own measured work (key evaluation, grouping, accumulation, emission).
+  const double join_seconds = watch.ElapsedSeconds() - groupby_seconds;
+  const double inf = DrainEvalContext(ctx);
+  ChargeOperator(costs_, "join", join_seconds, inf);
+  ChargeOperator(costs_, "groupby", groupby_seconds, 0);
+  static Counter* const fused_counter =
+      MetricsRegistry::Global().counter("db.fused_join_aggs");
+  fused_counter->Increment();
+  if (QueryTally* tally = tls_tally_) tally->operator_rows += pairs;
+  if (collect_node_stats_) {
+    std::lock_guard<std::mutex> lock(node_stats_mu_);
+    NodeRunStats& stats = node_stats_[&join];
+    stats.fused = true;
+    stats.rows += pairs;
+    stats.cumulative_seconds += join_seconds;
+  }
+  return std::optional<Table>(std::move(out));
 }
 
 Result<Table> Database::ExecJoinGrace(const PlanNode& node, Table left,
@@ -1567,9 +1743,9 @@ Result<Table> Database::ExecJoinGrace(const PlanNode& node, Table left,
       MetricsRegistry::Global().counter("db.grace_joins");
   grace_counter->Increment();
 
-  // Phase 2: per partition, build a hash table on the optimizer's build side
-  // and probe with the other. Only one partition's build map is resident at
-  // a time; its bytes are charged on a per-iteration scope.
+  // Phase 2: per partition, build a join table on the optimizer's build side
+  // and probe with the other. Only one partition's table is resident at a
+  // time; its bytes are charged on a per-iteration scope.
   const bool build_left = node.join_build_left;
   const auto& bparts = build_left ? lparts : rparts;
   const auto& pparts = build_left ? rparts : lparts;
@@ -1581,28 +1757,38 @@ Result<Table> Database::ExecJoinGrace(const PlanNode& node, Table left,
     if (bp->num_rows() == 0 || pp->num_rows() == 0) continue;
     ScopedMemCharge part_mem(OpScratchTracker(PlanKind::kJoin));
     DL2SQL_ASSIGN_OR_RETURN(std::vector<Column> bcols, bp->Materialize());
+    // The spilled canonical key bytes are the partition's one key column:
+    // equal encodings are exactly equal keys.
     const auto& brows = bcols[0].ints();
-    const auto& bkeys = bcols[1].strings();
-    std::unordered_map<std::string, std::vector<int64_t>> build;
-    build.reserve(brows.size());
-    int64_t key_bytes = 0;
-    for (size_t i = 0; i < brows.size(); ++i) {
-      build[bkeys[i]].push_back(brows[i]);
-      key_bytes += static_cast<int64_t>(bkeys[i].size() + 8);
-    }
+    const std::vector<const Column*> bkey = {&bcols[1]};
+    const int64_t bn = static_cast<int64_t>(brows.size());
+    std::vector<uint64_t> bhash(static_cast<size_t>(bn));
+    vec::HashKeyRange(bkey, 0, bn, bhash.data());
+    const std::vector<uint8_t> no_nulls(static_cast<size_t>(bn), 0);
+    const KeyHashTable build =
+        KeyHashTable::ForJoin({bcols[1]}, bhash.data(), no_nulls.data());
     DL2SQL_RETURN_NOT_OK(part_mem.Charge(
-        key_bytes +
-        static_cast<int64_t>(build.size() * (sizeof(std::string) +
-                                             sizeof(std::vector<int64_t>) +
-                                             16))));
+        build.ByteSize() + static_cast<int64_t>(bcols[1].ByteSize()) +
+        bn * static_cast<int64_t>(sizeof(uint64_t) + 1)));
+    std::vector<uint64_t> phash;
+    std::vector<KeyHashTable::KeyId> pids;
     for (int64_t c = 0; c < pp->num_chunks(); ++c) {
       DL2SQL_ASSIGN_OR_RETURN(std::vector<Column> pcols, pp->ReadChunk(c));
       const auto& prow_ids = pcols[0].ints();
-      const auto& pkeys = pcols[1].strings();
-      for (size_t i = 0; i < prow_ids.size(); ++i) {
-        auto it = build.find(pkeys[i]);
-        if (it == build.end()) continue;
-        for (int64_t b : it->second) pb_pairs.emplace_back(prow_ids[i], b);
+      const std::vector<const Column*> pkey = {&pcols[1]};
+      const int64_t pn = static_cast<int64_t>(prow_ids.size());
+      phash.resize(static_cast<size_t>(pn));
+      pids.resize(static_cast<size_t>(pn));
+      vec::HashKeyRange(pkey, 0, pn, phash.data());
+      build.FindRange(pkey, 0, pn, phash.data(), nullptr, pids.data());
+      for (int64_t i = 0; i < pn; ++i) {
+        const KeyHashTable::KeyId k = pids[static_cast<size_t>(i)];
+        if (k == KeyHashTable::kAbsent) continue;
+        for (const int64_t* b = build.rows_begin(k); b != build.rows_end(k);
+             ++b) {
+          pb_pairs.emplace_back(prow_ids[static_cast<size_t>(i)],
+                                brows[static_cast<size_t>(*b)]);
+        }
         if (static_cast<int64_t>(pb_pairs.size()) > kMaxJoinPairs) {
           return Status::ResourceExhausted("join produced more than ",
                                            kMaxJoinPairs, " pairs");
@@ -1613,8 +1799,8 @@ Result<Table> Database::ExecJoinGrace(const PlanNode& node, Table left,
   DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(static_cast<int64_t>(
       pb_pairs.size() * sizeof(std::pair<int64_t, int64_t>))));
   // Hash partitioning scattered the pairs; the in-memory join emits them
-  // probe-ascending, then build-ascending within a probe row (insertion
-  // order of the build map's row lists). Both spill files were written in
+  // probe-ascending, then build-ascending within a probe row (the join
+  // table's per-key row runs). Both spill files were written in
   // row order, so a global sort on (probe, build) restores exactly that
   // order — the bit-identity contract for join output.
   std::sort(pb_pairs.begin(), pb_pairs.end());
@@ -1672,22 +1858,6 @@ struct AggState {
   Value min;
   Value max;
 };
-
-/// Folds a thread-local aggregate state into the global one. Count/sum/sumsq
-/// are additive; min/max combine by comparison (NULL = no value seen yet).
-void MergeAggState(AggState* dst, const AggState& src) {
-  dst->count += src.count;
-  dst->sum += src.sum;
-  dst->sumsq += src.sumsq;
-  if (!src.min.is_null() &&
-      (dst->min.is_null() || src.min.Compare(dst->min) < 0)) {
-    dst->min = src.min;
-  }
-  if (!src.max.is_null() &&
-      (dst->max.is_null() || src.max.Compare(dst->max) > 0)) {
-    dst->max = src.max;
-  }
-}
 
 /// Folds one argument value into an aggregate state. Shared by the in-memory
 /// row path and the external (spilling) aggregation so both accumulate in
@@ -1823,118 +1993,32 @@ Result<Table> Database::ExecAggregate(const PlanNode& node, Table input) {
     std::vector<AggState> aggs;
   };
 
+  // Serial: groups in first-seen order, each accumulating in row order.
+  // Grouping state is charged against op.aggregate once the group count is
+  // known and released on return.
+  ScopedMemCharge scratch_mem(OpScratchTracker(PlanKind::kAggregate));
+  std::vector<Group> groups;
   const int64_t n = input.num_rows();
-
-  // Per-row accumulation shared by both key representations.
-  auto accumulate_row = [&](Group* g, int64_t row) -> Status {
+  std::vector<DataType> key_types;
+  for (const Column* k : kptrs) key_types.push_back(k->type());
+  KeyHashTable index = KeyHashTable::ForGroups(key_types);
+  std::vector<uint64_t> hashes(static_cast<size_t>(n));
+  std::vector<KeyHashTable::KeyId> gids(static_cast<size_t>(n));
+  vec::HashKeyRange(kptrs, 0, n, hashes.data());
+  index.FindOrInsertRange(kptrs, 0, n, hashes.data(), nullptr, gids.data());
+  for (int64_t row = 0; row < n; ++row) {
+    const size_t gid = static_cast<size_t>(gids[static_cast<size_t>(row)]);
+    if (gid == groups.size()) {
+      groups.push_back(Group{row, std::vector<AggState>(node.agg_calls.size())});
+    }
+    Group& g = groups[gid];
     for (size_t a = 0; a < node.agg_calls.size(); ++a) {
       const AggFunc f = node.agg_calls[a]->agg_func;
       DL2SQL_RETURN_NOT_OK(AccumulateAggValue(
           f,
           f == AggFunc::kCountStar ? Value::Null() : arg_cols[a]->GetValue(row),
-          &g->aggs[a]));
+          &g.aggs[a]));
     }
-    return Status::OK();
-  };
-
-  // Groups in first-seen order, referenced by index from either key map.
-  // Grouping state is charged against op.aggregate once the group count is
-  // known (post-merge for the parallel mode) and released on return.
-  ScopedMemCharge scratch_mem(OpScratchTracker(PlanKind::kAggregate));
-  std::vector<Group> groups;
-
-  // Generic grouping driver over one key representation. Serial mode fills
-  // `groups` in first-seen order directly. Parallel mode gives every pool
-  // worker its own hash-index + group vector (no shared mutable state inside
-  // the morsel loop), then merges the thread-local states once: matching
-  // groups fold their AggStates together and keep the minimum first_row, and
-  // a final sort by first_row restores the serial first-seen order for any
-  // thread count.
-  auto run_grouping = [&](auto make_index, auto key_of) -> Status {
-    const size_t num_aggs = node.agg_calls.size();
-    const bool parallel = ctx.pool != nullptr && ctx.pool->num_threads() > 1 &&
-                          n > ctx.morsel_size;
-    if (!parallel) {
-      auto index = make_index();
-      index.reserve(static_cast<size_t>(n) / 4 + 8);
-      for (int64_t row = 0; row < n; ++row) {
-        auto [it, inserted] = index.try_emplace(key_of(row), groups.size());
-        if (inserted) {
-          groups.push_back(Group{row, std::vector<AggState>(num_aggs)});
-        }
-        DL2SQL_RETURN_NOT_OK(accumulate_row(&groups[it->second], row));
-      }
-      return Status::OK();
-    }
-    const int workers = ctx.pool->num_threads();
-    std::vector<std::vector<Group>> wgroups(static_cast<size_t>(workers));
-    std::vector<decltype(make_index())> windex(static_cast<size_t>(workers));
-    DL2SQL_RETURN_NOT_OK(ctx.pool->ParallelForMorsel(
-        n, ctx.morsel_size, [&](int64_t bgn, int64_t end, int w) -> Status {
-          auto& local_groups = wgroups[static_cast<size_t>(w)];
-          auto& local_index = windex[static_cast<size_t>(w)];
-          for (int64_t row = bgn; row < end; ++row) {
-            auto [it, inserted] =
-                local_index.try_emplace(key_of(row), local_groups.size());
-            if (inserted) {
-              local_groups.push_back(Group{row, std::vector<AggState>(num_aggs)});
-            }
-            DL2SQL_RETURN_NOT_OK(
-                accumulate_row(&local_groups[it->second], row));
-          }
-          return Status::OK();
-        }));
-    auto merged = make_index();
-    for (auto& local_groups : wgroups) {
-      for (Group& g : local_groups) {
-        auto [it, inserted] =
-            merged.try_emplace(key_of(g.first_row), groups.size());
-        if (inserted) {
-          groups.push_back(std::move(g));
-          continue;
-        }
-        Group& dst = groups[it->second];
-        dst.first_row = std::min(dst.first_row, g.first_row);
-        for (size_t a = 0; a < num_aggs; ++a) {
-          MergeAggState(&dst.aggs[a], g.aggs[a]);
-        }
-      }
-    }
-    std::sort(groups.begin(), groups.end(),
-              [](const Group& a, const Group& b) {
-                return a.first_row < b.first_row;
-              });
-    return Status::OK();
-  };
-
-  auto int_keys_no_nulls = [&](size_t count) {
-    if (kptrs.size() != count) return false;
-    for (const Column* k : kptrs) {
-      if (k->type() != DataType::kInt64 || k->HasNulls()) return false;
-    }
-    return true;
-  };
-  if (int_keys_no_nulls(1)) {
-    const auto& keys = kptrs[0]->ints();
-    DL2SQL_RETURN_NOT_OK(run_grouping(
-        [] { return std::unordered_map<int64_t, size_t>(); },
-        [&](int64_t row) { return keys[static_cast<size_t>(row)]; }));
-  } else if (int_keys_no_nulls(2)) {
-    // Batched pipelines group on (BatchID, key) pairs.
-    const auto& k0 = kptrs[0]->ints();
-    const auto& k1 = kptrs[1]->ints();
-    DL2SQL_RETURN_NOT_OK(run_grouping(
-        [] { return std::unordered_map<Int2Key, size_t, Int2KeyHash>(); },
-        [&](int64_t row) {
-          const size_t r = static_cast<size_t>(row);
-          return Int2Key{k0[r], k1[r]};
-        }));
-  } else {
-    DL2SQL_RETURN_NOT_OK(run_grouping(
-        [] { return std::unordered_map<std::string, size_t>(); },
-        [&](int64_t row) {
-          return kptrs.empty() ? std::string() : EncodeRowKey(kptrs, row);
-        }));
   }
 
   // Global aggregate over empty input still yields one row.
@@ -1950,13 +2034,10 @@ Result<Table> Database::ExecAggregate(const PlanNode& node, Table input) {
   std::vector<Column> out_cols;
   TableSchema out_schema;
   for (size_t k = 0; k < key_cols.size(); ++k) {
-    Column c(key_cols[k]->type());
-    c.Reserve(static_cast<int64_t>(groups.size()));
-    for (const Group& g : groups) {
-      DL2SQL_RETURN_NOT_OK(c.Append(key_cols[k]->GetValue(g.first_row)));
-    }
+    // The key table holds one row per group, in first-seen order.
+    const Column& c = index.key_columns()[k];
     out_schema.AddField({node.group_names[k], c.type()});
-    out_cols.push_back(std::move(c));
+    out_cols.push_back(c);
   }
   for (size_t a = 0; a < node.agg_calls.size(); ++a) {
     const AggFunc f = node.agg_calls[a]->agg_func;
@@ -2047,13 +2128,11 @@ Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
     }
     std::vector<const Column*> kptrs;
     for (const auto& c : key_cols) kptrs.push_back(c.get());
+    std::vector<uint64_t> hashes(static_cast<size_t>(window.num_rows()));
+    vec::HashKeyRange(kptrs, 0, window.num_rows(), hashes.data());
     for (int64_t r = 0; r < window.num_rows(); ++r) {
-      int64_t p = 0;
-      if (num_keys > 0) {
-        const std::string key = EncodeRowKey(kptrs, r);
-        p = static_cast<int64_t>(Hash64(key.data(), key.size()) %
-                                 static_cast<uint64_t>(num_parts));
-      }
+      const int64_t p = static_cast<int64_t>(
+          hashes[static_cast<size_t>(r)] % static_cast<uint64_t>(num_parts));
       std::vector<Value> row;
       row.reserve(1 + num_keys + static_cast<size_t>(num_args));
       row.push_back(Value::Int(base + r));
@@ -2068,9 +2147,10 @@ Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
     return Status::InternalError("external aggregation over empty paged input");
   }
 
-  // Phase 2: per partition, group and accumulate in spill order. Group keys
-  // are re-encoded from the stored values — AppendKeyPart's canonical form
-  // is stable across the round trip, so grouping matches the in-memory path.
+  // Phase 2: per partition, group and accumulate in spill order. The
+  // partition's key table keeps its groups' keys across chunks; canonical
+  // key equality survives the spill round trip, so grouping matches the
+  // in-memory path.
   struct SpillGroup {
     int64_t first_row;
     std::vector<Value> keys;
@@ -2086,18 +2166,24 @@ Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
     spilled_bytes += part->logical_bytes();
     ++spilled_parts;
     ScopedMemCharge part_mem(OpScratchTracker(PlanKind::kAggregate));
-    std::unordered_map<std::string, size_t> index;
+    KeyHashTable index = KeyHashTable::ForGroups(key_types);
     const size_t part_first_group = groups.size();
-    int64_t part_key_bytes = 0;
+    std::vector<uint64_t> hashes;
+    std::vector<KeyHashTable::KeyId> gids;
     for (int64_t c = 0; c < part->num_chunks(); ++c) {
       DL2SQL_ASSIGN_OR_RETURN(std::vector<Column> cols, part->ReadChunk(c));
       std::vector<const Column*> kptrs;
       for (size_t k = 0; k < num_keys; ++k) kptrs.push_back(&cols[1 + k]);
-      for (int64_t r = 0; r < static_cast<int64_t>(cols[0].size()); ++r) {
-        const std::string key =
-            num_keys == 0 ? std::string() : EncodeRowKey(kptrs, r);
-        auto [it, inserted] = index.try_emplace(key, groups.size());
-        if (inserted) {
+      const int64_t rows = static_cast<int64_t>(cols[0].size());
+      hashes.resize(static_cast<size_t>(rows));
+      gids.resize(static_cast<size_t>(rows));
+      vec::HashKeyRange(kptrs, 0, rows, hashes.data());
+      index.FindOrInsertRange(kptrs, 0, rows, hashes.data(), nullptr,
+                              gids.data());
+      for (int64_t r = 0; r < rows; ++r) {
+        const size_t gid =
+            part_first_group + static_cast<size_t>(gids[static_cast<size_t>(r)]);
+        if (gid == groups.size()) {
           SpillGroup g;
           g.first_row = cols[0].ints()[static_cast<size_t>(r)];
           for (size_t k = 0; k < num_keys; ++k) {
@@ -2105,9 +2191,8 @@ Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
           }
           g.aggs.resize(num_aggs);
           groups.push_back(std::move(g));
-          part_key_bytes += static_cast<int64_t>(key.size());
         }
-        SpillGroup& g = groups[it->second];
+        SpillGroup& g = groups[gid];
         for (size_t a = 0; a < num_aggs; ++a) {
           DL2SQL_RETURN_NOT_OK(AccumulateAggValue(
               node.agg_calls[a]->agg_func,
@@ -2119,10 +2204,9 @@ Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
         }
       }
       DL2SQL_RETURN_NOT_OK(part_mem.Charge(
-          part_key_bytes +
-          static_cast<int64_t>((groups.size() - part_first_group) *
-                               (sizeof(size_t) + 48))));
-      part_key_bytes = 0;
+          index.ByteSize() +
+          static_cast<int64_t>((groups.size() - part_first_group) * 48) -
+          part_mem.charged()));
     }
   }
   TallySpill(spilled_bytes, spilled_parts);

@@ -4,9 +4,11 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -307,6 +309,9 @@ class Database {
     int64_t vec_rows_in = 0;
     int64_t vec_rows_selected = 0;
     /// @}
+    /// Join node whose probe matches fed its parent aggregate directly (the
+    /// fused join→aggregate pass): `rows` counts pairs, none materialized.
+    bool fused = false;
   };
 
   /// Per-query tallies accumulated while a recorded statement executes,
@@ -349,8 +354,13 @@ class Database {
   };
 
   Result<Table> ExecNode(const PlanNode& node);
-  /// ExecNodeImpl plus NodeRunStats collection (ExplainAnalyze runs).
-  Result<Table> ExecNodeCollect(const PlanNode& node);
+  /// ExecNode's per-operator accounting (trace span, memory frames, rows,
+  /// EXPLAIN ANALYZE stats) around `body`, which produces `node`'s output.
+  Result<Table> ExecNodeWith(const PlanNode& node,
+                             const std::function<Result<Table>()>& body);
+  /// `body` plus NodeRunStats collection (ExplainAnalyze runs).
+  Result<Table> ExecNodeCollect(const PlanNode& node,
+                                const std::function<Result<Table>()>& body);
   Result<Table> ExecNodeImpl(const PlanNode& node);
   /// Lazily created "op.<kind>" child of the running recorded statement's
   /// query tracker; null when no tracked statement is active on this thread.
@@ -369,6 +379,30 @@ class Database {
   Result<Table> ExecJoin(const PlanNode& node, Table left, Table right);
   Result<Table> ExecAggregate(const PlanNode& node, Table input);
   Result<Table> ExecSort(const PlanNode& node, Table input);
+
+  /// \name Hash join and fused join→aggregate
+  /// @{
+  /// Build/probe state of an equi hash join (defined in database.cc).
+  struct HashJoinSides;
+  /// Evaluates both inputs' equi keys, takes the optimizer's build side's
+  /// table — a prebuilt HashIndex when the build side is an unfiltered scan
+  /// of an indexed column, else a KeyHashTable built here and charged to
+  /// `scratch` — and hashes the probe keys.
+  Result<HashJoinSides> PrepareHashJoin(const PlanNode& node,
+                                        const Table& left, const Table& right,
+                                        EvalContext* ctx,
+                                        ScopedMemCharge* scratch);
+  /// Aggregate `agg` over inner equi-join `join` of resident inputs in one
+  /// pass: probe matches are gathered batch by batch (only the columns the
+  /// aggregate references) and folded straight into the group states, with
+  /// no join output. nullopt, with nothing accumulated, when the aggregate
+  /// does not fit the vectorized kernels; the caller then runs the two
+  /// operators unfused.
+  Result<std::optional<Table>> ExecJoinAggregate(const PlanNode& agg,
+                                                 const PlanNode& join,
+                                                 const Table& left,
+                                                 const Table& right);
+  /// @}
 
   /// \name Out-of-core execution (paged storage mode)
   /// @{

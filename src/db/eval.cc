@@ -297,32 +297,48 @@ Result<ColumnHandle> FastBinary(BinaryOp op, const Column& a, const Column& b,
     return Own(Column::Ints(std::move(out)));
   }
   std::vector<double> out(static_cast<size_t>(n));
+  // Operand types and the operator are dispatched once per morsel; each
+  // combination runs its own tight loop (operands read through double).
+  auto run = [&](int64_t bgn, int64_t end, auto x_at, auto y_at) -> Status {
+    double* o = out.data();
+    switch (op) {
+      case BinaryOp::kAdd:
+        for (int64_t i = bgn; i < end; ++i) o[i] = x_at(i) + y_at(i);
+        return Status::OK();
+      case BinaryOp::kSub:
+        for (int64_t i = bgn; i < end; ++i) o[i] = x_at(i) - y_at(i);
+        return Status::OK();
+      case BinaryOp::kMul:
+        for (int64_t i = bgn; i < end; ++i) o[i] = x_at(i) * y_at(i);
+        return Status::OK();
+      case BinaryOp::kDiv:
+        for (int64_t i = bgn; i < end; ++i) o[i] = x_at(i) / y_at(i);
+        return Status::OK();
+      case BinaryOp::kMod:
+        for (int64_t i = bgn; i < end; ++i) o[i] = std::fmod(x_at(i), y_at(i));
+        return Status::OK();
+      default:
+        return Status::InternalError("unhandled float binary op");
+    }
+  };
+  const bool a_int = a.type() == DataType::kInt64;
+  const bool b_int = b.type() == DataType::kInt64;
+  const int64_t* ia = a_int ? a.ints().data() : nullptr;
+  const int64_t* ib = b_int ? b.ints().data() : nullptr;
+  const double* fa = a_int ? nullptr : a.floats().data();
+  const double* fb = b_int ? nullptr : b.floats().data();
+  auto from_int = [](const int64_t* v) {
+    return [v](int64_t i) { return static_cast<double>(v[i]); };
+  };
+  auto from_float = [](const double* v) {
+    return [v](int64_t i) { return v[i]; };
+  };
   DL2SQL_RETURN_NOT_OK(
       ForEachMorsel(ctx, n, [&](int64_t bgn, int64_t end, int) -> Status {
-        for (int64_t i = bgn; i < end; ++i) {
-          const double x = NumAt(a, i);
-          const double y = NumAt(b, i);
-          switch (op) {
-            case BinaryOp::kAdd:
-              out[static_cast<size_t>(i)] = x + y;
-              break;
-            case BinaryOp::kSub:
-              out[static_cast<size_t>(i)] = x - y;
-              break;
-            case BinaryOp::kMul:
-              out[static_cast<size_t>(i)] = x * y;
-              break;
-            case BinaryOp::kDiv:
-              out[static_cast<size_t>(i)] = x / y;
-              break;
-            case BinaryOp::kMod:
-              out[static_cast<size_t>(i)] = std::fmod(x, y);
-              break;
-            default:
-              return Status::InternalError("unhandled float binary op");
-          }
-        }
-        return Status::OK();
+        if (a_int && b_int) return run(bgn, end, from_int(ia), from_int(ib));
+        if (a_int) return run(bgn, end, from_int(ia), from_float(fb));
+        if (b_int) return run(bgn, end, from_float(fa), from_int(ib));
+        return run(bgn, end, from_float(fa), from_float(fb));
       }));
   return Own(Column::Floats(std::move(out)));
 }

@@ -1,245 +1,76 @@
 #include "db/exec/vector_aggregate.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <string>
-#include <unordered_map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "accel/thread_pool.h"
 #include "common/trace.h"
 #include "db/exec/vector_batch.h"
-#include "db/exec/vector_kernels.h"
 
 namespace dl2sql::db::vec {
 
 namespace {
 
-/// Composite key for the two-int64 fast path (batched pipelines group on
-/// (BatchID, TupleID)-style pairs); same shape as the row path's.
-struct Int2Key {
-  int64_t a;
-  int64_t b;
-  bool operator==(const Int2Key& o) const { return a == o.a && b == o.b; }
-};
-
-struct Int2KeyHash {
-  size_t operator()(const Int2Key& k) const {
-    uint64_t x = static_cast<uint64_t>(k.a) * 0x9e3779b97f4a7c15ull;
-    x ^= static_cast<uint64_t>(k.b) + 0x9e3779b97f4a7c15ull + (x << 6) +
-         (x >> 2);
-    return static_cast<size_t>(x);
+/// Batch slice of a typed argument array: contiguous from `begin`, or
+/// gathered through `rows` into `buf`.
+template <typename T>
+const T* ArgSlice(const std::vector<T>& vals, int64_t begin,
+                  const int64_t* rows, SelIndex n, std::vector<T>* buf) {
+  if (rows == nullptr) return vals.data() + begin;
+  buf->resize(static_cast<size_t>(n));
+  for (SelIndex i = 0; i < n; ++i) {
+    (*buf)[static_cast<size_t>(i)] = vals[static_cast<size_t>(rows[i])];
   }
-};
-
-/// One aggregate compiled to a typed accumulation kernel.
-struct VAggSpec {
-  enum class Kind : uint8_t {
-    kCountStar,
-    kCountAll,   ///< COUNT over a no-null non-bool column: every row counts
-    kCountBool,  ///< COUNT over a no-null bool column: TRUE rows count
-    kSumInt,     ///< SUM/AVG/STDDEV int64 source
-    kSumFloat,
-    kMinMaxInt,
-    kMinMaxFloat,
-  };
-  Kind kind = Kind::kCountStar;
-  const Column* arg = nullptr;
-  bool want_min = false;
-};
-
-/// Groups in first-seen order with per-aggregate contiguous state arrays
-/// (states[a][gid]), the layout the accumulation kernels stream over.
-struct GroupSet {
-  std::vector<int64_t> first_row;
-  std::vector<std::vector<VAggState>> per_agg;
-
-  explicit GroupSet(size_t num_aggs) : per_agg(num_aggs) {}
-
-  size_t size() const { return first_row.size(); }
-
-  void SyncStates() {
-    for (auto& states : per_agg) states.resize(first_row.size());
-  }
-};
-
-/// Runs the compiled kernels for one morsel: `gids[i]` is the group of row
-/// `bgn + i`. States must already be sized (SyncStates).
-void AccumulateMorsel(const std::vector<VAggSpec>& specs, int64_t bgn,
-                      SelIndex rows, const SelIndex* gids, GroupSet* gs) {
-  for (size_t a = 0; a < specs.size(); ++a) {
-    const VAggSpec& s = specs[a];
-    VAggState* states = gs->per_agg[a].data();
-    switch (s.kind) {
-      case VAggSpec::Kind::kCountStar:
-      case VAggSpec::Kind::kCountAll:
-        AccumulateCount(gids, rows, states);
-        break;
-      case VAggSpec::Kind::kCountBool:
-        AccumulateCountBool(s.arg->bools().data() + bgn, gids, rows, states);
-        break;
-      case VAggSpec::Kind::kSumInt:
-        AccumulateSumInt(s.arg->ints().data() + bgn, gids, rows, states);
-        break;
-      case VAggSpec::Kind::kSumFloat:
-        AccumulateSumFloat(s.arg->floats().data() + bgn, gids, rows, states);
-        break;
-      case VAggSpec::Kind::kMinMaxInt:
-        AccumulateMinMaxInt(s.arg->ints().data() + bgn, gids, rows,
-                            s.want_min, states);
-        break;
-      case VAggSpec::Kind::kMinMaxFloat:
-        AccumulateMinMaxFloat(s.arg->floats().data() + bgn, gids, rows,
-                              s.want_min, states);
-        break;
-    }
-  }
+  return buf->data();
 }
 
-/// Per-worker (or serial) grouping state for the generic key shape: morsel
-/// keys are hashed in one batch, then candidates are resolved through a
-/// hash -> gid-list map with exact canonical-key verification.
-struct HashedIndex {
-  std::unordered_map<uint64_t, std::vector<SelIndex>> map;
-  std::vector<uint64_t> hash_buf;
-
-  SelIndex FindOrInsert(const std::vector<const Column*>& kptrs, int64_t row,
-                        uint64_t hash, GroupSet* gs) {
-    std::vector<SelIndex>& bucket = map[hash];
-    for (SelIndex gid : bucket) {
-      if (CanonicalKeyRowsEqual(kptrs, row, kptrs,
-                                gs->first_row[static_cast<size_t>(gid)])) {
-        return gid;
-      }
+/// Final value of one aggregate from its typed state — the row path's
+/// formulas, NULL rules and types.
+Value AggValue(AggFunc f, const VAggSpec& spec, const VAggState& st) {
+  switch (f) {
+    case AggFunc::kCount:
+    case AggFunc::kCountStar:
+      return Value::Int(st.count);
+    case AggFunc::kSum:
+      return st.count == 0 ? Value::Null() : Value::Float(st.sum);
+    case AggFunc::kAvg:
+      return st.count == 0
+                 ? Value::Null()
+                 : Value::Float(st.sum / static_cast<double>(st.count));
+    case AggFunc::kStddevSamp: {
+      if (st.count < 2) return Value::Null();
+      const double mean = st.sum / static_cast<double>(st.count);
+      const double var =
+          (st.sumsq - static_cast<double>(st.count) * mean * mean) /
+          static_cast<double>(st.count - 1);
+      return Value::Float(std::sqrt(std::max(0.0, var)));
     }
-    const SelIndex gid = static_cast<SelIndex>(gs->size());
-    bucket.push_back(gid);
-    gs->first_row.push_back(row);
-    return gid;
+    case AggFunc::kMin:
+    case AggFunc::kMax:
+      if (!st.has_minmax) return Value::Null();
+      return spec.kind == VAggSpec::Kind::kMinMaxInt
+                 ? Value::Int(st.imin_max)
+                 : Value::Float(st.fmin_max);
   }
-};
+  return Value::Null();
+}
 
-/// Assigns a gid to every row of [bgn, end) for one key shape, growing `gs`.
-/// The three strategies mirror the row path's index selection exactly.
-class Grouper {
- public:
-  enum class Kind : uint8_t { kGlobal, kInt1, kInt2, kHashed };
+}  // namespace
 
-  static Grouper Make(const std::vector<const Column*>& kptrs) {
-    Grouper g;
-    g.kptrs_ = kptrs;
-    auto int_keys = [&](size_t count) {
-      if (kptrs.size() != count) return false;
-      for (const Column* k : kptrs) {
-        if (k->type() != DataType::kInt64 || k->HasNulls()) return false;
-      }
-      return true;
-    };
-    if (kptrs.empty()) {
-      g.kind_ = Kind::kGlobal;
-    } else if (int_keys(1)) {
-      g.kind_ = Kind::kInt1;
-    } else if (int_keys(2)) {
-      g.kind_ = Kind::kInt2;
-    } else {
-      g.kind_ = Kind::kHashed;
-    }
-    return g;
-  }
-
-  void AssignGids(int64_t bgn, int64_t end, SelIndex* gids, GroupSet* gs) {
-    const SelIndex rows = static_cast<SelIndex>(end - bgn);
-    switch (kind_) {
-      case Kind::kGlobal: {
-        if (gs->first_row.empty() && rows > 0) gs->first_row.push_back(bgn);
-        for (SelIndex i = 0; i < rows; ++i) gids[i] = 0;
-        return;
-      }
-      case Kind::kInt1: {
-        const int64_t* keys = kptrs_[0]->ints().data();
-        for (SelIndex i = 0; i < rows; ++i) {
-          const int64_t row = bgn + i;
-          auto [it, inserted] =
-              int1_.try_emplace(keys[row], static_cast<SelIndex>(gs->size()));
-          if (inserted) gs->first_row.push_back(row);
-          gids[i] = it->second;
-        }
-        return;
-      }
-      case Kind::kInt2: {
-        const int64_t* k0 = kptrs_[0]->ints().data();
-        const int64_t* k1 = kptrs_[1]->ints().data();
-        for (SelIndex i = 0; i < rows; ++i) {
-          const int64_t row = bgn + i;
-          auto [it, inserted] = int2_.try_emplace(
-              Int2Key{k0[row], k1[row]}, static_cast<SelIndex>(gs->size()));
-          if (inserted) gs->first_row.push_back(row);
-          gids[i] = it->second;
-        }
-        return;
-      }
-      case Kind::kHashed: {
-        hashed_.hash_buf.resize(static_cast<size_t>(rows));
-        HashKeyRange(kptrs_, bgn, end, hashed_.hash_buf.data());
-        for (SelIndex i = 0; i < rows; ++i) {
-          gids[i] = hashed_.FindOrInsert(kptrs_, bgn + i,
-                                         hashed_.hash_buf[static_cast<size_t>(i)],
-                                         gs);
-        }
-        return;
-      }
-    }
-  }
-
-  /// Merge-time lookup: the gid of `row`'s key in `gs`, or inserts it.
-  SelIndex MergeFindOrInsert(int64_t row, GroupSet* gs) {
-    switch (kind_) {
-      case Kind::kGlobal: {
-        if (gs->first_row.empty()) {
-          gs->first_row.push_back(row);
-        }
-        return 0;
-      }
-      case Kind::kInt1: {
-        const int64_t* keys = kptrs_[0]->ints().data();
-        auto [it, inserted] =
-            int1_.try_emplace(keys[row], static_cast<SelIndex>(gs->size()));
-        if (inserted) gs->first_row.push_back(row);
-        return it->second;
-      }
-      case Kind::kInt2: {
-        const int64_t* k0 = kptrs_[0]->ints().data();
-        const int64_t* k1 = kptrs_[1]->ints().data();
-        auto [it, inserted] = int2_.try_emplace(
-            Int2Key{k0[row], k1[row]}, static_cast<SelIndex>(gs->size()));
-        if (inserted) gs->first_row.push_back(row);
-        return it->second;
-      }
-      case Kind::kHashed:
-        return hashed_.FindOrInsert(kptrs_, row, HashKeyRow(kptrs_, row), gs);
-    }
-    return 0;
-  }
-
- private:
-  Kind kind_ = Kind::kGlobal;
-  std::vector<const Column*> kptrs_;
-  std::unordered_map<int64_t, SelIndex> int1_;
-  std::unordered_map<Int2Key, SelIndex, Int2KeyHash> int2_;
-  HashedIndex hashed_;
-};
-
-bool CompileAggs(const PlanNode& node,
-                 const std::vector<ColumnHandle>& arg_cols,
-                 std::vector<VAggSpec>* specs) {
+bool BatchAggregator::Compile(const PlanNode& node,
+                              const std::vector<ColumnHandle>& key_cols,
+                              const std::vector<ColumnHandle>& arg_cols) {
+  specs_.clear();
   for (size_t a = 0; a < node.agg_calls.size(); ++a) {
     const AggFunc f = node.agg_calls[a]->agg_func;
     VAggSpec s;
     if (f == AggFunc::kCountStar) {
-      s.kind = VAggSpec::Kind::kCountStar;
-      specs->push_back(s);
+      specs_.push_back(s);
       continue;
     }
     const Column* arg = arg_cols[a].get();
@@ -248,7 +79,9 @@ bool CompileAggs(const PlanNode& node,
     if (arg == nullptr || arg->HasNulls() || arg->type() == DataType::kNull) {
       return false;
     }
-    s.arg = arg;
+    s.arg_type = arg->type();
+    const bool is_int = arg->type() == DataType::kInt64;
+    const bool is_float = arg->type() == DataType::kFloat64;
     switch (f) {
       case AggFunc::kCount:
         s.kind = arg->type() == DataType::kBool ? VAggSpec::Kind::kCountBool
@@ -257,112 +90,165 @@ bool CompileAggs(const PlanNode& node,
       case AggFunc::kSum:
       case AggFunc::kAvg:
       case AggFunc::kStddevSamp:
-        if (arg->type() == DataType::kInt64) {
-          s.kind = VAggSpec::Kind::kSumInt;
-        } else if (arg->type() == DataType::kFloat64) {
-          s.kind = VAggSpec::Kind::kSumFloat;
-        } else {
-          return false;
-        }
+        if (!is_int && !is_float) return false;
+        s.kind = is_int ? VAggSpec::Kind::kSumInt : VAggSpec::Kind::kSumFloat;
         break;
       case AggFunc::kMin:
       case AggFunc::kMax:
         // String MIN/MAX stays on the row path (Value comparison).
-        if (arg->type() == DataType::kInt64) {
-          s.kind = VAggSpec::Kind::kMinMaxInt;
-        } else if (arg->type() == DataType::kFloat64) {
-          s.kind = VAggSpec::Kind::kMinMaxFloat;
-        } else {
-          return false;
-        }
+        if (!is_int && !is_float) return false;
+        s.kind = is_int ? VAggSpec::Kind::kMinMaxInt
+                        : VAggSpec::Kind::kMinMaxFloat;
         s.want_min = f == AggFunc::kMin;
         break;
       case AggFunc::kCountStar:
         break;
     }
-    specs->push_back(s);
+    specs_.push_back(s);
   }
+  std::vector<DataType> key_types;
+  for (const auto& k : key_cols) key_types.push_back(k->type());
+  table_ = KeyHashTable::ForGroups(key_types);
+  first_row_.clear();
+  per_agg_.assign(specs_.size(), {});
   return true;
 }
 
-/// Converts the typed states back into exactly the Values the row path
-/// emits (same formulas, same NULL rules, same column types).
-Result<Table> EmitGroups(const PlanNode& node,
-                         const std::vector<ColumnHandle>& key_cols,
-                         const std::vector<ColumnHandle>& arg_cols,
-                         const std::vector<VAggSpec>& specs,
-                         const GroupSet& gs) {
-  const size_t num_groups = gs.size();
+void BatchAggregator::SyncStates() {
+  for (auto& states : per_agg_) states.resize(first_row_.size());
+}
+
+void BatchAggregator::Accumulate(const std::vector<const Column*>& args,
+                                 int64_t begin, const int64_t* rows,
+                                 SelIndex n) {
+  SyncStates();
+  const SelIndex* gids = gid_buf_.data();
+  for (size_t a = 0; a < specs_.size(); ++a) {
+    const VAggSpec& s = specs_[a];
+    VAggState* states = per_agg_[a].data();
+    const Column* arg = args[a];
+    switch (s.kind) {
+      case VAggSpec::Kind::kCountStar:
+      case VAggSpec::Kind::kCountAll:
+        AccumulateCount(gids, n, states);
+        break;
+      case VAggSpec::Kind::kCountBool:
+        AccumulateCountBool(ArgSlice(arg->bools(), begin, rows, n, &bool_buf_),
+                            gids, n, states);
+        break;
+      case VAggSpec::Kind::kSumInt:
+        AccumulateSumInt(ArgSlice(arg->ints(), begin, rows, n, &int_buf_),
+                         gids, n, states);
+        break;
+      case VAggSpec::Kind::kSumFloat:
+        AccumulateSumFloat(
+            ArgSlice(arg->floats(), begin, rows, n, &float_buf_), gids, n,
+            states);
+        break;
+      case VAggSpec::Kind::kMinMaxInt:
+        AccumulateMinMaxInt(ArgSlice(arg->ints(), begin, rows, n, &int_buf_),
+                            gids, n, s.want_min, states);
+        break;
+      case VAggSpec::Kind::kMinMaxFloat:
+        AccumulateMinMaxFloat(
+            ArgSlice(arg->floats(), begin, rows, n, &float_buf_), gids, n,
+            s.want_min, states);
+        break;
+    }
+  }
+}
+
+void BatchAggregator::Consume(const std::vector<const Column*>& keys,
+                              const std::vector<const Column*>& args,
+                              int64_t begin, int64_t end, int64_t base,
+                              const uint64_t* hashes) {
+  const SelIndex n = static_cast<SelIndex>(end - begin);
+  gid_buf_.resize(static_cast<size_t>(n));
+  if (keys.empty()) {
+    if (first_row_.empty() && n > 0) first_row_.push_back(base + begin);
+    std::fill(gid_buf_.begin(), gid_buf_.end(), 0);
+  } else {
+    if (hashes == nullptr) {
+      hash_buf_.resize(static_cast<size_t>(n));
+      HashKeyRange(keys, begin, end, hash_buf_.data());
+      hashes = hash_buf_.data();
+    }
+    table_.FindOrInsertRange(keys, begin, end, hashes, nullptr,
+                             gid_buf_.data());
+    for (SelIndex i = 0; i < n; ++i) {
+      if (static_cast<size_t>(gid_buf_[static_cast<size_t>(i)]) ==
+          first_row_.size()) {
+        first_row_.push_back(base + begin + i);
+      }
+    }
+  }
+  Accumulate(args, begin, nullptr, n);
+}
+
+void BatchAggregator::ConsumeRows(const std::vector<const Column*>& keys,
+                                  const std::vector<const Column*>& args,
+                                  const int64_t* rows, int64_t count,
+                                  const uint64_t* hashes, int64_t chunk) {
+  for (int64_t off = 0; off < count; off += chunk) {
+    const int64_t* batch = rows + off;
+    const SelIndex n = static_cast<SelIndex>(std::min(chunk, count - off));
+    gid_buf_.resize(static_cast<size_t>(n));
+    for (SelIndex i = 0; i < n; ++i) {
+      const int64_t row = batch[i];
+      const SelIndex gid =
+          table_.FindOrInsert(keys, row, hashes[static_cast<size_t>(row)]);
+      if (static_cast<size_t>(gid) == first_row_.size()) {
+        first_row_.push_back(row);
+      }
+      gid_buf_[static_cast<size_t>(i)] = gid;
+    }
+    Accumulate(args, 0, batch, n);
+  }
+}
+
+void BatchAggregator::TakeGroup(const BatchAggregator& other, int64_t g) {
+  std::vector<const Column*> keys;
+  for (const Column& c : other.table_.key_columns()) keys.push_back(&c);
+  table_.FindOrInsert(keys, g, HashKeyRow(keys, g));
+  first_row_.push_back(other.first_row_[static_cast<size_t>(g)]);
+  for (size_t a = 0; a < per_agg_.size(); ++a) {
+    per_agg_[a].push_back(other.per_agg_[a][static_cast<size_t>(g)]);
+  }
+}
+
+int64_t BatchAggregator::ByteSize() const {
+  return table_.ByteSize() +
+         static_cast<int64_t>(first_row_.size() *
+                              (sizeof(int64_t) +
+                               per_agg_.size() * sizeof(VAggState)));
+}
+
+Result<Table> BatchAggregator::Finish(const PlanNode& node) {
+  // Global aggregate over empty input still yields one row.
+  if (table_.key_columns().empty() && first_row_.empty()) {
+    first_row_.push_back(-1);
+    SyncStates();
+  }
+  const size_t num_groups = first_row_.size();
   std::vector<Column> out_cols;
   TableSchema out_schema;
-  for (size_t k = 0; k < key_cols.size(); ++k) {
-    Column c(key_cols[k]->type());
-    c.Reserve(static_cast<int64_t>(num_groups));
-    for (int64_t row : gs.first_row) {
-      DL2SQL_RETURN_NOT_OK(c.Append(key_cols[k]->GetValue(row)));
-    }
+  for (size_t k = 0; k < table_.key_columns().size(); ++k) {
+    const Column& c = table_.key_columns()[k];
     out_schema.AddField({node.group_names[k], c.type()});
-    out_cols.push_back(std::move(c));
+    out_cols.push_back(c);  // one row per group, first-seen order
   }
-  for (size_t a = 0; a < specs.size(); ++a) {
+  for (size_t a = 0; a < specs_.size(); ++a) {
     const AggFunc f = node.agg_calls[a]->agg_func;
-    DataType t;
-    switch (f) {
-      case AggFunc::kCount:
-      case AggFunc::kCountStar:
-        t = DataType::kInt64;
-        break;
-      case AggFunc::kMin:
-      case AggFunc::kMax:
-        t = arg_cols[a] != nullptr ? arg_cols[a]->type() : DataType::kFloat64;
-        break;
-      default:
-        t = DataType::kFloat64;
-        break;
+    DataType t = DataType::kFloat64;
+    if (f == AggFunc::kCount || f == AggFunc::kCountStar) {
+      t = DataType::kInt64;
+    } else if (f == AggFunc::kMin || f == AggFunc::kMax) {
+      t = specs_[a].arg_type;
     }
     Column c(t);
     c.Reserve(static_cast<int64_t>(num_groups));
-    const bool int_minmax = specs[a].kind == VAggSpec::Kind::kMinMaxInt;
     for (size_t g = 0; g < num_groups; ++g) {
-      const VAggState& st = gs.per_agg[a][g];
-      Value v;
-      switch (f) {
-        case AggFunc::kCount:
-        case AggFunc::kCountStar:
-          v = Value::Int(st.count);
-          break;
-        case AggFunc::kSum:
-          v = st.count == 0 ? Value::Null() : Value::Float(st.sum);
-          break;
-        case AggFunc::kAvg:
-          v = st.count == 0
-                  ? Value::Null()
-                  : Value::Float(st.sum / static_cast<double>(st.count));
-          break;
-        case AggFunc::kStddevSamp: {
-          if (st.count < 2) {
-            v = Value::Null();
-            break;
-          }
-          const double mean = st.sum / static_cast<double>(st.count);
-          const double var =
-              (st.sumsq - static_cast<double>(st.count) * mean * mean) /
-              static_cast<double>(st.count - 1);
-          v = Value::Float(std::sqrt(std::max(0.0, var)));
-          break;
-        }
-        case AggFunc::kMin:
-        case AggFunc::kMax:
-          if (!st.has_minmax) {
-            v = Value::Null();
-          } else if (int_minmax) {
-            v = Value::Int(st.imin_max);
-          } else {
-            v = Value::Float(st.fmin_max);
-          }
-          break;
-      }
-      DL2SQL_RETURN_NOT_OK(c.Append(v));
+      DL2SQL_RETURN_NOT_OK(c.Append(AggValue(f, specs_[a], per_agg_[a][g])));
     }
     out_schema.AddField({node.agg_names[a], c.type()});
     out_cols.push_back(std::move(c));
@@ -370,116 +256,109 @@ Result<Table> EmitGroups(const PlanNode& node,
   return Table::FromColumns(std::move(out_schema), std::move(out_cols));
 }
 
-}  // namespace
-
 Result<bool> TryVectorAggregate(const PlanNode& node,
                                 const std::vector<ColumnHandle>& key_cols,
                                 const std::vector<ColumnHandle>& arg_cols,
                                 int64_t n, EvalContext* ctx, Table* out) {
-  std::vector<VAggSpec> specs;
-  if (!CompileAggs(node, arg_cols, &specs)) return false;
+  BatchAggregator agg;
+  if (!agg.Compile(node, key_cols, arg_cols)) return false;
 
   DL2SQL_TRACE_SPAN("vector", "aggregate");
   std::vector<const Column*> kptrs;
   for (const auto& c : key_cols) kptrs.push_back(c.get());
+  std::vector<const Column*> aptrs;
+  for (const auto& c : arg_cols) aptrs.push_back(c.get());
 
-  const size_t num_aggs = specs.size();
   const int64_t m = ctx != nullptr && ctx->morsel_size > 0
                         ? ctx->morsel_size
                         : ThreadPool::kDefaultMorselSize;
   const int64_t num_morsels = n == 0 ? 0 : (n + m - 1) / m;
-  const bool parallel = ctx != nullptr && ctx->pool != nullptr &&
-                        ctx->pool->num_threads() > 1 && n > m;
+  ThreadPool* const pool = ctx != nullptr ? ctx->pool : nullptr;
+  // A global aggregate is one group: nothing to partition.
+  const bool parallel = pool != nullptr && pool->num_threads() > 1 && n > m &&
+                        !kptrs.empty();
 
-  GroupSet merged(num_aggs);
   if (!parallel) {
-    Grouper grouper = Grouper::Make(kptrs);
-    std::vector<SelIndex> gids;
     auto body = [&](int64_t bgn, int64_t end, int) -> Status {
-      gids.resize(static_cast<size_t>(end - bgn));
-      grouper.AssignGids(bgn, end, gids.data(), &merged);
-      merged.SyncStates();
-      AccumulateMorsel(specs, bgn, static_cast<SelIndex>(end - bgn),
-                       gids.data(), &merged);
+      agg.Consume(kptrs, aptrs, bgn, end, 0);
       return Status::OK();
     };
-    if (ctx != nullptr && ctx->pool != nullptr) {
-      // With a pool wired, drive the loop through ParallelForMorsel for pool
-      // accounting and trace parity with the row path. The !parallel branch
-      // conditions (single-threaded pool or n <= m) guarantee it executes
-      // inline, morsel-at-a-time, so the shared grouper state stays serial.
-      DL2SQL_RETURN_NOT_OK(ctx->pool->ParallelForMorsel(n, m, body));
+    if (pool != nullptr && (pool->num_threads() == 1 || n <= m)) {
+      // Driven through the pool for its accounting and trace spans; these
+      // conditions make ParallelForMorsel run inline, morsel by morsel.
+      DL2SQL_RETURN_NOT_OK(pool->ParallelForMorsel(n, m, body));
     } else {
       for (int64_t bgn = 0; bgn < n; bgn += m) {
         DL2SQL_RETURN_NOT_OK(body(bgn, std::min(n, bgn + m), 0));
       }
     }
   } else {
-    const int workers = ctx->pool->num_threads();
-    std::vector<GroupSet> wsets(static_cast<size_t>(workers),
-                                GroupSet(num_aggs));
-    std::vector<Grouper> wgroupers(static_cast<size_t>(workers));
-    for (auto& g : wgroupers) g = Grouper::Make(kptrs);
-    std::vector<std::vector<SelIndex>> wgids(static_cast<size_t>(workers));
-    DL2SQL_RETURN_NOT_OK(ctx->pool->ParallelForMorsel(
-        n, m, [&](int64_t bgn, int64_t end, int w) -> Status {
-          GroupSet& gs = wsets[static_cast<size_t>(w)];
-          std::vector<SelIndex>& gids = wgids[static_cast<size_t>(w)];
-          gids.resize(static_cast<size_t>(end - bgn));
-          wgroupers[static_cast<size_t>(w)].AssignGids(bgn, end, gids.data(),
-                                                       &gs);
-          gs.SyncStates();
-          AccumulateMorsel(specs, bgn, static_cast<SelIndex>(end - bgn),
-                           gids.data(), &gs);
+    // Partition rows by the high bits of their key hash. Each group lands
+    // in exactly one partition with its rows in ascending order, so each
+    // partition aggregates independently with serial accumulation order;
+    // sorting all groups by first row restores first-seen order.
+    const int64_t parts = static_cast<int64_t>(
+        std::bit_ceil(static_cast<uint64_t>(pool->num_threads()) * 4));
+    const int shift = 64 - std::countr_zero(static_cast<uint64_t>(parts));
+    std::vector<uint64_t> hashes(static_cast<size_t>(n));
+    std::vector<int64_t> cursor(static_cast<size_t>(num_morsels * parts), 0);
+    DL2SQL_RETURN_NOT_OK(pool->ParallelForMorsel(
+        n, m, [&](int64_t bgn, int64_t end, int) -> Status {
+          HashKeyRange(kptrs, bgn, end, hashes.data() + bgn);
+          int64_t* counts = cursor.data() + (bgn / m) * parts;
+          for (int64_t r = bgn; r < end; ++r) {
+            ++counts[hashes[static_cast<size_t>(r)] >> shift];
+          }
           return Status::OK();
         }));
-    // Worker-order merge with min-first_row + additive fold, then a sort by
-    // first_row — the exact structure of the row path's parallel merge, so
-    // group order is identical for any thread count.
-    Grouper merger = Grouper::Make(kptrs);
-    for (GroupSet& gs : wsets) {
-      for (size_t g = 0; g < gs.size(); ++g) {
-        const int64_t fr = gs.first_row[g];
-        const size_t before = merged.size();
-        const SelIndex gid = merger.MergeFindOrInsert(fr, &merged);
-        const size_t dst = static_cast<size_t>(gid);
-        const bool inserted = merged.size() > before;
-        merged.SyncStates();
-        if (merged.first_row[dst] > fr) merged.first_row[dst] = fr;
-        for (size_t a = 0; a < num_aggs; ++a) {
-          if (inserted) {
-            merged.per_agg[a][dst] = gs.per_agg[a][g];
-          } else {
-            MergeVAggState(&merged.per_agg[a][dst], gs.per_agg[a][g],
-                           specs[a].want_min);
-          }
-        }
+    // Counts -> write cursors: partition-major, morsel order within.
+    std::vector<int64_t> part_begin(static_cast<size_t>(parts) + 1, 0);
+    int64_t pos = 0;
+    for (int64_t p = 0; p < parts; ++p) {
+      part_begin[static_cast<size_t>(p)] = pos;
+      for (int64_t mo = 0; mo < num_morsels; ++mo) {
+        int64_t& c = cursor[static_cast<size_t>(mo * parts + p)];
+        const int64_t count = c;
+        c = pos;
+        pos += count;
       }
     }
-    // Restore first-seen order (sort by first_row, permuting states along).
-    std::vector<size_t> order(merged.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return merged.first_row[a] < merged.first_row[b];
-    });
-    GroupSet sorted(num_aggs);
-    sorted.first_row.reserve(merged.size());
-    for (size_t i : order) sorted.first_row.push_back(merged.first_row[i]);
-    for (size_t a = 0; a < num_aggs; ++a) {
-      sorted.per_agg[a].reserve(merged.size());
-      for (size_t i : order) sorted.per_agg[a].push_back(merged.per_agg[a][i]);
+    part_begin[static_cast<size_t>(parts)] = pos;
+    std::vector<int64_t> order(static_cast<size_t>(n));
+    DL2SQL_RETURN_NOT_OK(pool->ParallelForMorsel(
+        n, m, [&](int64_t bgn, int64_t end, int) -> Status {
+          int64_t* cur = cursor.data() + (bgn / m) * parts;
+          for (int64_t r = bgn; r < end; ++r) {
+            order[static_cast<size_t>(
+                cur[hashes[static_cast<size_t>(r)] >> shift]++)] = r;
+          }
+          return Status::OK();
+        }));
+    std::vector<BatchAggregator> part_aggs(static_cast<size_t>(parts), agg);
+    DL2SQL_RETURN_NOT_OK(pool->ParallelForMorsel(
+        parts, 1, [&](int64_t p0, int64_t p1, int) -> Status {
+          for (int64_t p = p0; p < p1; ++p) {
+            const int64_t b = part_begin[static_cast<size_t>(p)];
+            part_aggs[static_cast<size_t>(p)].ConsumeRows(
+                kptrs, aptrs, order.data() + b,
+                part_begin[static_cast<size_t>(p) + 1] - b, hashes.data(), m);
+          }
+          return Status::OK();
+        }));
+    std::vector<std::tuple<int64_t, size_t, int64_t>> groups;
+    for (size_t p = 0; p < part_aggs.size(); ++p) {
+      const auto& first = part_aggs[p].first_rows();
+      for (size_t g = 0; g < first.size(); ++g) {
+        groups.emplace_back(first[g], p, static_cast<int64_t>(g));
+      }
     }
-    merged = std::move(sorted);
+    std::sort(groups.begin(), groups.end());
+    for (const auto& [first, p, g] : groups) {
+      agg.TakeGroup(part_aggs[p], g);
+    }
   }
 
-  // Global aggregate over empty input still yields one row.
-  if (kptrs.empty() && merged.size() == 0) {
-    merged.first_row.push_back(-1);
-    merged.SyncStates();
-  }
-
-  DL2SQL_ASSIGN_OR_RETURN(
-      Table result, EmitGroups(node, key_cols, arg_cols, specs, merged));
+  DL2SQL_ASSIGN_OR_RETURN(Table result, agg.Finish(node));
   if (ctx != nullptr) {
     ctx->vec_batches += num_morsels;
     ctx->vec_rows_in += n;

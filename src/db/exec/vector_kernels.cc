@@ -249,8 +249,6 @@ void NegFloat(const NumOperand& a, const SelIndex* sel, SelIndex count,
 
 namespace {
 
-constexpr uint64_t kKeySeed = 0xd1b54a32d192ed03ull;
-
 /// splitmix64-style finalizer over (type tag, payload); the tag keeps the
 /// cross-type non-equalities of row_key.h (bool 1 never collides with int 1).
 inline uint64_t HashScalarPart(uint64_t tag, uint64_t payload) {
@@ -341,43 +339,57 @@ inline bool PartEqual(const PartView& a, const PartView& b) {
 
 }  // namespace
 
+namespace {
+
+/// Calls fn(i, part) with the canonical hash part of rows begin + i of
+/// `c`, column-at-a-time with the type switch hoisted; the common no-null
+/// int64 shape is a pure multiply-xor stream.
+template <typename Fn>
+void ForEachKeyPart(const Column& c, int64_t begin, int64_t end, Fn&& fn) {
+  const int64_t n = end - begin;
+  if (c.type() == DataType::kInt64 && !c.HasNulls()) {
+    const int64_t* v = c.ints().data() + begin;
+    for (int64_t i = 0; i < n; ++i) {
+      fn(i, HashScalarPart(2, static_cast<uint64_t>(v[i])));
+    }
+    return;
+  }
+  if (c.type() == DataType::kFloat64 && !c.HasNulls()) {
+    const double* v = c.floats().data() + begin;
+    for (int64_t i = 0; i < n; ++i) {
+      int64_t as_int;
+      fn(i, IntegralFloat(v[i], &as_int)
+                ? HashScalarPart(2, static_cast<uint64_t>(as_int))
+                : HashScalarPart(3, FloatBits(v[i])));
+    }
+    return;
+  }
+  for (int64_t i = 0; i < n; ++i) fn(i, PartHash(KeyPartView(c, begin + i)));
+}
+
+}  // namespace
+
 void HashKeyRange(const std::vector<const Column*>& cols, int64_t begin,
                   int64_t end, uint64_t* out) {
   const int64_t n = end - begin;
-  for (int64_t i = 0; i < n; ++i) out[i] = kKeySeed;
+  for (int64_t i = 0; i < n; ++i) out[i] = kKeyHashSeed;
   for (const Column* c : cols) {
-    // Column-at-a-time with the type switch hoisted; the common no-null
-    // int64 shape is a pure multiply-xor stream.
-    if (c->type() == DataType::kInt64 && !c->HasNulls()) {
-      const int64_t* v = c->ints().data() + begin;
-      for (int64_t i = 0; i < n; ++i) {
-        out[i] = HashCombine(out[i],
-                             HashScalarPart(2, static_cast<uint64_t>(v[i])));
-      }
-      continue;
-    }
-    if (c->type() == DataType::kFloat64 && !c->HasNulls()) {
-      const double* v = c->floats().data() + begin;
-      for (int64_t i = 0; i < n; ++i) {
-        int64_t as_int;
-        const uint64_t h =
-            IntegralFloat(v[i], &as_int)
-                ? HashScalarPart(2, static_cast<uint64_t>(as_int))
-                : HashScalarPart(3, FloatBits(v[i]));
-        out[i] = HashCombine(out[i], h);
-      }
-      continue;
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      out[i] = HashCombine(out[i], PartHash(KeyPartView(*c, begin + i)));
-    }
+    ForEachKeyPart(*c, begin, end, [out](int64_t i, uint64_t part) {
+      out[i] = CombineKeyHash(out[i], part);
+    });
   }
 }
 
+void KeyPartHashRange(const Column& col, int64_t begin, int64_t end,
+                      uint64_t* out) {
+  ForEachKeyPart(col, begin, end,
+                 [out](int64_t i, uint64_t part) { out[i] = part; });
+}
+
 uint64_t HashKeyRow(const std::vector<const Column*>& cols, int64_t row) {
-  uint64_t h = kKeySeed;
+  uint64_t h = kKeyHashSeed;
   for (const Column* c : cols) {
-    h = HashCombine(h, PartHash(KeyPartView(*c, row)));
+    h = CombineKeyHash(h, PartHash(KeyPartView(*c, row)));
   }
   return h;
 }
@@ -402,6 +414,11 @@ bool CanonicalKeyRowsEqual(const std::vector<const Column*>& a, int64_t ra,
     }
   }
   return true;
+}
+
+bool CanonicalKeyPartEqual(const Column& a, int64_t ra, const Column& b,
+                           int64_t rb) {
+  return PartEqual(KeyPartView(a, ra), KeyPartView(b, rb));
 }
 
 void EncodeColumnKeysRange(const Column& col, int64_t begin, int64_t end,
@@ -485,25 +502,6 @@ void AccumulateMinMaxFloat(const double* vals, const SelIndex* gids,
       if (!st.has_minmax || v > st.fmin_max) st.fmin_max = v;
       st.has_minmax = true;
     }
-  }
-}
-
-void MergeVAggState(VAggState* dst, const VAggState& src, bool want_min) {
-  dst->count += src.count;
-  dst->sum += src.sum;
-  dst->sumsq += src.sumsq;
-  if (src.has_minmax) {
-    if (!dst->has_minmax) {
-      dst->imin_max = src.imin_max;
-      dst->fmin_max = src.fmin_max;
-    } else if (want_min) {
-      dst->imin_max = std::min(dst->imin_max, src.imin_max);
-      dst->fmin_max = std::min(dst->fmin_max, src.fmin_max);
-    } else {
-      dst->imin_max = std::max(dst->imin_max, src.imin_max);
-      dst->fmin_max = std::max(dst->fmin_max, src.fmin_max);
-    }
-    dst->has_minmax = true;
   }
 }
 

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cache.h"
 #include "common/result.h"
 #include "db/column.h"
 #include "db/exec/vector_batch.h"
@@ -94,6 +95,19 @@ void NegFloat(const NumOperand& a, const SelIndex* sel, SelIndex count,
 void HashKeyRange(const std::vector<const Column*>& cols, int64_t begin,
                   int64_t end, uint64_t* out);
 
+/// A row's HashKeyRange hash is kKeyHashSeed folded with CombineKeyHash
+/// over its key columns' canonical hash parts, in key order.
+inline constexpr uint64_t kKeyHashSeed = 0xd1b54a32d192ed03ull;
+inline uint64_t CombineKeyHash(uint64_t hash, uint64_t part) {
+  return HashCombine(hash, part);
+}
+
+/// Canonical hash part of one key column for rows [begin, end), written to
+/// out[0..end-begin) (callers that assemble key rows from several inputs
+/// fold these themselves).
+void KeyPartHashRange(const Column& col, int64_t begin, int64_t end,
+                      uint64_t* out);
+
 /// Single-row variant (parallel-merge bookkeeping; same function).
 uint64_t HashKeyRow(const std::vector<const Column*>& cols, int64_t row);
 
@@ -106,6 +120,10 @@ void KeyNullRange(const std::vector<const Column*>& cols, int64_t begin,
 /// sets — equivalent to EncodeRowKey(a, ra) == EncodeRowKey(b, rb).
 bool CanonicalKeyRowsEqual(const std::vector<const Column*>& a, int64_t ra,
                            const std::vector<const Column*>& b, int64_t rb);
+
+/// One key part of CanonicalKeyRowsEqual: a[ra] and b[rb] encode equally.
+bool CanonicalKeyPartEqual(const Column& a, int64_t ra, const Column& b,
+                           int64_t rb);
 
 /// Batched single-column key encoding for the symmetric hash join: appends
 /// each row's AppendKeyPart encoding (empty string for NULL) to `out`,
@@ -149,9 +167,6 @@ void AccumulateMinMaxInt(const int64_t* vals, const SelIndex* gids,
 void AccumulateMinMaxFloat(const double* vals, const SelIndex* gids,
                            SelIndex n, bool want_min, VAggState* states);
 
-/// Parallel-merge fold (count/sum/sumsq additive, min/max by comparison),
-/// mirroring the row path's MergeAggState worker-order merge.
-void MergeVAggState(VAggState* dst, const VAggState& src, bool want_min);
 /// @}
 
 }  // namespace dl2sql::db::vec

@@ -1,5 +1,7 @@
 #include "db/index.h"
 
+#include "db/exec/vector_kernels.h"
+
 namespace dl2sql::db {
 
 Result<std::shared_ptr<HashIndex>> HashIndex::Build(const Table& table,
@@ -15,15 +17,15 @@ Result<std::shared_ptr<HashIndex>> HashIndex::Build(const Table& table,
         DataTypeToString(col.type()), " for column ",
         table.schema().field(column_index).name);
   }
+  const std::vector<const Column*> key = {&col};
+  std::vector<uint64_t> hashes(static_cast<size_t>(col.size()));
+  std::vector<uint8_t> nulls(static_cast<size_t>(col.size()));
+  vec::HashKeyRange(key, 0, col.size(), hashes.data());
+  vec::KeyNullRange(key, 0, col.size(), nulls.data());
   auto index = std::shared_ptr<HashIndex>(new HashIndex());
   index->column_index_ = column_index;
   index->indexed_rows_ = col.size();
-  index->map_.reserve(static_cast<size_t>(col.size()));
-  const auto& vals = col.ints();
-  for (int64_t r = 0; r < col.size(); ++r) {
-    if (!col.IsValid(r)) continue;
-    index->map_[vals[static_cast<size_t>(r)]].push_back(r);
-  }
+  index->table_ = KeyHashTable::ForJoin({col}, hashes.data(), nulls.data());
   return index;
 }
 

@@ -12,38 +12,34 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
-#include <vector>
 
 #include "common/result.h"
+#include "db/exec/hash_table.h"
 #include "db/table.h"
 
 namespace dl2sql::db {
 
-/// \brief Immutable hash index over one INT64 column of a table snapshot.
+/// \brief Immutable hash index over one INT64 column of a table snapshot: a
+/// prebuilt join table (KeyHashTable::ForJoin) the hash join probes instead
+/// of building its own.
 class HashIndex {
  public:
-  /// Builds the index; the column must be INT64 (NULL rows are skipped, as
+  /// Builds the index; the column must be INT64 (NULL rows are left out, as
   /// NULL keys never join).
   static Result<std::shared_ptr<HashIndex>> Build(const Table& table,
                                                   int column_index);
 
-  /// Row ids holding `key`, or nullptr if absent.
-  const std::vector<int64_t>* Lookup(int64_t key) const {
-    auto it = map_.find(key);
-    return it == map_.end() ? nullptr : &it->second;
-  }
-
+  const KeyHashTable& table() const { return table_; }
   int column_index() const { return column_index_; }
   int64_t indexed_rows() const { return indexed_rows_; }
-  size_t num_keys() const { return map_.size(); }
+  size_t num_keys() const { return static_cast<size_t>(table_.num_keys()); }
 
  private:
   HashIndex() = default;
 
   int column_index_ = -1;
   int64_t indexed_rows_ = 0;
-  std::unordered_map<int64_t, std::vector<int64_t>> map_;
+  KeyHashTable table_;
 };
 
 }  // namespace dl2sql::db

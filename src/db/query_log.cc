@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <thread>
 
 namespace dl2sql::db {
 
@@ -72,12 +73,14 @@ std::string LoadText(const std::atomic<char> (&src)[N], uint16_t len) {
 
 }  // namespace
 
-/// Seqlock protocol per slot: a writer stores version = 2*seq+1 (odd:
+/// Seqlock protocol per slot: a writer claims the slot by CAS from a
+/// published (even) version older than its own to 2*seq+1 (odd:
 /// in-progress), writes every field, then stores 2*seq+2 (even: published).
-/// A reader accepts a slot only if it observes the same even version before
-/// and after copying the fields. Distinct writers always hold distinct seq
-/// numbers, so even in the pathological wrap-around case (one writer stalled
-/// for a full ring revolution) the reader sees mismatched versions and skips.
+/// At most one writer is ever inside a slot: a writer that finds an older
+/// writer mid-write waits for it, and one that finds a newer version
+/// (claimed or published) has been lapped and drops its record, which is
+/// already outside the ring's window. A reader accepts a slot only if it
+/// observes the same even version before and after copying the fields.
 struct QueryLog::Slot {
   std::atomic<uint64_t> version{0};  ///< 0 = never written
   std::atomic<int64_t> id{0};
@@ -129,7 +132,24 @@ QueryLog::~QueryLog() = default;
 void QueryLog::Record(const QueryLogRecord& record) {
   const uint64_t seq = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[seq % capacity_];
-  slot.version.store(2 * seq + 1, std::memory_order_release);
+  const uint64_t claim = 2 * seq + 1;
+  uint64_t cur = slot.version.load(std::memory_order_relaxed);
+  for (;;) {
+    if (cur > claim) return;  // lapped by a newer record
+    if ((cur & 1) != 0) {
+      // An older record's writer is mid-write; it is a few stores from done.
+      std::this_thread::yield();
+      cur = slot.version.load(std::memory_order_relaxed);
+      continue;
+    }
+    if (slot.version.compare_exchange_weak(cur, claim,
+                                           std::memory_order_relaxed)) {
+      break;
+    }
+  }
+  // Orders the odd claim before every field store (readers that see any of
+  // this record's fields also see the claim and reject the copy).
+  std::atomic_thread_fence(std::memory_order_release);
   slot.id.store(static_cast<int64_t>(seq), std::memory_order_relaxed);
   slot.duration_us.store(record.duration_us, std::memory_order_relaxed);
   slot.rows.store(record.rows, std::memory_order_relaxed);
@@ -175,7 +195,7 @@ void QueryLog::Record(const QueryLogRecord& record) {
                   std::memory_order_relaxed);
   slot.plan_cache_hit.store(record.plan_cache_hit ? 1 : 0,
                             std::memory_order_relaxed);
-  slot.version.store(2 * seq + 2, std::memory_order_release);
+  slot.version.store(claim + 1, std::memory_order_release);
 }
 
 std::vector<QueryLogRecord> QueryLog::Snapshot() const {
@@ -227,8 +247,10 @@ std::vector<QueryLogRecord> QueryLog::Snapshot() const {
         static_cast<uint8_t>(QueryKind::kOther)));
     r.plan_cache_hit =
         slot.plan_cache_hit.load(std::memory_order_relaxed) != 0;
-    // Accept only if nothing republished the slot while we copied.
-    const uint64_t v2 = slot.version.load(std::memory_order_acquire);
+    // Accept only if nothing republished the slot while we copied; the
+    // fence keeps the field loads above ahead of the second version load.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    const uint64_t v2 = slot.version.load(std::memory_order_relaxed);
     if (v1 != v2) continue;
     out.push_back(std::move(r));
   }

@@ -2,11 +2,15 @@
 /// \brief Lock-free fixed-capacity ring buffer of finished queries.
 ///
 /// Backs system.queries and the slow-query log. Writers (query threads
-/// finishing a statement) claim a slot with one fetch_add and publish via a
-/// per-slot seqlock version, so recording never blocks — not on readers, not
-/// on other writers. Readers (system.queries scans) copy slots out and use
-/// the version protocol to detect and skip records that were mid-write,
-/// giving torn-free snapshots without ever stalling the write path.
+/// finishing a statement) take a sequence number with one fetch_add, claim
+/// its slot by CAS on the slot's seqlock version and publish through the
+/// same version. Recording never blocks on readers; a writer waits on
+/// another writer only when the ring has wrapped onto a slot whose older
+/// record is still mid-write, and a writer whose slot already holds a newer
+/// record (it was lapped) drops its own. Readers (system.queries scans) copy
+/// slots out and use the version protocol to detect and skip records that
+/// were mid-write, giving torn-free snapshots without stalling the write
+/// path.
 ///
 /// Every slot field is an atomic (including the SQL/error text, stored as
 /// fixed-size atomic<char> arrays), so concurrent read/write is defined
@@ -104,6 +108,8 @@ class QueryLog {
   size_t capacity() const { return capacity_; }
 
   /// Total records ever published (>= capacity once the ring has wrapped).
+  /// Total records ever submitted, including any dropped because a newer
+  /// record had already taken their slot.
   int64_t total_recorded() const {
     return static_cast<int64_t>(next_.load(std::memory_order_relaxed));
   }

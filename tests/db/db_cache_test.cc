@@ -228,6 +228,40 @@ TEST(DbCacheTest, PlanCacheSurvivesDropAndRecreateWithNewSchema) {
   EXPECT_EQ(r2->num_rows(), 1);
 }
 
+TEST(DbCacheTest, StalePlanLookupCountsAsMiss) {
+  Database db;
+  ForceCachesOn(&db);
+  ASSERT_TRUE(
+      db.ExecuteScript("CREATE TABLE t (a INT); INSERT INTO t VALUES (1);")
+          .ok());
+  Counter* const hits = MetricsRegistry::Global().counter("cache.plan.hits");
+  Counter* const misses =
+      MetricsRegistry::Global().counter("cache.plan.misses");
+  const int64_t hits0 = hits->value();
+  const int64_t misses0 = misses->value();
+
+  const std::string sql = "SELECT a FROM t";
+  ASSERT_TRUE(db.Execute(sql).ok());  // miss: first plan
+  ASSERT_TRUE(db.Execute(sql).ok());  // hit
+  // DROP + CREATE bumps t's version: the cached entry is found but stale.
+  ASSERT_TRUE(db.ExecuteScript("DROP TABLE t; CREATE TABLE t (a INT); "
+                               "INSERT INTO t VALUES (2);")
+                  .ok());
+  auto fresh = db.Execute(sql);  // miss: the stale entry is dropped
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(fresh->column(0).GetValue(0).ToString(), "2");
+  ASSERT_TRUE(db.Execute(sql).ok());  // hit on the replanned entry
+  EXPECT_EQ(hits->value() - hits0, 2);
+  EXPECT_EQ(misses->value() - misses0, 2);
+
+  // The counter and the query log tell the same story.
+  auto logged = db.Execute(
+      "SELECT count(*) AS n FROM system.queries WHERE plan_cache_hit");
+  ASSERT_TRUE(logged.ok()) << logged.status().ToString();
+  EXPECT_EQ(logged->column(0).GetValue(0).int_value(),
+            hits->value() - hits0);
+}
+
 TEST(DbCacheTest, ExplainAnalyzeShowsCacheHitCounters) {
   std::atomic<int64_t> evals{0};
   Database db;

@@ -276,15 +276,6 @@ TEST(VectorAggTest, AccumulateAndMergeMatchScalarReference) {
   EXPECT_EQ(cb[0].count, 1);  // row 2 is FALSE
   EXPECT_EQ(cb[1].count, 2);
 
-  // Worker merge: fold the second half into the first as a second state set.
-  std::vector<VAggState> w0(1), w1(1);
-  const std::vector<SelIndex> zeros = {0, 0};
-  AccumulateMinMaxInt(vals.data(), zeros.data(), 2, true, w0.data());
-  AccumulateMinMaxInt(vals.data() + 2, zeros.data(), 2, true, w1.data());
-  MergeVAggState(&w0[0], w1[0], /*want_min=*/true);
-  EXPECT_EQ(w0[0].imin_max, 1);
-  EXPECT_EQ(w0[0].count, 0);  // min/max kernels do not touch count
-
   // Empty morsel: every kernel is a no-op at n == 0.
   VAggState empty;
   AccumulateCount(nullptr, 0, &empty);

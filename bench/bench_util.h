@@ -81,4 +81,14 @@ inline std::string MetricsSnapshotJson() {
     }                                                                 \
   } while (0)
 
+/// Fails the binary loudly when a result check does not hold.
+#define BENCH_CHECK(cond)                                             \
+  do {                                                                \
+    if (!(cond)) {                                                    \
+      std::fprintf(stderr, "FATAL %s:%d: check failed: %s\n",         \
+                   __FILE__, __LINE__, #cond);                        \
+      std::exit(1);                                                   \
+    }                                                                 \
+  } while (0)
+
 }  // namespace dl2sql::bench

@@ -122,6 +122,14 @@ pass_perfbench_selfcheck() {
   python3 perfbench/selfcheck.py --seconds 3
 }
 
+pass_batching_ablation() {
+  # Batched DL2SQL pipelines must predict the per-image pipeline's classes
+  # at every sub-batch size swept, the runner's automatic one included
+  # (BENCH_CHECK aborts the binary otherwise).
+  cmake --build build-ci -j "${JOBS}" --target bench_ablation_batching
+  ./build-ci/bench/bench_ablation_batching
+}
+
 pass_server_smoke() {
   # Boots lindb_server, drives it with lindb_client through a query script,
   # diffs the output against the committed golden file, scrapes /metrics over
@@ -163,6 +171,7 @@ register_pass "tracing-overhead guard" pass_trace_overhead
 register_pass "resource-accounting overhead guard" pass_profile_overhead
 register_pass "out-of-core scale guard" pass_oocore_scale
 register_pass "benchmark self-check" pass_perfbench_selfcheck
+register_pass "batching ablation smoke" pass_batching_ablation
 register_pass "server smoke over TCP" pass_server_smoke
 register_pass "cluster smoke: scatter-gather vs single node" \
   pass_cluster_smoke

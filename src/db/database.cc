@@ -589,6 +589,16 @@ Result<Table> Database::ExecuteSelect(const SelectStmt& stmt) {
 
   std::vector<std::string> referenced;
   DL2SQL_ASSIGN_OR_RETURN(PlanPtr plan, PlanQuery(stmt, &referenced));
+  // A temporary relation (DL2SQL runtime tables, DB-PyTorch's __indep_*
+  // tables) is dropped and re-registered on every run, so a plan over one is
+  // stale at its next lookup: caching it would only fill the budget.
+  if (std::any_of(referenced.begin(), referenced.end(),
+                  [this](const std::string& name) {
+                    return catalog_.IsTemporary(name);
+                  })) {
+    SetLastPlan(plan);
+    return ExecRoot(*plan);
+  }
   auto entry = std::make_shared<CachedPlan>();
   entry->plan = plan;
   entry->cost_model = opt_options_.cost_model;

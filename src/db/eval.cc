@@ -106,15 +106,26 @@ ColumnHandle Alias(const Column& c) {
   return ColumnHandle(std::shared_ptr<const void>(), &c);
 }
 
+/// A column of `n` copies of `v`, filled in one step per type.
 Column BroadcastValue(const Value& v, int64_t n) {
-  DataType t = v.type();
-  if (t == DataType::kNull) t = DataType::kFloat64;  // arbitrary carrier
-  Column c(t);
-  c.Reserve(n);
-  for (int64_t i = 0; i < n; ++i) {
-    // Append of a NULL into any typed column marks invalid.
-    (void)c.Append(v);
+  const size_t len = static_cast<size_t>(n);
+  switch (v.type()) {
+    case DataType::kBool:
+      return Column::Bools(std::vector<uint8_t>(len, v.bool_value() ? 1 : 0));
+    case DataType::kInt64:
+      return Column::Ints(std::vector<int64_t>(len, v.int_value()));
+    case DataType::kFloat64:
+      return Column::Floats(std::vector<double>(len, v.float_value()));
+    case DataType::kString:
+      return Column::Strings(std::vector<std::string>(len, v.string_value()));
+    case DataType::kBlob:
+      return Column::Blobs(std::vector<std::string>(len, v.string_value()));
+    case DataType::kNull:
+      break;
   }
+  // NULL: an all-invalid FLOAT64 column (an arbitrary carrier type).
+  Column c = Column::Floats(std::vector<double>(len, 0.0));
+  if (n > 0) c.SetValidity(std::vector<uint8_t>(len, 0));
   return c;
 }
 

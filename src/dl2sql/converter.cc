@@ -1,5 +1,6 @@
 #include "dl2sql/converter.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "db/codec.h"
@@ -16,15 +17,6 @@ using db::Table;
 using db::TableSchema;
 using nn::Layer;
 using nn::LayerKind;
-
-namespace {
-
-TableSchema FlatSchema() {
-  return TableSchema({{"TupleID", DataType::kInt64},
-                      {"Value", DataType::kFloat64}});
-}
-
-}  // namespace
 
 db::Table GenerateMappingTable(const LayerGeometry& g) {
   std::vector<int64_t> matrix_ids, order_ids, tuple_ids;
@@ -1039,6 +1031,16 @@ std::vector<std::string> ConvertedModel::RuntimeTables() const {
     }
   }
   return tables;
+}
+
+int64_t ConvertedModel::WidestTableRows() const {
+  int64_t widest = input_shape.NumElements();
+  for (const auto& op : ops) {
+    const LayerGeometry& g = op.geom;
+    widest = std::max({widest, g.out_c * g.out_h * g.out_w,
+                       g.out_h * g.out_w * g.in_c * g.kernel * g.kernel});
+  }
+  return widest;
 }
 
 Result<ConvertedModel> ConvertModel(const nn::Model& model,

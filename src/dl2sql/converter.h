@@ -107,6 +107,12 @@ struct ConvertedModel {
 
   /// Every table this run creates at inference time (for cleanup).
   std::vector<std::string> RuntimeTables() const;
+
+  /// Rows per image of the widest table one run builds, from the ops'
+  /// geometry: the input, every conv/pool output, and every windowed op's
+  /// im2col form (one row per output pixel and patch entry, the Q2 reshape
+  /// table of a conv).
+  int64_t WidestTableRows() const;
 };
 
 /// Converts `model` and deploys its static tables into `db`'s catalog.

@@ -9,57 +9,55 @@ using db::DataType;
 using db::Table;
 using db::TableSchema;
 
-namespace {
-
-TableSchema FlatSchema(bool batched) {
-  if (batched) {
-    return TableSchema({{"BatchID", DataType::kInt64},
-                        {"TupleID", DataType::kInt64},
-                        {"Value", DataType::kFloat64}});
+void PipelineRunStats::Merge(const PipelineRunStats& other) {
+  load_seconds += other.load_seconds;
+  infer_seconds += other.infer_seconds;
+  clause_costs.Merge(other.clause_costs);
+  if (per_op.empty()) {
+    per_op = other.per_op;
+  } else if (per_op.size() == other.per_op.size()) {
+    for (size_t i = 0; i < per_op.size(); ++i) {
+      per_op[i].seconds += other.per_op[i].seconds;
+    }
   }
-  return TableSchema(
-      {{"TupleID", DataType::kInt64}, {"Value", DataType::kFloat64}});
 }
 
-}  // namespace
-
-Status Dl2SqlRunner::LoadInput(const Tensor& input) {
-  const int64_t n = input.NumElements();
-  std::vector<int64_t> ids(static_cast<size_t>(n));
-  std::vector<double> values(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) {
-    ids[static_cast<size_t>(i)] = i;
-    values[static_cast<size_t>(i)] = static_cast<double>(input.at(i));
-  }
-  DL2SQL_ASSIGN_OR_RETURN(
-      Table t,
-      Table::FromColumns(FlatSchema(false), {Column::Ints(std::move(ids)),
-                                             Column::Floats(std::move(values))}));
-  return db_->RegisterTable(model_.input_table, std::move(t),
-                            /*temporary=*/true);
+int64_t Dl2SqlRunner::sub_batch_size() const {
+  if (!model_.options.batched) return 1;
+  return std::max<int64_t>(1,
+                           kSubBatchRowBudget / model_.WidestTableRows());
 }
 
-Status Dl2SqlRunner::LoadInputBatch(const std::vector<Tensor>& inputs) {
+Status Dl2SqlRunner::LoadInputs(const std::vector<Tensor>& inputs) {
+  const bool batched = model_.options.batched;
   int64_t total = 0;
   for (const auto& t : inputs) total += t.NumElements();
   std::vector<int64_t> batch_ids, ids;
   std::vector<double> values;
-  batch_ids.reserve(static_cast<size_t>(total));
+  if (batched) batch_ids.reserve(static_cast<size_t>(total));
   ids.reserve(static_cast<size_t>(total));
   values.reserve(static_cast<size_t>(total));
   for (size_t b = 0; b < inputs.size(); ++b) {
     const Tensor& t = inputs[b];
     for (int64_t i = 0; i < t.NumElements(); ++i) {
-      batch_ids.push_back(static_cast<int64_t>(b));
+      if (batched) batch_ids.push_back(static_cast<int64_t>(b));
       ids.push_back(i);
       values.push_back(static_cast<double>(t.at(i)));
     }
   }
+  std::vector<db::Field> fields;
+  std::vector<Column> columns;
+  if (batched) {
+    fields.push_back({"BatchID", DataType::kInt64});
+    columns.push_back(Column::Ints(std::move(batch_ids)));
+  }
+  fields.push_back({"TupleID", DataType::kInt64});
+  fields.push_back({"Value", DataType::kFloat64});
+  columns.push_back(Column::Ints(std::move(ids)));
+  columns.push_back(Column::Floats(std::move(values)));
   DL2SQL_ASSIGN_OR_RETURN(
-      Table t, Table::FromColumns(FlatSchema(true),
-                                  {Column::Ints(std::move(batch_ids)),
-                                   Column::Ints(std::move(ids)),
-                                   Column::Floats(std::move(values))}));
+      Table t, Table::FromColumns(TableSchema(std::move(fields)),
+                                  std::move(columns)));
   return db_->RegisterTable(model_.input_table, std::move(t),
                             /*temporary=*/true);
 }
@@ -96,75 +94,43 @@ Status Dl2SqlRunner::RunStatements(PipelineRunStats* stats) {
 
 Result<Tensor> Dl2SqlRunner::Infer(const Tensor& input,
                                    PipelineRunStats* stats) {
-  if (model_.options.batched) {
-    DL2SQL_ASSIGN_OR_RETURN(std::vector<Tensor> out, InferBatch({input}, stats));
-    return out[0];
-  }
-  if (input.shape() != model_.input_shape) {
-    return Status::InvalidArgument("DL2SQL model ", model_.model_name,
-                                   " expects input ",
-                                   model_.input_shape.ToString(), ", got ",
-                                   input.shape().ToString());
-  }
-  PipelineRunStats local;
-  db_->set_cost_accumulator(&local.clause_costs);
-  auto body = [&]() -> Result<Tensor> {
-    {
-      Stopwatch watch;
-      DL2SQL_RETURN_NOT_OK(LoadInput(input));
-      local.load_seconds = watch.ElapsedSeconds();
-    }
-    DL2SQL_RETURN_NOT_OK(RunStatements(&local));
-    DL2SQL_ASSIGN_OR_RETURN(
-        Table result,
-        db_->Execute("SELECT TupleID, Value FROM " + model_.output_table +
-                     " ORDER BY TupleID"));
-    Tensor activation(Shape({result.num_rows()}));
-    for (int64_t i = 0; i < result.num_rows(); ++i) {
-      const int64_t id = result.column(0).ints()[static_cast<size_t>(i)];
-      if (id < 0 || id >= result.num_rows()) {
-        return Status::InternalError("non-dense output TupleIDs from ",
-                                     model_.output_table);
-      }
-      activation.at(id) =
-          static_cast<float>(result.column(1).floats()[static_cast<size_t>(i)]);
-    }
-    DL2SQL_RETURN_NOT_OK(Cleanup());
-    return activation;
-  };
-  auto out = body();
-  db_->set_cost_accumulator(nullptr);
-  DL2SQL_RETURN_NOT_OK(out.status());
-  if (stats != nullptr) *stats = std::move(local);
-  return out;
+  DL2SQL_ASSIGN_OR_RETURN(std::vector<Tensor> out,
+                          InferSubBatch({input}, stats));
+  return std::move(out[0]);
 }
 
 Result<std::vector<Tensor>> Dl2SqlRunner::InferBatch(
     const std::vector<Tensor>& inputs, PipelineRunStats* stats) {
-  if (inputs.empty()) return std::vector<Tensor>{};
-  if (!model_.options.batched) {
-    // Non-batched conversion: run the pipeline once per input.
-    std::vector<Tensor> out;
-    PipelineRunStats total;
-    for (const auto& input : inputs) {
-      PipelineRunStats one;
-      DL2SQL_ASSIGN_OR_RETURN(Tensor r, Infer(input, &one));
-      out.push_back(std::move(r));
-      total.load_seconds += one.load_seconds;
-      total.infer_seconds += one.infer_seconds;
-      total.clause_costs.Merge(one.clause_costs);
-      if (total.per_op.size() == one.per_op.size()) {
-        for (size_t i = 0; i < one.per_op.size(); ++i) {
-          total.per_op[i].seconds += one.per_op[i].seconds;
-        }
-      } else if (total.per_op.empty()) {
-        total.per_op = one.per_op;
-      }
-    }
-    if (stats != nullptr) *stats = std::move(total);
-    return out;
+  const int64_t n = static_cast<int64_t>(inputs.size());
+  const int64_t per_run = sub_batch_size();
+  // Near-equal runs, so no run is a small remainder.
+  const int64_t runs = (n + per_run - 1) / per_run;
+  std::vector<Tensor> out;
+  out.reserve(inputs.size());
+  PipelineRunStats total;
+  for (int64_t r = 0, begin = 0; r < runs; ++r) {
+    const int64_t end = begin + n / runs + (r < n % runs ? 1 : 0);
+    PipelineRunStats one;
+    DL2SQL_ASSIGN_OR_RETURN(
+        std::vector<Tensor> part,
+        InferSubBatch({inputs.begin() + begin, inputs.begin() + end}, &one));
+    for (auto& t : part) out.push_back(std::move(t));
+    total.Merge(one);
+    begin = end;
   }
+  if (stats != nullptr) *stats = std::move(total);
+  return out;
+}
 
+Result<std::vector<Tensor>> Dl2SqlRunner::InferSubBatch(
+    const std::vector<Tensor>& inputs, PipelineRunStats* stats) {
+  if (inputs.empty()) return std::vector<Tensor>{};
+  const bool batched = model_.options.batched;
+  if (!batched && inputs.size() != 1) {
+    return Status::InvalidArgument("DL2SQL model ", model_.model_name,
+                                   " was converted per image; got ",
+                                   inputs.size(), " inputs in one run");
+  }
   for (const auto& input : inputs) {
     if (input.shape() != model_.input_shape) {
       return Status::InvalidArgument("DL2SQL model ", model_.model_name,
@@ -178,33 +144,34 @@ Result<std::vector<Tensor>> Dl2SqlRunner::InferBatch(
   auto body = [&]() -> Result<std::vector<Tensor>> {
     {
       Stopwatch watch;
-      DL2SQL_RETURN_NOT_OK(LoadInputBatch(inputs));
+      DL2SQL_RETURN_NOT_OK(LoadInputs(inputs));
       local.load_seconds = watch.ElapsedSeconds();
     }
     DL2SQL_RETURN_NOT_OK(RunStatements(&local));
+    const std::string keys = batched ? "BatchID, TupleID" : "TupleID";
     DL2SQL_ASSIGN_OR_RETURN(
-        Table result,
-        db_->Execute("SELECT BatchID, TupleID, Value FROM " +
-                     model_.output_table + " ORDER BY BatchID, TupleID"));
-    const int64_t per_batch = result.num_rows() /
-                              static_cast<int64_t>(inputs.size());
-    if (per_batch * static_cast<int64_t>(inputs.size()) != result.num_rows()) {
+        Table result, db_->Execute("SELECT " + keys + ", Value FROM " +
+                                   model_.output_table + " ORDER BY " + keys));
+    const int64_t batch = static_cast<int64_t>(inputs.size());
+    const int64_t per_image = result.num_rows() / batch;
+    if (per_image * batch != result.num_rows()) {
       return Status::InternalError("ragged batched output from ",
                                    model_.output_table);
     }
+    const int id_col = batched ? 1 : 0;
     std::vector<Tensor> out;
     out.reserve(inputs.size());
-    for (size_t b = 0; b < inputs.size(); ++b) out.emplace_back(Shape({per_batch}));
+    for (int64_t b = 0; b < batch; ++b) out.emplace_back(Shape({per_image}));
     for (int64_t i = 0; i < result.num_rows(); ++i) {
-      const int64_t batch = result.column(0).ints()[static_cast<size_t>(i)];
-      const int64_t id = result.column(1).ints()[static_cast<size_t>(i)];
-      if (batch < 0 || batch >= static_cast<int64_t>(inputs.size()) || id < 0 ||
-          id >= per_batch) {
-        return Status::InternalError("bad batched output ids from ",
+      const size_t row = static_cast<size_t>(i);
+      const int64_t b = batched ? result.column(0).ints()[row] : 0;
+      const int64_t id = result.column(id_col).ints()[row];
+      if (b < 0 || b >= batch || id < 0 || id >= per_image) {
+        return Status::InternalError("non-dense output ids from ",
                                      model_.output_table);
       }
-      out[static_cast<size_t>(batch)].at(id) = static_cast<float>(
-          result.column(2).floats()[static_cast<size_t>(i)]);
+      out[static_cast<size_t>(b)].at(id) =
+          static_cast<float>(result.column(id_col + 1).floats()[row]);
     }
     DL2SQL_RETURN_NOT_OK(Cleanup());
     return out;

@@ -25,6 +25,12 @@ struct PipelineRunStats {
   /// Per-SQL-clause cost buckets ("scan", "join", "groupby", ...) as charged
   /// by the database executor during this run (Fig. 10).
   CostAccumulator clause_costs;
+
+  /// Adds `other` (a later run) into this profile: seconds and clause buckets
+  /// sum; per-op seconds sum element-wise when both runs profile the same op
+  /// sequence, an empty per_op takes `other`'s, and a different model's ops
+  /// are left out of it.
+  void Merge(const PipelineRunStats& other);
 };
 
 /// \brief Executes a ConvertedModel's SQL pipeline.
@@ -33,18 +39,39 @@ class Dl2SqlRunner {
   Dl2SqlRunner(db::Database* db, ConvertedModel model)
       : db_(db), model_(std::move(model)) {}
 
+  /// Rows the widest intermediate table of one batched pipeline run may
+  /// hold. bench/ablation_batching, fig8 repository model (3x16x16
+  /// keyframes, widest table 1,728 rows per image), 128 keyframes, five runs
+  /// on a shared 4-vCPU VM, ms per image: per-image pipeline 2.3-2.9; runs
+  /// of 1 image 3.0-3.5, 8: 1.5-1.7, 16: 1.2-1.7, 32: 1.2-1.5, 64: 1.2-1.5,
+  /// all 128: 1.2-1.4; this budget's 37: 1.0-1.5. The gain flattens past 16
+  /// images; the bound keeps a larger model's tables, and the hash tables
+  /// built over them, from growing with the morsel.
+  static constexpr int64_t kSubBatchRowBudget = 1 << 16;
+
   const ConvertedModel& model() const { return model_; }
+
+  /// Images per pipeline run in InferBatch: kSubBatchRowBudget over the
+  /// model's ConvertedModel::WidestTableRows(), at least 1; always 1 for a
+  /// per-image conversion.
+  int64_t sub_batch_size() const;
 
   /// Runs the full pipeline on one input; returns the output activation
   /// (class probabilities for classifier models), ordered by TupleID.
-  /// For a batch-converted model this delegates to InferBatch.
   Result<Tensor> Infer(const Tensor& input, PipelineRunStats* stats = nullptr);
 
-  /// Runs a whole batch. For a batch-converted model (ConvertOptions::
-  /// batched) the batch goes through ONE pipeline execution with per-image
-  /// BatchIDs; otherwise it loops Infer. Returns one activation per input.
+  /// Runs a whole batch in near-equal sub-batches of at most
+  /// sub_batch_size() images, one pipeline execution each (per-image
+  /// BatchIDs for a batch-converted model, ConvertOptions::batched). Returns
+  /// one activation per input; `stats` merges every run's profile.
   Result<std::vector<Tensor>> InferBatch(const std::vector<Tensor>& inputs,
                                          PipelineRunStats* stats = nullptr);
+
+  /// One pipeline execution over all `inputs`, whatever their rows: what
+  /// InferBatch runs per sub-batch, exposed for the batching ablation. A
+  /// per-image conversion takes exactly one input.
+  Result<std::vector<Tensor>> InferSubBatch(const std::vector<Tensor>& inputs,
+                                            PipelineRunStats* stats = nullptr);
 
   /// Argmax over Infer().
   Result<int64_t> Predict(const Tensor& input, PipelineRunStats* stats = nullptr);
@@ -53,12 +80,11 @@ class Dl2SqlRunner {
   Result<std::vector<int64_t>> PredictBatch(const std::vector<Tensor>& inputs,
                                             PipelineRunStats* stats = nullptr);
 
-  /// Drops all runtime tables (called automatically at the end of Infer).
+  /// Drops all runtime tables (called automatically at the end of each run).
   Status Cleanup();
 
  private:
-  Status LoadInput(const Tensor& input);
-  Status LoadInputBatch(const std::vector<Tensor>& inputs);
+  Status LoadInputs(const std::vector<Tensor>& inputs);
   Status RunStatements(PipelineRunStats* stats);
 
   db::Database* db_;

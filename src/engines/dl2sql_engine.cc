@@ -1,5 +1,7 @@
 #include "engines/dl2sql_engine.h"
 
+#include <cctype>
+
 #include "common/metrics.h"
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -8,6 +10,51 @@
 #include "tensor/tensor_blob.h"
 
 namespace dl2sql::engines {
+
+namespace {
+
+db::DataType ReturnType(NUdfOutput output) {
+  switch (output) {
+    case NUdfOutput::kBool:
+      return db::DataType::kBool;
+    case NUdfOutput::kLabel:
+      return db::DataType::kString;
+    case NUdfOutput::kClassId:
+      return db::DataType::kInt64;
+  }
+  return db::DataType::kNull;
+}
+
+db::Value ToValue(NUdfOutput output, const nn::Model& model, int64_t cls) {
+  switch (output) {
+    case NUdfOutput::kBool:
+      return db::Value::Bool(cls == 1);
+    case NUdfOutput::kLabel:
+      return db::Value::String(model.classes()[static_cast<size_t>(cls)]);
+    case NUdfOutput::kClassId:
+      return db::Value::Int(cls);
+  }
+  return db::Value::Null();
+}
+
+/// True if lower-cased `sql` names `name` as a whole identifier, not inside
+/// a longer one (nudf_detect inside nudf_detect_1).
+bool NamesIdentifier(const std::string& sql, const std::string& name) {
+  auto ident = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+  };
+  for (size_t at = sql.find(name); at != std::string::npos;
+       at = sql.find(name, at + 1)) {
+    const size_t end = at + name.size();
+    if ((at == 0 || !ident(sql[at - 1])) &&
+        (end == sql.size() || !ident(sql[end]))) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
 
 Dl2SqlEngine::Dl2SqlEngine(std::shared_ptr<Device> device, Options options)
     : CollaborativeEngine(std::move(device)), options_(std::move(options)) {
@@ -23,29 +70,23 @@ Status Dl2SqlEngine::DeployModel(const nn::Model& model,
   auto m = std::make_shared<DeployedModel>();
   m->model = model;
   m->deployment = deployment;
-  models_[ToLower(deployment.udf_name)] = m;
   deployments_[deployment.udf_name] = deployment;
-
   if (!options_.redeploy_per_query) {
     DL2SQL_RETURN_NOT_OK(Deploy(m.get()).status());
   }
-  // Calibrate per-call cost for the hint rules by one probe run (through a
-  // temporary deployment when not cached).
-  {
-    const bool was_deployed = m->runner != nullptr;
-    if (!was_deployed) {
-      DL2SQL_RETURN_NOT_OK(Deploy(m.get()).status());
-    }
-    Rng rng(1);
-    Tensor probe = Tensor::Random(model.input_shape(), &rng, 1.0f);
-    Stopwatch watch;
-    DL2SQL_RETURN_NOT_OK(m->runner->Predict(probe).status());
-    m->per_call_cost_sec = watch.ElapsedSeconds();
-    if (!was_deployed && options_.redeploy_per_query) {
-      DL2SQL_RETURN_NOT_OK(Undeploy(m.get()));
-    }
-  }
-  RegisterNUdf(deployment.udf_name);
+
+  db::NUdfInfo info;
+  info.model_name = model.name();
+  info.selectivity = deployment.selectivity;
+  info.num_parameters = model.NumParameters();
+  DL2SQL_ASSIGN_OR_RETURN(info.per_call_cost_sec, ProbeCallSeconds(m.get()));
+  // ValueOr(0): a model that fails to serialize simply stays uncacheable.
+  info.fingerprint = nn::ModelFingerprint(model).ValueOr(0);
+
+  auto nudf = std::make_shared<DeployedNUdf>();
+  nudf->output = deployment.output;
+  nudf->models.push_back(std::move(m));
+  RegisterNUdf(deployment.udf_name, std::move(nudf), std::move(info));
   return Status::OK();
 }
 
@@ -57,6 +98,9 @@ Result<double> Dl2SqlEngine::Deploy(DeployedModel* m) {
   deployments->Increment();
   Stopwatch watch;
   core::ConvertOptions copts = options_.convert;
+  // nUDFs score a morsel of keyframes per call, one pipeline run per
+  // sub-batch (Dl2SqlRunner::InferBatch).
+  copts.batched = true;
   // Sanitize to a valid SQL identifier (family variants are named "fam#i").
   std::string stem = ToLower(m->deployment.udf_name);
   for (char& c : stem) {
@@ -78,132 +122,103 @@ Status Dl2SqlEngine::Undeploy(DeployedModel* m) {
   return Status::OK();
 }
 
-void Dl2SqlEngine::RegisterNUdf(const std::string& name) {
-  auto model_ref = models_[ToLower(name)];
-  db::NUdfInfo info;
-  info.model_name = model_ref->model.name();
-  info.selectivity = model_ref->deployment.selectivity;
-  info.num_parameters = model_ref->model.NumParameters();
-  info.per_call_cost_sec = model_ref->per_call_cost_sec;
-  // ValueOr(0): a model that fails to serialize simply stays uncacheable.
-  info.fingerprint = nn::ModelFingerprint(model_ref->model).ValueOr(0);
-
-  db::DataType ret;
-  switch (model_ref->deployment.output) {
-    case NUdfOutput::kBool:
-      ret = db::DataType::kBool;
-      break;
-    case NUdfOutput::kLabel:
-      ret = db::DataType::kString;
-      break;
-    case NUdfOutput::kClassId:
-      ret = db::DataType::kInt64;
-      break;
+Result<double> Dl2SqlEngine::ProbeCallSeconds(DeployedModel* m) {
+  const bool was_deployed = m->runner != nullptr;
+  if (!was_deployed) {
+    DL2SQL_RETURN_NOT_OK(Deploy(m).status());
   }
-
-  Dl2SqlEngine* self = this;
-
-  // Vectorized body: with a batch-converted model the whole predicate column
-  // runs through ONE generated-SQL pipeline execution.
-  db::BatchFn batch_fn = nullptr;
-  if (options_.convert.batched) {
-    batch_fn = [self, model_ref](const std::vector<std::vector<db::Value>>&
-                                     rows) -> Result<std::vector<db::Value>> {
-      if (model_ref->runner == nullptr) {
-        return Status::InternalError("nUDF called before model deployment");
-      }
-      std::vector<Tensor> inputs;
-      inputs.reserve(rows.size());
-      Stopwatch decode_watch;
-      for (const auto& row : rows) {
-        if (row.size() != 1 || (row[0].type() != db::DataType::kBlob &&
-                                row[0].type() != db::DataType::kString)) {
-          return Status::InvalidArgument("nUDF expects one keyframe blob");
-        }
-        DL2SQL_ASSIGN_OR_RETURN(Tensor t, DecodeTensorBlob(row[0].string_value()));
-        inputs.push_back(std::move(t));
-      }
-      self->call_loading_seconds_ += decode_watch.ElapsedSeconds();
-
-      core::PipelineRunStats stats;
-      CostAccumulator* outer = self->db_.cost_accumulator();
-      auto preds = model_ref->runner->PredictBatch(inputs, &stats);
-      self->db_.set_cost_accumulator(outer);
-      DL2SQL_RETURN_NOT_OK(preds.status());
-      self->call_loading_seconds_ += stats.load_seconds;
-      self->last_stats_.load_seconds += stats.load_seconds;
-      self->last_stats_.infer_seconds += stats.infer_seconds;
-      self->last_stats_.clause_costs.Merge(stats.clause_costs);
-
-      std::vector<db::Value> out;
-      out.reserve(preds->size());
-      for (int64_t cls : *preds) {
-        switch (model_ref->deployment.output) {
-          case NUdfOutput::kBool:
-            out.push_back(db::Value::Bool(cls == 1));
-            break;
-          case NUdfOutput::kLabel:
-            out.push_back(db::Value::String(
-                model_ref->model.classes()[static_cast<size_t>(cls)]));
-            break;
-          case NUdfOutput::kClassId:
-            out.push_back(db::Value::Int(cls));
-            break;
-        }
-      }
-      return out;
-    };
+  Rng rng(1);
+  Tensor probe = Tensor::Random(m->model.input_shape(), &rng, 1.0f);
+  Stopwatch watch;
+  DL2SQL_RETURN_NOT_OK(m->runner->Predict(probe).status());
+  const double seconds = watch.ElapsedSeconds();
+  if (!was_deployed) {
+    DL2SQL_RETURN_NOT_OK(Undeploy(m));
   }
+  return seconds;
+}
 
-  db_.udfs().RegisterNeural(
-      name, ret,
-      [self, model_ref](const std::vector<db::Value>& args)
-          -> Result<db::Value> {
-        if (model_ref->runner == nullptr) {
-          return Status::InternalError("nUDF called before model deployment");
-        }
-        if (args.size() != 1 || (args[0].type() != db::DataType::kBlob &&
-                                 args[0].type() != db::DataType::kString)) {
-          return Status::InvalidArgument("nUDF expects one keyframe blob");
-        }
-        Stopwatch decode_watch;
-        DL2SQL_ASSIGN_OR_RETURN(Tensor input,
-                                DecodeTensorBlob(args[0].string_value()));
-        self->call_loading_seconds_ += decode_watch.ElapsedSeconds();
+Result<Dl2SqlEngine::DeployedModel*> Dl2SqlEngine::FindModel(
+    const std::string& udf_name) {
+  auto it = nudfs_.find(ToLower(udf_name));
+  if (it == nudfs_.end() || it->second->family != nullptr) {
+    return Status::NotFound("no deployed model for ", udf_name);
+  }
+  return it->second->models[0].get();
+}
 
-        // The pipeline's recursive SQL runs under its own accumulator so the
-        // outer query's relational buckets stay clean; the whole call is
-        // still charged to "inference" by the expression evaluator.
-        core::PipelineRunStats stats;
-        CostAccumulator* outer = self->db_.cost_accumulator();
-        auto cls = model_ref->runner->Predict(input, &stats);
-        self->db_.set_cost_accumulator(outer);
-        DL2SQL_RETURN_NOT_OK(cls.status());
-        self->call_loading_seconds_ += stats.load_seconds;
-        self->last_stats_.load_seconds += stats.load_seconds;
-        self->last_stats_.infer_seconds += stats.infer_seconds;
-        // Merge the per-op and per-clause profiles (Figs. 9-10).
-        if (self->last_stats_.per_op.size() == stats.per_op.size()) {
-          for (size_t i = 0; i < stats.per_op.size(); ++i) {
-            self->last_stats_.per_op[i].seconds += stats.per_op[i].seconds;
-          }
-        } else if (self->last_stats_.per_op.empty()) {
-          self->last_stats_.per_op = stats.per_op;
-        }
-        self->last_stats_.clause_costs.Merge(stats.clause_costs);
+void Dl2SqlEngine::RegisterNUdf(const std::string& name,
+                                std::shared_ptr<const DeployedNUdf> nudf,
+                                db::NUdfInfo info) {
+  nudfs_[ToLower(name)] = nudf;
+  const int arity = nudf->family != nullptr ? 3 : 1;
+  const db::DataType ret = ReturnType(nudf->output);
+  db::BatchFn batch_fn =
+      [this, nudf](const std::vector<std::vector<db::Value>>& rows) {
+        return Score(*nudf, rows);
+      };
+  // Row-at-a-time callers score a morsel of one row.
+  db::ScalarFn fn =
+      [batch_fn](const std::vector<db::Value>& args) -> Result<db::Value> {
+    DL2SQL_ASSIGN_OR_RETURN(std::vector<db::Value> out, batch_fn({args}));
+    return out.front();
+  };
+  db_.udfs().RegisterNeural(name, ret, std::move(fn), std::move(info),
+                            std::move(batch_fn), arity);
+}
 
-        switch (model_ref->deployment.output) {
-          case NUdfOutput::kBool:
-            return db::Value::Bool(*cls == 1);
-          case NUdfOutput::kLabel:
-            return db::Value::String(
-                model_ref->model.classes()[static_cast<size_t>(*cls)]);
-          case NUdfOutput::kClassId:
-            return db::Value::Int(*cls);
-        }
-        return Status::InternalError("bad output kind");
-      },
-      std::move(info), std::move(batch_fn));
+Result<std::vector<db::Value>> Dl2SqlEngine::Score(
+    const DeployedNUdf& nudf, const std::vector<std::vector<db::Value>>& rows) {
+  const bool family = nudf.family != nullptr;
+  // Route each row to its model, decoding its keyframe.
+  std::vector<std::vector<size_t>> routed(nudf.models.size());
+  std::vector<std::vector<Tensor>> inputs(nudf.models.size());
+  Stopwatch decode_watch;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const std::vector<db::Value>& args = rows[r];
+    if (args.size() != (family ? 3u : 1u) ||
+        (args[0].type() != db::DataType::kBlob &&
+         args[0].type() != db::DataType::kString)) {
+      return Status::InvalidArgument(
+          family ? "family nUDF expects (keyframe, humidity, temperature)"
+                 : "nUDF expects one keyframe blob");
+    }
+    size_t v = 0;
+    if (family) {
+      DL2SQL_ASSIGN_OR_RETURN(double humidity, args[1].AsDouble());
+      DL2SQL_ASSIGN_OR_RETURN(double temperature, args[2].AsDouble());
+      v = nudf.family->Select(humidity, temperature);
+    }
+    DL2SQL_ASSIGN_OR_RETURN(Tensor input,
+                            DecodeTensorBlob(args[0].string_value()));
+    routed[v].push_back(r);
+    inputs[v].push_back(std::move(input));
+  }
+  call_loading_seconds_ += decode_watch.ElapsedSeconds();
+
+  std::vector<db::Value> out(rows.size());
+  for (size_t v = 0; v < nudf.models.size(); ++v) {
+    if (routed[v].empty()) continue;
+    const DeployedModel& m = *nudf.models[v];
+    if (m.runner == nullptr) {
+      return Status::InternalError("nUDF called before model deployment");
+    }
+    // The pipeline's recursive SQL runs under its own accumulator so the
+    // outer query's relational buckets stay clean; the whole call is still
+    // charged to "inference" by the expression evaluator.
+    core::PipelineRunStats stats;
+    CostAccumulator* outer = db_.cost_accumulator();
+    auto preds = m.runner->PredictBatch(inputs[v], &stats);
+    db_.set_cost_accumulator(outer);
+    DL2SQL_RETURN_NOT_OK(preds.status());
+    call_loading_seconds_ += stats.load_seconds;
+    // Per-op and per-clause profiles for Figs. 9-10.
+    last_stats_.Merge(stats);
+    for (size_t i = 0; i < routed[v].size(); ++i) {
+      out[routed[v][i]] = ToValue(nudf.output, m.model, (*preds)[i]);
+    }
+  }
+  return out;
 }
 
 Status Dl2SqlEngine::DeployModelFamily(const ModelFamilyDeployment& family) {
@@ -211,8 +226,9 @@ Status Dl2SqlEngine::DeployModelFamily(const ModelFamilyDeployment& family) {
     return Status::InvalidArgument("model family '", family.udf_name,
                                    "' has no variants");
   }
-  auto fam = std::make_shared<DeployedFamily>();
-  fam->family = family;
+  auto nudf = std::make_shared<DeployedNUdf>();
+  nudf->output = family.output;
+  nudf->family = std::make_shared<const ModelFamilyDeployment>(family);
   for (size_t i = 0; i < family.variants.size(); ++i) {
     auto m = std::make_shared<DeployedModel>();
     m->model = family.variants[i].model;
@@ -223,93 +239,18 @@ Status Dl2SqlEngine::DeployModelFamily(const ModelFamilyDeployment& family) {
     if (!options_.redeploy_per_query) {
       DL2SQL_RETURN_NOT_OK(Deploy(m.get()).status());
     }
-    fam->variants.push_back(std::move(m));
-  }
-  families_[ToLower(family.udf_name)] = fam;
-
-  // Per-call cost probe on the first variant (drives the hint rules).
-  double per_call = 0;
-  {
-    DeployedModel* v0 = fam->variants[0].get();
-    const bool was_deployed = v0->runner != nullptr;
-    if (!was_deployed) {
-      DL2SQL_RETURN_NOT_OK(Deploy(v0).status());
-    }
-    Rng rng(1);
-    Tensor probe = Tensor::Random(v0->model.input_shape(), &rng, 1.0f);
-    Stopwatch watch;
-    DL2SQL_RETURN_NOT_OK(v0->runner->Predict(probe).status());
-    per_call = watch.ElapsedSeconds();
-    if (!was_deployed && options_.redeploy_per_query) {
-      DL2SQL_RETURN_NOT_OK(Undeploy(v0));
-    }
+    nudf->models.push_back(std::move(m));
   }
 
   db::NUdfInfo info;
   info.model_name = family.udf_name;
   info.selectivity = family.MergedSelectivity();
   info.num_parameters = family.variants[0].model.NumParameters();
-  info.per_call_cost_sec = per_call;
+  // Per-call cost probe on the first variant (drives the hint rules).
+  DL2SQL_ASSIGN_OR_RETURN(info.per_call_cost_sec,
+                          ProbeCallSeconds(nudf->models[0].get()));
   DL2SQL_ASSIGN_OR_RETURN(info.fingerprint, FamilyFingerprint(family));
-
-  db::DataType ret;
-  switch (family.output) {
-    case NUdfOutput::kBool:
-      ret = db::DataType::kBool;
-      break;
-    case NUdfOutput::kLabel:
-      ret = db::DataType::kString;
-      break;
-    case NUdfOutput::kClassId:
-      ret = db::DataType::kInt64;
-      break;
-  }
-
-  Dl2SqlEngine* self = this;
-  auto fam_ref = fam;
-  db_.udfs().RegisterNeural(
-      family.udf_name, ret,
-      [self, fam_ref](const std::vector<db::Value>& args)
-          -> Result<db::Value> {
-        if (args.size() != 3 || (args[0].type() != db::DataType::kBlob &&
-                                 args[0].type() != db::DataType::kString)) {
-          return Status::InvalidArgument(
-              "family nUDF expects (keyframe, humidity, temperature)");
-        }
-        DL2SQL_ASSIGN_OR_RETURN(double humidity, args[1].AsDouble());
-        DL2SQL_ASSIGN_OR_RETURN(double temperature, args[2].AsDouble());
-        DeployedModel& variant =
-            *fam_ref->variants[fam_ref->family.Select(humidity, temperature)];
-        if (variant.runner == nullptr) {
-          return Status::InternalError("family variant not deployed");
-        }
-        Stopwatch decode_watch;
-        DL2SQL_ASSIGN_OR_RETURN(Tensor input,
-                                DecodeTensorBlob(args[0].string_value()));
-        self->call_loading_seconds_ += decode_watch.ElapsedSeconds();
-
-        core::PipelineRunStats stats;
-        CostAccumulator* outer = self->db_.cost_accumulator();
-        auto cls = variant.runner->Predict(input, &stats);
-        self->db_.set_cost_accumulator(outer);
-        DL2SQL_RETURN_NOT_OK(cls.status());
-        self->call_loading_seconds_ += stats.load_seconds;
-        self->last_stats_.load_seconds += stats.load_seconds;
-        self->last_stats_.infer_seconds += stats.infer_seconds;
-        self->last_stats_.clause_costs.Merge(stats.clause_costs);
-
-        switch (fam_ref->family.output) {
-          case NUdfOutput::kBool:
-            return db::Value::Bool(*cls == 1);
-          case NUdfOutput::kLabel:
-            return db::Value::String(
-                variant.model.classes()[static_cast<size_t>(*cls)]);
-          case NUdfOutput::kClassId:
-            return db::Value::Int(*cls);
-        }
-        return Status::InternalError("bad output kind");
-      },
-      std::move(info), nullptr, /*arity=*/3);
+  RegisterNUdf(family.udf_name, std::move(nudf), std::move(info));
   return Status::OK();
 }
 
@@ -325,16 +266,12 @@ Result<db::Table> Dl2SqlEngine::ExecuteCollaborative(const std::string& sql,
   const DeviceProfile& prof = device_->profile();
   double transfer_seconds = 0;
   std::vector<DeployedModel*> deployed_now;
-  // Family variants referenced via the family nUDF name.
+  // Every model of each nUDF the query names (a family's every variant).
+  const std::string lower_sql = ToLower(sql);
   std::vector<DeployedModel*> referenced;
-  for (auto& [lname, m] : models_) {
-    if (ToLower(sql).find(lname) != std::string::npos) {
-      referenced.push_back(m.get());
-    }
-  }
-  for (auto& [lname, fam] : families_) {
-    if (ToLower(sql).find(lname) == std::string::npos) continue;
-    for (auto& v : fam->variants) referenced.push_back(v.get());
+  for (const auto& [lname, nudf] : nudfs_) {
+    if (!NamesIdentifier(lower_sql, lname)) continue;
+    for (const auto& m : nudf->models) referenced.push_back(m.get());
   }
   for (DeployedModel* m : referenced) {
     if (m->runner == nullptr) {
@@ -400,11 +337,7 @@ Result<db::Table> Dl2SqlEngine::ExecuteCollaborative(const std::string& sql,
 
 Result<uint64_t> Dl2SqlEngine::RelationalStorageBytes(
     const std::string& udf_name) {
-  auto it = models_.find(ToLower(udf_name));
-  if (it == models_.end()) {
-    return Status::NotFound("no deployed model for ", udf_name);
-  }
-  DeployedModel* m = it->second.get();
+  DL2SQL_ASSIGN_OR_RETURN(DeployedModel* m, FindModel(udf_name));
   const bool was_deployed = m->runner != nullptr;
   if (!was_deployed) {
     DL2SQL_RETURN_NOT_OK(Deploy(m).status());
@@ -419,14 +352,11 @@ Result<uint64_t> Dl2SqlEngine::RelationalStorageBytes(
 
 Result<const core::ConvertedModel*> Dl2SqlEngine::converted_model(
     const std::string& udf_name) {
-  auto it = models_.find(ToLower(udf_name));
-  if (it == models_.end()) {
-    return Status::NotFound("no deployed model for ", udf_name);
+  DL2SQL_ASSIGN_OR_RETURN(DeployedModel* m, FindModel(udf_name));
+  if (m->runner == nullptr) {
+    DL2SQL_RETURN_NOT_OK(Deploy(m).status());
   }
-  if (it->second->runner == nullptr) {
-    DL2SQL_RETURN_NOT_OK(Deploy(it->second.get()).status());
-  }
-  return &it->second->runner->model();
+  return &m->runner->model();
 }
 
 }  // namespace dl2sql::engines

@@ -9,7 +9,9 @@
 ///    with depth in Table VI),
 ///   2. registers each nUDF as a function whose body executes the model's
 ///    generated SQL pipeline (so nUDF evaluation *is* SQL execution, placed
-///    wherever the optimizer decides),
+///    wherever the optimizer decides). Every model is converted in batched
+///    form, and one body scores a whole morsel of keyframes in
+///    Dl2SqlRunner::InferBatch's sub-batches,
 ///   3. runs the collaborative query. With hints enabled (DL2SQL-OP) the
 ///    optimizer applies Section IV-B's rules: scan-time vs delayed nUDF
 ///    placement by cost, most-selective-first ordering, and symmetric hash
@@ -30,6 +32,8 @@ class Dl2SqlEngine : public CollaborativeEngine {
     /// Re-deploy parameter tables on every query (the paper's benchmark
     /// integrates models on the fly); false caches them across queries.
     bool redeploy_per_query = true;
+    /// Conversion options; the engine always converts in batched form
+    /// (`convert.batched` is ignored).
     core::ConvertOptions convert;
   };
 
@@ -69,22 +73,38 @@ class Dl2SqlEngine : public CollaborativeEngine {
     ModelDeployment deployment;
     /// Valid while deployed; rebuilt per query when redeploy_per_query.
     std::shared_ptr<core::Dl2SqlRunner> runner;
-    double per_call_cost_sec = 0;
+  };
+
+  /// What one nUDF name runs: a plain deployment routes every row to its
+  /// one model; a conditional family (3-ary nUDF) routes each row to the
+  /// variant its condition columns select.
+  struct DeployedNUdf {
+    NUdfOutput output = NUdfOutput::kBool;
+    std::vector<std::shared_ptr<DeployedModel>> models;
+    /// Set for a family only.
+    std::shared_ptr<const ModelFamilyDeployment> family;
   };
 
   /// (Re)builds parameter tables + runner for one model; returns seconds.
   Result<double> Deploy(DeployedModel* m);
   Status Undeploy(DeployedModel* m);
-  void RegisterNUdf(const std::string& name);
-
-  struct DeployedFamily {
-    ModelFamilyDeployment family;
-    std::vector<std::shared_ptr<DeployedModel>> variants;
-  };
+  /// Seconds of one single-image pipeline run (the hint rules' per-call
+  /// cost), through a temporary deployment when not cached.
+  Result<double> ProbeCallSeconds(DeployedModel* m);
+  /// The plain model deployed as nUDF `udf_name`.
+  Result<DeployedModel*> FindModel(const std::string& udf_name);
+  void RegisterNUdf(const std::string& name,
+                    std::shared_ptr<const DeployedNUdf> nudf,
+                    db::NUdfInfo info);
+  /// The one nUDF body: decodes a morsel of argument rows and runs the rows
+  /// routed to each model through its pipeline in InferBatch's sub-batches,
+  /// charging decode and input-table time to loading.
+  Result<std::vector<db::Value>> Score(
+      const DeployedNUdf& nudf, const std::vector<std::vector<db::Value>>& rows);
 
   Options options_;
-  std::map<std::string, std::shared_ptr<DeployedModel>> models_;
-  std::map<std::string, std::shared_ptr<DeployedFamily>> families_;
+  /// Keyed by lower-cased nUDF name.
+  std::map<std::string, std::shared_ptr<const DeployedNUdf>> nudfs_;
   /// Accumulates pipeline-internal stats across nUDF calls in one query.
   core::PipelineRunStats last_stats_;
   /// Input-tensor loading seconds accumulated inside nUDF calls (moved from

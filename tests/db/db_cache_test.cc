@@ -262,6 +262,41 @@ TEST(DbCacheTest, StalePlanLookupCountsAsMiss) {
             hits->value() - hits0);
 }
 
+TEST(DbCacheTest, PlansOverTemporaryTablesAreNotCached) {
+  Database db;
+  ForceCachesOn(&db);
+  FillFact(&db);
+  ASSERT_TRUE(db.Execute("CREATE TEMP TABLE scratch AS SELECT id, val FROM "
+                         "fact WHERE val < 50")
+                  .ok());
+  Counter* const hits = MetricsRegistry::Global().counter("cache.plan.hits");
+  Counter* const inserts =
+      MetricsRegistry::Global().counter("cache.plan.insertions");
+  const int64_t entries0 = db.plan_cache()->entries();
+  const int64_t hits0 = hits->value();
+  const int64_t inserts0 = inserts->value();
+
+  // A temporary relation is re-registered on every run, so its plan would
+  // be stale at the next lookup: it is planned every time, never inserted.
+  const std::string temp_sql = "SELECT id FROM scratch WHERE val < 10";
+  for (int i = 0; i < 2; ++i) {
+    auto r = db.Execute(temp_sql);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->num_rows(), kRows / 50);
+  }
+  EXPECT_EQ(inserts->value(), inserts0);
+  EXPECT_EQ(hits->value(), hits0);
+  EXPECT_EQ(db.plan_cache()->entries(), entries0);
+
+  // A SELECT over a base table is still inserted once and then hits.
+  const std::string base_sql = "SELECT id FROM fact WHERE val < 10";
+  ASSERT_TRUE(db.Execute(base_sql).ok());
+  ASSERT_TRUE(db.Execute(base_sql).ok());
+  EXPECT_EQ(inserts->value() - inserts0, 1);
+  EXPECT_EQ(hits->value() - hits0, 1);
+  EXPECT_EQ(db.plan_cache()->entries(), entries0 + 1);
+}
+
 TEST(DbCacheTest, ExplainAnalyzeShowsCacheHitCounters) {
   std::atomic<int64_t> evals{0};
   Database db;

@@ -4,6 +4,7 @@
 /// type — they differ only in *where* the work happens.
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "workload/testbed.h"
 
 namespace dl2sql::workload {
@@ -146,6 +147,74 @@ TEST_F(EnginesTest, HintsPruneInference) {
   EXPECT_LT(op_calls, plain_calls)
       << "hints should prune nUDF invocations (plain=" << plain_calls
       << ", op=" << op_calls << ")";
+}
+
+TEST_F(EnginesTest, PipelineStatsCoverEveryConvertedOp) {
+  // Each nUDF morsel runs in batched sub-batches; the query's profile still
+  // splits per converted op (Fig. 9) and per clause (Fig. 10).
+  db::Database scratch;
+  core::ConvertOptions copts;
+  copts.batched = true;
+  auto converted =
+      core::ConvertModel(testbed_->classify_model(), copts, &scratch);
+  ASSERT_TRUE(converted.ok()) << converted.status().ToString();
+
+  QueryParams p;
+  p.selectivity = 0.2;
+  QueryCost cost;
+  testbed_->dl2sql_op()->database().reset_neural_calls();
+  ASSERT_TRUE(
+      testbed_->dl2sql_op()->ExecuteCollaborative(MakeType1Query(p), &cost)
+          .ok());
+  ASSERT_GT(testbed_->dl2sql_op()->database().neural_calls(), 0);
+  const core::PipelineRunStats& stats =
+      testbed_->dl2sql_op()->last_pipeline_stats();
+  ASSERT_EQ(stats.per_op.size(), converted->ops.size());
+  double seconds = 0;
+  for (size_t i = 0; i < stats.per_op.size(); ++i) {
+    EXPECT_EQ(stats.per_op[i].label, converted->ops[i].layer_name);
+    seconds += stats.per_op[i].seconds;
+  }
+  EXPECT_GT(seconds, 0.0);
+  EXPECT_GT(stats.clause_costs.Get("join"), 0.0);
+}
+
+TEST(Dl2SqlDeploymentTest, QueryDeploysOnlyTheModelsItCalls) {
+  // nUDF_detect is a prefix of nUDF_detect_1: a query calling one must not
+  // convert the other.
+  db::Database master;
+  DatasetOptions d;
+  d.video_rows = 120;
+  d.keyframe_size = 8;
+  ASSERT_TRUE(PopulateDatabase(&master, d).ok());
+  auto device = Device::Create(DeviceKind::kEdgeCpu);
+  engines::Dl2SqlEngine::Options o;
+  o.enable_optimizer_hints = true;
+  engines::Dl2SqlEngine engine(device, o);
+  ASSERT_TRUE(engine.AttachTablesFrom(master).ok());
+  TestbedOptions opts;
+  opts.dataset = d;
+  opts.model_base_channels = 2;
+  for (const char* name : {"nUDF_detect", "nUDF_detect_1"}) {
+    engines::ModelDeployment dep;
+    dep.udf_name = name;
+    dep.output = engines::NUdfOutput::kBool;
+    ASSERT_TRUE(
+        engine.DeployModel(BuildRepositoryModel(opts, 2, 5), dep).ok());
+  }
+
+  Counter* const deployments =
+      MetricsRegistry::Global().counter("dl2sql.model_deployments");
+  for (const char* name : {"nUDF_detect_1", "nUDF_detect"}) {
+    QueryParams p;
+    p.selectivity = 0.2;
+    p.detect_udf = name;
+    const int64_t before = deployments->value();
+    QueryCost cost;
+    auto r = engine.ExecuteCollaborative(MakeType2Query(p), &cost);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(deployments->value() - before, 1) << name;
+  }
 }
 
 TEST_F(EnginesTest, SymmetricHashJoinKicksIn) {

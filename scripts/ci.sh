@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # CI entry point: build + test the default configuration, then rerun the
-# suite under the feature gates (vectorized execution off, resource
-# accounting off, paged out-of-core storage with a deliberately tiny buffer
-# pool), then rebuild under ThreadSanitizer and AddressSanitizer+UBSan and
-# rerun everything again. The TSAN pass is what shakes out data races in the
+# suite under the feature gates (caches off, vectorized execution off,
+# resource accounting off, paged out-of-core storage with a deliberately
+# tiny buffer pool), then rebuild under ThreadSanitizer and
+# AddressSanitizer+UBSan and rerun everything again. The TSAN pass is what shakes out data races in the
 # morsel-parallel relational paths (filters, join probe, hash aggregation,
 # batched nUDFs), the sharded cross-query caches, and the buffer pool's
 # sharded pin/evict protocol.
@@ -31,6 +31,13 @@ run_suite() {
 
 pass_default_build() {
   run_suite build-ci
+}
+
+pass_cache_off() {
+  # The plan and nUDF result caches must be pure performance changes:
+  # rerunning the whole suite with DL2SQL_CACHE=OFF proves no result depends
+  # on whether a cached plan or memoized nUDF answer was served.
+  DL2SQL_CACHE=OFF ctest --test-dir build-ci --output-on-failure -j "${JOBS}"
 }
 
 pass_vector_off() {
@@ -71,9 +78,10 @@ pass_tsan_pinned() {
   # concurrency-sensitive observability, caching, vectorized-kernel,
   # resource-accounting, and out-of-core tests (buffer-pool frames are
   # pinned and evicted from concurrent query threads) cannot silently drop
-  # out of coverage if the suite layout changes.
+  # out of coverage if the suite layout changes. The name regex lives in
+  # scripts/tsan_pinned_tests.regex, read by .github/workflows/ci.yml too.
   ctest --test-dir build-ci-tsan --output-on-failure \
-    -R "trace|metrics|counters|cache|server|vector|profile|mem_tracker|storage|spill|buffer_pool|cluster|join_kernel|pool_stress"
+    -R "$(< scripts/tsan_pinned_tests.regex)"
 }
 
 pass_asan_build() {
@@ -157,6 +165,7 @@ register_pass() {
   PASS_FUNCS+=("$2")
 }
 register_pass "default build" pass_default_build
+register_pass "caches off (results must stay identical)" pass_cache_off
 register_pass "vectorized execution off (results must stay identical)" \
   pass_vector_off
 register_pass "resource accounting off (results must stay identical)" \

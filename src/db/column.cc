@@ -185,42 +185,48 @@ bool Column::HasNulls() const {
 
 namespace {
 
-/// dst = src gathered at `indices`.
+/// dst = src gathered at rows[0..n).
 template <typename T>
-void Gather(const std::vector<T>& src, const std::vector<int64_t>& indices,
+void Gather(const std::vector<T>& src, const int64_t* rows, int64_t n,
             std::vector<T>* dst) {
-  dst->resize(indices.size());
-  for (size_t i = 0; i < indices.size(); ++i) {
-    (*dst)[i] = src[static_cast<size_t>(indices[i])];
-  }
+  dst->resize(static_cast<size_t>(n));
+  T* out = dst->data();
+  for (int64_t i = 0; i < n; ++i) out[i] = src[static_cast<size_t>(rows[i])];
 }
 
 }  // namespace
 
 Column Column::Take(const std::vector<int64_t>& indices) const {
-  // One type dispatch per column, then a tight gather loop.
   Column out(type_);
+  out.TakeFrom(*this, indices.data(), static_cast<int64_t>(indices.size()));
+  return out;
+}
+
+void Column::TakeFrom(const Column& src, const int64_t* rows, int64_t n) {
+  // One type dispatch per column, then a tight gather loop.
+  Detach();
   switch (type_) {
     case DataType::kBool:
-      Gather(data_->bools, indices, &out.data_->bools);
+      Gather(src.data_->bools, rows, n, &data_->bools);
       break;
     case DataType::kInt64:
-      Gather(data_->ints, indices, &out.data_->ints);
+      Gather(src.data_->ints, rows, n, &data_->ints);
       break;
     case DataType::kFloat64:
-      Gather(data_->floats, indices, &out.data_->floats);
+      Gather(src.data_->floats, rows, n, &data_->floats);
       break;
     case DataType::kString:
     case DataType::kBlob:
-      Gather(data_->strings, indices, &out.data_->strings);
+      Gather(src.data_->strings, rows, n, &data_->strings);
       break;
     case DataType::kNull:
       break;
   }
-  if (!data_->validity.empty()) {
-    Gather(data_->validity, indices, &out.data_->validity);
+  if (src.data_->validity.empty()) {
+    data_->validity.clear();
+  } else {
+    Gather(src.data_->validity, rows, n, &data_->validity);
   }
-  return out;
 }
 
 uint64_t Column::ByteSize() const {

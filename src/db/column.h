@@ -118,6 +118,10 @@ class Column {
   /// Gathers rows by index into a new column (indices must be in range).
   Column Take(const std::vector<int64_t>& indices) const;
 
+  /// Replaces this column's rows with rows rows[0..n) of `src`, a column of
+  /// the same type, reusing this column's capacity. Detaches if shared.
+  void TakeFrom(const Column& src, const int64_t* rows, int64_t n);
+
   /// Approximate heap bytes used by the column payload.
   uint64_t ByteSize() const;
 

@@ -16,6 +16,7 @@
 #include "db/exec/row_key.h"
 #include "db/exec/vector_aggregate.h"
 #include "db/exec/vector_batch.h"
+#include "db/exec/vector_expr.h"
 #include "db/exec/vector_kernels.h"
 #include "db/sql/printer.h"
 #include "db/storage/column_source.h"
@@ -840,6 +841,9 @@ Result<std::string> Database::ExplainAnalyze(const std::string& sql) {
                     static_cast<long long>(it->second.output_bytes));
       out += buf;
       if (it->second.fused) out += " [fused into parent Aggregate]";
+      if (it->second.dense_slots > 0) {
+        out += " [dense slots=" + std::to_string(it->second.dense_slots) + "]";
+      }
       // Vectorized-kernel profile: batches processed and average
       // selection-vector density (rows surviving selection / rows entering
       // the kernels). Omitted for nodes that ran the row path.
@@ -921,55 +925,39 @@ Result<std::string> Database::ExplainAnalyze(const std::string& sql) {
 
 namespace {
 
-/// True for expressions the fused pass may evaluate batch by batch with
-/// exactly the values whole-table evaluation gives: bound column
-/// references, non-NULL literals and arithmetic over them (no UDF, nUDF,
-/// subquery or predicate).
-bool IsPlainArithmetic(const Expr& e) {
-  switch (e.kind) {
-    case ExprKind::kColumnRef:
-      return e.bound_index >= 0;
-    case ExprKind::kLiteral:
-      return !e.literal.is_null();
-    case ExprKind::kUnary:
-      return e.un_op == UnaryOp::kNeg && IsPlainArithmetic(*e.children[0]);
-    case ExprKind::kBinary:
-      return !IsComparison(e.bin_op) && e.bin_op != BinaryOp::kAnd &&
-             e.bin_op != BinaryOp::kOr && IsPlainArithmetic(*e.children[0]) &&
-             IsPlainArithmetic(*e.children[1]);
-    default:
-      return false;
-  }
-}
-
 void CollectColumnRefs(const Expr& e, std::vector<int>* out) {
   if (e.kind == ExprKind::kColumnRef) out->push_back(e.bound_index);
   for (const auto& c : e.children) CollectColumnRefs(*c, out);
 }
 
-/// Renumbers the column references of a (cloned) expression in place.
-void RemapColumnRefs(Expr* e, const std::vector<int>& remap) {
-  if (e->kind == ExprKind::kColumnRef) {
-    e->bound_index = remap[static_cast<size_t>(e->bound_index)];
-  }
-  for (auto& c : e->children) RemapColumnRefs(c.get(), remap);
-}
-
 /// Plan-shape conditions of the fused join→aggregate: the aggregate's child
 /// is an inner equi-join with no residual condition that is not a
-/// symmetric-hash join, and every group key and aggregate argument is plain
-/// arithmetic.
+/// symmetric-hash join, and every group key and aggregate argument is a
+/// bound column reference or a numeric program (vec::CompileNum, judged
+/// here over empty columns of the join's output types). Whether the
+/// referenced columns are NULL-free is checked once the inputs exist.
 bool FusableJoinAggregate(const PlanNode& agg, const PlanNode& join) {
   if (join.kind != PlanKind::kJoin || join.equi_keys.empty() ||
       join.join_condition != nullptr || join.use_symmetric_hash) {
     return false;
   }
+  std::vector<Column> typed;
+  for (const Field& f : join.output_schema.fields()) typed.emplace_back(f.type);
+  const int width = static_cast<int>(typed.size());
+  const vec::ColumnResolver resolve = [&](const Expr& c) -> const Column* {
+    return c.bound_index >= 0 && c.bound_index < width
+               ? &typed[static_cast<size_t>(c.bound_index)]
+               : nullptr;
+  };
+  auto fits = [&](const Expr& e) {
+    if (e.kind == ExprKind::kColumnRef) return resolve(e) != nullptr;
+    return vec::CompileNum(e, resolve) != nullptr;
+  };
   for (const auto& k : agg.group_keys) {
-    if (!IsPlainArithmetic(*k)) return false;
+    if (!fits(*k)) return false;
   }
   for (const auto& call : agg.agg_calls) {
-    if (call->agg_func != AggFunc::kCountStar &&
-        !IsPlainArithmetic(*call->children[0])) {
+    if (call->agg_func != AggFunc::kCountStar && !fits(*call->children[0])) {
       return false;
     }
   }
@@ -1486,105 +1474,119 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
 Result<std::optional<Table>> Database::ExecJoinAggregate(
     const PlanNode& node, const PlanNode& join, const Table& left,
     const Table& right) {
-  // Whole-table and batch-by-batch evaluation of plain arithmetic agree
-  // value for value and type for type only over NULL-free operands (a NULL
-  // operand turns an arithmetic result FLOAT64), and the aggregate kernels
-  // refuse NULL arguments; so only a bare column group key may hold NULLs.
   const int left_width = left.num_columns();
   auto input_column = [&](int idx) -> const Column& {
     return idx < left_width ? left.column(idx)
                             : right.column(idx - left_width);
   };
+  // Each batch of pairs gathers the input columns the aggregate references
+  // into buffers reused from batch to batch.
   std::vector<int> refs;
-  std::vector<int> null_free;
-  for (const auto& k : node.group_keys) {
-    CollectColumnRefs(*k, k->kind == ExprKind::kColumnRef ? &refs : &null_free);
-  }
+  for (const auto& k : node.group_keys) CollectColumnRefs(*k, &refs);
   for (const auto& call : node.agg_calls) {
     if (call->agg_func != AggFunc::kCountStar) {
-      CollectColumnRefs(*call->children[0], &null_free);
+      CollectColumnRefs(*call->children[0], &refs);
     }
   }
-  for (int idx : null_free) {
-    if (input_column(idx).HasNulls()) return std::optional<Table>();
-  }
-  refs.insert(refs.end(), null_free.begin(), null_free.end());
   std::sort(refs.begin(), refs.end());
   refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
+  std::vector<int> buffer_of(
+      static_cast<size_t>(join.output_schema.num_fields()), -1);
+  std::vector<Column> gathered;
+  gathered.reserve(refs.size());
+  for (size_t i = 0; i < refs.size(); ++i) {
+    buffer_of[static_cast<size_t>(refs[i])] = static_cast<int>(i);
+    gathered.emplace_back(input_column(refs[i]).type());
+  }
+
+  // A group key or aggregate argument reads its gathered column when it is
+  // a bare column reference and runs a compiled numeric program otherwise.
+  // Batch and whole-table evaluation agree value for value and type for
+  // type only over NULL-free operands (a NULL operand turns an arithmetic
+  // result FLOAT64), and the aggregate kernels refuse NULL arguments; so
+  // only a bare column group key may hold NULLs.
+  struct Operand {
+    const Column* col = nullptr;  // nullptr for COUNT(*)
+    std::unique_ptr<vec::CompiledNum> program;
+    Column out;
+  };
+  auto buffer = [&](const Expr& c) -> const Column* {
+    return &gathered[static_cast<size_t>(
+        buffer_of[static_cast<size_t>(c.bound_index)])];
+  };
+  const vec::ColumnResolver resolve = [&](const Expr& c) -> const Column* {
+    return input_column(c.bound_index).HasNulls() ? nullptr : buffer(c);
+  };
+  auto prepare = [&](const Expr& e, bool nulls_ok, Operand* op) {
+    if (e.kind == ExprKind::kColumnRef) {
+      op->col = nulls_ok ? buffer(e) : resolve(e);
+      return op->col != nullptr;
+    }
+    op->program = vec::CompileNum(e, resolve);
+    if (op->program == nullptr) return false;
+    op->out = Column(op->program->is_int ? DataType::kInt64
+                                         : DataType::kFloat64);
+    op->col = &op->out;
+    return true;
+  };
+  const size_t num_keys = node.group_keys.size();
+  std::vector<Operand> ops(num_keys + node.agg_calls.size());
+  for (size_t k = 0; k < num_keys; ++k) {
+    if (!prepare(*node.group_keys[k], /*nulls_ok=*/true, &ops[k])) {
+      return std::optional<Table>();
+    }
+  }
+  for (size_t a = 0; a < node.agg_calls.size(); ++a) {
+    const Expr& call = *node.agg_calls[a];
+    if (call.agg_func != AggFunc::kCountStar &&
+        !prepare(*call.children[0], /*nulls_ok=*/false, &ops[num_keys + a])) {
+      return std::optional<Table>();
+    }
+  }
+  std::vector<const Column*> kptrs, aptrs;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    (i < num_keys ? kptrs : aptrs).push_back(ops[i].col);
+  }
+  vec::BatchAggregator agg;
+  if (!agg.Compile(node, kptrs, aptrs)) return std::optional<Table>();
 
   Stopwatch watch;
   EvalContext ctx = MakeEvalContext();
-
-  // Batches carry only the referenced columns; the aggregate's expressions
-  // are renumbered onto that narrow schema.
-  std::vector<int> remap(static_cast<size_t>(join.output_schema.num_fields()),
-                         -1);
-  TableSchema batch_schema;
-  for (size_t i = 0; i < refs.size(); ++i) {
-    remap[static_cast<size_t>(refs[i])] = static_cast<int>(i);
-    batch_schema.AddField(join.output_schema.field(refs[i]));
-  }
-  auto remapped = [&](const Expr& e) {
-    ExprPtr c = e.Clone();
-    RemapColumnRefs(c.get(), remap);
-    return c;
-  };
-  std::vector<ExprPtr> key_exprs, arg_exprs(node.agg_calls.size());
-  for (const auto& k : node.group_keys) key_exprs.push_back(remapped(*k));
-  for (size_t a = 0; a < node.agg_calls.size(); ++a) {
-    if (node.agg_calls[a]->agg_func != AggFunc::kCountStar) {
-      arg_exprs[a] = remapped(*node.agg_calls[a]->children[0]);
-    }
-  }
-  std::vector<int64_t> lrows, rrows;
-  // key_cols and arg_cols may alias columns of `batch`.
-  Table batch;
-  std::vector<ColumnHandle> key_cols, arg_cols(arg_exprs.size());
-  double groupby_seconds = 0;
-  // Gathers the referenced columns of the buffered pairs (join work) and
-  // evaluates the group keys and aggregate arguments over them (groupby).
-  auto eval_batch = [&]() -> Status {
-    std::vector<Column> cols;
-    for (int idx : refs) {
-      cols.push_back(idx < left_width
-                         ? left.column(idx).Take(lrows)
-                         : right.column(idx - left_width).Take(rrows));
-    }
-    DL2SQL_ASSIGN_OR_RETURN(batch,
-                            Table::FromColumns(batch_schema, std::move(cols)));
-    batch.SetZeroColumnRows(static_cast<int64_t>(lrows.size()));
-    Stopwatch eval_watch;
-    key_cols.clear();
-    for (const auto& k : key_exprs) {
-      DL2SQL_ASSIGN_OR_RETURN(ColumnHandle c, EvalExpr(*k, batch, &ctx));
-      key_cols.push_back(std::move(c));
-    }
-    for (size_t a = 0; a < arg_exprs.size(); ++a) {
-      if (arg_exprs[a] != nullptr) {
-        DL2SQL_ASSIGN_OR_RETURN(arg_cols[a],
-                                EvalExpr(*arg_exprs[a], batch, &ctx));
-      }
-    }
-    groupby_seconds += eval_watch.ElapsedSeconds();
-    return Status::OK();
-  };
-  // Over NULL-free operands the result types do not depend on the rows, so
-  // compiling against an empty batch refuses an aggregate outside the
-  // kernel inventory before any join work is done.
-  vec::BatchAggregator agg;
-  DL2SQL_RETURN_NOT_OK(eval_batch());
-  if (!agg.Compile(node, key_cols, arg_cols)) return std::optional<Table>();
-
   ScopedMemCharge join_mem(OpScratchTracker(PlanKind::kJoin));
   ScopedMemCharge agg_mem(OpScratchTracker(PlanKind::kAggregate));
+
+  // Dense slots when every group key is an INT64 program over NULL-free
+  // columns whose value bounds (input min/max through interval arithmetic)
+  // are narrow enough; the generated conv, pool and FC statements group on
+  // (BatchID, output id), whose box is the statement's output size.
+  std::vector<std::pair<int64_t, int64_t>> bounds;
+  const vec::ColumnResolver resolve_input = [&](const Expr& c) {
+    return &input_column(c.bound_index);
+  };
+  for (const auto& k : node.group_keys) {
+    const auto program = vec::CompileNum(*k, resolve_input);
+    const auto b = program != nullptr ? vec::IntBounds(*program) : std::nullopt;
+    if (!b.has_value()) {
+      bounds.clear();
+      break;
+    }
+    bounds.push_back(*b);
+  }
+  const int64_t dense_slots =
+      bounds.empty() ? 0
+                     : agg.UseDenseSlots(bounds,
+                                         left.num_rows() + right.num_rows(),
+                                         &agg_mem);
+
   DL2SQL_ASSIGN_OR_RETURN(HashJoinSides sides,
                           PrepareHashJoin(join, left, right, &ctx, &join_mem));
 
-  // A group key that is a bare column reference hashes through canonical
-  // key parts computed once per input row; a pair's key hash then folds the
-  // parts of its rows (HashKeyRange's hash, without rehashing every pair).
-  std::vector<std::vector<uint64_t>> key_parts(node.group_keys.size());
-  for (size_t k = 0; k < node.group_keys.size(); ++k) {
+  // Hashed grouping: a group key that is a bare column reference hashes
+  // through canonical key parts computed once per input row; a pair's key
+  // hash then folds the parts of its rows (HashKeyRange's hash, without
+  // rehashing every pair).
+  std::vector<std::vector<uint64_t>> key_parts(num_keys);
+  for (size_t k = 0; k < num_keys && dense_slots == 0; ++k) {
     const Expr& key = *node.group_keys[k];
     if (key.kind != ExprKind::kColumnRef) continue;
     const Column& col = input_column(key.bound_index);
@@ -1598,10 +1600,14 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
   const int64_t batch_pairs = 1024;
   DL2SQL_RETURN_NOT_OK(join_mem.Charge(
       batch_pairs * static_cast<int64_t>(2 * sizeof(int64_t))));
+  std::vector<int64_t> lrows, rrows;
   lrows.reserve(static_cast<size_t>(batch_pairs));
   rrows.reserve(static_cast<size_t>(batch_pairs));
+  vec::BatchArena arena;
+  double groupby_seconds = 0;
   int64_t pairs = 0;
-  // Folds the buffered pairs into the group states.
+  // Gathers the buffered pairs' columns (join work), then evaluates the
+  // keys and arguments and folds the pairs into the group states (groupby).
   auto flush = [&]() -> Status {
     const int64_t n = static_cast<int64_t>(lrows.size());
     pairs += n;
@@ -1609,29 +1615,43 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
       return Status::ResourceExhausted("join produced more than ",
                                        kMaxJoinPairs, " pairs");
     }
-    DL2SQL_RETURN_NOT_OK(eval_batch());
-    Stopwatch group_watch;
-    std::vector<const Column*> kptrs, aptrs;
-    for (const auto& c : key_cols) kptrs.push_back(c.get());
-    for (const auto& c : arg_cols) aptrs.push_back(c.get());
-    hashes.assign(static_cast<size_t>(n), vec::kKeyHashSeed);
-    for (size_t k = 0; k < key_exprs.size(); ++k) {
-      const uint64_t* parts = key_parts[k].data();
-      const int64_t* rows = nullptr;
-      if (key_parts[k].empty()) {
-        part_buf.resize(static_cast<size_t>(n));
-        vec::KeyPartHashRange(*kptrs[k], 0, n, part_buf.data());
-        parts = part_buf.data();
+    for (size_t i = 0; i < refs.size(); ++i) {
+      const int idx = refs[i];
+      if (idx < left_width) {
+        gathered[i].TakeFrom(left.column(idx), lrows.data(), n);
       } else {
-        rows = node.group_keys[k]->bound_index < left_width ? lrows.data()
-                                                            : rrows.data();
-      }
-      for (int64_t i = 0; i < n; ++i) {
-        hashes[static_cast<size_t>(i)] = vec::CombineKeyHash(
-            hashes[static_cast<size_t>(i)], parts[rows ? rows[i] : i]);
+        gathered[i].TakeFrom(right.column(idx - left_width), rrows.data(), n);
       }
     }
-    agg.Consume(kptrs, aptrs, 0, n, pairs - n, hashes.data());
+    Stopwatch group_watch;
+    arena.Reset();
+    for (Operand& op : ops) {
+      if (op.program != nullptr) {
+        DL2SQL_RETURN_NOT_OK(vec::EvalNumInto(*op.program, n, &arena, &op.out));
+      }
+    }
+    const uint64_t* key_hashes = nullptr;
+    if (dense_slots == 0 && num_keys > 0) {
+      hashes.assign(static_cast<size_t>(n), vec::kKeyHashSeed);
+      for (size_t k = 0; k < num_keys; ++k) {
+        const uint64_t* parts = key_parts[k].data();
+        const int64_t* rows = nullptr;
+        if (key_parts[k].empty()) {
+          part_buf.resize(static_cast<size_t>(n));
+          vec::KeyPartHashRange(*kptrs[k], 0, n, part_buf.data());
+          parts = part_buf.data();
+        } else {
+          rows = node.group_keys[k]->bound_index < left_width ? lrows.data()
+                                                              : rrows.data();
+        }
+        for (int64_t i = 0; i < n; ++i) {
+          hashes[static_cast<size_t>(i)] = vec::CombineKeyHash(
+              hashes[static_cast<size_t>(i)], parts[rows ? rows[i] : i]);
+        }
+      }
+      key_hashes = hashes.data();
+    }
+    agg.Consume(kptrs, aptrs, 0, n, pairs - n, key_hashes);
     ++ctx.vec_batches;
     ctx.vec_rows_in += n;
     ctx.vec_rows_selected += n;
@@ -1668,6 +1688,7 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
     stats.fused = true;
     stats.rows += pairs;
     stats.cumulative_seconds += join_seconds;
+    node_stats_[&node].dense_slots = dense_slots;
   }
   return std::optional<Table>(std::move(out));
 }

@@ -312,6 +312,9 @@ class Database {
     /// Join node whose probe matches fed its parent aggregate directly (the
     /// fused join→aggregate pass): `rows` counts pairs, none materialized.
     bool fused = false;
+    /// Aggregate node of a fused pass that grouped through dense slots
+    /// (vec::BatchAggregator::UseDenseSlots): the slot count; 0 if hashed.
+    int64_t dense_slots = 0;
   };
 
   /// Per-query tallies accumulated while a recorded statement executes,
@@ -394,10 +397,12 @@ class Database {
                                         ScopedMemCharge* scratch);
   /// Aggregate `agg` over inner equi-join `join` of resident inputs in one
   /// pass: probe matches are gathered batch by batch (only the columns the
-  /// aggregate references) and folded straight into the group states, with
-  /// no join output. nullopt, with nothing accumulated, when the aggregate
-  /// does not fit the vectorized kernels; the caller then runs the two
-  /// operators unfused.
+  /// aggregate references), keys and arguments run as compiled numeric
+  /// programs over them, and the pairs fold straight into the group states
+  /// (through dense slots when the INT64 keys' bounds allow), with no join
+  /// output. nullopt, with nothing accumulated, when the aggregate does not
+  /// fit the programs and kernels; the caller then runs the two operators
+  /// unfused.
   Result<std::optional<Table>> ExecJoinAggregate(const PlanNode& agg,
                                                  const PlanNode& join,
                                                  const Table& left,

@@ -193,7 +193,8 @@ Result<Value> EvalValueBinary(BinaryOp op, const Value& l, const Value& r) {
     DL2SQL_ASSIGN_OR_RETURN(int64_t a, l.AsInt());
     DL2SQL_ASSIGN_OR_RETURN(int64_t b, r.AsInt());
     if (b == 0) return Status::InvalidArgument("modulo by zero");
-    return Value::Int(a % b);
+    // x % -1 is 0; computing INT64_MIN % -1 traps on x86.
+    return Value::Int(b == -1 ? 0 : a % b);
   }
   if (op == BinaryOp::kDiv) {
     DL2SQL_ASSIGN_OR_RETURN(double a, l.AsDouble());
@@ -297,7 +298,7 @@ Result<ColumnHandle> FastBinary(BinaryOp op, const Column& a, const Column& b,
             case BinaryOp::kMod:
               for (int64_t i = bgn; i < end; ++i) {
                 if (xb[i] == 0) return Status::InvalidArgument("modulo by zero");
-                out[i] = xa[i] % xb[i];
+                out[i] = xb[i] == -1 ? 0 : xa[i] % xb[i];
               }
               break;
             default:
@@ -473,10 +474,27 @@ Result<ColumnHandle> EvalFuncCall(const Expr& e, const Table& input,
   }
   const int64_t n = input.num_rows();
 
+  // Typed column body (numeric builtins): one call over the argument
+  // columns when every one is NULL-free INT64 or FLOAT64.
+  if (udf->column_fn != nullptr && !args.empty() &&
+      std::all_of(args.begin(), args.end(), [](const ColumnHandle& a) {
+        return IsNumeric(a->type()) && !a->HasNulls();
+      })) {
+    std::vector<const Column*> cols;
+    for (const auto& a : args) cols.push_back(a.get());
+    DL2SQL_ASSIGN_OR_RETURN(Column typed, udf->column_fn(cols));
+    return Own(std::move(typed));
+  }
+
   Stopwatch watch;
   Column out(udf->return_type == DataType::kNull ? DataType::kFloat64
                                                  : udf->return_type);
   out.Reserve(n);
+  // The error context is built only when an append fails.
+  auto append = [&](auto&& v) -> Status {
+    Status st = out.Append(std::forward<decltype(v)>(v));
+    return st.ok() ? st : st.WithContext("result of " + e.func_name);
+  };
 
   // Vectorized body: one call per morsel (batched nUDF inference). Splitting
   // the column into morsels bounds the argument buffer to morsel_size rows
@@ -613,10 +631,7 @@ Result<ColumnHandle> EvalFuncCall(const Expr& e, const Table& input,
       }
     }
     for (auto& part : parts) {
-      for (auto& v : part) {
-        DL2SQL_RETURN_NOT_OK(
-            out.Append(std::move(v)).WithContext("result of " + e.func_name));
-      }
+      for (auto& v : part) DL2SQL_RETURN_NOT_OK(append(std::move(v)));
     }
     if (udf->is_neural) {
       double secs = 0.0;
@@ -657,8 +672,7 @@ Result<ColumnHandle> EvalFuncCall(const Expr& e, const Table& input,
       key = NudfRowKey(udf->neural.fingerprint, row, &key_buf);
       if (auto hit = row_cache->LookupAs<Value>(key)) {
         ctx->nudf_cache_hits += 1;
-        DL2SQL_RETURN_NOT_OK(
-            out.Append(*hit).WithContext("result of " + e.func_name));
+        DL2SQL_RETURN_NOT_OK(append(*hit));
         continue;
       }
     }
@@ -683,8 +697,7 @@ Result<ColumnHandle> EvalFuncCall(const Expr& e, const Table& input,
       }
       continue;
     }
-    DL2SQL_RETURN_NOT_OK(
-        out.Append(std::move(v)).WithContext("result of " + e.func_name));
+    DL2SQL_RETURN_NOT_OK(append(std::move(v)));
   }
   if (!typed && n > 0) {
     // Every row came back NULL from a function with no declared return type,

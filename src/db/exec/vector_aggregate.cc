@@ -63,8 +63,8 @@ Value AggValue(AggFunc f, const VAggSpec& spec, const VAggState& st) {
 }  // namespace
 
 bool BatchAggregator::Compile(const PlanNode& node,
-                              const std::vector<ColumnHandle>& key_cols,
-                              const std::vector<ColumnHandle>& arg_cols) {
+                              const std::vector<const Column*>& keys,
+                              const std::vector<const Column*>& args) {
   specs_.clear();
   for (size_t a = 0; a < node.agg_calls.size(); ++a) {
     const AggFunc f = node.agg_calls[a]->agg_func;
@@ -73,7 +73,7 @@ bool BatchAggregator::Compile(const PlanNode& node,
       specs_.push_back(s);
       continue;
     }
-    const Column* arg = arg_cols[a].get();
+    const Column* arg = args[a];
     // NULL-bearing arguments keep the row path's skip-NULL semantics; the
     // whole operator falls back rather than special-casing validity here.
     if (arg == nullptr || arg->HasNulls() || arg->type() == DataType::kNull) {
@@ -107,11 +107,45 @@ bool BatchAggregator::Compile(const PlanNode& node,
     specs_.push_back(s);
   }
   std::vector<DataType> key_types;
-  for (const auto& k : key_cols) key_types.push_back(k->type());
+  for (const Column* k : keys) key_types.push_back(k->type());
   table_ = KeyHashTable::ForGroups(key_types);
   first_row_.clear();
   per_agg_.assign(specs_.size(), {});
+  slot_gid_.clear();
   return true;
+}
+
+int64_t BatchAggregator::UseDenseSlots(
+    const std::vector<std::pair<int64_t, int64_t>>& bounds, int64_t input_rows,
+    ScopedMemCharge* charge) {
+  const std::vector<Column>& key_cols = table_.key_columns();
+  if (bounds.empty() || bounds.size() != key_cols.size()) return 0;
+  using Wide = unsigned __int128;
+  const Wide budget = static_cast<Wide>(std::max<int64_t>(input_rows, 0)) *
+                      kDenseSlotsPerInputRow;
+  std::vector<uint64_t> span(bounds.size());
+  Wide slots = 1;
+  for (size_t k = 0; k < bounds.size(); ++k) {
+    const auto [lo, hi] = bounds[k];
+    if (key_cols[k].type() != DataType::kInt64 || hi < lo) return 0;
+    const Wide width = static_cast<Wide>(static_cast<__int128>(hi) - lo + 1);
+    slots *= width;
+    if (slots > budget) return 0;
+    span[k] = static_cast<uint64_t>(width);
+  }
+  const int64_t num_slots = static_cast<int64_t>(slots);
+  const int64_t bytes =
+      num_slots * static_cast<int64_t>(sizeof(KeyHashTable::KeyId));
+  if (!charge->Charge(bytes).ok()) return 0;
+  slot_lo_.clear();
+  for (const auto& b : bounds) slot_lo_.push_back(b.first);
+  slot_stride_.assign(bounds.size(), 1);
+  for (size_t k = bounds.size() - 1; k-- > 0;) {
+    slot_stride_[k] = slot_stride_[k + 1] * span[k + 1];
+  }
+  slot_span_ = std::move(span);
+  slot_gid_.assign(static_cast<size_t>(num_slots), KeyHashTable::kAbsent);
+  return num_slots;
 }
 
 void BatchAggregator::SyncStates() {
@@ -158,6 +192,56 @@ void BatchAggregator::Accumulate(const std::vector<const Column*>& args,
   }
 }
 
+void BatchAggregator::FindDenseGroups(const std::vector<const Column*>& keys,
+                                      int64_t begin, int64_t end,
+                                      int64_t base) {
+  // Slot numbers key by key, column at a time. A row outside the bounds'
+  // box, or with a NULL key, gets no slot and is looked up by hash.
+  constexpr uint64_t kNoSlot = ~uint64_t{0};
+  const size_t n = static_cast<size_t>(end - begin);
+  slot_buf_.resize(n);
+  uint64_t* slot = slot_buf_.data();
+  for (size_t k = 0; k < keys.size(); ++k) {
+    const int64_t* v = keys[k]->ints().data() + begin;
+    const uint64_t lo = static_cast<uint64_t>(slot_lo_[k]);
+    const uint64_t span = slot_span_[k];
+    const uint64_t stride = slot_stride_[k];
+    if (k == 0) {
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t d = static_cast<uint64_t>(v[i]) - lo;
+        slot[i] = d < span ? d * stride : kNoSlot;
+      }
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t d = static_cast<uint64_t>(v[i]) - lo;
+        slot[i] =
+            d < span && slot[i] != kNoSlot ? slot[i] + d * stride : kNoSlot;
+      }
+    }
+    if (!keys[k]->validity().empty()) {
+      for (size_t i = 0; i < n; ++i) {
+        if (!keys[k]->IsValid(begin + static_cast<int64_t>(i))) {
+          slot[i] = kNoSlot;
+        }
+      }
+    }
+  }
+  const uint64_t num_slots = slot_gid_.size();
+  for (size_t i = 0; i < n; ++i) {
+    const bool dense = slot[i] < num_slots;
+    KeyHashTable::KeyId g = dense ? slot_gid_[slot[i]] : KeyHashTable::kAbsent;
+    if (g == KeyHashTable::kAbsent) {
+      const int64_t row = begin + static_cast<int64_t>(i);
+      g = table_.FindOrInsert(keys, row, HashKeyRow(keys, row));
+      if (dense) slot_gid_[slot[i]] = g;
+      if (static_cast<size_t>(g) == first_row_.size()) {
+        first_row_.push_back(base + row);
+      }
+    }
+    gid_buf_[i] = g;
+  }
+}
+
 void BatchAggregator::Consume(const std::vector<const Column*>& keys,
                               const std::vector<const Column*>& args,
                               int64_t begin, int64_t end, int64_t base,
@@ -167,6 +251,8 @@ void BatchAggregator::Consume(const std::vector<const Column*>& keys,
   if (keys.empty()) {
     if (first_row_.empty() && n > 0) first_row_.push_back(base + begin);
     std::fill(gid_buf_.begin(), gid_buf_.end(), 0);
+  } else if (!slot_gid_.empty()) {
+    FindDenseGroups(keys, begin, end, base);
   } else {
     if (hashes == nullptr) {
       hash_buf_.resize(static_cast<size_t>(n));
@@ -260,14 +346,14 @@ Result<bool> TryVectorAggregate(const PlanNode& node,
                                 const std::vector<ColumnHandle>& key_cols,
                                 const std::vector<ColumnHandle>& arg_cols,
                                 int64_t n, EvalContext* ctx, Table* out) {
-  BatchAggregator agg;
-  if (!agg.Compile(node, key_cols, arg_cols)) return false;
-
-  DL2SQL_TRACE_SPAN("vector", "aggregate");
   std::vector<const Column*> kptrs;
   for (const auto& c : key_cols) kptrs.push_back(c.get());
   std::vector<const Column*> aptrs;
   for (const auto& c : arg_cols) aptrs.push_back(c.get());
+  BatchAggregator agg;
+  if (!agg.Compile(node, kptrs, aptrs)) return false;
+
+  DL2SQL_TRACE_SPAN("vector", "aggregate");
 
   const int64_t m = ctx != nullptr && ctx->morsel_size > 0
                         ? ctx->morsel_size

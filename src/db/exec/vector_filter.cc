@@ -8,6 +8,7 @@
 #include "accel/thread_pool.h"
 #include "common/trace.h"
 #include "db/exec/vector_batch.h"
+#include "db/exec/vector_expr.h"
 #include "db/exec/vector_kernels.h"
 
 namespace dl2sql::db::vec {
@@ -15,21 +16,6 @@ namespace dl2sql::db::vec {
 namespace {
 
 // ------------------------------------------------------------- compile ----
-
-/// A numeric scalar sub-expression compiled to kernel form. `is_int` is the
-/// value domain the row path's FastBinary would produce (int arithmetic
-/// stays int64 with wraparound; kDiv is always float; kMod over floats is
-/// fmod), so the vectorized intermediates carry exactly the same values.
-struct CompiledNum {
-  enum class Kind : uint8_t { kColInt, kColFloat, kImmInt, kImmFloat, kBin, kNeg };
-  Kind kind = Kind::kImmFloat;
-  const Column* col = nullptr;
-  int64_t imm_i = 0;
-  double imm_f = 0;
-  BinaryOp op = BinaryOp::kAdd;
-  bool is_int = false;
-  std::unique_ptr<CompiledNum> l, r;
-};
 
 struct CompiledPred {
   enum class Kind : uint8_t {
@@ -62,78 +48,6 @@ const Column* ResolveColumn(const Expr& e, const Table& input) {
   }
   if (idx < 0 || idx >= input.num_columns()) return nullptr;
   return &input.column(idx);
-}
-
-std::unique_ptr<CompiledNum> CompileNum(const Expr& e, const Table& input) {
-  switch (e.kind) {
-    case ExprKind::kLiteral: {
-      auto out = std::make_unique<CompiledNum>();
-      if (e.literal.type() == DataType::kInt64) {
-        out->kind = CompiledNum::Kind::kImmInt;
-        out->imm_i = e.literal.int_value();
-        out->is_int = true;
-        return out;
-      }
-      if (e.literal.type() == DataType::kFloat64) {
-        out->kind = CompiledNum::Kind::kImmFloat;
-        out->imm_f = e.literal.float_value();
-        return out;
-      }
-      return nullptr;
-    }
-    case ExprKind::kColumnRef: {
-      const Column* col = ResolveColumn(e, input);
-      if (col == nullptr || col->HasNulls()) return nullptr;
-      auto out = std::make_unique<CompiledNum>();
-      out->col = col;
-      if (col->type() == DataType::kInt64) {
-        out->kind = CompiledNum::Kind::kColInt;
-        out->is_int = true;
-        return out;
-      }
-      if (col->type() == DataType::kFloat64) {
-        out->kind = CompiledNum::Kind::kColFloat;
-        return out;
-      }
-      return nullptr;
-    }
-    case ExprKind::kBinary: {
-      switch (e.bin_op) {
-        case BinaryOp::kAdd:
-        case BinaryOp::kSub:
-        case BinaryOp::kMul:
-        case BinaryOp::kDiv:
-        case BinaryOp::kMod:
-          break;
-        default:
-          return nullptr;
-      }
-      auto l = CompileNum(*e.children[0], input);
-      if (l == nullptr) return nullptr;
-      auto r = CompileNum(*e.children[1], input);
-      if (r == nullptr) return nullptr;
-      auto out = std::make_unique<CompiledNum>();
-      out->kind = CompiledNum::Kind::kBin;
-      out->op = e.bin_op;
-      out->is_int =
-          e.bin_op != BinaryOp::kDiv && l->is_int && r->is_int;
-      out->l = std::move(l);
-      out->r = std::move(r);
-      return out;
-    }
-    case ExprKind::kUnary: {
-      if (e.un_op != UnaryOp::kNeg) return nullptr;
-      auto x = CompileNum(*e.children[0], input);
-      if (x == nullptr) return nullptr;
-      auto out = std::make_unique<CompiledNum>();
-      out->kind = CompiledNum::Kind::kNeg;
-      out->is_int = x->is_int;
-      out->l = std::move(x);
-      return out;
-    }
-    default:
-      return nullptr;
-  }
 }
 
 /// Compiles a string operand: a no-null STRING column or a string literal.
@@ -199,9 +113,12 @@ std::unique_ptr<CompiledPred> CompilePred(const Expr& e, const Table& input) {
       }
       if (!IsComparison(e.bin_op)) return nullptr;
       // Numeric comparison?
-      auto a = CompileNum(*e.children[0], input);
+      const ColumnResolver resolve = [&input](const Expr& c) {
+        return ResolveColumn(c, input);
+      };
+      auto a = CompileNum(*e.children[0], resolve);
       if (a != nullptr) {
-        auto b = CompileNum(*e.children[1], input);
+        auto b = CompileNum(*e.children[1], resolve);
         if (b == nullptr) return nullptr;
         auto out = std::make_unique<CompiledPred>();
         out->kind = CompiledPred::Kind::kCmpNum;
@@ -228,48 +145,6 @@ std::unique_ptr<CompiledPred> CompilePred(const Expr& e, const Table& input) {
 }
 
 // ---------------------------------------------------------- batch eval ----
-
-Result<NumOperand> EvalNum(const CompiledNum& e, int64_t begin,
-                           const SelIndex* sel, SelIndex count,
-                           BatchArena* arena) {
-  switch (e.kind) {
-    case CompiledNum::Kind::kColInt:
-      return NumOperand::DenseInt(e.col->ints().data() + begin);
-    case CompiledNum::Kind::kColFloat:
-      return NumOperand::DenseFloat(e.col->floats().data() + begin);
-    case CompiledNum::Kind::kImmInt:
-      return NumOperand::ImmInt(e.imm_i);
-    case CompiledNum::Kind::kImmFloat:
-      return NumOperand::ImmFloat(e.imm_f);
-    case CompiledNum::Kind::kNeg: {
-      DL2SQL_ASSIGN_OR_RETURN(NumOperand x,
-                              EvalNum(*e.l, begin, sel, count, arena));
-      if (e.is_int) {
-        int64_t* out = arena->AcquireI64(count);
-        NegInt(x, sel, count, out);
-        return NumOperand::CompInt(out);
-      }
-      double* out = arena->AcquireF64(count);
-      NegFloat(x, sel, count, out);
-      return NumOperand::CompFloat(out);
-    }
-    case CompiledNum::Kind::kBin: {
-      DL2SQL_ASSIGN_OR_RETURN(NumOperand a,
-                              EvalNum(*e.l, begin, sel, count, arena));
-      DL2SQL_ASSIGN_OR_RETURN(NumOperand b,
-                              EvalNum(*e.r, begin, sel, count, arena));
-      if (e.is_int) {
-        int64_t* out = arena->AcquireI64(count);
-        DL2SQL_RETURN_NOT_OK(ArithInt(e.op, a, b, sel, count, out));
-        return NumOperand::CompInt(out);
-      }
-      double* out = arena->AcquireF64(count);
-      DL2SQL_RETURN_NOT_OK(ArithFloat(e.op, a, b, sel, count, out));
-      return NumOperand::CompFloat(out);
-    }
-  }
-  return Status::InternalError("unhandled compiled numeric kind");
-}
 
 Result<SelIndex> RefinePred(const CompiledPred& p, int64_t begin,
                             const SelIndex* sel, SelIndex count,

@@ -163,76 +163,130 @@ SelIndex SelDifference(const SelIndex* sel, SelIndex count,
   return m;
 }
 
+namespace {
+
+/// Calls f with a reader (slot, row) -> int64 of `a`, so the operand kind
+/// is dispatched once per call rather than once per element.
+template <typename F>
+Status WithIntReader(const NumOperand& a, F f) {
+  using K = NumOperand::Kind;
+  const int64_t* p = a.i64;
+  switch (a.kind) {
+    case K::kDenseInt:
+      return f([p](SelIndex, SelIndex r) { return p[r]; });
+    case K::kCompInt:
+      return f([p](SelIndex k, SelIndex) { return p[k]; });
+    case K::kImmInt: {
+      const int64_t v = a.imm_i;
+      return f([v](SelIndex, SelIndex) { return v; });
+    }
+    default:
+      return f([&a](SelIndex k, SelIndex r) { return a.AtInt(k, r); });
+  }
+}
+
+/// Calls f with a reader (slot, row) -> double of `a` (NumOperand::At's
+/// conversions), dispatching the operand kind once per call.
+template <typename F>
+Status WithFloatReader(const NumOperand& a, F f) {
+  using K = NumOperand::Kind;
+  const int64_t* pi = a.i64;
+  const double* pf = a.f64;
+  switch (a.kind) {
+    case K::kDenseInt:
+      return f(
+          [pi](SelIndex, SelIndex r) { return static_cast<double>(pi[r]); });
+    case K::kDenseFloat:
+      return f([pf](SelIndex, SelIndex r) { return pf[r]; });
+    case K::kCompInt:
+      return f(
+          [pi](SelIndex k, SelIndex) { return static_cast<double>(pi[k]); });
+    case K::kCompFloat:
+      return f([pf](SelIndex k, SelIndex) { return pf[k]; });
+    case K::kImmInt: {
+      const double v = static_cast<double>(a.imm_i);
+      return f([v](SelIndex, SelIndex) { return v; });
+    }
+    case K::kImmFloat: {
+      const double v = a.imm_f;
+      return f([v](SelIndex, SelIndex) { return v; });
+    }
+  }
+  return Status::InternalError("unhandled numeric operand kind");
+}
+
+}  // namespace
+
 Status ArithInt(BinaryOp op, const NumOperand& a, const NumOperand& b,
                 const SelIndex* sel, SelIndex count, int64_t* out) {
-  switch (op) {
-    case BinaryOp::kAdd:
-      for (SelIndex k = 0; k < count; ++k) {
-        const SelIndex r = sel[k];
-        out[k] = a.AtInt(k, r) + b.AtInt(k, r);
+  return WithIntReader(a, [&](auto x) {
+    return WithIntReader(b, [&](auto y) -> Status {
+      switch (op) {
+        case BinaryOp::kAdd:
+          for (SelIndex k = 0; k < count; ++k) {
+            out[k] = x(k, sel[k]) + y(k, sel[k]);
+          }
+          return Status::OK();
+        case BinaryOp::kSub:
+          for (SelIndex k = 0; k < count; ++k) {
+            out[k] = x(k, sel[k]) - y(k, sel[k]);
+          }
+          return Status::OK();
+        case BinaryOp::kMul:
+          for (SelIndex k = 0; k < count; ++k) {
+            out[k] = x(k, sel[k]) * y(k, sel[k]);
+          }
+          return Status::OK();
+        case BinaryOp::kMod:
+          for (SelIndex k = 0; k < count; ++k) {
+            const int64_t d = y(k, sel[k]);
+            if (d == 0) return Status::InvalidArgument("modulo by zero");
+            // x % -1 is 0; computing INT64_MIN % -1 traps on x86.
+            out[k] = d == -1 ? 0 : x(k, sel[k]) % d;
+          }
+          return Status::OK();
+        default:
+          return Status::InternalError("unhandled int binary op");
       }
-      return Status::OK();
-    case BinaryOp::kSub:
-      for (SelIndex k = 0; k < count; ++k) {
-        const SelIndex r = sel[k];
-        out[k] = a.AtInt(k, r) - b.AtInt(k, r);
-      }
-      return Status::OK();
-    case BinaryOp::kMul:
-      for (SelIndex k = 0; k < count; ++k) {
-        const SelIndex r = sel[k];
-        out[k] = a.AtInt(k, r) * b.AtInt(k, r);
-      }
-      return Status::OK();
-    case BinaryOp::kMod:
-      for (SelIndex k = 0; k < count; ++k) {
-        const SelIndex r = sel[k];
-        const int64_t d = b.AtInt(k, r);
-        if (d == 0) return Status::InvalidArgument("modulo by zero");
-        out[k] = a.AtInt(k, r) % d;
-      }
-      return Status::OK();
-    default:
-      return Status::InternalError("unhandled int binary op");
-  }
+    });
+  });
 }
 
 Status ArithFloat(BinaryOp op, const NumOperand& a, const NumOperand& b,
                   const SelIndex* sel, SelIndex count, double* out) {
-  switch (op) {
-    case BinaryOp::kAdd:
-      for (SelIndex k = 0; k < count; ++k) {
-        const SelIndex r = sel[k];
-        out[k] = a.At(k, r) + b.At(k, r);
+  return WithFloatReader(a, [&](auto x) {
+    return WithFloatReader(b, [&](auto y) -> Status {
+      switch (op) {
+        case BinaryOp::kAdd:
+          for (SelIndex k = 0; k < count; ++k) {
+            out[k] = x(k, sel[k]) + y(k, sel[k]);
+          }
+          return Status::OK();
+        case BinaryOp::kSub:
+          for (SelIndex k = 0; k < count; ++k) {
+            out[k] = x(k, sel[k]) - y(k, sel[k]);
+          }
+          return Status::OK();
+        case BinaryOp::kMul:
+          for (SelIndex k = 0; k < count; ++k) {
+            out[k] = x(k, sel[k]) * y(k, sel[k]);
+          }
+          return Status::OK();
+        case BinaryOp::kDiv:
+          for (SelIndex k = 0; k < count; ++k) {
+            out[k] = x(k, sel[k]) / y(k, sel[k]);
+          }
+          return Status::OK();
+        case BinaryOp::kMod:
+          for (SelIndex k = 0; k < count; ++k) {
+            out[k] = std::fmod(x(k, sel[k]), y(k, sel[k]));
+          }
+          return Status::OK();
+        default:
+          return Status::InternalError("unhandled float binary op");
       }
-      return Status::OK();
-    case BinaryOp::kSub:
-      for (SelIndex k = 0; k < count; ++k) {
-        const SelIndex r = sel[k];
-        out[k] = a.At(k, r) - b.At(k, r);
-      }
-      return Status::OK();
-    case BinaryOp::kMul:
-      for (SelIndex k = 0; k < count; ++k) {
-        const SelIndex r = sel[k];
-        out[k] = a.At(k, r) * b.At(k, r);
-      }
-      return Status::OK();
-    case BinaryOp::kDiv:
-      for (SelIndex k = 0; k < count; ++k) {
-        const SelIndex r = sel[k];
-        out[k] = a.At(k, r) / b.At(k, r);
-      }
-      return Status::OK();
-    case BinaryOp::kMod:
-      for (SelIndex k = 0; k < count; ++k) {
-        const SelIndex r = sel[k];
-        out[k] = std::fmod(a.At(k, r), b.At(k, r));
-      }
-      return Status::OK();
-    default:
-      return Status::InternalError("unhandled float binary op");
-  }
+    });
+  });
 }
 
 void NegInt(const NumOperand& a, const SelIndex* sel, SelIndex count,

@@ -22,12 +22,21 @@
 #include <vector>
 
 #include "common/result.h"
+#include "db/column.h"
 #include "db/value.h"
 
 namespace dl2sql::db {
 
 /// Body of a scalar function: values in, value out.
 using ScalarFn = std::function<Result<Value>(const std::vector<Value>&)>;
+
+/// Optional typed column body of a numeric builtin: one call over whole
+/// argument columns, each INT64 or FLOAT64, NULL-free and of equal length.
+/// It returns exactly the column the row body's results would fill (same
+/// type, values and first error); the evaluator runs it when the arguments
+/// qualify and the row body otherwise.
+using ColumnFn =
+    std::function<Result<Column>(const std::vector<const Column*>&)>;
 
 /// Optional vectorized body: one call for a whole column of rows (outer
 /// vector = rows, inner = arguments). The evaluator prefers this when
@@ -73,6 +82,9 @@ struct ScalarUdf {
   /// When set, the evaluator calls this once per column instead of fn once
   /// per row (batched nUDF inference).
   BatchFn batch_fn;
+  /// Typed column body (numeric builtins); a function registered without
+  /// one, re-registrations of a builtin's name included, runs per row.
+  ColumnFn column_fn;
   bool is_neural = false;
   NUdfInfo neural;  ///< meaningful only when is_neural
   /// True when `batch_fn` may be invoked concurrently from several pool

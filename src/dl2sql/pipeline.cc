@@ -13,11 +13,14 @@ void PipelineRunStats::Merge(const PipelineRunStats& other) {
   load_seconds += other.load_seconds;
   infer_seconds += other.infer_seconds;
   clause_costs.Merge(other.clause_costs);
-  if (per_op.empty()) {
-    per_op = other.per_op;
-  } else if (per_op.size() == other.per_op.size()) {
-    for (size_t i = 0; i < per_op.size(); ++i) {
-      per_op[i].seconds += other.per_op[i].seconds;
+  for (const OpTime& op : other.per_op) {
+    auto it = std::find_if(per_op.begin(), per_op.end(), [&](const OpTime& o) {
+      return o.label == op.label && o.kind == op.kind;
+    });
+    if (it != per_op.end()) {
+      it->seconds += op.seconds;
+    } else {
+      per_op.push_back(op);
     }
   }
 }

@@ -27,9 +27,9 @@ struct PipelineRunStats {
   CostAccumulator clause_costs;
 
   /// Adds `other` (a later run) into this profile: seconds and clause buckets
-  /// sum; per-op seconds sum element-wise when both runs profile the same op
-  /// sequence, an empty per_op takes `other`'s, and a different model's ops
-  /// are left out of it.
+  /// sum, and each of other's ops adds its seconds to this profile's op of
+  /// the same (label, kind), or is appended when there is none, so runs of
+  /// different models keep every op under its own kind.
   void Merge(const PipelineRunStats& other);
 };
 
@@ -42,9 +42,9 @@ class Dl2SqlRunner {
   /// Rows the widest intermediate table of one batched pipeline run may
   /// hold. bench/ablation_batching, fig8 repository model (3x16x16
   /// keyframes, widest table 1,728 rows per image), 128 keyframes, five runs
-  /// on a shared 4-vCPU VM, ms per image: per-image pipeline 2.3-2.9; runs
-  /// of 1 image 3.0-3.5, 8: 1.5-1.7, 16: 1.2-1.7, 32: 1.2-1.5, 64: 1.2-1.5,
-  /// all 128: 1.2-1.4; this budget's 37: 1.0-1.5. The gain flattens past 16
+  /// on a shared 4-vCPU VM, ms per image: per-image pipeline 1.3-1.8; runs
+  /// of 1 image 1.4-2.2, 8: 0.5-0.9, 16: 0.5-0.8, 32: 0.5-0.8, 64: 0.5-0.8,
+  /// all 128: 0.5-0.8; this budget's 37: 0.4-0.7. The gain flattens past 16
   /// images; the bound keeps a larger model's tables, and the hash tables
   /// built over them, from growing with the morsel.
   static constexpr int64_t kSubBatchRowBudget = 1 << 16;

@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "common/metrics.h"
 #include "db/database.h"
 #include "db/exec/hash_table.h"
+#include "db/exec/vector_aggregate.h"
 #include "db/exec/vector_kernels.h"
 #include "db/sql/parser.h"
 #include "db/storage/storage_engine.h"
@@ -350,6 +352,123 @@ void RunChecked(Database* db, const std::string& sql, int* sites) {
   }
   auto r = db->Execute(sql);
   ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+}
+
+// ----------------------------------------- fused grouping paths vs oracle ----
+
+/// Registers `fact` (210 rows) and `dim` (14 rows), joined on k, for the
+/// grouping-path cases: g holds negative keys, big spans far more values
+/// than the inputs have rows, f is FLOAT, n is INT with NULLs. Storage is
+/// pinned in memory (the fused pass takes resident inputs only), so the
+/// cases hold in a paged-storage CI leg too.
+void AddFactAndDim(Database* db) {
+  ASSERT_TRUE(db->set_storage_mode(StorageMode::kInMemory).ok());
+  std::vector<std::vector<Value>> fact, dim;
+  for (int64_t i = 0; i < 210; ++i) {
+    fact.push_back({Value::Int(i % 7), Value::Int(-(i % 5) - 3),
+                    Value::Int(i % 4), Value::Int(i * 1000003),
+                    Value::Float(static_cast<double>(i % 3) * 0.5),
+                    i % 6 == 0 ? Value::Null() : Value::Int(i % 3),
+                    Value::Float(static_cast<double>(i) * 0.25 - 10.0)});
+  }
+  for (int64_t j = 0; j < 14; ++j) {
+    dim.push_back({Value::Int(j % 7), Value::Int(j - 5),
+                   Value::Float(static_cast<double>(j) * 0.5)});
+  }
+  AddTable(db, "fact", fact,
+           TableSchema({{"k", DataType::kInt64},
+                        {"g", DataType::kInt64},
+                        {"h", DataType::kInt64},
+                        {"big", DataType::kInt64},
+                        {"f", DataType::kFloat64},
+                        {"n", DataType::kInt64},
+                        {"v", DataType::kFloat64}}));
+  AddTable(db, "dim", dim,
+           TableSchema({{"k", DataType::kInt64},
+                        {"w", DataType::kInt64},
+                        {"wf", DataType::kFloat64}}));
+}
+
+/// The `[dense slots=N]` mark of `sql`'s EXPLAIN ANALYZE, or "" when the
+/// fused aggregate grouped by hash.
+std::string DenseMark(Database* db, const std::string& sql) {
+  auto text = db->ExplainAnalyze(sql);
+  EXPECT_TRUE(text.ok()) << sql << ": " << text.status().ToString();
+  if (!text.ok()) return "";
+  EXPECT_NE(text->find("[fused into parent Aggregate]"), std::string::npos)
+      << *text;
+  const size_t at = text->find("[dense slots=");
+  if (at == std::string::npos) return "";
+  return text->substr(at, text->find(']', at) - at + 1);
+}
+
+TEST_F(JoinSqlTest, DenseSlotsGroupNegativeAndComputedKeysLikeTheOracle) {
+  db_.set_vectorized(true);  // explicit: survives a DL2SQL_VECTOR=OFF CI leg
+  AddFactAndDim(&db_);
+  // g spans [-7, -3] (5 values) and w spans [-5, 8] (14): 70 slots, within
+  // two per input row of the 224 join-input rows.
+  const std::string negative =
+      "SELECT F.g AS g, D.w AS w, sum(F.v * D.wf) AS s FROM fact F "
+      "INNER JOIN dim D ON F.k = D.k GROUP BY F.g, D.w";
+  // h - w spans [0 - 8, 3 + 5]: 17 slots by interval arithmetic.
+  const std::string subtraction =
+      "SELECT F.h - D.w AS d, count(*) AS c, sum(D.wf) AS s FROM fact F "
+      "INNER JOIN dim D ON F.k = D.k GROUP BY F.h - D.w";
+  const std::string aggregates =
+      "SELECT F.g AS g, count(*) AS c, min(F.v) AS lo, max(D.w) AS hi, "
+      "avg(F.v + D.wf) AS m, min(F.h * 2) AS hl FROM fact F INNER JOIN dim D "
+      "ON F.k = D.k GROUP BY F.g";
+  EXPECT_EQ(DenseMark(&db_, negative), "[dense slots=70]");
+  EXPECT_EQ(DenseMark(&db_, subtraction), "[dense slots=17]");
+  EXPECT_EQ(DenseMark(&db_, aggregates), "[dense slots=5]");
+  int sites = 0;
+  for (const auto& sql : {negative, subtraction, aggregates}) {
+    RunChecked(&db_, sql, &sites);
+  }
+  EXPECT_EQ(sites, 3);
+}
+
+TEST_F(JoinSqlTest, HashedGroupingCoversWideFloatAndNullKeysLikeTheOracle) {
+  db_.set_vectorized(true);
+  AddFactAndDim(&db_);
+  const std::vector<std::string> queries = {
+      // big spans ~2e8 values over 224 input rows: over the slot budget.
+      "SELECT F.big AS b, sum(D.wf) AS s, max(F.v) AS hi FROM fact F "
+      "INNER JOIN dim D ON F.k = D.k GROUP BY F.big",
+      "SELECT F.f AS f, count(*) AS c, avg(D.w) AS m FROM fact F "
+      "INNER JOIN dim D ON F.k = D.k GROUP BY F.f",
+      "SELECT F.n AS n, D.w AS w, min(F.v) AS lo, count(*) AS c FROM fact F "
+      "INNER JOIN dim D ON F.k = D.k GROUP BY F.n, D.w"};
+  int sites = 0;
+  for (const auto& sql : queries) {
+    EXPECT_EQ(DenseMark(&db_, sql), "") << sql;
+    RunChecked(&db_, sql, &sites);
+  }
+  EXPECT_EQ(sites, 3);
+}
+
+TEST(DenseSlotsTest, BudgetAndRefusedChargeKeepGroupingHashed) {
+  // Forced on: a DL2SQL_MEM_TRACKER=OFF CI leg would admit every charge.
+  const bool prior = MemTracker::Enabled();
+  MemTracker::SetEnabled(true);
+  PlanNode node;  // no aggregates: Compile reads only the key types here
+  node.kind = PlanKind::kAggregate;
+  const Column keys = Column::Ints({3, -2, 3});
+  vec::BatchAggregator agg;
+  ASSERT_TRUE(agg.Compile(node, {&keys}, {}));
+  const std::vector<std::pair<int64_t, int64_t>> bounds = {{-2, 3}};
+  // Six slots of 4 bytes: a 16-byte limit refuses them, charging nothing.
+  MemTracker tight("tight", nullptr, 16);
+  ScopedMemCharge refused(&tight);
+  EXPECT_EQ(agg.UseDenseSlots(bounds, 3, &refused), 0);
+  EXPECT_EQ(refused.charged(), 0);
+  // Six slots over two input rows exceed two slots a row.
+  MemTracker roomy("roomy");
+  ScopedMemCharge admitted(&roomy);
+  EXPECT_EQ(agg.UseDenseSlots(bounds, 2, &admitted), 0);
+  EXPECT_EQ(agg.UseDenseSlots(bounds, 3, &admitted), 6);
+  EXPECT_EQ(admitted.charged(), 24);
+  MemTracker::SetEnabled(prior);
 }
 
 struct PipelineCase {

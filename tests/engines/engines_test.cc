@@ -4,6 +4,9 @@
 /// type — they differ only in *where* the work happens.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "common/metrics.h"
 #include "workload/testbed.h"
 
@@ -215,6 +218,68 @@ TEST(Dl2SqlDeploymentTest, QueryDeploysOnlyTheModelsItCalls) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(deployments->value() - before, 1) << name;
   }
+}
+
+TEST(Dl2SqlDeploymentTest, MixedArchitecturesKeepEveryOpInTheProfile) {
+  // One DL2SQL-OP query calls a student-CNN nUDF and a ResNet-4 nUDF: the
+  // merged profile holds every (label, kind) of both converted models once,
+  // so the Fig. 9 split counts each model's ops under their own kinds.
+  db::Database master;
+  DatasetOptions d;
+  d.video_rows = 120;
+  d.keyframe_size = 8;
+  ASSERT_TRUE(PopulateDatabase(&master, d).ok());
+  auto device = Device::Create(DeviceKind::kEdgeCpu);
+  engines::Dl2SqlEngine::Options o;
+  o.enable_optimizer_hints = true;
+  engines::Dl2SqlEngine engine(device, o);
+  ASSERT_TRUE(engine.AttachTablesFrom(master).ok());
+  TestbedOptions opts;
+  opts.dataset = d;
+  opts.model_base_channels = 2;
+  const nn::Model student = BuildRepositoryModel(opts, 2, 5);
+  opts.resnet_depth = 4;
+  const nn::Model resnet = BuildRepositoryModel(opts, 10, 6);
+
+  std::set<std::pair<std::string, nn::LayerKind>> expected;
+  for (const nn::Model* m : {&student, &resnet}) {
+    db::Database scratch;
+    core::ConvertOptions copts;
+    copts.batched = true;
+    auto converted = core::ConvertModel(*m, copts, &scratch);
+    ASSERT_TRUE(converted.ok()) << converted.status().ToString();
+    for (const auto& op : converted->ops) {
+      expected.emplace(op.layer_name, op.kind);
+    }
+  }
+
+  engines::ModelDeployment detect;
+  detect.udf_name = "nUDF_detect";
+  detect.output = engines::NUdfOutput::kBool;
+  ASSERT_TRUE(engine.DeployModel(student, detect).ok());
+  engines::ModelDeployment classify;
+  classify.udf_name = "nUDF_classify";
+  classify.output = engines::NUdfOutput::kLabel;
+  ASSERT_TRUE(engine.DeployModel(resnet, classify).ok());
+
+  // Both predicates sit on the same keyframe column with no relational
+  // filter in front, so each nUDF scores every row.
+  const QueryParams p;
+  const std::string sql =
+      "SELECT count(*) FROM video V WHERE " + p.detect_udf +
+      "(V.keyframe) = TRUE OR " + p.classify_udf + "(V.keyframe) = 'class_1'";
+  QueryCost cost;
+  auto r = engine.ExecuteCollaborative(sql, &cost);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+
+  const core::PipelineRunStats& stats = engine.last_pipeline_stats();
+  std::set<std::pair<std::string, nn::LayerKind>> seen;
+  for (const auto& op : stats.per_op) {
+    EXPECT_TRUE(seen.emplace(op.label, op.kind).second)
+        << "op listed twice: " << op.label;
+    EXPECT_GE(op.seconds, 0.0);
+  }
+  EXPECT_EQ(seen, expected);
 }
 
 TEST_F(EnginesTest, SymmetricHashJoinKicksIn) {

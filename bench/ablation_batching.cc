@@ -2,12 +2,15 @@
 /// \brief Ablation: how many keyframes one batched DL2SQL pipeline run should
 /// take. Sweeps fixed sub-batch sizes, the whole batch in one run and the
 /// runner's automatic size (Dl2SqlRunner::sub_batch_size) against the
-/// per-image pipeline on the fig8 repository model, and checks that every
-/// mode predicts the per-image classes. Batching amortizes per-statement
+/// per-image pipeline on the fig8 repository model, in the paper's Q1-Q5
+/// form (DL2SQL) and pre-joined with BN folded (DL2SQL-OP), and checks that
+/// every mode of both predicts the per-image classes. Batching amortizes per-statement
 /// parse/plan/materialization, the motivation the paper gives for running
 /// nUDFs "in a batch manner"; too large a batch makes every intermediate
 /// table (and its hash tables) outgrow the caches.
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "bench/bench_util.h"
 #include "dl2sql/pipeline.h"
@@ -76,48 +79,57 @@ int main() {
     }
   });
 
-  db::Database db;
-  core::ConvertOptions copts;
-  copts.batched = true;
-  auto converted = core::ConvertModel(model, copts, &db);
-  BENCH_CHECK_OK(converted.status());
-  core::Dl2SqlRunner runner(&db, std::move(converted).ValueOrDie());
-  const int64_t widest = runner.model().WidestTableRows();
-  BENCH_CHECK_OK(runner.InferSubBatch({inputs[0]}).status());  // warm-up
+  // The batched pipeline in the paper's Q1-Q5 form (DL2SQL) and pre-joined
+  // with BN folded (DL2SQL-OP, Fig. 11's prejoin-full).
+  const std::pair<const char*, core::PreJoinStrategy> strategies[] = {
+      {"Q1-Q5", core::PreJoinStrategy::kNone},
+      {"prejoin-full", core::PreJoinStrategy::kPreJoinFull}};
+  for (const auto& [label, prejoin] : strategies) {
+    db::Database db;
+    core::ConvertOptions copts;
+    copts.batched = true;
+    copts.prejoin = prejoin;
+    auto converted = core::ConvertModel(model, copts, &db);
+    BENCH_CHECK_OK(converted.status());
+    core::Dl2SqlRunner runner(&db, std::move(converted).ValueOrDie());
+    const int64_t widest = runner.model().WidestTableRows();
+    BENCH_CHECK_OK(runner.InferSubBatch({inputs[0]}).status());  // warm-up
 
-  PrintHeader("Ablation: keyframes per batched DL2SQL pipeline run (" +
-                  std::to_string(images) + " keyframes, widest table " +
-                  std::to_string(widest) + " rows per image, budget " +
-                  std::to_string(core::Dl2SqlRunner::kSubBatchRowBudget) +
-                  " rows)",
-              {"Mode", "SubBatch", "Runs", "Total(ms)", "PerImage(ms)"});
-  PrintRow("per-image", 1, images, per_image_seconds, images);
+    PrintHeader("Ablation: keyframes per batched DL2SQL pipeline run, " +
+                    std::string(label) + " (" + std::to_string(images) +
+                    " keyframes, widest table " + std::to_string(widest) +
+                    " rows per image, budget " +
+                    std::to_string(core::Dl2SqlRunner::kSubBatchRowBudget) +
+                    " rows)",
+                {"Mode", "SubBatch", "Runs", "Total(ms)", "PerImage(ms)"});
+    PrintRow("per-image", 1, images, per_image_seconds, images);
 
-  for (int64_t size : {int64_t{1}, int64_t{8}, int64_t{16}, int64_t{32},
-                       int64_t{64}, images}) {
-    const double seconds = MinSeconds(reps, [&] {
-      for (int64_t begin = 0; begin < images; begin += size) {
-        const int64_t end = std::min(images, begin + size);
-        auto out = runner.InferSubBatch(
-            {inputs.begin() + begin, inputs.begin() + end});
-        BENCH_CHECK_OK(out.status());
-        for (int64_t i = begin; i < end; ++i) {
-          BENCH_CHECK(Argmax((*out)[static_cast<size_t>(i - begin)]) ==
-                      expected[static_cast<size_t>(i)]);
+    for (int64_t size : {int64_t{1}, int64_t{8}, int64_t{16}, int64_t{32},
+                         int64_t{64}, images}) {
+      const double seconds = MinSeconds(reps, [&] {
+        for (int64_t begin = 0; begin < images; begin += size) {
+          const int64_t end = std::min(images, begin + size);
+          auto out = runner.InferSubBatch(
+              {inputs.begin() + begin, inputs.begin() + end});
+          BENCH_CHECK_OK(out.status());
+          for (int64_t i = begin; i < end; ++i) {
+            BENCH_CHECK(Argmax((*out)[static_cast<size_t>(i - begin)]) ==
+                        expected[static_cast<size_t>(i)]);
+          }
         }
-      }
-    });
-    PrintRow(size == images ? "whole batch" : "fixed", size,
-             (images + size - 1) / size, seconds, images);
-  }
+      });
+      PrintRow(size == images ? "whole batch" : "fixed", size,
+               (images + size - 1) / size, seconds, images);
+    }
 
-  const int64_t auto_size = runner.sub_batch_size();
-  const double auto_seconds = MinSeconds(reps, [&] {
-    auto preds = runner.PredictBatch(inputs);
-    BENCH_CHECK_OK(preds.status());
-    BENCH_CHECK(*preds == expected);
-  });
-  PrintRow("automatic", auto_size, (images + auto_size - 1) / auto_size,
-           auto_seconds, images);
+    const int64_t auto_size = runner.sub_batch_size();
+    const double auto_seconds = MinSeconds(reps, [&] {
+      auto preds = runner.PredictBatch(inputs);
+      BENCH_CHECK_OK(preds.status());
+      BENCH_CHECK(*preds == expected);
+    });
+    PrintRow("automatic", auto_size, (images + auto_size - 1) / auto_size,
+             auto_seconds, images);
+  }
   return 0;
 }

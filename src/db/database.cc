@@ -568,12 +568,14 @@ Result<Table> Database::ExecuteSelect(const SelectStmt& stmt) {
   }
 
   const uint64_t key = PlanCacheKey(stmt);
+  std::shared_ptr<const CachedPlan> hit;
   {
+    // The span covers the probe only; a hit's plan executes after it.
     DL2SQL_TRACE_SPAN("cache", "plan_probe");
     // A stale entry (DDL/DML bumped a referenced relation, or the cost
     // model was swapped) is dropped and counted as a miss; planning falls
     // through to a fresh plan.
-    auto hit = plan_cache_->LookupFreshAs<CachedPlan>(
+    hit = plan_cache_->LookupFreshAs<CachedPlan>(
         key, [this](const CachedPlan& cached) {
           if (cached.cost_model != opt_options_.cost_model) return false;
           for (const auto& [name, version] : cached.deps) {
@@ -581,11 +583,11 @@ Result<Table> Database::ExecuteSelect(const SelectStmt& stmt) {
           }
           return true;
         });
-    if (hit != nullptr) {
-      if (QueryTally* tally = tls_tally_) tally->plan_cache_hit = true;
-      SetLastPlan(hit->plan);
-      return ExecRoot(*hit->plan);
-    }
+  }
+  if (hit != nullptr) {
+    if (QueryTally* tally = tls_tally_) tally->plan_cache_hit = true;
+    SetLastPlan(hit->plan);
+    return ExecRoot(*hit->plan);
   }
 
   std::vector<std::string> referenced;
@@ -1479,7 +1481,13 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
     return idx < left_width ? left.column(idx)
                             : right.column(idx - left_width);
   };
-  // Each batch of pairs gathers the input columns the aggregate references
+  // A batch of join pairs: pair i is row lrows[i] of the left input and row
+  // rrows[i] of the right one.
+  std::vector<int64_t> lrows, rrows;
+
+  // Group keys and aggregate arguments read bare input columns in place,
+  // through the row ids. Only the columns a compiled program reads (and,
+  // when grouping is hashed, the key columns) are gathered, batch by batch,
   // into buffers reused from batch to batch.
   std::vector<int> refs;
   for (const auto& k : node.group_keys) CollectColumnRefs(*k, &refs);
@@ -1498,30 +1506,35 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
     buffer_of[static_cast<size_t>(refs[i])] = static_cast<int>(i);
     gathered.emplace_back(input_column(refs[i]).type());
   }
+  std::vector<uint8_t> gather(refs.size(), 0);  // buffers each batch fills
+  auto buffer = [&](const Expr& c) -> const Column* {
+    const size_t i =
+        static_cast<size_t>(buffer_of[static_cast<size_t>(c.bound_index)]);
+    gather[i] = 1;
+    return &gathered[i];
+  };
 
-  // A group key or aggregate argument reads its gathered column when it is
-  // a bare column reference and runs a compiled numeric program otherwise.
   // Batch and whole-table evaluation agree value for value and type for
   // type only over NULL-free operands (a NULL operand turns an arithmetic
   // result FLOAT64), and the aggregate kernels refuse NULL arguments; so
   // only a bare column group key may hold NULLs.
-  struct Operand {
-    const Column* col = nullptr;  // nullptr for COUNT(*)
-    std::unique_ptr<vec::CompiledNum> program;
-    Column out;
-  };
-  auto buffer = [&](const Expr& c) -> const Column* {
-    return &gathered[static_cast<size_t>(
-        buffer_of[static_cast<size_t>(c.bound_index)])];
-  };
   const vec::ColumnResolver resolve = [&](const Expr& c) -> const Column* {
     return input_column(c.bound_index).HasNulls() ? nullptr : buffer(c);
   };
-  auto prepare = [&](const Expr& e, bool nulls_ok, Operand* op) {
-    if (e.kind == ExprKind::kColumnRef) {
-      op->col = nulls_ok ? buffer(e) : resolve(e);
-      return op->col != nullptr;
-    }
+  // An operand as a batch reads it: an input column through `rows`, or,
+  // when `rows` is null, a batch-length column (a compiled program's output
+  // or a gathered key).
+  struct Operand {
+    const Column* col = nullptr;  // nullptr: no operand (COUNT(*), no factor)
+    const std::vector<int64_t>* rows = nullptr;
+    std::unique_ptr<vec::CompiledNum> program;
+    Column out;
+  };
+  auto bare = [&](const Expr& c, Operand* op) {
+    op->col = &input_column(c.bound_index);
+    op->rows = c.bound_index < left_width ? &lrows : &rrows;
+  };
+  auto compile = [&](const Expr& e, Operand* op) {
     op->program = vec::CompileNum(e, resolve);
     if (op->program == nullptr) return false;
     op->out = Column(op->program->is_int ? DataType::kInt64
@@ -1530,25 +1543,50 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
     return true;
   };
   const size_t num_keys = node.group_keys.size();
-  std::vector<Operand> ops(num_keys + node.agg_calls.size());
+  const size_t num_aggs = node.agg_calls.size();
+  // factors[a] is set when argument a is a product the sum kernels take as
+  // two bare columns (BatchAggregator::Compile checks their types).
+  std::vector<Operand> keys(num_keys), args(num_aggs), factors(num_aggs);
   for (size_t k = 0; k < num_keys; ++k) {
-    if (!prepare(*node.group_keys[k], /*nulls_ok=*/true, &ops[k])) {
+    const Expr& e = *node.group_keys[k];
+    if (e.kind == ExprKind::kColumnRef) {
+      bare(e, &keys[k]);
+    } else if (!compile(e, &keys[k])) {
       return std::optional<Table>();
     }
   }
-  for (size_t a = 0; a < node.agg_calls.size(); ++a) {
+  for (size_t a = 0; a < num_aggs; ++a) {
     const Expr& call = *node.agg_calls[a];
-    if (call.agg_func != AggFunc::kCountStar &&
-        !prepare(*call.children[0], /*nulls_ok=*/false, &ops[num_keys + a])) {
+    if (call.agg_func == AggFunc::kCountStar) continue;
+    const Expr& e = *call.children[0];
+    const bool sums = call.agg_func == AggFunc::kSum ||
+                      call.agg_func == AggFunc::kAvg ||
+                      call.agg_func == AggFunc::kStddevSamp;
+    if (e.kind == ExprKind::kColumnRef) {
+      bare(e, &args[a]);
+    } else if (sums && e.kind == ExprKind::kBinary &&
+               e.bin_op == BinaryOp::kMul &&
+               e.children[0]->kind == ExprKind::kColumnRef &&
+               e.children[1]->kind == ExprKind::kColumnRef) {
+      bare(*e.children[0], &args[a]);
+      bare(*e.children[1], &factors[a]);
+    } else if (!compile(e, &args[a])) {
       return std::optional<Table>();
     }
   }
-  std::vector<const Column*> kptrs, aptrs;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    (i < num_keys ? kptrs : aptrs).push_back(ops[i].col);
+  auto read = [](const Operand& op) {
+    return vec::ColumnRead{op.col,
+                           op.rows != nullptr ? op.rows->data() : nullptr};
+  };
+  std::vector<const Column*> key_cols;
+  for (const Operand& k : keys) key_cols.push_back(k.col);
+  std::vector<vec::ColumnRead> kreads(num_keys);
+  std::vector<vec::ArgRead> areads(num_aggs);
+  for (size_t a = 0; a < num_aggs; ++a) {
+    areads[a] = {read(args[a]), read(factors[a])};
   }
   vec::BatchAggregator agg;
-  if (!agg.Compile(node, kptrs, aptrs)) return std::optional<Table>();
+  if (!agg.Compile(node, key_cols, areads)) return std::optional<Table>();
 
   Stopwatch watch;
   EvalContext ctx = MakeEvalContext();
@@ -1558,7 +1596,9 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
   // Dense slots when every group key is an INT64 program over NULL-free
   // columns whose value bounds (input min/max through interval arithmetic)
   // are narrow enough; the generated conv, pool and FC statements group on
-  // (BatchID, output id), whose box is the statement's output size.
+  // (BatchID, output id), whose box is the statement's output size. The
+  // bounds hold for every row of the inputs, so every pair's keys lie in
+  // the box, and a NULL-bearing column compiles to no program (no bounds).
   std::vector<std::pair<int64_t, int64_t>> bounds;
   const vec::ColumnResolver resolve_input = [&](const Expr& c) {
     return &input_column(c.bound_index);
@@ -1581,33 +1621,35 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
   DL2SQL_ASSIGN_OR_RETURN(HashJoinSides sides,
                           PrepareHashJoin(join, left, right, &ctx, &join_mem));
 
-  // Hashed grouping: a group key that is a bare column reference hashes
-  // through canonical key parts computed once per input row; a pair's key
-  // hash then folds the parts of its rows (HashKeyRange's hash, without
-  // rehashing every pair).
+  // Hashed grouping compares and copies key rows by one row number, so its
+  // bare key columns are gathered too. A bare key still hashes through
+  // canonical key parts computed once per input row; a pair's key hash then
+  // folds the parts of its rows (HashKeyRange's hash, without rehashing
+  // every pair).
   std::vector<std::vector<uint64_t>> key_parts(num_keys);
   for (size_t k = 0; k < num_keys && dense_slots == 0; ++k) {
-    const Expr& key = *node.group_keys[k];
-    if (key.kind != ExprKind::kColumnRef) continue;
-    const Column& col = input_column(key.bound_index);
+    if (keys[k].rows == nullptr) continue;
+    const Column& col = *keys[k].col;
     key_parts[k].resize(static_cast<size_t>(col.size()));
     vec::KeyPartHashRange(col, 0, col.size(), key_parts[k].data());
+    keys[k].col = buffer(*node.group_keys[k]);
+    keys[k].rows = nullptr;
   }
   std::vector<uint64_t> hashes, part_buf;
 
-  // Batches stay small enough that a batch's gathered columns, hashes and
-  // group ids remain cache-resident between the passes over them.
+  // Batches stay small enough that a batch's row ids, gathered columns,
+  // hashes and group ids remain cache-resident between the passes over them.
   const int64_t batch_pairs = 1024;
   DL2SQL_RETURN_NOT_OK(join_mem.Charge(
       batch_pairs * static_cast<int64_t>(2 * sizeof(int64_t))));
-  std::vector<int64_t> lrows, rrows;
   lrows.reserve(static_cast<size_t>(batch_pairs));
   rrows.reserve(static_cast<size_t>(batch_pairs));
   vec::BatchArena arena;
   double groupby_seconds = 0;
   int64_t pairs = 0;
-  // Gathers the buffered pairs' columns (join work), then evaluates the
-  // keys and arguments and folds the pairs into the group states (groupby).
+  // Gathers the buffered pairs' program and hashed-key columns (join work),
+  // then evaluates the programs and folds the pairs into the group states
+  // (groupby).
   auto flush = [&]() -> Status {
     const int64_t n = static_cast<int64_t>(lrows.size());
     pairs += n;
@@ -1616,6 +1658,7 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
                                        kMaxJoinPairs, " pairs");
     }
     for (size_t i = 0; i < refs.size(); ++i) {
+      if (gather[i] == 0) continue;
       const int idx = refs[i];
       if (idx < left_width) {
         gathered[i].TakeFrom(left.column(idx), lrows.data(), n);
@@ -1625,9 +1668,12 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
     }
     Stopwatch group_watch;
     arena.Reset();
-    for (Operand& op : ops) {
-      if (op.program != nullptr) {
-        DL2SQL_RETURN_NOT_OK(vec::EvalNumInto(*op.program, n, &arena, &op.out));
+    for (auto* ops : {&keys, &args}) {
+      for (Operand& op : *ops) {
+        if (op.program != nullptr) {
+          DL2SQL_RETURN_NOT_OK(
+              vec::EvalNumInto(*op.program, n, &arena, &op.out));
+        }
       }
     }
     const uint64_t* key_hashes = nullptr;
@@ -1638,7 +1684,7 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
         const int64_t* rows = nullptr;
         if (key_parts[k].empty()) {
           part_buf.resize(static_cast<size_t>(n));
-          vec::KeyPartHashRange(*kptrs[k], 0, n, part_buf.data());
+          vec::KeyPartHashRange(*keys[k].col, 0, n, part_buf.data());
           parts = part_buf.data();
         } else {
           rows = node.group_keys[k]->bound_index < left_width ? lrows.data()
@@ -1651,7 +1697,11 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
       }
       key_hashes = hashes.data();
     }
-    agg.Consume(kptrs, aptrs, 0, n, pairs - n, key_hashes);
+    for (size_t k = 0; k < num_keys; ++k) kreads[k] = read(keys[k]);
+    for (size_t a = 0; a < num_aggs; ++a) {
+      areads[a] = {read(args[a]), read(factors[a])};
+    }
+    agg.Consume(kreads, areads, 0, n, pairs - n, key_hashes);
     ++ctx.vec_batches;
     ctx.vec_rows_in += n;
     ctx.vec_rows_selected += n;

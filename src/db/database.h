@@ -396,13 +396,14 @@ class Database {
                                         EvalContext* ctx,
                                         ScopedMemCharge* scratch);
   /// Aggregate `agg` over inner equi-join `join` of resident inputs in one
-  /// pass: probe matches are gathered batch by batch (only the columns the
-  /// aggregate references), keys and arguments run as compiled numeric
-  /// programs over them, and the pairs fold straight into the group states
-  /// (through dense slots when the INT64 keys' bounds allow), with no join
-  /// output. nullopt, with nothing accumulated, when the aggregate does not
-  /// fit the programs and kernels; the caller then runs the two operators
-  /// unfused.
+  /// pass: probe matches are collected batch by batch as two row-id
+  /// vectors; bare column keys and arguments, and SUM/AVG/STDDEV products
+  /// of two bare columns, read the inputs through those row ids, while other
+  /// keys and arguments run as compiled numeric programs over gathered
+  /// columns. The pairs fold straight into the group states (through dense
+  /// slots when the INT64 keys' bounds allow), with no join output. nullopt,
+  /// with nothing accumulated, when the aggregate does not fit the programs
+  /// and kernels; the caller then runs the two operators unfused.
   Result<std::optional<Table>> ExecJoinAggregate(const PlanNode& agg,
                                                  const PlanNode& join,
                                                  const Table& left,

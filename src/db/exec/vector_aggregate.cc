@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -16,17 +18,63 @@ namespace dl2sql::db::vec {
 
 namespace {
 
-/// Batch slice of a typed argument array: contiguous from `begin`, or
-/// gathered through `rows` into `buf`.
-template <typename T>
-const T* ArgSlice(const std::vector<T>& vals, int64_t begin,
-                  const int64_t* rows, SelIndex n, std::vector<T>* buf) {
-  if (rows == nullptr) return vals.data() + begin;
-  buf->resize(static_cast<size_t>(n));
-  for (SelIndex i = 0; i < n; ++i) {
-    (*buf)[static_cast<size_t>(i)] = vals[static_cast<size_t>(rows[i])];
+/// Calls fn(at), where at(i) returns the T value of batch row i of `r`.
+template <typename T, typename Fn>
+void WithRead(const ColumnRead& r, int64_t begin, Fn&& fn) {
+  const T* v;
+  if constexpr (std::is_same_v<T, int64_t>) {
+    v = r.col->ints().data();
+  } else if constexpr (std::is_same_v<T, double>) {
+    v = r.col->floats().data();
+  } else {
+    v = r.col->bools().data();
   }
-  return buf->data();
+  if (r.rows == nullptr) {
+    v += begin;
+    fn([v](SelIndex i) { return v[i]; });
+  } else {
+    fn([v, rows = r.rows](SelIndex i) { return v[rows[i]]; });
+  }
+}
+
+/// WithRead over a numeric column, as its own type (kInt64: int64_t,
+/// kFloat64: double), or always as double when `as_double`.
+template <typename Fn>
+void WithNumRead(const ColumnRead& r, int64_t begin, bool as_double, Fn&& fn) {
+  if (r.col->type() == DataType::kFloat64) {
+    WithRead<double>(r, begin, fn);
+  } else if (as_double) {
+    WithRead<int64_t>(r, begin, [&](auto at) {
+      fn([at](SelIndex i) { return static_cast<double>(at(i)); });
+    });
+  } else {
+    WithRead<int64_t>(r, begin, fn);
+  }
+}
+
+/// Calls fn(at), where at(i) is batch row i's value of numeric argument
+/// `arg`: x, or the product x * y with FastBinary's typing (INT64 x INT64
+/// wraps; any FLOAT64 factor multiplies as doubles).
+template <typename Fn>
+void WithArg(const ArgRead& arg, int64_t begin, Fn&& fn) {
+  if (arg.y.col == nullptr) {
+    WithNumRead(arg.x, begin, false, fn);
+    return;
+  }
+  const bool ints = arg.x.col->type() == DataType::kInt64 &&
+                    arg.y.col->type() == DataType::kInt64;
+  WithNumRead(arg.x, begin, !ints, [&](auto x) {
+    WithNumRead(arg.y, begin, !ints, [&](auto y) {
+      if constexpr (std::is_integral_v<decltype(x(0))>) {
+        fn([x, y](SelIndex i) {
+          return static_cast<int64_t>(static_cast<uint64_t>(x(i)) *
+                                      static_cast<uint64_t>(y(i)));
+        });
+      } else {
+        fn([x, y](SelIndex i) { return x(i) * y(i); });
+      }
+    });
+  });
 }
 
 /// Final value of one aggregate from its typed state — the row path's
@@ -53,18 +101,22 @@ Value AggValue(AggFunc f, const VAggSpec& spec, const VAggState& st) {
     case AggFunc::kMin:
     case AggFunc::kMax:
       if (!st.has_minmax) return Value::Null();
-      return spec.kind == VAggSpec::Kind::kMinMaxInt
-                 ? Value::Int(st.imin_max)
-                 : Value::Float(st.fmin_max);
+      return spec.arg_type == DataType::kInt64 ? Value::Int(st.imin_max)
+                                               : Value::Float(st.fmin_max);
   }
   return Value::Null();
+}
+
+bool NullFreeNumeric(const Column* c) {
+  return c != nullptr && !c->HasNulls() &&
+         (c->type() == DataType::kInt64 || c->type() == DataType::kFloat64);
 }
 
 }  // namespace
 
 bool BatchAggregator::Compile(const PlanNode& node,
                               const std::vector<const Column*>& keys,
-                              const std::vector<const Column*>& args) {
+                              const std::vector<ArgRead>& args) {
   specs_.clear();
   for (size_t a = 0; a < node.agg_calls.size(); ++a) {
     const AggFunc f = node.agg_calls[a]->agg_func;
@@ -73,15 +125,26 @@ bool BatchAggregator::Compile(const PlanNode& node,
       specs_.push_back(s);
       continue;
     }
-    const Column* arg = args[a];
+    const Column* arg = args[a].x.col;
+    const Column* factor = args[a].y.col;
     // NULL-bearing arguments keep the row path's skip-NULL semantics; the
     // whole operator falls back rather than special-casing validity here.
     if (arg == nullptr || arg->HasNulls() || arg->type() == DataType::kNull) {
       return false;
     }
     s.arg_type = arg->type();
-    const bool is_int = arg->type() == DataType::kInt64;
-    const bool is_float = arg->type() == DataType::kFloat64;
+    if (factor != nullptr) {
+      if (!NullFreeNumeric(arg) || !NullFreeNumeric(factor) ||
+          (f != AggFunc::kSum && f != AggFunc::kAvg &&
+           f != AggFunc::kStddevSamp)) {
+        return false;
+      }
+      if (factor->type() == DataType::kFloat64) {
+        s.arg_type = DataType::kFloat64;
+      }
+    }
+    const bool numeric = s.arg_type == DataType::kInt64 ||
+                         s.arg_type == DataType::kFloat64;
     switch (f) {
       case AggFunc::kCount:
         s.kind = arg->type() == DataType::kBool ? VAggSpec::Kind::kCountBool
@@ -90,15 +153,15 @@ bool BatchAggregator::Compile(const PlanNode& node,
       case AggFunc::kSum:
       case AggFunc::kAvg:
       case AggFunc::kStddevSamp:
-        if (!is_int && !is_float) return false;
-        s.kind = is_int ? VAggSpec::Kind::kSumInt : VAggSpec::Kind::kSumFloat;
+        if (!numeric) return false;
+        s.kind = VAggSpec::Kind::kSum;
+        s.squares = f == AggFunc::kStddevSamp;
         break;
       case AggFunc::kMin:
       case AggFunc::kMax:
         // String MIN/MAX stays on the row path (Value comparison).
-        if (!is_int && !is_float) return false;
-        s.kind = is_int ? VAggSpec::Kind::kMinMaxInt
-                        : VAggSpec::Kind::kMinMaxFloat;
+        if (!numeric) return false;
+        s.kind = VAggSpec::Kind::kMinMax;
         s.want_min = f == AggFunc::kMin;
         break;
       case AggFunc::kCountStar:
@@ -112,6 +175,7 @@ bool BatchAggregator::Compile(const PlanNode& node,
   first_row_.clear();
   per_agg_.assign(specs_.size(), {});
   slot_gid_.clear();
+  dense_keys_.clear();
   return true;
 }
 
@@ -145,6 +209,11 @@ int64_t BatchAggregator::UseDenseSlots(
   }
   slot_span_ = std::move(span);
   slot_gid_.assign(static_cast<size_t>(num_slots), KeyHashTable::kAbsent);
+  dense_keys_.clear();
+  for (size_t k = 0; k < bounds.size(); ++k) {
+    dense_keys_.emplace_back(DataType::kInt64);
+  }
+  table_ = KeyHashTable();
   return num_slots;
 }
 
@@ -152,99 +221,83 @@ void BatchAggregator::SyncStates() {
   for (auto& states : per_agg_) states.resize(first_row_.size());
 }
 
-void BatchAggregator::Accumulate(const std::vector<const Column*>& args,
-                                 int64_t begin, const int64_t* rows,
-                                 SelIndex n) {
+void BatchAggregator::Accumulate(const std::vector<ArgRead>& args,
+                                 int64_t begin, SelIndex n) {
   SyncStates();
   const SelIndex* gids = gid_buf_.data();
   for (size_t a = 0; a < specs_.size(); ++a) {
     const VAggSpec& s = specs_[a];
     VAggState* states = per_agg_[a].data();
-    const Column* arg = args[a];
     switch (s.kind) {
       case VAggSpec::Kind::kCountStar:
       case VAggSpec::Kind::kCountAll:
         AccumulateCount(gids, n, states);
         break;
       case VAggSpec::Kind::kCountBool:
-        AccumulateCountBool(ArgSlice(arg->bools(), begin, rows, n, &bool_buf_),
-                            gids, n, states);
+        WithRead<uint8_t>(args[a].x, begin, [&](auto at) {
+          AccumulateCountBool(at, gids, n, states);
+        });
         break;
-      case VAggSpec::Kind::kSumInt:
-        AccumulateSumInt(ArgSlice(arg->ints(), begin, rows, n, &int_buf_),
-                         gids, n, states);
+      case VAggSpec::Kind::kSum:
+        WithArg(args[a], begin, [&](auto at) {
+          if (s.squares) {
+            AccumulateSum<true>(at, gids, n, states);
+          } else {
+            AccumulateSum<false>(at, gids, n, states);
+          }
+        });
         break;
-      case VAggSpec::Kind::kSumFloat:
-        AccumulateSumFloat(
-            ArgSlice(arg->floats(), begin, rows, n, &float_buf_), gids, n,
-            states);
-        break;
-      case VAggSpec::Kind::kMinMaxInt:
-        AccumulateMinMaxInt(ArgSlice(arg->ints(), begin, rows, n, &int_buf_),
-                            gids, n, s.want_min, states);
-        break;
-      case VAggSpec::Kind::kMinMaxFloat:
-        AccumulateMinMaxFloat(
-            ArgSlice(arg->floats(), begin, rows, n, &float_buf_), gids, n,
-            s.want_min, states);
+      case VAggSpec::Kind::kMinMax:
+        WithNumRead(args[a].x, begin, false, [&](auto at) {
+          AccumulateMinMax(at, gids, n, s.want_min, states);
+        });
         break;
     }
   }
 }
 
-void BatchAggregator::FindDenseGroups(const std::vector<const Column*>& keys,
-                                      int64_t begin, int64_t end,
+void BatchAggregator::FindDenseGroups(const std::vector<ColumnRead>& keys,
+                                      int64_t begin, SelIndex n,
                                       int64_t base) {
-  // Slot numbers key by key, column at a time. A row outside the bounds'
-  // box, or with a NULL key, gets no slot and is looked up by hash.
-  constexpr uint64_t kNoSlot = ~uint64_t{0};
-  const size_t n = static_cast<size_t>(end - begin);
-  slot_buf_.resize(n);
+  // Slot numbers key by key, column at a time. Every key value lies in its
+  // bounds (UseDenseSlots' contract), so every row has a slot.
+  slot_buf_.resize(static_cast<size_t>(n));
   uint64_t* slot = slot_buf_.data();
   for (size_t k = 0; k < keys.size(); ++k) {
-    const int64_t* v = keys[k]->ints().data() + begin;
     const uint64_t lo = static_cast<uint64_t>(slot_lo_[k]);
-    const uint64_t span = slot_span_[k];
     const uint64_t stride = slot_stride_[k];
-    if (k == 0) {
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t d = static_cast<uint64_t>(v[i]) - lo;
-        slot[i] = d < span ? d * stride : kNoSlot;
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t d = static_cast<uint64_t>(v[i]) - lo;
-        slot[i] =
-            d < span && slot[i] != kNoSlot ? slot[i] + d * stride : kNoSlot;
-      }
-    }
-    if (!keys[k]->validity().empty()) {
-      for (size_t i = 0; i < n; ++i) {
-        if (!keys[k]->IsValid(begin + static_cast<int64_t>(i))) {
-          slot[i] = kNoSlot;
+    WithRead<int64_t>(keys[k], begin, [&](auto at) {
+      if (k == 0) {
+        for (SelIndex i = 0; i < n; ++i) {
+          slot[i] = (static_cast<uint64_t>(at(i)) - lo) * stride;
+        }
+      } else {
+        for (SelIndex i = 0; i < n; ++i) {
+          slot[i] += (static_cast<uint64_t>(at(i)) - lo) * stride;
         }
       }
-    }
+    });
   }
-  const uint64_t num_slots = slot_gid_.size();
-  for (size_t i = 0; i < n; ++i) {
-    const bool dense = slot[i] < num_slots;
-    KeyHashTable::KeyId g = dense ? slot_gid_[slot[i]] : KeyHashTable::kAbsent;
+  for (SelIndex i = 0; i < n; ++i) {
+    assert(slot[i] < slot_gid_.size());
+    KeyHashTable::KeyId& g = slot_gid_[slot[i]];
     if (g == KeyHashTable::kAbsent) {
-      const int64_t row = begin + static_cast<int64_t>(i);
-      g = table_.FindOrInsert(keys, row, HashKeyRow(keys, row));
-      if (dense) slot_gid_[slot[i]] = g;
-      if (static_cast<size_t>(g) == first_row_.size()) {
-        first_row_.push_back(base + row);
+      // A new group: its key values are its slot's coordinates.
+      g = static_cast<KeyHashTable::KeyId>(first_row_.size());
+      first_row_.push_back(base + begin + i);
+      for (size_t k = 0; k < dense_keys_.size(); ++k) {
+        const uint64_t d = slot[i] / slot_stride_[k] % slot_span_[k];
+        dense_keys_[k].mutable_ints().push_back(
+            static_cast<int64_t>(static_cast<uint64_t>(slot_lo_[k]) + d));
       }
     }
-    gid_buf_[i] = g;
+    gid_buf_[static_cast<size_t>(i)] = g;
   }
 }
 
-void BatchAggregator::Consume(const std::vector<const Column*>& keys,
-                              const std::vector<const Column*>& args,
-                              int64_t begin, int64_t end, int64_t base,
+void BatchAggregator::Consume(const std::vector<ColumnRead>& keys,
+                              const std::vector<ArgRead>& args, int64_t begin,
+                              int64_t end, int64_t base,
                               const uint64_t* hashes) {
   const SelIndex n = static_cast<SelIndex>(end - begin);
   gid_buf_.resize(static_cast<size_t>(n));
@@ -252,14 +305,16 @@ void BatchAggregator::Consume(const std::vector<const Column*>& keys,
     if (first_row_.empty() && n > 0) first_row_.push_back(base + begin);
     std::fill(gid_buf_.begin(), gid_buf_.end(), 0);
   } else if (!slot_gid_.empty()) {
-    FindDenseGroups(keys, begin, end, base);
+    FindDenseGroups(keys, begin, n, base);
   } else {
+    std::vector<const Column*> cols;
+    for (const ColumnRead& k : keys) cols.push_back(k.col);
     if (hashes == nullptr) {
       hash_buf_.resize(static_cast<size_t>(n));
-      HashKeyRange(keys, begin, end, hash_buf_.data());
+      HashKeyRange(cols, begin, end, hash_buf_.data());
       hashes = hash_buf_.data();
     }
-    table_.FindOrInsertRange(keys, begin, end, hashes, nullptr,
+    table_.FindOrInsertRange(cols, begin, end, hashes, nullptr,
                              gid_buf_.data());
     for (SelIndex i = 0; i < n; ++i) {
       if (static_cast<size_t>(gid_buf_[static_cast<size_t>(i)]) ==
@@ -268,13 +323,14 @@ void BatchAggregator::Consume(const std::vector<const Column*>& keys,
       }
     }
   }
-  Accumulate(args, begin, nullptr, n);
+  Accumulate(args, begin, n);
 }
 
 void BatchAggregator::ConsumeRows(const std::vector<const Column*>& keys,
-                                  const std::vector<const Column*>& args,
+                                  const std::vector<ArgRead>& args,
                                   const int64_t* rows, int64_t count,
                                   const uint64_t* hashes, int64_t chunk) {
+  std::vector<ArgRead> listed = args;
   for (int64_t off = 0; off < count; off += chunk) {
     const int64_t* batch = rows + off;
     const SelIndex n = static_cast<SelIndex>(std::min(chunk, count - off));
@@ -288,7 +344,8 @@ void BatchAggregator::ConsumeRows(const std::vector<const Column*>& keys,
       }
       gid_buf_[static_cast<size_t>(i)] = gid;
     }
-    Accumulate(args, 0, batch, n);
+    for (ArgRead& a : listed) a.x.rows = a.y.rows = batch;
+    Accumulate(listed, 0, n);
   }
 }
 
@@ -305,21 +362,23 @@ void BatchAggregator::TakeGroup(const BatchAggregator& other, int64_t g) {
 int64_t BatchAggregator::ByteSize() const {
   return table_.ByteSize() +
          static_cast<int64_t>(first_row_.size() *
-                              (sizeof(int64_t) +
+                              (sizeof(int64_t) * (1 + dense_keys_.size()) +
                                per_agg_.size() * sizeof(VAggState)));
 }
 
 Result<Table> BatchAggregator::Finish(const PlanNode& node) {
+  const std::vector<Column>& key_cols =
+      slot_gid_.empty() ? table_.key_columns() : dense_keys_;
   // Global aggregate over empty input still yields one row.
-  if (table_.key_columns().empty() && first_row_.empty()) {
+  if (key_cols.empty() && first_row_.empty()) {
     first_row_.push_back(-1);
     SyncStates();
   }
   const size_t num_groups = first_row_.size();
   std::vector<Column> out_cols;
   TableSchema out_schema;
-  for (size_t k = 0; k < table_.key_columns().size(); ++k) {
-    const Column& c = table_.key_columns()[k];
+  for (size_t k = 0; k < key_cols.size(); ++k) {
+    const Column& c = key_cols[k];
     out_schema.AddField({node.group_names[k], c.type()});
     out_cols.push_back(c);  // one row per group, first-seen order
   }
@@ -347,11 +406,15 @@ Result<bool> TryVectorAggregate(const PlanNode& node,
                                 const std::vector<ColumnHandle>& arg_cols,
                                 int64_t n, EvalContext* ctx, Table* out) {
   std::vector<const Column*> kptrs;
-  for (const auto& c : key_cols) kptrs.push_back(c.get());
-  std::vector<const Column*> aptrs;
-  for (const auto& c : arg_cols) aptrs.push_back(c.get());
+  std::vector<ColumnRead> kreads;
+  for (const auto& c : key_cols) {
+    kptrs.push_back(c.get());
+    kreads.push_back({c.get(), nullptr});
+  }
+  std::vector<ArgRead> areads;
+  for (const auto& c : arg_cols) areads.push_back({{c.get(), nullptr}, {}});
   BatchAggregator agg;
-  if (!agg.Compile(node, kptrs, aptrs)) return false;
+  if (!agg.Compile(node, kptrs, areads)) return false;
 
   DL2SQL_TRACE_SPAN("vector", "aggregate");
 
@@ -366,7 +429,7 @@ Result<bool> TryVectorAggregate(const PlanNode& node,
 
   if (!parallel) {
     auto body = [&](int64_t bgn, int64_t end, int) -> Status {
-      agg.Consume(kptrs, aptrs, bgn, end, 0);
+      agg.Consume(kreads, areads, bgn, end, 0);
       return Status::OK();
     };
     if (pool != nullptr && (pool->num_threads() == 1 || n <= m)) {
@@ -426,7 +489,7 @@ Result<bool> TryVectorAggregate(const PlanNode& node,
           for (int64_t p = p0; p < p1; ++p) {
             const int64_t b = part_begin[static_cast<size_t>(p)];
             part_aggs[static_cast<size_t>(p)].ConsumeRows(
-                kptrs, aptrs, order.data() + b,
+                kptrs, areads, order.data() + b,
                 part_begin[static_cast<size_t>(p) + 1] - b, hashes.data(), m);
           }
           return Status::OK();

@@ -10,6 +10,7 @@
 /// so float sums are bit-identical to the row path and across thread counts.
 #pragma once
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -27,33 +28,50 @@ struct VAggSpec {
     kCountStar,
     kCountAll,   ///< COUNT over a no-null non-bool column: every row counts
     kCountBool,  ///< COUNT over a no-null bool column: TRUE rows count
-    kSumInt,     ///< SUM/AVG/STDDEV int64 source
-    kSumFloat,
-    kMinMaxInt,
-    kMinMaxFloat,
+    kSum,        ///< SUM/AVG/STDDEV over an INT64 or FLOAT64 argument
+    kMinMax,     ///< MIN/MAX over an INT64 or FLOAT64 argument
   };
   Kind kind = Kind::kCountStar;
   bool want_min = false;
+  bool squares = false;  ///< kSum: keep the sum of squares (STDDEV)
   DataType arg_type = DataType::kNull;  ///< kNull for COUNT(*)
 };
 
-/// \brief Streaming form of the vectorized aggregation: batches of evaluated
-/// group keys and aggregate arguments fold into the per-group states in
-/// arrival order. The fused join→aggregate pass feeds it one batch of join
-/// pairs at a time; TryVectorAggregate feeds it the input's morsels.
+/// Where an operand's batch row i is read: row rows[i] of `col`, or row
+/// begin + i of it when `rows` is null (`begin` being the batch's first row).
+struct ColumnRead {
+  const Column* col = nullptr;
+  const int64_t* rows = nullptr;
+};
+
+/// One aggregate's argument in a batch: `x` (x.col null for COUNT(*)), or,
+/// when y.col is set, the product x * y of two NULL-free numeric columns,
+/// typed as the row path types it (INT64 with wraparound when both are
+/// INT64, FLOAT64 otherwise). Only SUM, AVG and STDDEV take a product.
+struct ArgRead {
+  ColumnRead x;
+  ColumnRead y;
+};
+
+/// \brief Streaming form of the vectorized aggregation: batches of group
+/// keys and aggregate arguments fold into the per-group states in arrival
+/// order. The fused join→aggregate pass feeds it one batch of join pairs at
+/// a time, reading bare input columns through the pairs' row ids;
+/// TryVectorAggregate feeds it the input's morsels.
 ///
-/// With dense slots (UseDenseSlots), Consume finds a row's group through a
-/// flat array indexed by the row's position in the key bounds' box; only a
-/// slot's first row is hashed and inserted into the KeyHashTable, which
-/// still holds every key in first-seen order for Finish.
+/// Groups are found by hash through a KeyHashTable, or, with dense slots
+/// (UseDenseSlots), through a flat slot → group array indexed by the row's
+/// position in the key bounds' box. Dense grouping holds no KeyHashTable: a
+/// new group appends its key values (recovered from its slot) to the
+/// aggregator's own key columns, so first-seen order is kept either way.
 class BatchAggregator {
  public:
-  /// Compiles `node`'s aggregates for arguments shaped like `args` (nullptr
-  /// for COUNT(*)) and keys typed like `keys`. Returns false when an
-  /// aggregate is outside the kernel inventory (NULL-bearing or kNull
-  /// arguments, string MIN/MAX); the caller then runs the row path.
+  /// Compiles `node`'s aggregates for arguments shaped like `args` and keys
+  /// typed like `keys`. Returns false when an aggregate is outside the
+  /// kernel inventory (NULL-bearing or kNull arguments, string MIN/MAX, a
+  /// product outside SUM/AVG/STDDEV); the caller then runs the row path.
   bool Compile(const PlanNode& node, const std::vector<const Column*>& keys,
-               const std::vector<const Column*>& args);
+               const std::vector<ArgRead>& args);
 
   /// Dense slots allowed per input row. The slot array (4 bytes a slot) is
   /// allocated and cleared once per aggregation, so two slots per row cap
@@ -67,23 +85,26 @@ class BatchAggregator {
   /// most kDenseSlotsPerInputRow slots per row of `input_rows` and `charge`
   /// admits the slot array's bytes. Returns the slot count, or 0 when the
   /// box is over budget or the charge is refused (grouping stays hashed).
-  /// Call after Compile, before any row is consumed.
+  /// The caller guarantees that every key value it later consumes lies in
+  /// its bounds (and so is not NULL). Call after Compile, before any row is
+  /// consumed.
   int64_t UseDenseSlots(const std::vector<std::pair<int64_t, int64_t>>& bounds,
                         int64_t input_rows, ScopedMemCharge* charge);
 
-  /// Folds rows [begin, end) of the given key and argument columns; row i
-  /// is the input's row `base + i` (first-seen order is by that number).
-  /// `hashes`, when given, holds the rows' HashKeyRange key hashes; dense
-  /// slots ignore it and hash only each slot's first row.
-  void Consume(const std::vector<const Column*>& keys,
-               const std::vector<const Column*>& args, int64_t begin,
-               int64_t end, int64_t base, const uint64_t* hashes = nullptr);
+  /// Folds batch rows [begin, end) of the given keys and arguments; batch
+  /// row i is the input's row `base + i` (first-seen order is by that
+  /// number). Hashed grouping reads its keys contiguously (no row ids) and
+  /// takes `hashes`, when given, as their HashKeyRange key hashes; dense
+  /// slots read keys through row ids too and ignore `hashes`.
+  void Consume(const std::vector<ColumnRead>& keys,
+               const std::vector<ArgRead>& args, int64_t begin, int64_t end,
+               int64_t base, const uint64_t* hashes = nullptr);
 
   /// Folds `count` rows listed in `rows` (ascending row ids into the key
   /// and argument columns, `hashes` indexed by row id), `chunk` at a time.
-  /// Always hashed.
+  /// Always hashed; the arguments' own row ids are ignored.
   void ConsumeRows(const std::vector<const Column*>& keys,
-                   const std::vector<const Column*>& args, const int64_t* rows,
+                   const std::vector<ArgRead>& args, const int64_t* rows,
                    int64_t count, const uint64_t* hashes, int64_t chunk);
 
   /// Appends group `g` of `other` — same compiled aggregates, a key this
@@ -93,8 +114,8 @@ class BatchAggregator {
   /// Global row number of each group's first row, in group order.
   const std::vector<int64_t>& first_rows() const { return first_row_; }
 
-  /// Approximate bytes of the grouping state (key table plus accumulators;
-  /// the dense slot array is not included).
+  /// Approximate bytes of the grouping state (key table or dense key
+  /// columns, plus accumulators; the dense slot array is not included).
   int64_t ByteSize() const;
 
   /// The result table: key columns then aggregates, groups in first-seen
@@ -102,33 +123,28 @@ class BatchAggregator {
   Result<Table> Finish(const PlanNode& node);
 
  private:
-  /// Accumulates `n` rows whose groups are in gid_buf_; batch row i is row
-  /// rows[i] of `args` (rows == nullptr: row begin + i).
-  void Accumulate(const std::vector<const Column*>& args, int64_t begin,
-                  const int64_t* rows, SelIndex n);
+  /// Accumulates the batch's `n` rows, whose groups are in gid_buf_.
+  void Accumulate(const std::vector<ArgRead>& args, int64_t begin, SelIndex n);
   void SyncStates();
-  /// Dense-slot group lookup of batch rows [begin, end) into gid_buf_.
-  void FindDenseGroups(const std::vector<const Column*>& keys, int64_t begin,
-                       int64_t end, int64_t base);
+  /// Dense-slot group lookup of batch rows [begin, begin + n) into gid_buf_.
+  void FindDenseGroups(const std::vector<ColumnRead>& keys, int64_t begin,
+                       SelIndex n, int64_t base);
 
   std::vector<VAggSpec> specs_;
   KeyHashTable table_;
-  /// Dense slots: each key's lower bound and slot stride (the product of
-  /// the later keys' spans), and the group id per slot (kAbsent until the
-  /// slot's first row).
+  /// Dense slots: each key's lower bound, span and slot stride (the product
+  /// of the later keys' spans), the group id per slot (kAbsent until the
+  /// slot's first row), and the groups' key values in first-seen order.
   std::vector<int64_t> slot_lo_;
   std::vector<uint64_t> slot_span_;
   std::vector<uint64_t> slot_stride_;
   std::vector<KeyHashTable::KeyId> slot_gid_;
   std::vector<uint64_t> slot_buf_;
+  std::vector<Column> dense_keys_;
   std::vector<int64_t> first_row_;
   std::vector<std::vector<VAggState>> per_agg_;
   std::vector<uint64_t> hash_buf_;
   std::vector<SelIndex> gid_buf_;
-  /// Gather buffers for row-listed batches.
-  std::vector<int64_t> int_buf_;
-  std::vector<double> float_buf_;
-  std::vector<uint8_t> bool_buf_;
 };
 
 /// Attempts the vectorized aggregation for `node` over pre-evaluated group

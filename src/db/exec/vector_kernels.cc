@@ -484,79 +484,4 @@ void EncodeColumnKeysRange(const Column& col, int64_t begin, int64_t end,
   }
 }
 
-// ------------------------------------------------- aggregate accumulation ----
-
-void AccumulateCount(const SelIndex* gids, SelIndex n, VAggState* states) {
-  for (SelIndex i = 0; i < n; ++i) ++states[gids[i]].count;
-}
-
-void AccumulateCountBool(const uint8_t* bools, const SelIndex* gids,
-                         SelIndex n, VAggState* states) {
-  for (SelIndex i = 0; i < n; ++i) {
-    states[gids[i]].count += bools[i] != 0 ? 1 : 0;
-  }
-}
-
-void AccumulateSumInt(const int64_t* vals, const SelIndex* gids, SelIndex n,
-                      VAggState* states) {
-  for (SelIndex i = 0; i < n; ++i) {
-    VAggState& st = states[gids[i]];
-    const double d = static_cast<double>(vals[i]);
-    ++st.count;
-    st.sum += d;
-    st.sumsq += d * d;
-  }
-}
-
-void AccumulateSumFloat(const double* vals, const SelIndex* gids, SelIndex n,
-                        VAggState* states) {
-  for (SelIndex i = 0; i < n; ++i) {
-    VAggState& st = states[gids[i]];
-    const double d = vals[i];
-    ++st.count;
-    st.sum += d;
-    st.sumsq += d * d;
-  }
-}
-
-void AccumulateMinMaxInt(const int64_t* vals, const SelIndex* gids,
-                         SelIndex n, bool want_min, VAggState* states) {
-  if (want_min) {
-    for (SelIndex i = 0; i < n; ++i) {
-      VAggState& st = states[gids[i]];
-      const int64_t v = vals[i];
-      if (!st.has_minmax || v < st.imin_max) st.imin_max = v;
-      st.has_minmax = true;
-    }
-  } else {
-    for (SelIndex i = 0; i < n; ++i) {
-      VAggState& st = states[gids[i]];
-      const int64_t v = vals[i];
-      if (!st.has_minmax || v > st.imin_max) st.imin_max = v;
-      st.has_minmax = true;
-    }
-  }
-}
-
-void AccumulateMinMaxFloat(const double* vals, const SelIndex* gids,
-                           SelIndex n, bool want_min, VAggState* states) {
-  // Strict < / > against the current extremum reproduces Value::Compare's
-  // "replace only when strictly better", so ties keep the first-seen value.
-  if (want_min) {
-    for (SelIndex i = 0; i < n; ++i) {
-      VAggState& st = states[gids[i]];
-      const double v = vals[i];
-      if (!st.has_minmax || v < st.fmin_max) st.fmin_max = v;
-      st.has_minmax = true;
-    }
-  } else {
-    for (SelIndex i = 0; i < n; ++i) {
-      VAggState& st = states[gids[i]];
-      const double v = vals[i];
-      if (!st.has_minmax || v > st.fmin_max) st.fmin_max = v;
-      st.has_minmax = true;
-    }
-  }
-}
-
 }  // namespace dl2sql::db::vec

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/cache.h"
@@ -135,7 +136,9 @@ void EncodeColumnKeysRange(const Column& col, int64_t begin, int64_t end,
 /// \name Typed aggregate accumulation
 /// Per-(group, aggregate) state updated a batch at a time through a
 /// gid-per-row buffer; no Value boxing. Emission converts these back into
-/// exactly the Values the row path produces.
+/// exactly the Values the row path produces. A kernel reads batch row i's
+/// argument as `at(i)`, so one loop serves a contiguous array, a column
+/// read through row ids, and the product of two such reads.
 /// @{
 
 struct VAggState {
@@ -148,24 +151,61 @@ struct VAggState {
 };
 
 /// COUNT(*) and COUNT(non-null non-bool column): one per row.
-void AccumulateCount(const SelIndex* gids, SelIndex n, VAggState* states);
+inline void AccumulateCount(const SelIndex* gids, SelIndex n,
+                            VAggState* states) {
+  for (SelIndex i = 0; i < n; ++i) ++states[gids[i]].count;
+}
 
-/// COUNT(bool_expr): counts TRUE rows (the paper's count(nUDF(...) = TRUE)).
-void AccumulateCountBool(const uint8_t* bools, const SelIndex* gids,
-                         SelIndex n, VAggState* states);
+/// COUNT(bool_expr): counts TRUE (non-zero) rows (the paper's
+/// count(nUDF(...) = TRUE)).
+template <typename At>
+void AccumulateCountBool(At at, const SelIndex* gids, SelIndex n,
+                         VAggState* states) {
+  for (SelIndex i = 0; i < n; ++i) {
+    states[gids[i]].count += at(i) != 0 ? 1 : 0;
+  }
+}
 
-/// SUM/AVG/STDDEV over a numeric column: count + sum + sum of squares, in
-/// row order (serial accumulation order matches the row path bit-for-bit).
-void AccumulateSumInt(const int64_t* vals, const SelIndex* gids, SelIndex n,
-                      VAggState* states);
-void AccumulateSumFloat(const double* vals, const SelIndex* gids, SelIndex n,
-                        VAggState* states);
+/// SUM/AVG/STDDEV over a numeric argument: count + sum, plus the sum of
+/// squares when kSquares (STDDEV), in row order (serial accumulation order
+/// matches the row path bit-for-bit). INT64 arguments sum as doubles.
+template <bool kSquares, typename At>
+void AccumulateSum(At at, const SelIndex* gids, SelIndex n,
+                   VAggState* states) {
+  for (SelIndex i = 0; i < n; ++i) {
+    VAggState& st = states[gids[i]];
+    const double d = static_cast<double>(at(i));
+    ++st.count;
+    st.sum += d;
+    if constexpr (kSquares) st.sumsq += d * d;
+  }
+}
 
-/// MIN or MAX over a numeric column (`want_min` picks the direction).
-void AccumulateMinMaxInt(const int64_t* vals, const SelIndex* gids,
-                         SelIndex n, bool want_min, VAggState* states);
-void AccumulateMinMaxFloat(const double* vals, const SelIndex* gids,
-                           SelIndex n, bool want_min, VAggState* states);
+/// MIN or MAX (`want_min` picks the direction) over an INT64 argument
+/// (imin_max) or a FLOAT64 one (fmin_max). Strict < / > against the current
+/// extremum reproduces Value::Compare's "replace only when strictly better",
+/// so ties keep the first-seen value.
+template <typename At>
+void AccumulateMinMax(At at, const SelIndex* gids, SelIndex n, bool want_min,
+                      VAggState* states) {
+  auto fold = [&](auto better) {
+    for (SelIndex i = 0; i < n; ++i) {
+      VAggState& st = states[gids[i]];
+      const auto v = at(i);
+      if constexpr (std::is_integral_v<decltype(v)>) {
+        if (!st.has_minmax || better(v, st.imin_max)) st.imin_max = v;
+      } else {
+        if (!st.has_minmax || better(v, st.fmin_max)) st.fmin_max = v;
+      }
+      st.has_minmax = true;
+    }
+  };
+  if (want_min) {
+    fold([](auto v, auto cur) { return v < cur; });
+  } else {
+    fold([](auto v, auto cur) { return v > cur; });
+  }
+}
 
 /// @}
 

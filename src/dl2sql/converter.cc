@@ -164,18 +164,23 @@ Table MakeBnTable(const nn::BatchNorm& bn) {
   return std::move(t).ValueOrDie();
 }
 
-Table MakeBiasTable(const Tensor& bias) {
-  std::vector<int64_t> ids;
-  std::vector<double> values;
-  for (int64_t i = 0; i < bias.NumElements(); ++i) {
-    ids.push_back(i);
-    values.push_back(static_cast<double>(bias.at(i)));
-  }
+/// Bias / shift table (KernelID, Bias), one row per output channel.
+Table MakeBiasTable(std::vector<double> values) {
+  std::vector<int64_t> ids(values.size());
+  for (size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<int64_t>(i);
   TableSchema schema(
       {{"KernelID", DataType::kInt64}, {"Bias", DataType::kFloat64}});
   auto t = Table::FromColumns(
       schema, {Column::Ints(std::move(ids)), Column::Floats(std::move(values))});
   return std::move(t).ValueOrDie();
+}
+
+std::vector<double> ToDoubles(const Tensor& t) {
+  std::vector<double> out;
+  for (int64_t i = 0; i < t.NumElements(); ++i) {
+    out.push_back(static_cast<double>(t.at(i)));
+  }
+  return out;
 }
 
 /// FC weights as (RowID, ColID, Value).
@@ -311,6 +316,39 @@ class Converter {
                                   nn::LayerKindToString(layer.kind()));
   }
 
+  /// A pre-joined conv's tables: its input, pre-joined kernel, bias (named
+  /// even when absent, for a folded BN's shift) and output.
+  struct PreJoinedConv {
+    size_t op_index = 0;
+    std::string in, pjk_table, bias_table, out_table;
+    bool has_bias = false;
+    LayerGeometry geom;
+  };
+
+  /// The one statement of a pre-joined conv: the join with its pre-joined
+  /// kernel table, grouped by output position, plus its bias when it has
+  /// one.
+  std::string PreJoinedConvSql(const PreJoinedConv& conv) const {
+    const bool batched = options_.batched;
+    const std::string b_sel = batched ? "A.BatchID AS BatchID, " : "";
+    const std::string b_group = batched ? "A.BatchID, " : "";
+    const std::string inner = "SELECT " + b_sel +
+                              "B.OutTupleID AS TupleID, sum(A.Value * "
+                              "B.Weight) AS Value FROM " +
+                              conv.in + " A INNER JOIN " + conv.pjk_table +
+                              " B ON A.TupleID = B.TupleID GROUP BY " +
+                              b_group + "B.OutTupleID";
+    if (!conv.has_bias) {
+      return "CREATE TEMP TABLE " + conv.out_table + " AS " + inner;
+    }
+    return "CREATE TEMP TABLE " + conv.out_table + " AS SELECT " +
+           (batched ? "t.BatchID AS BatchID, " : "") +
+           "t.TupleID AS TupleID, t.Value + b.Bias AS Value FROM (" + inner +
+           ") t, " + conv.bias_table + " b WHERE intDiv(t.TupleID, " +
+           std::to_string(conv.geom.out_h * conv.geom.out_w) +
+           ") = b.KernelID";
+  }
+
   /// Shared emission of a conv given its (optionally BN-folded) weights.
   Result<std::string> EmitConvSql(const Layer& layer, const std::string& in,
                                   const LayerGeometry& g, const Tensor& weight,
@@ -320,18 +358,15 @@ class Converter {
     const int64_t out_plane = g.out_h * g.out_w;
     std::vector<std::string> sql;
 
-    std::string bias_table;
+    const std::string bias_table = out_.prefix + "_" + tag + "_bias";
     if (bias != nullptr) {
-      bias_table = out_.prefix + "_" + tag + "_bias";
-      DL2SQL_RETURN_NOT_OK(Deploy(bias_table, MakeBiasTable(*bias)));
+      DL2SQL_RETURN_NOT_OK(Deploy(bias_table, MakeBiasTable(ToDoubles(*bias))));
     }
 
     // In batched mode every activation row carries a BatchID that is
     // projected through joins and added to every group key.
     const bool batched = options_.batched;
     const std::string b_sel = batched ? "A.BatchID AS BatchID, " : "";
-    const std::string b_t_sel = batched ? "t.BatchID AS BatchID, " : "";
-    const std::string b_group = batched ? "A.BatchID, " : "";
 
     if (options_.prejoin == PreJoinStrategy::kNone) {
       const std::string map_table = out_.prefix + "_" + tag + "_map";
@@ -392,25 +427,18 @@ class Converter {
       // table (flattened output ids precomputed offline); no reshape
       // statement and a single-integer group key (plus BatchID in batch
       // mode).
-      const std::string pjk_table = out_.prefix + "_" + tag + "_pjk";
-      DL2SQL_RETURN_NOT_OK(Deploy(pjk_table, GeneratePreJoinedKernel(g, weight), "TupleID"));
-      std::string inner = "SELECT " + b_sel +
-                          "B.OutTupleID AS TupleID, sum(A.Value * "
-                          "B.Weight) AS Value FROM " +
-                          in + " A INNER JOIN " + pjk_table +
-                          " B ON A.TupleID = B.TupleID GROUP BY " + b_group +
-                          "B.OutTupleID";
-      if (bias != nullptr) {
-        sql.push_back("CREATE TEMP TABLE " + out_table + " AS SELECT " +
-                      b_t_sel +
-                      "t.TupleID AS TupleID, t.Value + b.Bias AS "
-                      "Value FROM (" +
-                      inner + ") t, " + bias_table +
-                      " b WHERE intDiv(t.TupleID, " +
-                      std::to_string(out_plane) + ") = b.KernelID");
-      } else {
-        sql.push_back("CREATE TEMP TABLE " + out_table + " AS " + inner);
-      }
+      PreJoinedConv conv;
+      conv.op_index = out_.ops.size();
+      conv.in = in;
+      conv.pjk_table = out_.prefix + "_" + tag + "_pjk";
+      conv.bias_table = bias_table;
+      conv.has_bias = bias != nullptr;
+      conv.out_table = out_table;
+      conv.geom = g;
+      DL2SQL_RETURN_NOT_OK(Deploy(conv.pjk_table,
+                                  GeneratePreJoinedKernel(g, weight), "TupleID"));
+      sql.push_back(PreJoinedConvSql(conv));
+      last_prejoined_conv_ = std::move(conv);
     }
     Emit(layer, std::move(sql), out_table, g);
     return out_table;
@@ -430,13 +458,6 @@ class Converter {
     g.stride = conv.stride();
     g.pad = conv.pad();
     const Tensor* bias = conv.bias() ? &*conv.bias() : nullptr;
-
-    if (options_.prejoin == PreJoinStrategy::kPreJoinFull &&
-        pending_bn_fold_ != nullptr) {
-      // Should not happen: folding is handled when BN follows conv.
-      pending_bn_fold_ = nullptr;
-    }
-    last_conv_geom_ = g;
     return EmitConvSql(conv, in, g, conv.weight(), bias);
   }
 
@@ -493,30 +514,20 @@ class Converter {
     return out_table;
   }
 
-  /// Rewrites the most recent conv op's static tables with BN folded in.
+  /// Rewrites the most recent conv op's static tables with BN folded in:
+  /// weights scale per output channel, and the bias becomes bias * scale +
+  /// shift. A conv without a bias gets a bias table holding the shift.
   Status FoldBnIntoPreviousConv(const nn::BatchNorm& bn) {
-    ConvertedOp& conv_op = out_.ops.back();
-    const LayerGeometry& g = conv_op.geom;
-    // Locate the conv's pjk & bias tables by name convention.
-    std::string pjk_name, bias_name;
-    for (const auto& t : out_.static_tables) {
-      if (t.find("_pjk") != std::string::npos &&
-          t.find("conv") != std::string::npos) {
-        pjk_name = t;  // last matching wins (most recent conv)
-      }
-      if (t.find("conv") != std::string::npos &&
-          t.find("_bias") != std::string::npos) {
-        bias_name = t;
-      }
-    }
-    if (pjk_name.empty()) {
+    PreJoinedConv& conv = last_prejoined_conv_;
+    if (conv.pjk_table.empty() || conv.op_index + 1 != out_.ops.size()) {
       return Status::InternalError("BN folding requires a pre-joined conv");
     }
-    DL2SQL_ASSIGN_OR_RETURN(db::TablePtr pjk, db_->catalog().GetTable(pjk_name));
+    const LayerGeometry& g = conv.geom;
+    DL2SQL_ASSIGN_OR_RETURN(db::TablePtr pjk,
+                            db_->catalog().GetTable(conv.pjk_table));
     // Folding rewrites columns in place, so a paged parameter table must be
     // resident first (it re-pages on the next DML sync if still large).
     DL2SQL_RETURN_NOT_OK(pjk->EnsureResident());
-    // Scale weights per output channel.
     std::vector<double> scale(static_cast<size_t>(g.out_c));
     std::vector<double> shift(static_cast<size_t>(g.out_c));
     for (int64_t c = 0; c < g.out_c; ++c) {
@@ -535,16 +546,20 @@ class Converter {
         weights[r] *= scale[static_cast<size_t>(out_ids[r] / out_plane)];
       }
     }
-    if (!bias_name.empty()) {
-      DL2SQL_ASSIGN_OR_RETURN(db::TablePtr bias_t,
-                              db_->catalog().GetTable(bias_name));
-      DL2SQL_RETURN_NOT_OK(bias_t->EnsureResident());
-      const auto& ids = bias_t->column(0).ints();
-      auto& biases = bias_t->mutable_column(1).mutable_floats();
-      for (size_t r = 0; r < biases.size(); ++r) {
-        const size_t c = static_cast<size_t>(ids[r]);
-        biases[r] = biases[r] * scale[c] + shift[c];
-      }
+    if (!conv.has_bias) {
+      DL2SQL_RETURN_NOT_OK(Deploy(conv.bias_table, MakeBiasTable(shift)));
+      conv.has_bias = true;
+      out_.ops[conv.op_index].runtime_sql = {PreJoinedConvSql(conv)};
+      return Status::OK();
+    }
+    DL2SQL_ASSIGN_OR_RETURN(db::TablePtr bias_t,
+                            db_->catalog().GetTable(conv.bias_table));
+    DL2SQL_RETURN_NOT_OK(bias_t->EnsureResident());
+    const auto& ids = bias_t->column(0).ints();
+    auto& biases = bias_t->mutable_column(1).mutable_floats();
+    for (size_t r = 0; r < biases.size(); ++r) {
+      const size_t c = static_cast<size_t>(ids[r]);
+      biases[r] = biases[r] * scale[c] + shift[c];
     }
     return Status::OK();
   }
@@ -710,7 +725,7 @@ class Converter {
     std::vector<std::string> sql;
     if (fc.bias()) {
       const std::string b_table = out_.prefix + "_" + tag + "_b";
-      DL2SQL_RETURN_NOT_OK(Deploy(b_table, MakeBiasTable(*fc.bias())));
+      DL2SQL_RETURN_NOT_OK(Deploy(b_table, MakeBiasTable(ToDoubles(*fc.bias()))));
       sql.push_back("CREATE TEMP TABLE " + out_table + " AS SELECT " + b_t_sel +
                     "t.RowID AS TupleID, t.Value + b.Bias AS Value "
                     "FROM (" +
@@ -1010,8 +1025,9 @@ class Converter {
     return EmitConvSql(deconv, up_out, g, flipped, bias);
   }
 
-  const void* pending_bn_fold_ = nullptr;
-  LayerGeometry last_conv_geom_;
+  /// The pre-joined conv most recently emitted, which a following BN folds
+  /// into.
+  PreJoinedConv last_prejoined_conv_;
 };
 
 }  // namespace

@@ -53,8 +53,12 @@ Result<std::unique_ptr<Testbed>> Testbed::Create(const TestbedOptions& options) 
   engines::Dl2SqlEngine::Options plain;
   plain.enable_optimizer_hints = false;
   tb->dl2sql_ = std::make_unique<engines::Dl2SqlEngine>(tb->device_, plain);
+  // DL2SQL-OP also runs Fig. 11's full pre-join: each conv is one join with
+  // a mapping x kernel table whose weights hold the folded BatchNorm, so it
+  // issues no Q2 reshape and no BN statement. Plain DL2SQL keeps Q1-Q5.
   engines::Dl2SqlEngine::Options op;
   op.enable_optimizer_hints = true;
+  op.convert.prejoin = core::PreJoinStrategy::kPreJoinFull;
   tb->dl2sql_op_ = std::make_unique<engines::Dl2SqlEngine>(tb->device_, op);
 
   for (CollaborativeEngine* e : tb->AllEngines()) {

@@ -15,6 +15,7 @@
 #include "accel/device.h"
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "common/trace.h"
 #include "db/database.h"
 
 namespace dl2sql::db {
@@ -203,6 +204,44 @@ TEST(DbCacheTest, PlanCacheReusesPlanUntilDmlInvalidates) {
   ASSERT_TRUE(r4.ok());
   EXPECT_EQ(db.last_plan().get(), p3);  // re-cached after the replan
 }
+
+#if !defined(DL2SQL_TRACING_DISABLED)
+TEST(DbCacheTest, PlanProbeSpanEndsBeforeTheCachedPlanRuns) {
+  Database db;
+  ForceCachesOn(&db);
+  FillFact(&db);
+  const std::string sql = "SELECT id, val FROM fact WHERE val < 100";
+  ASSERT_TRUE(db.Execute(sql).ok());  // plans and caches
+  const PlanNode* cached = db.last_plan().get();
+
+  TraceCollector& trace = TraceCollector::Global();
+  trace.Clear();
+  trace.SetEnabled(true);
+  auto hit = db.Execute(sql);
+  trace.SetEnabled(false);
+  ASSERT_TRUE(hit.ok()) << hit.status().ToString();
+  ASSERT_EQ(db.last_plan().get(), cached);  // served from the plan cache
+  const std::vector<TraceEvent> events = trace.Snapshot();
+  trace.Clear();
+
+  std::vector<TraceEvent> probes, ops;
+  for (const TraceEvent& e : events) {
+    if (e.name == "plan_probe") probes.push_back(e);
+    if (std::string(e.category) == "db") ops.push_back(e);
+  }
+  ASSERT_EQ(probes.size(), 1u);
+  ASSERT_FALSE(ops.empty()) << "the cached plan's operators left no span";
+  const TraceEvent& probe = probes[0];
+  for (const TraceEvent& op : ops) {
+    const bool inside =
+        op.tid == probe.tid && op.depth > probe.depth &&
+        op.start_us >= probe.start_us &&
+        op.start_us + op.duration_us <= probe.start_us + probe.duration_us;
+    EXPECT_FALSE(inside) << "operator span " << op.name
+                         << " lies inside plan_probe";
+  }
+}
+#endif
 
 TEST(DbCacheTest, PlanCacheSurvivesDropAndRecreateWithNewSchema) {
   Database db;

@@ -11,6 +11,7 @@
 /// requires every configuration's pipeline output to match the first one's.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -281,8 +282,10 @@ void ExpectSameBytes(const Table& a, const Table& b, const std::string& what) {
         ASSERT_EQ(x.ints(), y.ints()) << what << " col " << c;
         break;
       case DataType::kFloat64:
-        ASSERT_EQ(0, std::memcmp(x.floats().data(), y.floats().data(),
-                                 x.floats().size() * sizeof(double)))
+        // An empty column's data() may be null, which memcmp must not get.
+        ASSERT_TRUE(x.floats().empty() ||
+                    std::memcmp(x.floats().data(), y.floats().data(),
+                                x.floats().size() * sizeof(double)) == 0)
             << what << " col " << c;
         break;
       case DataType::kBool:
@@ -358,7 +361,7 @@ void RunChecked(Database* db, const std::string& sql, int* sites) {
 
 /// Registers `fact` (210 rows) and `dim` (14 rows), joined on k, for the
 /// grouping-path cases: g holds negative keys, big spans far more values
-/// than the inputs have rows, f is FLOAT, n is INT with NULLs. Storage is
+/// than the inputs have rows, f is FLOAT, n is INT with NULLs, b is BOOL. Storage is
 /// pinned in memory (the fused pass takes resident inputs only), so the
 /// cases hold in a paged-storage CI leg too.
 void AddFactAndDim(Database* db) {
@@ -369,7 +372,8 @@ void AddFactAndDim(Database* db) {
                     Value::Int(i % 4), Value::Int(i * 1000003),
                     Value::Float(static_cast<double>(i % 3) * 0.5),
                     i % 6 == 0 ? Value::Null() : Value::Int(i % 3),
-                    Value::Float(static_cast<double>(i) * 0.25 - 10.0)});
+                    Value::Float(static_cast<double>(i) * 0.25 - 10.0),
+                    Value::Bool(i % 3 == 0)});
   }
   for (int64_t j = 0; j < 14; ++j) {
     dim.push_back({Value::Int(j % 7), Value::Int(j - 5),
@@ -382,7 +386,8 @@ void AddFactAndDim(Database* db) {
                         {"big", DataType::kInt64},
                         {"f", DataType::kFloat64},
                         {"n", DataType::kInt64},
-                        {"v", DataType::kFloat64}}));
+                        {"v", DataType::kFloat64},
+                        {"b", DataType::kBool}}));
   AddTable(db, "dim", dim,
            TableSchema({{"k", DataType::kInt64},
                         {"w", DataType::kInt64},
@@ -445,6 +450,93 @@ TEST_F(JoinSqlTest, HashedGroupingCoversWideFloatAndNullKeysLikeTheOracle) {
     RunChecked(&db_, sql, &sites);
   }
   EXPECT_EQ(sites, 3);
+}
+
+// Bare group keys, bare aggregate arguments and sum-kernel products of two
+// bare columns read the join inputs through the batch's row ids; only
+// compiled programs (and hashed keys) read gathered columns.
+TEST_F(JoinSqlTest, RowIdOperandsMatchTheOracle) {
+  db_.set_vectorized(true);  // explicit: survives a DL2SQL_VECTOR=OFF CI leg
+  AddFactAndDim(&db_);
+  const std::string from = " FROM fact F INNER JOIN dim D ON F.k = D.k";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      // Bare keys from either side: w spans 14 values and h 4.
+      {"SELECT D.w AS w, F.h AS h, sum(F.v) AS s, count(*) AS c" + from +
+           " GROUP BY D.w, F.h",
+       "[dense slots=56]"},
+      {"SELECT F.big AS b, D.w AS w, sum(D.wf) AS s" + from +
+           " GROUP BY F.big, D.w",
+       ""},
+      // A key program mixed with a bare key: h * 3 + w spans [-5, 17].
+      {"SELECT F.h * 3 + D.w AS p, F.g AS g, max(F.v) AS hi" + from +
+           " GROUP BY F.h * 3 + D.w, F.g",
+       "[dense slots=115]"},
+      {"SELECT F.n AS n, D.w * 2 AS w2, sum(F.v * D.wf) AS s" + from +
+           " GROUP BY F.n, D.w * 2",
+       ""},
+      // Products: both factors on one side, one on each side, INT64 x
+      // INT64 and INT64 x FLOAT64 in either order.
+      {"SELECT F.g AS g, sum(F.v * F.f) AS one_side, "
+       "sum(F.v * D.wf) AS two_sides, sum(F.h * D.w) AS ints, "
+       "sum(D.w * F.v) AS int_float, avg(F.h * D.wf) AS m" +
+           from + " GROUP BY F.g",
+       "[dense slots=5]"},
+      // COUNT(*), COUNT of a bool, AVG, MIN/MAX, and STDDEV over products
+      // (its sum of squares), dense and hashed.
+      {"SELECT D.w AS w, count(*) AS c, count(F.b) AS cb, avg(F.v) AS m, "
+       "min(F.h) AS lo, max(D.wf) AS hi, stddevSamp(F.v * D.wf) AS sd, "
+       "stddevSamp(F.h * D.w) AS sdi" +
+           from + " GROUP BY D.w",
+       "[dense slots=14]"},
+      {"SELECT F.f AS f, count(*) AS c, avg(F.v * D.wf) AS m, "
+       "min(D.w) AS lo, stddevSamp(F.v * D.wf) AS sd" +
+           from + " GROUP BY F.f",
+       ""},
+      {"SELECT sum(F.v * D.wf) AS s, count(*) AS c, max(F.h) AS hi" + from,
+       ""},
+      // An empty join, grouped and global.
+      {"SELECT F.g AS g, sum(F.v * E.v) AS s FROM fact F INNER JOIN empty E "
+       "ON F.k = E.k GROUP BY F.g",
+       "[dense slots=5]"},
+      {"SELECT sum(F.v * E.v) AS s, count(*) AS c FROM fact F "
+       "INNER JOIN empty E ON F.k = E.k",
+       ""},
+  };
+  int sites = 0;
+  for (const auto& [sql, mark] : cases) {
+    EXPECT_EQ(DenseMark(&db_, sql), mark) << sql;
+    RunChecked(&db_, sql, &sites);
+  }
+  EXPECT_EQ(sites, static_cast<int>(cases.size()));
+}
+
+TEST_F(JoinSqlTest, DenseGroupsComeOutInFirstSeenOrder) {
+  db_.set_vectorized(true);
+  ASSERT_TRUE(db_.set_storage_mode(StorageMode::kInMemory).ok());
+  TableSchema kx({{"k", DataType::kInt64}, {"x", DataType::kInt64}});
+  AddTable(&db_, "ord_p",
+           {{Value::Int(1), Value::Int(3)},
+            {Value::Int(2), Value::Int(1)},
+            {Value::Int(1), Value::Int(2)}},
+           kx);
+  AddTable(&db_, "ord_b",
+           {{Value::Int(1), Value::Int(5)}, {Value::Int(2), Value::Int(7)}},
+           kx);
+  const std::string sql =
+      "SELECT P.x AS x, sum(P.x * B.x) AS s FROM ord_p P INNER JOIN ord_b B "
+      "ON P.k = B.k GROUP BY P.x";
+  EXPECT_EQ(DenseMark(&db_, sql), "[dense slots=3]");
+  int sites = 0;
+  RunChecked(&db_, sql, &sites);
+  EXPECT_EQ(sites, 1);
+  // Whichever side probes, x = 3 pairs first: groups are not in slot order.
+  auto r = db_.Execute(sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->num_rows(), 3);
+  const std::vector<int64_t>& x = r->column(0).ints();
+  EXPECT_EQ(x[0], 3);
+  EXPECT_FALSE(std::is_sorted(x.begin(), x.end()));
+  EXPECT_EQ(r->column(1).GetValue(0).ToString(), "15");
 }
 
 TEST(DenseSlotsTest, BudgetAndRefusedChargeKeepGroupingHashed) {

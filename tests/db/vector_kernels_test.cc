@@ -252,19 +252,23 @@ TEST(VectorHashKeyTest, EncodeColumnKeysRangeMatchesAppendKeyPart) {
 TEST(VectorAggTest, AccumulateAndMergeMatchScalarReference) {
   const std::vector<int64_t> vals = {5, 1, 9, 3};
   const std::vector<SelIndex> gids = {0, 1, 0, 1};
+  auto at = [&](SelIndex i) { return vals[static_cast<size_t>(i)]; };
   std::vector<VAggState> st(2);
-  AccumulateSumInt(vals.data(), gids.data(), 4, st.data());
+  AccumulateSum<true>(at, gids.data(), 4, st.data());
   EXPECT_EQ(st[0].count, 2);
   EXPECT_DOUBLE_EQ(st[0].sum, 14.0);
   EXPECT_DOUBLE_EQ(st[0].sumsq, 25.0 + 81.0);
   EXPECT_EQ(st[1].count, 2);
   EXPECT_DOUBLE_EQ(st[1].sum, 4.0);
+  // SUM and AVG keep no sum of squares.
+  std::vector<VAggState> plain(2);
+  AccumulateSum<false>(at, gids.data(), 4, plain.data());
+  EXPECT_DOUBLE_EQ(plain[0].sum, 14.0);
+  EXPECT_DOUBLE_EQ(plain[0].sumsq, 0.0);
 
   std::vector<VAggState> mn(2), mx(2);
-  AccumulateMinMaxInt(vals.data(), gids.data(), 4, /*want_min=*/true,
-                      mn.data());
-  AccumulateMinMaxInt(vals.data(), gids.data(), 4, /*want_min=*/false,
-                      mx.data());
+  AccumulateMinMax(at, gids.data(), 4, /*want_min=*/true, mn.data());
+  AccumulateMinMax(at, gids.data(), 4, /*want_min=*/false, mx.data());
   EXPECT_EQ(mn[0].imin_max, 5);
   EXPECT_EQ(mx[0].imin_max, 9);
   EXPECT_EQ(mn[1].imin_max, 1);
@@ -272,14 +276,15 @@ TEST(VectorAggTest, AccumulateAndMergeMatchScalarReference) {
 
   const std::vector<uint8_t> flags = {1, 1, 0, 1};
   std::vector<VAggState> cb(2);
-  AccumulateCountBool(flags.data(), gids.data(), 4, cb.data());
+  AccumulateCountBool([&](SelIndex i) { return flags[static_cast<size_t>(i)]; },
+                      gids.data(), 4, cb.data());
   EXPECT_EQ(cb[0].count, 1);  // row 2 is FALSE
   EXPECT_EQ(cb[1].count, 2);
 
   // Empty morsel: every kernel is a no-op at n == 0.
   VAggState empty;
   AccumulateCount(nullptr, 0, &empty);
-  AccumulateSumFloat(nullptr, nullptr, 0, &empty);
+  AccumulateSum<true>([](SelIndex) { return 1.0; }, nullptr, 0, &empty);
   EXPECT_EQ(empty.count, 0);
 }
 

@@ -7,6 +7,7 @@
 #include "dl2sql/converter.h"
 #include "dl2sql/pipeline.h"
 #include "nn/builders.h"
+#include "nn/layers.h"
 
 namespace dl2sql::core {
 namespace {
@@ -112,6 +113,64 @@ TEST(Dl2SqlConverter, PreJoinFullMatchesNative) {
   ConvertOptions c;
   c.prejoin = PreJoinStrategy::kPreJoinFull;
   EXPECT_LT(CompareNativeVsSql(m, c, 31), kTol);
+}
+
+// BN folding finds its conv's tables by what the converter emitted, not by
+// matching table names: a prefix that itself contains "bias", "conv" or
+// "pjk" (the engines name tables after the nUDF) must fold the same way.
+TEST(Dl2SqlConverter, PreJoinFullFoldsBnWhateverTheTablePrefix) {
+  BuilderOptions opts;
+  opts.input_size = 16;
+  opts.base_channels = 4;
+  Model m = nn::BuildStudentCnn(opts);
+  for (const char* prefix :
+       {"nn_nudf_bias_check0", "nn_nudf_conv_pjk1", "nn_nudf_detect_00"}) {
+    for (bool batched : {false, true}) {
+      ConvertOptions c;
+      c.table_prefix = prefix;
+      c.prejoin = PreJoinStrategy::kPreJoinFull;
+      c.batched = batched;
+      EXPECT_LT(CompareNativeVsSql(m, c, 31), kTol)
+          << prefix << (batched ? " batched" : "");
+    }
+  }
+}
+
+// A conv without a bias followed by BN: the folded conv gains a bias table
+// that holds BN's shift.
+TEST(Dl2SqlConverter, PreJoinFullFoldsBnIntoAConvWithoutBias) {
+  Rng rng(9);
+  Model m("nobias", Shape({3, 8, 8}), {"a", "b", "c"});
+  m.AddLayer(std::make_shared<nn::Conv2d>(
+      "conv", Tensor::Random(Shape({4, 3, 3, 3}), &rng, 0.5f), std::nullopt,
+      /*stride=*/1, /*pad=*/1));
+  auto bn = std::make_shared<nn::BatchNorm>("bn", 4);
+  bn->RandomizeStats(&rng);
+  m.AddLayer(bn);
+  m.AddLayer(std::make_shared<nn::ReluLayer>("relu"));
+  m.AddLayer(std::make_shared<nn::Flatten>("flatten"));
+  m.AddLayer(std::make_shared<nn::Linear>("fc", 4 * 8 * 8, 3, &rng));
+  for (auto prejoin : {PreJoinStrategy::kNone, PreJoinStrategy::kPreJoinFull}) {
+    for (bool batched : {false, true}) {
+      ConvertOptions c;
+      c.prejoin = prejoin;
+      c.batched = batched;
+      EXPECT_LT(CompareNativeVsSql(m, c, 47), 1e-4)
+          << "prejoin " << static_cast<int>(prejoin)
+          << (batched ? " batched" : "");
+    }
+  }
+  // The folded form runs no BN statement.
+  db::Database db;
+  ConvertOptions c;
+  c.prejoin = PreJoinStrategy::kPreJoinFull;
+  auto converted = ConvertModel(m, c, &db);
+  ASSERT_TRUE(converted.ok()) << converted.status().ToString();
+  for (const auto& op : converted->ops) {
+    if (op.kind == nn::LayerKind::kBatchNorm) {
+      EXPECT_TRUE(op.runtime_sql.empty());
+    }
+  }
 }
 
 TEST(Dl2SqlConverter, ReluAsUpdateMatchesNative) {

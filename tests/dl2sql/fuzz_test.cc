@@ -1,8 +1,8 @@
 /// \file fuzz_test.cc
 /// \brief Randomized property test: random valid layer stacks must translate
-/// to SQL and match native inference, across pre-join strategies and batch
-/// mode. Exercises the converter's shape handling far beyond the curated
-/// architectures.
+/// to SQL and match native inference, across pre-join strategies, batch
+/// mode, table prefixes and convs with and without a bias. Exercises the
+/// converter's shape handling far beyond the curated architectures.
 #include <gtest/gtest.h>
 
 #include "dl2sql/pipeline.h"
@@ -31,8 +31,15 @@ nn::Model RandomModel(uint64_t seed) {
         const int64_t k = 1 + 2 * rng.UniformInt(0, 1);  // 1 or 3
         const int64_t stride = rng.UniformInt(1, 2);
         const int64_t pad = k / 2;
-        auto conv = std::make_shared<nn::Conv2d>(tag, shape[0], out_c, k,
-                                                 stride, pad, &rng);
+        // Some convs have no bias (explicit weights, as a serialized model
+        // with hp[5] == 0 loads), so a following BN must supply one.
+        auto conv =
+            rng.Bernoulli(0.5)
+                ? std::make_shared<nn::Conv2d>(tag, shape[0], out_c, k, stride,
+                                               pad, &rng)
+                : std::make_shared<nn::Conv2d>(
+                      tag, Tensor::Random(Shape({out_c, shape[0], k, k}), &rng),
+                      std::nullopt, stride, pad);
         auto s = conv->OutputShape(shape);
         if (!s.ok() || (*s)[1] < 2) continue;  // keep room for later pooling
         shape = *s;
@@ -86,13 +93,18 @@ TEST_P(FuzzTest, RandomModelMatchesNative) {
   ASSERT_TRUE(native.ok()) << native.status().ToString();
   auto flat = native->Reshape(Shape({native->NumElements()}));
 
-  // Every strategy x batch combination must agree with native inference.
+  // Every strategy x batch combination must agree with native inference,
+  // whatever the table prefix holds: the engines name tables after the nUDF,
+  // and table names must never steer the conversion.
   const PreJoinStrategy kStrategies[] = {PreJoinStrategy::kNone,
                                          PreJoinStrategy::kPreJoinFull};
+  const char* const kPrefixes[] = {"nn_nudf_bias_a0", "nn_conv_pjk1",
+                                   "m_bias_conv_pjk"};
   for (PreJoinStrategy strategy : kStrategies) {
     for (bool batched : {false, true}) {
       db::Database db;
       ConvertOptions opts;
+      opts.table_prefix = kPrefixes[seed % 3];
       opts.prejoin = strategy;
       opts.batched = batched;
       auto converted = ConvertModel(model, opts, &db);

@@ -4,8 +4,11 @@
 /// type — they differ only in *where* the work happens.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/metrics.h"
 #include "workload/testbed.h"
@@ -15,6 +18,28 @@ namespace {
 
 using engines::CollaborativeEngine;
 using engines::QueryCost;
+
+/// Canonical multiset rendering of a result table (row order-insensitive).
+std::vector<std::string> Canonical(const db::Table& t) {
+  std::vector<std::string> rows;
+  for (int64_t r = 0; r < t.num_rows(); ++r) {
+    std::string row;
+    for (int c = 0; c < t.num_columns(); ++c) {
+      const db::Value v = t.column(c).GetValue(r);
+      if (v.type() == db::DataType::kFloat64) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.6g", v.float_value());
+        row += buf;
+      } else {
+        row += v.ToString();
+      }
+      row += "|";
+    }
+    rows.push_back(std::move(row));
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
 
 class EnginesTest : public ::testing::Test {
  protected:
@@ -32,28 +57,6 @@ class EnginesTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete testbed_;
     testbed_ = nullptr;
-  }
-
-  /// Canonical multiset rendering of a result table (row order-insensitive).
-  static std::vector<std::string> Canonical(const db::Table& t) {
-    std::vector<std::string> rows;
-    for (int64_t r = 0; r < t.num_rows(); ++r) {
-      std::string row;
-      for (int c = 0; c < t.num_columns(); ++c) {
-        const db::Value v = t.column(c).GetValue(r);
-        if (v.type() == db::DataType::kFloat64) {
-          char buf[32];
-          std::snprintf(buf, sizeof(buf), "%.6g", v.float_value());
-          row += buf;
-        } else {
-          row += v.ToString();
-        }
-        row += "|";
-      }
-      rows.push_back(std::move(row));
-    }
-    std::sort(rows.begin(), rows.end());
-    return rows;
   }
 
   void ExpectAllEnginesAgree(const std::string& sql) {
@@ -180,6 +183,57 @@ TEST_F(EnginesTest, PipelineStatsCoverEveryConvertedOp) {
   }
   EXPECT_GT(seconds, 0.0);
   EXPECT_GT(stats.clause_costs.Get("join"), 0.0);
+}
+
+TEST(Dl2SqlOpConversionTest, TestbedRunsPreJoinedConvsWithBnFolded) {
+  TestbedOptions options;
+  options.dataset.video_rows = 300;
+  options.dataset.keyframe_size = 8;
+  options.dataset.seed = 99;
+  options.model_base_channels = 2;
+  options.histogram_samples = 16;
+  auto tb = Testbed::Create(options);
+  ASSERT_TRUE(tb.ok()) << tb.status().ToString();
+  Testbed& testbed = **tb;
+
+  // Type 1-4 results still equal DB-PyTorch's.
+  QueryParams p;
+  p.selectivity = 0.05;
+  for (const std::string& sql :
+       {MakeType1Query(p), MakeType2Query(p), MakeType3Query(p),
+        MakeType4Query(p)}) {
+    QueryCost op_cost, ref_cost;
+    auto op = testbed.dl2sql_op()->ExecuteCollaborative(sql, &op_cost);
+    auto ref = testbed.independent()->ExecuteCollaborative(sql, &ref_cost);
+    ASSERT_TRUE(op.ok()) << op.status().ToString() << "\nSQL: " << sql;
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString() << "\nSQL: " << sql;
+    EXPECT_EQ(Canonical(*op), Canonical(*ref)) << sql;
+  }
+
+  // DL2SQL-OP: one join per conv (no Q2 reshape table), BN folded away.
+  auto op_model = testbed.dl2sql_op()->converted_model("nUDF_classify");
+  ASSERT_TRUE(op_model.ok()) << op_model.status().ToString();
+  EXPECT_EQ((*op_model)->options.prejoin, core::PreJoinStrategy::kPreJoinFull);
+  for (const std::string& t : (*op_model)->RuntimeTables()) {
+    EXPECT_EQ(t.find("_fm"), std::string::npos) << t;
+  }
+  int bn_ops = 0;
+  for (const core::ConvertedOp& o : (*op_model)->ops) {
+    if (o.kind != nn::LayerKind::kBatchNorm) continue;
+    ++bn_ops;
+    EXPECT_TRUE(o.runtime_sql.empty()) << o.layer_name;
+  }
+  EXPECT_GT(bn_ops, 0);
+
+  // Plain DL2SQL keeps the paper's Q1-Q5 form.
+  auto plain = testbed.dl2sql()->converted_model("nUDF_classify");
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ((*plain)->options.prejoin, core::PreJoinStrategy::kNone);
+  const std::vector<std::string> plain_tables = (*plain)->RuntimeTables();
+  EXPECT_TRUE(std::any_of(plain_tables.begin(), plain_tables.end(),
+                          [](const std::string& t) {
+                            return t.find("_fm") != std::string::npos;
+                          }));
 }
 
 TEST(Dl2SqlDeploymentTest, QueryDeploysOnlyTheModelsItCalls) {

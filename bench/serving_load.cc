@@ -2,14 +2,13 @@
 /// \brief Closed-loop multi-client serving benchmark over a fig8-style mixed
 /// workload (inference predicates, retrieval + inference projection,
 /// inference aggregation, pure relational), driven through QueryService
-/// sessions. Sweeps 1/4/16 clients with cross-query nUDF batch coalescing on
-/// vs off and reports QPS plus p50/p95/p99 statement latency. Writes
-/// BENCH_serving.json (consumed by scripts/check_bench_regression.py).
+/// sessions. Sweeps 1/4/16 clients and reports QPS, p50/p95/p99 statement
+/// latency and model calls. Writes BENCH_serving.json (consumed by
+/// scripts/check_bench_regression.py).
 ///
 /// Hard checks (exit 1): every request must succeed (the admission queue is
-/// sized so nothing is rejected, and nothing may hang), every result must be
-/// bit-identical to the single-threaded reference, and at 16 clients
-/// coalescing must issue fewer model batches than running with it off.
+/// sized so nothing is rejected, and nothing may hang), and every result must
+/// be bit-identical to the single-threaded reference.
 ///
 /// A second sweep drives the same fig8 mix through a cluster coordinator
 /// over 1/2/4 in-process shards (real TcpServer instances speaking the wire
@@ -26,7 +25,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,8 +32,7 @@
 #include "bench/bench_util.h"
 #include "cluster/coordinator.h"
 #include "common/timer.h"
-#include "nn/builders.h"
-#include "nn/serialize.h"
+#include "examples/demo_model.h"
 #include "server/session.h"
 #include "server/tcp_server.h"
 
@@ -49,81 +46,6 @@ std::shared_ptr<Device> MakeCpuDevice(const std::string& name, int threads) {
   profile.name = name;
   profile.num_threads = threads;
   return std::make_shared<Device>(profile);
-}
-
-/// The deployed model: one student CNN shared by every query, executed under
-/// a mutex like a single exclusive accelerator. Coalescing therefore pays off
-/// twice: fewer model calls and fewer lock handoffs.
-struct ServedModel {
-  nn::Model model;
-  std::shared_ptr<Device> device;
-  std::mutex mu;
-
-  ServedModel() {
-    nn::BuilderOptions opts;
-    opts.input_channels = 1;
-    opts.input_size = 8;
-    opts.num_classes = 4;
-    opts.base_channels = 2;
-    opts.seed = 7;
-    model = nn::BuildStudentCnn(opts);
-    // Single-threaded: kernels run inline on the calling thread, so
-    // concurrent queries contend only on the model mutex.
-    device = MakeCpuDevice("serving-model-cpu", 1);
-  }
-
-  /// Deterministic keyframe analog for a row seed.
-  Tensor MakeInput(int64_t seed) const {
-    Tensor t{Shape({1, 8, 8})};
-    for (int64_t i = 0; i < t.NumElements(); ++i) {
-      t.at(i) = static_cast<float>((seed * 131 + i * 29) % 211) / 105.0f - 1.0f;
-    }
-    return t;
-  }
-
-  Result<int64_t> PredictSeed(int64_t seed) {
-    const Tensor input = MakeInput(seed);
-    std::lock_guard<std::mutex> lock(mu);
-    return model.Predict(input, device.get());
-  }
-
-  /// One accelerator handoff for the whole batch: merged batches mean fewer
-  /// lock acquisitions, which is where coalescing pays off under contention.
-  Result<std::vector<db::Value>> PredictBatch(
-      const std::vector<std::vector<db::Value>>& rows) {
-    std::vector<Tensor> inputs;
-    inputs.reserve(rows.size());
-    for (const auto& row : rows) {
-      DL2SQL_ASSIGN_OR_RETURN(int64_t seed, row[0].AsInt());
-      inputs.push_back(MakeInput(seed));
-    }
-    std::vector<db::Value> out;
-    out.reserve(rows.size());
-    std::lock_guard<std::mutex> lock(mu);
-    for (const Tensor& input : inputs) {
-      DL2SQL_ASSIGN_OR_RETURN(int64_t cls, model.Predict(input, device.get()));
-      out.push_back(db::Value::Int(cls));
-    }
-    return out;
-  }
-};
-
-void RegisterServedNudf(db::Database* db, ServedModel* served) {
-  db::NUdfInfo info;
-  info.model_name = served->model.name();
-  info.num_parameters = served->model.NumParameters();
-  info.fingerprint = nn::ModelFingerprint(served->model).ValueOr(0x5eed);
-  db->udfs().RegisterNeural(
-      "nudf_student", db::DataType::kInt64,
-      [served](const std::vector<db::Value>& args) -> Result<db::Value> {
-        DL2SQL_ASSIGN_OR_RETURN(int64_t seed, args[0].AsInt());
-        DL2SQL_ASSIGN_OR_RETURN(int64_t cls, served->PredictSeed(seed));
-        return db::Value::Int(cls);
-      },
-      info,
-      [served](const std::vector<std::vector<db::Value>>& rows)
-          -> Result<std::vector<db::Value>> { return served->PredictBatch(rows); },
-      /*arity=*/1, /*parallel_safe=*/true);
 }
 
 void MakeFramesTable(db::Database* db, int64_t rows) {
@@ -155,18 +77,19 @@ const std::vector<std::string>& Queries() {
 }
 
 /// One self-contained serving environment: model, devices, database, data.
-/// ServedModel holds a mutex, so environments live behind unique_ptrs.
+/// The model is the demo student CNN (examples/demo_model.h): one instance
+/// per environment, run under a mutex like a single exclusive accelerator.
 struct Env {
-  std::unique_ptr<ServedModel> served = std::make_unique<ServedModel>();
   std::shared_ptr<Device> db_device;
   std::unique_ptr<db::Database> db = std::make_unique<db::Database>();
+  std::shared_ptr<demo::ServedModel> served;
 };
 
 Env BuildEnv(const std::string& tag, int64_t rows) {
   Env env;
   env.db_device = MakeCpuDevice("serving-db-cpu-" + tag, 4);
-  // Small morsels keep per-query nUDF submissions well under the batch cap,
-  // which is exactly the shape cross-query coalescing targets.
+  // Small morsels split each query's nUDF rows into many model calls, so
+  // concurrent queries interleave on the model mutex.
   env.db->set_exec_options({env.db_device.get(), /*morsel_size=*/64});
   // The nUDF result cache would answer repeats without running the model;
   // serving load is about the miss path, so measure with it off.
@@ -176,7 +99,7 @@ Env BuildEnv(const std::string& tag, int64_t rows) {
   // rows == 0: cluster node — the frames table arrives via coordinator DDL
   // and routed INSERTs instead of being pre-registered.
   if (rows > 0) MakeFramesTable(env.db.get(), rows);
-  RegisterServedNudf(env.db.get(), env.served.get());
+  env.served = demo::RegisterDemoModel(env.db.get());
   return env;
 }
 
@@ -189,7 +112,6 @@ int64_t Percentile(const std::vector<int64_t>& sorted_us, double pct) {
 struct ConfigResult {
   std::string name;
   int clients = 0;
-  bool coalesce = false;
   int64_t statements = 0;
   int64_t failures = 0;
   int64_t mismatches = 0;
@@ -200,17 +122,14 @@ struct ConfigResult {
   int64_t p95_us = 0;
   int64_t p99_us = 0;
   int64_t nudf_batches = 0;
-  int64_t merged_batches = 0;
 };
 
-ConfigResult RunConfig(int clients, bool coalesce, int64_t rows,
-                       int iters_per_client) {
-  Env env = BuildEnv(std::to_string(clients) + (coalesce ? "on" : "off"),
-                     rows);
+ConfigResult RunConfig(int clients, int64_t rows, int iters_per_client) {
+  Env env = BuildEnv(std::to_string(clients), rows);
   db::Database& db = *env.db;
 
-  // Single-threaded reference renders, computed before the service wires in
-  // the coalescer: the evaluator's direct path is the correctness baseline.
+  // Single-threaded reference renders: the correctness baseline every
+  // served result must match byte for byte.
   std::vector<std::string> reference;
   for (const std::string& q : Queries()) {
     auto r = db.Execute(q);
@@ -224,23 +143,14 @@ ConfigResult RunConfig(int clients, bool coalesce, int64_t rows,
   // Never-reject sizing: the queue outlasts the longest closed-loop burst,
   // so any failure below is a real bug, not an overload response.
   opts.admission.queue_timeout_ms = 120000.0;
-  opts.coalescer.enabled = coalesce;
-  opts.coalescer.max_batch_rows = 256;
-  opts.coalescer.wait_window_ms = 0.5;
   server::QueryService service(&db, opts);
 
   Counter* batches = MetricsRegistry::Global().counter("nudf.batches");
-  Counter* merged =
-      MetricsRegistry::Global().counter("server.coalesce.merged_batches");
   const int64_t batches_before = batches->value();
-  const int64_t merged_before = merged->value();
 
   ConfigResult result;
-  result.name = "c";
-  result.name += std::to_string(clients);
-  result.name += coalesce ? "_coalesce_on" : "_coalesce_off";
+  result.name = "c" + std::to_string(clients);
   result.clients = clients;
-  result.coalesce = coalesce;
 
   std::vector<std::vector<int64_t>> latencies(
       static_cast<size_t>(clients));
@@ -288,7 +198,6 @@ ConfigResult RunConfig(int clients, bool coalesce, int64_t rows,
   result.p95_us = Percentile(all, 95);
   result.p99_us = Percentile(all, 99);
   result.nudf_batches = batches->value() - batches_before;
-  result.merged_batches = merged->value() - merged_before;
   return result;
 }
 
@@ -424,27 +333,22 @@ int main(int argc, char** argv) {
   }
 
   PrintHeader("Serving load: closed-loop clients over the fig8 query mix",
-              {"Config", "QPS", "p50_us", "p95_us", "p99_us", "Batches",
-               "Merged"});
+              {"Config", "QPS", "p50_us", "p95_us", "p99_us", "Batches"});
 
   std::vector<ConfigResult> results;
   for (int clients : {1, 4, 16}) {
-    for (bool coalesce : {false, true}) {
-      ConfigResult r = RunConfig(clients, coalesce, rows, iters_per_client);
-      PrintCell(r.name);
-      PrintCell(r.qps);
-      PrintCell(r.p50_us);
-      PrintCell(r.p95_us);
-      PrintCell(r.p99_us);
-      PrintCell(r.nudf_batches);
-      PrintCell(r.merged_batches);
-      EndRow();
-      results.push_back(r);
-    }
+    ConfigResult r = RunConfig(clients, rows, iters_per_client);
+    PrintCell(r.name);
+    PrintCell(r.qps);
+    PrintCell(r.p50_us);
+    PrintCell(r.p95_us);
+    PrintCell(r.p99_us);
+    PrintCell(r.nudf_batches);
+    EndRow();
+    results.push_back(r);
   }
 
   // Hard acceptance checks.
-  int64_t batches_on_16 = 0, batches_off_16 = 0;
   bool ok = true;
   for (const ConfigResult& r : results) {
     if (r.failures != 0 || r.mismatches != 0) {
@@ -454,23 +358,8 @@ int main(int argc, char** argv) {
                    (long long)r.mismatches);
       ok = false;
     }
-    if (r.clients == 16) {
-      (r.coalesce ? batches_on_16 : batches_off_16) = r.nudf_batches;
-    }
-  }
-  if (batches_on_16 >= batches_off_16) {
-    std::fprintf(stderr,
-                 "FATAL: coalescing did not reduce model batches at 16 "
-                 "clients (on=%lld vs off=%lld)\n",
-                 (long long)batches_on_16, (long long)batches_off_16);
-    ok = false;
   }
   if (!ok) return 1;
-  std::printf("\n16-client batch reduction: %lld -> %lld (%.2fx fewer model "
-              "calls with coalescing)\n",
-              (long long)batches_off_16, (long long)batches_on_16,
-              static_cast<double>(batches_off_16) /
-                  static_cast<double>(batches_on_16));
 
   std::FILE* out = std::fopen("BENCH_serving.json", "w");
   if (out == nullptr) {
@@ -494,27 +383,19 @@ int main(int argc, char** argv) {
     // regression gate. The gated seconds-like key is the uncontended
     // reference floor emitted at the top level below.
     std::fprintf(out,
-                 "    {\"name\": \"%s\", \"clients\": %d, \"coalesce\": %s, "
+                 "    {\"name\": \"%s\", \"clients\": %d, "
                  "\"statements\": %lld, \"failures\": %lld, "
                  "\"mismatches\": %lld, \"wall_s\": %.6f, \"qps\": %.2f, "
                  "\"min_us\": %lld, \"p50_us\": %lld, \"p95_us\": %lld, "
-                 "\"p99_us\": %lld, \"nudf_batches\": %lld, "
-                 "\"merged_batches\": %lld}%s\n",
-                 r.name.c_str(), r.clients, r.coalesce ? "true" : "false",
-                 (long long)r.statements, (long long)r.failures,
-                 (long long)r.mismatches, r.wall_seconds, r.qps,
-                 (long long)r.min_us, (long long)r.p50_us,
-                 (long long)r.p95_us, (long long)r.p99_us,
-                 (long long)r.nudf_batches, (long long)r.merged_batches,
+                 "\"p99_us\": %lld, \"nudf_batches\": %lld}%s\n",
+                 r.name.c_str(), r.clients, (long long)r.statements,
+                 (long long)r.failures, (long long)r.mismatches,
+                 r.wall_seconds, r.qps, (long long)r.min_us,
+                 (long long)r.p50_us, (long long)r.p95_us,
+                 (long long)r.p99_us, (long long)r.nudf_batches,
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-  std::fprintf(out,
-               "  \"batch_reduction_16_clients\": {\"off\": %lld, "
-               "\"on\": %lld, \"factor\": %.3f},\n",
-               (long long)batches_off_16, (long long)batches_on_16,
-               static_cast<double>(batches_off_16) /
-                   static_cast<double>(batches_on_16));
   std::fprintf(out, "  \"metrics_snapshot\": %s\n",
                MetricsSnapshotJson().c_str());
   std::fprintf(out, "}\n");

@@ -6,7 +6,7 @@
 ///
 /// Usage:
 ///   ./build/examples/lindb_server [--port N] [--init script.sql]
-///                                 [--coalesce on|off] [--max-concurrent N]
+///                                 [--max-concurrent N]
 ///                                 [--shard host:port]... [--demo-model]
 ///
 /// --port 0 (the default) picks a free port; the server prints
@@ -64,13 +64,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       init_path = v;
-    } else if (arg == "--coalesce") {
-      const char* v = next();
-      if (v == nullptr) {
-        std::fprintf(stderr, "--coalesce needs on|off\n");
-        return 2;
-      }
-      service_opts.coalescer.enabled = std::string(v) == "on";
     } else if (arg == "--max-concurrent") {
       const char* v = next();
       if (v == nullptr) {

@@ -244,7 +244,6 @@ EvalContext Database::MakeEvalContext() {
   ctx.costs = costs_;
   ctx.vectorized = vectorized_;
   ctx.nudf_cache = nudf_cache_.get();
-  ctx.batch_sink = nudf_batch_sink_;
   if (exec_options_.device != nullptr) {
     ctx.pool = exec_options_.device->pool();
     if (exec_options_.morsel_size > 0) {
@@ -271,8 +270,6 @@ double Database::DrainEvalContext(const EvalContext& ctx) {
     tally->neural_calls += ctx.neural_calls;
     tally->nudf_cache_hits += ctx.nudf_cache_hits;
     tally->vector_batches += ctx.vec_batches;
-    tally->nudf_wait_seconds += ctx.nudf_wait_seconds;
-    tally->nudf_billed_seconds += ctx.nudf_billed_seconds;
   }
   if (ctx.vec_batches > 0) {
     static Counter* const batches_counter =
@@ -393,10 +390,6 @@ Result<Table> Database::ExecuteStatementRecorded(const Statement& stmt,
                  1000;
     rec.pool_queue_wait_us =
         ThreadPool::credited_queue_wait_us() - pool_wait0_us;
-    rec.coalesce_wait_us =
-        static_cast<int64_t>(tally.nudf_wait_seconds * 1e6);
-    rec.billed_batch_us =
-        static_cast<int64_t>(tally.nudf_billed_seconds * 1e6);
     rec.mem_peak_bytes = query_mem->peak();
     rec.mem_cumulative_bytes = query_mem->cumulative();
     // Static handles: one registry lookup for the process lifetime.
@@ -408,16 +401,10 @@ Result<Table> Database::ExecuteStatementRecorded(const Statement& stmt,
         MetricsRegistry::Global().histogram("dl2sql.query.lock_wait_us");
     static Histogram* const h_pool_wait =
         MetricsRegistry::Global().histogram("dl2sql.query.pool_queue_wait_us");
-    static Histogram* const h_coalesce_wait =
-        MetricsRegistry::Global().histogram("dl2sql.query.coalesce_wait_us");
-    static Histogram* const h_billed =
-        MetricsRegistry::Global().histogram("dl2sql.query.billed_batch_us");
     h_mem_peak->Record(rec.mem_peak_bytes);
     h_cpu->Record(rec.cpu_us);
     h_lock_wait->Record(rec.lock_wait_us);
     h_pool_wait->Record(rec.pool_queue_wait_us);
-    h_coalesce_wait->Record(rec.coalesce_wait_us);
-    h_billed->Record(rec.billed_batch_us);
   }
   query_log_->Record(rec);
   if (hints.record_out != nullptr) *hints.record_out = rec;
@@ -427,8 +414,8 @@ Result<Table> Database::ExecuteStatementRecorded(const Statement& stmt,
   if (threshold_ms > 0 && duration_ms >= threshold_ms) {
     std::string plan_text;
     if (rec.kind == QueryKind::kSelect) {
-      if (PlanPtr plan = last_plan()) {
-        plan_text = plan->ToString();
+      if (tally.plan != nullptr) {
+        plan_text = tally.plan->ToString();
         if (!plan_text.empty() && plan_text.back() == '\n') {
           plan_text.pop_back();
         }
@@ -442,9 +429,7 @@ Result<Table> Database::ExecuteStatementRecorded(const Statement& stmt,
                   std::to_string(rec.admission_wait_us) +
                   " lock=" + std::to_string(rec.lock_wait_us) +
                   " pool_queue=" + std::to_string(rec.pool_queue_wait_us) +
-                  " coalesce=" + std::to_string(rec.coalesce_wait_us) +
-                  ", billed_batch=" + std::to_string(rec.billed_batch_us) +
-                  "us]";
+                  "]";
     }
     DL2SQL_LOG(Warning) << "slow query (" << duration_ms << " ms >= "
                         << threshold_ms << " ms threshold): " << rec.sql

@@ -180,14 +180,6 @@ class Database {
   /// The prepared-plan cache, or nullptr when disabled.
   ShardedLruCache* plan_cache() { return plan_cache_.get(); }
 
-  /// Routes cache-miss batched-nUDF invocations through `sink` (the serving
-  /// layer's cross-query coalescer); nullptr restores direct invocation. Only
-  /// parallel-safe neural UDFs with a non-zero fingerprint are routed, so
-  /// results stay bit-identical either way. Not owned; callers must clear the
-  /// sink before destroying it, and must not swap it mid-query.
-  void set_nudf_batch_sink(NudfBatchSink* sink) { nudf_batch_sink_ = sink; }
-  NudfBatchSink* nudf_batch_sink() const { return nudf_batch_sink_; }
-
   /// When set, operator wall time is charged into this accumulator under
   /// buckets: "scan", "filter", "join", "groupby", "project", "sort",
   /// "limit", and nUDF time separately under "inference".
@@ -325,6 +317,10 @@ class Database {
     int64_t neural_calls = 0;
     int64_t nudf_cache_hits = 0;
     bool plan_cache_hit = false;
+    /// The plan this statement ran: set by the first SELECT executed under
+    /// this tally. Scalar subqueries run after it, and nested recorded
+    /// statements have tallies of their own, so neither overwrites it.
+    PlanPtr plan;
     int64_t operator_rows = 0;
     int64_t peak_operator_bytes = 0;
     /// Vectorized batches processed across all operators of the statement.
@@ -343,9 +339,6 @@ class Database {
     /// node's inputs and output simultaneously, like execution does. Charges
     /// left at depth 0 (the root output) are released at end of statement.
     std::vector<std::vector<std::pair<MemTracker*, int64_t>>> mem_frames;
-    /// Coalesced-batch attribution folded from EvalContexts.
-    double nudf_wait_seconds = 0.0;
-    double nudf_billed_seconds = 0.0;
     /// @}
     /// \name Out-of-core spill accounting (grace join / external aggregation)
     /// @{
@@ -453,6 +446,8 @@ class Database {
   uint64_t PlanCacheKey(const SelectStmt& stmt) const;
 
   void SetLastPlan(PlanPtr plan) {
+    QueryTally* const tally = tls_tally_;
+    if (tally != nullptr && tally->plan == nullptr) tally->plan = plan;
     std::lock_guard<std::mutex> lock(last_run_mu_);
     last_plan_ = std::move(plan);
   }
@@ -474,7 +469,6 @@ class Database {
   /// Prepared-plan cache; null when disabled.
   std::unique_ptr<ShardedLruCache> plan_cache_;
   CostAccumulator* costs_ = nullptr;
-  NudfBatchSink* nudf_batch_sink_ = nullptr;
   /// Batch-at-a-time vectorized execution toggle (DL2SQL_VECTOR).
   bool vectorized_ = true;
   IntrospectionOptions introspection_options_;

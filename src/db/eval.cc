@@ -513,26 +513,12 @@ Result<ColumnHandle> EvalFuncCall(const Expr& e, const Table& input,
     ShardedLruCache* const cache =
         NudfCacheActive(udf, ctx) ? ctx->nudf_cache : nullptr;
     const uint64_t fingerprint = udf->neural.fingerprint;
-    // Cross-query batch coalescing (serving layer): miss batches of
-    // parallel-safe, fingerprinted neural bodies are handed to the sink,
-    // which may merge them with rows from concurrently running queries.
-    // Per-row purity (implied by parallel_safe + fingerprint) guarantees the
-    // regrouping cannot change any individual result.
-    NudfBatchSink* const sink =
-        (ctx->batch_sink != nullptr && udf->is_neural && udf->parallel_safe &&
-         fingerprint != 0)
-            ? ctx->batch_sink
-            : nullptr;
     // Inference time is accumulated per worker and merged once: concurrent
     // `ctx->inference_seconds +=` from morsel bodies would race, and the sum
     // of per-worker compute seconds stays meaningful under parallelism where
     // a single wall-clock watch would under-count work done.
     std::vector<double> worker_seconds(
         static_cast<size_t>(parallel ? ctx->pool->num_threads() : 1), 0.0);
-    // Sink attribution (wait vs. billed batch share), accumulated per worker
-    // for the same race-freedom reason, folded into ctx after the loop.
-    std::vector<NudfBatchSink::NudfBatchStats> worker_sink_stats(
-        worker_seconds.size());
     // Morsels whose miss set was non-empty, i.e. real batch_fn invocations;
     // fully memoized morsels never reach the model.
     std::atomic<int64_t> invoked_batches{0};
@@ -581,30 +567,18 @@ Result<ColumnHandle> EvalFuncCall(const Expr& e, const Table& input,
         }
         Stopwatch morsel_watch;
         std::vector<Value> fresh;
-        if (sink != nullptr) {
-          // The sink performs (and accounts for) the real model invocations;
-          // the measured time includes any coalescing wait, which is genuine
-          // inference latency from this query's point of view.
-          DL2SQL_TRACE_SPAN("nudf", "coalesce_batch");
-          DL2SQL_ASSIGN_OR_RETURN(
-              fresh,
-              sink->RunBatch(fingerprint, udf->batch_fn,
-                             all_miss ? std::move(rows)
-                                      : std::move(miss_rows),
-                             &worker_sink_stats[static_cast<size_t>(worker)]));
-        } else {
+        {
           DL2SQL_TRACE_SPAN("nudf", "invoke_batch");
           DL2SQL_ASSIGN_OR_RETURN(fresh,
                                   udf->batch_fn(all_miss ? rows : miss_rows));
-          invoked_batches.fetch_add(1, std::memory_order_relaxed);
-          if (udf->is_neural) {
-            static Histogram* const batch_us =
-                MetricsRegistry::Global().histogram("nudf.batch_us");
-            batch_us->Record(
-                static_cast<int64_t>(morsel_watch.ElapsedSeconds() * 1e6));
-          }
         }
+        invoked_batches.fetch_add(1, std::memory_order_relaxed);
         const double batch_seconds = morsel_watch.ElapsedSeconds();
+        if (udf->is_neural) {
+          static Histogram* const batch_us =
+              MetricsRegistry::Global().histogram("nudf.batch_us");
+          batch_us->Record(static_cast<int64_t>(batch_seconds * 1e6));
+        }
         worker_seconds[static_cast<size_t>(worker)] += batch_seconds;
         if (fresh.size() != miss.size()) {
           return Status::InternalError(e.func_name, " batch body returned ",
@@ -637,10 +611,6 @@ Result<ColumnHandle> EvalFuncCall(const Expr& e, const Table& input,
       double secs = 0.0;
       for (double s : worker_seconds) secs += s;
       ctx->inference_seconds += secs;
-      for (const auto& ss : worker_sink_stats) {
-        ctx->nudf_wait_seconds += ss.wait_seconds;
-        ctx->nudf_billed_seconds += ss.billed_seconds;
-      }
       // Rows answered by the model, memoized or fresh: cache hits must not
       // perturb the per-row tallies the hint/pruning tests assert on.
       ctx->neural_calls += n;

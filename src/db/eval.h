@@ -17,44 +17,6 @@ class ThreadPool;
 
 namespace dl2sql::db {
 
-/// \brief Interception point for batched neural-UDF invocations.
-///
-/// When a sink is wired into the EvalContext, the batched-nUDF evaluator
-/// hands every cache-miss batch to the sink instead of calling the UDF body
-/// directly; the sink decides how to actually invoke `fn` (the serving
-/// layer's cross-query coalescer merges rows from concurrently running
-/// queries into shared batches). Only neural UDFs that are `parallel_safe`
-/// and carry a non-zero model fingerprint are routed — those are exactly the
-/// bodies that are pure per-row functions, so regrouping rows across queries
-/// cannot change any per-row result.
-///
-/// Contract: the sink returns exactly rows.size() values, in row order, each
-/// identical to what `fn` would have produced for that row. The sink owns the
-/// nudf.batches accounting for the invocations it performs (the evaluator
-/// counts batches only on the direct path).
-class NudfBatchSink {
- public:
-  virtual ~NudfBatchSink() = default;
-
-  /// Per-call attribution a sink reports back to the submitting query
-  /// (resource accounting; zeros when the sink does not track them).
-  /// `billed_seconds` is this query's proportional share — by contributed row
-  /// count — of the `fn` invocations its rows rode in; summed over every
-  /// participant of a coalesced batch it equals the batch's total fn time.
-  /// `wait_seconds` is time spent blocked in the sink beyond the billed
-  /// share (waiting for the batch window to close or for another query's
-  /// leader to flush).
-  struct NudfBatchStats {
-    double wait_seconds = 0.0;
-    double billed_seconds = 0.0;
-  };
-
-  virtual Result<std::vector<Value>> RunBatch(
-      uint64_t fingerprint, const BatchFn& fn,
-      std::vector<std::vector<Value>>&& rows,
-      NudfBatchStats* stats = nullptr) = 0;
-};
-
 /// \brief Shared evaluation state threaded through expression evaluation.
 struct EvalContext {
   const UdfRegistry* udfs = nullptr;
@@ -84,11 +46,6 @@ struct EvalContext {
   /// model, whether freshly computed or memoized — so existing accounting is
   /// unchanged; only compute time and nudf.batches shrink.
   ShardedLruCache* nudf_cache = nullptr;
-  /// Cross-query batch coalescer (owned by the serving layer, wired through
-  /// Database::set_nudf_batch_sink). Only consulted for parallel-safe neural
-  /// UDFs with a non-zero fingerprint; nullptr keeps the direct invocation
-  /// path bit-for-bit unchanged.
-  NudfBatchSink* batch_sink = nullptr;
   /// When true, operators attempt the batch-at-a-time vectorized kernels
   /// (db/exec/vector_*.h) before the row path; kernels that cannot compile
   /// the expression/key shape fall back silently with identical results.
@@ -102,13 +59,6 @@ struct EvalContext {
   int64_t vec_batches = 0;
   int64_t vec_rows_in = 0;
   int64_t vec_rows_selected = 0;
-  /// @}
-  /// \name Coalesced-batch attribution (folded by DrainEvalContext)
-  /// Seconds this query's rows waited in the batch sink, and the share of
-  /// shared batch_fn time billed back to this query (NudfBatchStats).
-  /// @{
-  double nudf_wait_seconds = 0.0;
-  double nudf_billed_seconds = 0.0;
   /// @}
 };
 

@@ -97,8 +97,6 @@ struct QueryLog::Slot {
   std::atomic<int64_t> cpu_us{0};
   std::atomic<int64_t> lock_wait_us{0};
   std::atomic<int64_t> pool_queue_wait_us{0};
-  std::atomic<int64_t> coalesce_wait_us{0};
-  std::atomic<int64_t> billed_batch_us{0};
   std::atomic<int64_t> mem_peak_bytes{0};
   std::atomic<int64_t> mem_cumulative_bytes{0};
   std::atomic<int64_t> spill_bytes{0};
@@ -168,10 +166,6 @@ void QueryLog::Record(const QueryLogRecord& record) {
   slot.lock_wait_us.store(record.lock_wait_us, std::memory_order_relaxed);
   slot.pool_queue_wait_us.store(record.pool_queue_wait_us,
                                 std::memory_order_relaxed);
-  slot.coalesce_wait_us.store(record.coalesce_wait_us,
-                              std::memory_order_relaxed);
-  slot.billed_batch_us.store(record.billed_batch_us,
-                             std::memory_order_relaxed);
   slot.mem_peak_bytes.store(record.mem_peak_bytes, std::memory_order_relaxed);
   slot.mem_cumulative_bytes.store(record.mem_cumulative_bytes,
                                   std::memory_order_relaxed);
@@ -223,8 +217,6 @@ std::vector<QueryLogRecord> QueryLog::Snapshot() const {
     r.lock_wait_us = slot.lock_wait_us.load(std::memory_order_relaxed);
     r.pool_queue_wait_us =
         slot.pool_queue_wait_us.load(std::memory_order_relaxed);
-    r.coalesce_wait_us = slot.coalesce_wait_us.load(std::memory_order_relaxed);
-    r.billed_batch_us = slot.billed_batch_us.load(std::memory_order_relaxed);
     r.mem_peak_bytes = slot.mem_peak_bytes.load(std::memory_order_relaxed);
     r.mem_cumulative_bytes =
         slot.mem_cumulative_bytes.load(std::memory_order_relaxed);

@@ -66,8 +66,6 @@ struct QueryLogRecord {
   int64_t cpu_us = 0;       ///< thread CPU, incl. pool morsels run on behalf
   int64_t lock_wait_us = 0;       ///< session statement RW-lock acquisition
   int64_t pool_queue_wait_us = 0;  ///< submit-to-start delay of pool tasks
-  int64_t coalesce_wait_us = 0;    ///< blocked in the batch sink beyond share
-  int64_t billed_batch_us = 0;  ///< share of coalesced batch_fn time billed
   int64_t mem_peak_bytes = 0;      ///< query tracker high-water mark
   int64_t mem_cumulative_bytes = 0;  ///< total bytes ever charged to it
   int64_t spill_bytes = 0;  ///< logical bytes written to spill partitions

@@ -113,8 +113,6 @@ Result<TablePtr> MaterializeQueryProfiles(Database* db,
         Value::Float(static_cast<double>(r.admission_wait_us) / 1000.0),
         Value::Float(static_cast<double>(r.lock_wait_us) / 1000.0),
         Value::Float(static_cast<double>(r.pool_queue_wait_us) / 1000.0),
-        Value::Float(static_cast<double>(r.coalesce_wait_us) / 1000.0),
-        Value::Float(static_cast<double>(r.billed_batch_us) / 1000.0),
         Value::Int(r.mem_peak_bytes),
         Value::Int(r.mem_cumulative_bytes),
         Value::Int(r.end_micros),
@@ -243,8 +241,6 @@ void RegisterDatabaseSystemTables(Database* db) {
                                {"admission_wait_ms", DataType::kFloat64},
                                {"lock_wait_ms", DataType::kFloat64},
                                {"pool_queue_wait_ms", DataType::kFloat64},
-                               {"coalesce_wait_ms", DataType::kFloat64},
-                               {"billed_batch_ms", DataType::kFloat64},
                                {"mem_peak_bytes", DataType::kInt64},
                                {"mem_cumulative_bytes", DataType::kInt64},
                                {"end_micros", DataType::kInt64},

@@ -38,7 +38,7 @@ class AdmissionController {
   Status Admit();
   void Release();
 
-  /// Queries currently holding a slot (the coalescer's inflight hint).
+  /// Queries currently holding a slot.
   int running() const;
   const AdmissionOptions& options() const { return options_; }
 

@@ -48,10 +48,7 @@ bool IsSelect(const db::Statement& stmt) {
 }  // namespace
 
 QueryService::QueryService(db::Database* db, ServiceOptions options)
-    : db_(db), options_(options), admission_(options.admission),
-      coalescer_(options.coalescer) {
-  coalescer_.set_inflight_provider([this] { return admission_.running(); });
-  db_->set_nudf_batch_sink(&coalescer_);
+    : db_(db), options_(options), admission_(options.admission) {
   if (db_->introspection_options().enabled) {
     db::TableSchema schema({{"id", db::DataType::kInt64},
                             {"statements_ok", db::DataType::kInt64},
@@ -86,7 +83,6 @@ QueryService::~QueryService() {
   if (sessions_table_registered_) {
     db_->catalog().UnregisterVirtualTable("system.sessions");
   }
-  db_->set_nudf_batch_sink(nullptr);
 }
 
 std::shared_ptr<Session> QueryService::CreateSession() {

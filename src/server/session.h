@@ -4,8 +4,8 @@
 ///
 /// The Database itself stays an embedded engine; QueryService layers the
 /// serving concerns on top: admission control, a statement-level
-/// reader/writer lock (concurrent SELECTs, exclusive DML/DDL), per-query
-/// budgets, and the cross-query nUDF batch coalescer.
+/// reader/writer lock (concurrent SELECTs, exclusive DML/DDL) and per-query
+/// budgets.
 #pragma once
 
 #include <atomic>
@@ -19,7 +19,6 @@
 #include "common/trace.h"
 #include "db/database.h"
 #include "server/admission.h"
-#include "server/coalescer.h"
 #include "server/wire.h"
 
 namespace dl2sql::server {
@@ -35,7 +34,6 @@ struct SessionSettings {
 
 struct ServiceOptions {
   AdmissionOptions admission;
-  CoalescerOptions coalescer = CoalescerOptionsFromEnv();
   /// Reject (ResourceExhausted) any statement whose result exceeds this many
   /// rows; 0 = unlimited. A safety valve against accidental cross joins
   /// flooding client connections.
@@ -43,8 +41,8 @@ struct ServiceOptions {
   /// Statement deadline, best effort: execution is not interrupted
   /// mid-operator, but a statement that finishes past its deadline is
   /// reported (and counted) as ResourceExhausted instead of returning rows.
-  /// 0 = no deadline. The hard never-hang guarantees live in admission
-  /// (bounded queue + queue timeout) and the coalescer (leader flush).
+  /// 0 = no deadline. The hard never-hang guarantee lives in admission
+  /// (bounded queue + queue timeout).
   double statement_timeout_ms = 0.0;
 };
 
@@ -109,10 +107,10 @@ class DistributedExecutor {
 /// thread.
 class QueryService {
  public:
-  /// Wires the coalescer into `db` (set_nudf_batch_sink) and, when the
-  /// database has introspection enabled, registers the system.sessions
-  /// virtual table (live per-session statement counters). `db` must outlive
-  /// the service; no other caller may mutate the database while serving.
+  /// When the database has introspection enabled, registers the
+  /// system.sessions virtual table (live per-session statement counters).
+  /// `db` must outlive the service; no other caller may mutate the database
+  /// while serving.
   QueryService(db::Database* db, ServiceOptions options);
   ~QueryService();
 
@@ -124,7 +122,6 @@ class QueryService {
   db::Database* database() { return db_; }
   const ServiceOptions& options() const { return options_; }
   AdmissionController& admission() { return admission_; }
-  BatchCoalescer& coalescer() { return coalescer_; }
 
   /// Routes statements the executor claims through it instead of the local
   /// database. Set once after construction, before serving begins (the
@@ -159,7 +156,6 @@ class QueryService {
   db::Database* const db_;
   const ServiceOptions options_;
   AdmissionController admission_;
-  BatchCoalescer coalescer_;
   DistributedExecutor* distributed_ = nullptr;
   /// Statement-level RW lock: SELECTs share, everything else is exclusive.
   /// Held once per top-level statement — scalar subqueries re-enter

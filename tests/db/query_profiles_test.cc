@@ -112,8 +112,8 @@ TEST(QueryProfilesTest, ProfilesCarryMemoryPeaksAndSaneTimeBreakdown) {
 
   auto profiles = db.Execute(
       "SELECT sql, duration_ms, cpu_ms, admission_wait_ms, lock_wait_ms, "
-      "pool_queue_wait_ms, coalesce_wait_ms, mem_peak_bytes, "
-      "mem_cumulative_bytes FROM system.query_profiles");
+      "pool_queue_wait_ms, mem_peak_bytes, mem_cumulative_bytes "
+      "FROM system.query_profiles");
   ASSERT_TRUE(profiles.ok()) << profiles.status().ToString();
 
   int matched = 0;
@@ -125,10 +125,9 @@ TEST(QueryProfilesTest, ProfilesCarryMemoryPeaksAndSaneTimeBreakdown) {
     const double cpu_ms = profiles->column(2).GetValue(i).float_value();
     const double wait_ms = profiles->column(3).GetValue(i).float_value() +
                            profiles->column(4).GetValue(i).float_value() +
-                           profiles->column(5).GetValue(i).float_value() +
-                           profiles->column(6).GetValue(i).float_value();
-    const int64_t peak = profiles->column(7).GetValue(i).int_value();
-    const int64_t cumulative = profiles->column(8).GetValue(i).int_value();
+                           profiles->column(5).GetValue(i).float_value();
+    const int64_t peak = profiles->column(6).GetValue(i).int_value();
+    const int64_t cumulative = profiles->column(7).GetValue(i).int_value();
     // Join / aggregate / nUDF statements all materialize tracked state.
     EXPECT_GT(peak, 0) << sql;
     EXPECT_GE(cumulative, peak) << sql;

@@ -214,6 +214,42 @@ TEST(SystemTablesTest, SlowQueryThresholdEmitsWarnWithPlan) {
   EXPECT_NE(err.find("SELECT count(*) FROM readings"), std::string::npos)
       << err;
 
+  // A statement run inside a nUDF body is recorded (and WARNed) on its own;
+  // the outer statement's WARN still prints the outer plan.
+  TableSchema schema({{"id", DataType::kInt64}, {"val", DataType::kInt64}});
+  Table outer{schema};
+  Table inner{schema};
+  for (int64_t i = 0; i < 8; ++i) {
+    ASSERT_TRUE(outer.AppendRow({Value::Int(i), Value::Int(i)}).ok());
+    ASSERT_TRUE(inner.AppendRow({Value::Int(i), Value::Int(-i)}).ok());
+  }
+  ASSERT_TRUE(db.RegisterTable("outer_readings", std::move(outer)).ok());
+  ASSERT_TRUE(db.RegisterTable("inner_side", std::move(inner)).ok());
+  db.udfs().RegisterNeural(
+      "nudf_nested", DataType::kFloat64,
+      [&db](const std::vector<Value>& args) -> Result<Value> {
+        DL2SQL_ASSIGN_OR_RETURN(Table t,
+                                db.Execute("SELECT count(*) FROM inner_side"));
+        DL2SQL_ASSIGN_OR_RETURN(double x, args[0].AsDouble());
+        return Value::Float(
+            x + static_cast<double>(t.column(0).GetValue(0).int_value()));
+      },
+      NUdfInfo{});
+  const std::string outer_sql =
+      "SELECT sum(nudf_nested(val)) AS s FROM outer_readings WHERE id < 4";
+  ::testing::internal::CaptureStderr();
+  ASSERT_TRUE(db.Execute(outer_sql).ok());
+  const std::string nested_err = ::testing::internal::GetCapturedStderr();
+  // The outer WARN comes last: its body's statements finished first.
+  const size_t outer_at = nested_err.rfind(outer_sql);
+  ASSERT_NE(outer_at, std::string::npos) << nested_err;
+  const size_t plan_at = nested_err.find("plan:", outer_at);
+  ASSERT_NE(plan_at, std::string::npos) << nested_err;
+  const std::string outer_plan = nested_err.substr(plan_at);
+  EXPECT_NE(outer_plan.find("outer_readings"), std::string::npos)
+      << outer_plan;
+  EXPECT_EQ(outer_plan.find("inner_side"), std::string::npos) << outer_plan;
+
   // Raising the threshold silences the log (recording continues).
   db.set_slow_query_ms(1e9);
   ::testing::internal::CaptureStderr();

@@ -1,34 +1,26 @@
 /// \file server_profile_test.cc
-/// \brief Serving-layer resource accounting: coalesced batch_fn time is
-/// billed back to participating queries (>= 95% coverage), session trackers
-/// surface through system.sessions, and lock waits are attributed.
+/// \brief Serving-layer resource accounting: session trackers surface
+/// through system.sessions, and lock waits are attributed.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "accel/device.h"
 #include "common/logging.h"
 #include "common/mem_tracker.h"
-#include "common/timer.h"
 #include "server/session.h"
 
 namespace dl2sql::server {
 namespace {
 
-using db::BatchFn;
 using db::DataType;
 using db::Database;
-using db::NUdfInfo;
 using db::Table;
 using db::TableSchema;
 using db::Value;
 
-constexpr int kClients = 16;
 constexpr int64_t kRows = 3200;
 
 class ScopedTrackingEnabled {
@@ -48,45 +40,7 @@ class ScopedTrackingEnabled {
     GTEST_SKIP() << "resource accounting compiled out";                 \
   }
 
-std::shared_ptr<Device> MakeCpuDevice(int threads) {
-  DeviceProfile profile = Device::ServerCpuProfile();
-  profile.name = "profile-test-cpu-" + std::to_string(threads);
-  profile.num_threads = threads;
-  return std::make_shared<Device>(profile);
-}
-
-/// nUDF body that measures its own wall time, the ground truth the billed
-/// shares must cover.
-struct TimedBody {
-  std::atomic<int64_t> body_nanos{0};
-
-  BatchFn MakeFn() {
-    return [this](const std::vector<std::vector<Value>>& rows)
-               -> Result<std::vector<Value>> {
-      Stopwatch watch;
-      std::vector<Value> out;
-      out.reserve(rows.size());
-      for (const auto& row : rows) {
-        DL2SQL_ASSIGN_OR_RETURN(double x, row[0].AsDouble());
-        // A little arithmetic so fn time is measurable, not just noise.
-        double acc = x;
-        for (int k = 0; k < 400; ++k) acc = acc * 1.0000001 + 0.5;
-        out.push_back(Value::Float(acc));
-      }
-      body_nanos.fetch_add(static_cast<int64_t>(watch.ElapsedSeconds() * 1e9),
-                           std::memory_order_relaxed);
-      return out;
-    };
-  }
-};
-
-void SetUpDatabase(Database* db, TimedBody* body) {
-  // The result cache would swallow repeat rows; disable it so every query
-  // sends all its rows through the coalescer.
-  db::CacheOptions cache;
-  cache.enable_nudf_cache = false;
-  db->set_cache_options(cache);
-
+void SetUpDatabase(Database* db) {
   TableSchema schema({{"id", DataType::kInt64}, {"val", DataType::kInt64}});
   Table t{schema};
   for (int64_t i = 0; i < kRows; ++i) {
@@ -94,69 +48,6 @@ void SetUpDatabase(Database* db, TimedBody* body) {
                      .ok());
   }
   DL2SQL_CHECK(db->RegisterTable("t", std::move(t)).ok());
-
-  NUdfInfo info;
-  info.model_name = "timed";
-  info.fingerprint = 0xfeed01ULL;
-  db->udfs().RegisterNeural(
-      "nudf_timed", DataType::kFloat64,
-      [](const std::vector<Value>& args) -> Result<Value> {
-        DL2SQL_ASSIGN_OR_RETURN(double x, args[0].AsDouble());
-        double acc = x;
-        for (int k = 0; k < 400; ++k) acc = acc * 1.0000001 + 0.5;
-        return Value::Float(acc);
-      },
-      info, body->MakeFn(), /*arity=*/1, /*parallel_safe=*/true);
-}
-
-TEST(ServerProfileTest, CoalescedBatchTimeIsBilledBackToQueries) {
-  ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
-  auto device = MakeCpuDevice(4);
-  Database db;
-  db.set_exec_options({device.get(), /*morsel_size=*/256});
-  TimedBody body;
-  SetUpDatabase(&db, &body);
-
-  ServiceOptions opts;
-  opts.admission.max_concurrent = kClients;
-  opts.coalescer.enabled = true;
-  opts.coalescer.max_batch_rows = 128;
-  opts.coalescer.wait_window_ms = 10.0;
-  QueryService service(&db, opts);
-
-  std::vector<std::thread> threads;
-  threads.reserve(kClients);
-  for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([&service, c] {
-      auto session = service.CreateSession();
-      auto r = session->Execute(
-          "SELECT id, nudf_timed(val) AS p FROM t WHERE id % " +
-          std::to_string(kClients) + " = " + std::to_string(c));
-      EXPECT_TRUE(r.ok()) << r.status().ToString();
-      if (r.ok()) EXPECT_EQ(r->num_rows(), kRows / kClients);
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  // Total billed batch time across all recorded queries must cover >= 95%
-  // of the ground-truth body time: the coalescer distributes each group's
-  // fn time proportionally by row count, and the shares sum to 100% of it
-  // (billed can exceed body time slightly — it includes invoke overhead).
-  auto billed = db.Execute(
-      "SELECT sum(billed_batch_ms) AS b, sum(coalesce_wait_ms) AS w "
-      "FROM system.query_profiles");
-  ASSERT_TRUE(billed.ok()) << billed.status().ToString();
-  const double billed_ms = billed->column(0).GetValue(0).float_value();
-  const double body_ms =
-      static_cast<double>(body.body_nanos.load(std::memory_order_relaxed)) /
-      1e6;
-  ASSERT_GT(body_ms, 0.0);
-  EXPECT_GE(billed_ms, 0.95 * body_ms)
-      << "billed " << billed_ms << " ms of " << body_ms << " ms of fn time";
-  // Wait time is whatever blocking exceeded the billed share; it can be
-  // zero (leader did all the work) but never negative.
-  EXPECT_GE(billed->column(1).GetValue(0).float_value(), 0.0);
 }
 
 TEST(ServerProfileTest, SessionsSurfaceTrackedMemory) {
@@ -166,8 +57,7 @@ TEST(ServerProfileTest, SessionsSurfaceTrackedMemory) {
   // This test asserts in-memory tracker peaks; paged mode bills resident
   // bytes (possibly zero for streamed intermediates) — pin in-memory.
   ASSERT_TRUE(db.set_storage_mode(db::StorageMode::kInMemory).ok());
-  TimedBody body;
-  SetUpDatabase(&db, &body);
+  SetUpDatabase(&db);
   ServiceOptions opts;
   QueryService service(&db, opts);
 
@@ -200,8 +90,7 @@ TEST(ServerProfileTest, ServedQueriesRecordSessionAndLockAttribution) {
   ScopedTrackingEnabled guard;
   REQUIRE_TRACKING(guard);
   Database db;
-  TimedBody body;
-  SetUpDatabase(&db, &body);
+  SetUpDatabase(&db);
   ServiceOptions opts;
   QueryService service(&db, opts);
 

@@ -2,7 +2,8 @@
 /// \brief QueryService/Session: thread-safe concurrent entry into one
 /// Database. Run under TSAN in CI (ctest -R server): two threads issuing
 /// mixed DML + SELECT must be race-free, with plan/nUDF cache invalidation
-/// staying correct under concurrency.
+/// staying correct under concurrency, and concurrent nUDF queries must return
+/// what each returns when run alone.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -132,6 +133,56 @@ TEST(ServerSession, ConcurrentMixedDmlAndSelect) {
   EXPECT_EQ(final_count->column(0).GetValue(0).int_value(),
             2000 + kWriters * kOpsPerThread);
   EXPECT_EQ(session->statements_ok(), 1);
+}
+
+TEST(ServerSession, ConcurrentNudfSessionsMatchSerialResults) {
+  auto device = MakeCpuDevice(4);
+  Database db;
+  db.set_exec_options({device.get(), /*morsel_size=*/256});
+  // The result cache would answer repeat rows; with it off every query sends
+  // all its rows to the model, from several sessions at once.
+  db::CacheOptions cache;
+  cache.enable_nudf_cache = false;
+  db.set_cache_options(cache);
+  MakeTable(&db, "t", 3000);
+  RegisterAffineNudf(&db, /*fingerprint=*/0xabc123ULL);
+
+  ServiceOptions opts;
+  opts.admission.max_concurrent = 4;
+  QueryService service(&db, opts);
+
+  const std::vector<std::string> queries = {
+      "SELECT id, nudf_affine(val) AS p FROM t WHERE id % 4 = 0",
+      "SELECT id, nudf_affine(val) AS p FROM t WHERE id % 4 = 1",
+      "SELECT id, nudf_affine(val) AS p FROM t WHERE id % 4 = 2",
+      "SELECT sum(nudf_affine(val)) AS s FROM t WHERE id % 4 = 3",
+  };
+  // Each query run alone is the reference.
+  std::vector<std::string> serial;
+  {
+    auto session = service.CreateSession();
+    for (const std::string& q : queries) {
+      auto r = session->Execute(q);
+      ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+      serial.push_back(RenderTable(*r, OutputFormat::kTsv));
+      EXPECT_FALSE(serial.back().empty());
+    }
+  }
+
+  std::vector<std::string> concurrent(queries.size());
+  std::vector<std::thread> threads;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    threads.emplace_back([&service, &queries, &concurrent, q] {
+      auto session = service.CreateSession();
+      auto r = session->Execute(queries[q]);
+      EXPECT_TRUE(r.ok()) << queries[q] << ": " << r.status().ToString();
+      if (r.ok()) concurrent[q] = RenderTable(*r, OutputFormat::kTsv);
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(concurrent[q], serial[q]) << queries[q];
+  }
 }
 
 TEST(ServerSession, AdmissionRejectsInsteadOfHanging) {

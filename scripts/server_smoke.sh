@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Server smoke test: boot lindb_server, drive it with lindb_client over TCP,
-# diff the output against the committed golden file, and verify the server
-# shuts down cleanly on SIGTERM.
+# diff the output against the committed golden file, check the introspection
+# surfaces (/metrics, system.queries, .analyze), and verify the server shuts
+# down cleanly on SIGTERM.
 #
 # Usage: scripts/server_smoke.sh [build_dir]
 set -euo pipefail
@@ -74,7 +75,16 @@ SYSQ_COUNT="$(sed -n '3p' "$WORK/sysq.out")"
   echo "system.queries is empty after the golden run (count='$SYSQ_COUNT')" >&2
   exit 1
 }
-echo "introspection smoke: /metrics OK, system.queries has $SYSQ_COUNT rows"
+
+# ...and .analyze must run EXPLAIN ANALYZE on the live server (under admission
+# and the statement lock, like any SELECT) and render per-node actuals.
+echo ".analyze SELECT count(*) FROM system.queries" | "$CLIENT" --port "$PORT" >"$WORK/analyze.out"
+grep -q '^OK [0-9][0-9]* 1$' "$WORK/analyze.out" && grep -q 'actual rows=' "$WORK/analyze.out" || {
+  echo ".analyze over TCP failed:" >&2
+  cat "$WORK/analyze.out" >&2
+  exit 1
+}
+echo "introspection smoke: /metrics OK, system.queries has $SYSQ_COUNT rows, .analyze OK"
 
 # Clean shutdown: SIGTERM must terminate the process promptly with status 0.
 kill -TERM "$SERVER_PID"

@@ -26,16 +26,9 @@
 
 namespace dl2sql::db {
 
-thread_local Database::QueryTally* Database::tls_tally_ = nullptr;
+thread_local Database::StatementStats* Database::tls_stats_ = nullptr;
 
 namespace {
-
-/// Vectorized-kernel stats drained since the innermost ExecNode wrapper
-/// last claimed them (ExplainAnalyze node-stats collection only). Operators
-/// drain their contexts on the query's calling thread, and each wrapper
-/// takes the pending stats right after its operator finishes, so the stats a
-/// wrapper claims belong to exactly its own operator.
-thread_local vec::VectorOpStats tls_pending_vec_stats;
 
 /// Tracker label for an operator kind: "op.join", "op.aggregate", ... —
 /// lower-cased so labels match the documented hierarchy (mem_tracker.h) and
@@ -106,14 +99,49 @@ IntrospectionOptions DefaultIntrospectionOptions() {
 /// Hard guard against runaway cross products.
 constexpr int64_t kMaxJoinPairs = 100'000'000;
 
-/// Charges `seconds` minus the inference time already charged separately.
-void ChargeOperator(CostAccumulator* costs, const std::string& bucket,
-                    double seconds, double inference_delta) {
-  if (costs == nullptr) return;
-  costs->Add(bucket, std::max(0.0, seconds - inference_delta));
-}
-
 }  // namespace
+
+struct Database::RunningStatement {
+  explicit RunningStatement(CostAccumulator* costs) : prev(tls_stats_) {
+    stats.costs = costs;
+    tls_stats_ = &stats;
+  }
+  ~RunningStatement() { tls_stats_ = prev; }
+  RunningStatement(const RunningStatement&) = delete;
+  RunningStatement& operator=(const RunningStatement&) = delete;
+
+  /// With resource accounting on: the query tracker `label` under `parent`
+  /// (the process root when null) carrying the hard budget `limit`, and the
+  /// CPU and pool-wait baselines.
+  void Track(const std::string& label, MemTracker* parent, int64_t limit) {
+    if (!MemTracker::Enabled()) return;
+    mem = std::make_unique<MemTracker>(
+        label, parent != nullptr ? parent : MemTracker::Process(), limit);
+    stats.mem = mem.get();
+    cpu0_ns = ThreadCpuNanos() + ThreadPool::credited_cpu_ns();
+    pool_wait0_us = ThreadPool::credited_queue_wait_us();
+  }
+  /// CPU since Track(): this thread's plus the pool-morsel CPU the pool
+  /// credited back to it; with parallel morsels the sum can legitimately
+  /// exceed wall time (work done concurrently).
+  int64_t CpuMicros() const {
+    return (ThreadCpuNanos() + ThreadPool::credited_cpu_ns() - cpu0_ns) / 1000;
+  }
+
+  /// Declared before `stats` so its operator trackers — children of `mem` —
+  /// are destroyed first, releasing their charges up the chain in order.
+  std::unique_ptr<MemTracker> mem;
+  StatementStats stats;
+  int64_t cpu0_ns = 0;
+  int64_t pool_wait0_us = 0;
+  StatementStats* const prev;
+};
+
+void Database::ChargeOperator(const std::string& bucket, double seconds,
+                              double inference_delta) {
+  if (tls_stats_ == nullptr || tls_stats_->costs == nullptr) return;
+  tls_stats_->costs->Add(bucket, std::max(0.0, seconds - inference_delta));
+}
 
 Database::Database()
     : cache_options_(DefaultCacheOptions()),
@@ -193,9 +221,9 @@ Status Database::MaybePageOut(Table* table) {
 }
 
 void Database::TallySpill(int64_t bytes, int64_t partitions) {
-  if (QueryTally* tally = tls_tally_) {
-    tally->spill_bytes += bytes;
-    tally->spill_partitions += partitions;
+  if (StatementStats* stats = tls_stats_) {
+    stats->spill_bytes += bytes;
+    stats->spill_partitions += partitions;
   }
   static Counter* const spill_bytes_counter =
       MetricsRegistry::Global().counter("db.spill.bytes");
@@ -241,7 +269,7 @@ uint64_t Database::PlanCacheKey(const SelectStmt& stmt) const {
 EvalContext Database::MakeEvalContext() {
   EvalContext ctx;
   ctx.udfs = &udfs_;
-  ctx.costs = costs_;
+  ctx.costs = tls_stats_ != nullptr ? tls_stats_->costs : nullptr;
   ctx.vectorized = vectorized_;
   ctx.nudf_cache = nudf_cache_.get();
   if (exec_options_.device != nullptr) {
@@ -251,7 +279,7 @@ EvalContext Database::MakeEvalContext() {
     }
   }
   ctx.subquery_exec = [this](const SelectStmt& stmt) -> Result<Value> {
-    DL2SQL_ASSIGN_OR_RETURN(Table t, ExecuteSelect(stmt));
+    DL2SQL_ASSIGN_OR_RETURN(Table t, RunSelect(stmt));
     if (t.num_rows() != 1 || t.num_columns() != 1) {
       return Status::InvalidArgument("scalar subquery returned ", t.num_rows(),
                                      "x", t.num_columns(),
@@ -264,12 +292,20 @@ EvalContext Database::MakeEvalContext() {
 
 double Database::DrainEvalContext(const EvalContext& ctx) {
   neural_calls_.fetch_add(ctx.neural_calls, std::memory_order_relaxed);
-  // Contexts are drained on the query's calling thread, so the per-query
-  // tally (when a recorded statement is running) needs no synchronization.
-  if (QueryTally* tally = tls_tally_) {
-    tally->neural_calls += ctx.neural_calls;
-    tally->nudf_cache_hits += ctx.nudf_cache_hits;
-    tally->vector_batches += ctx.vec_batches;
+  // Contexts are drained on the statement's calling thread, so its stats
+  // need no synchronization.
+  if (StatementStats* stats = tls_stats_) {
+    stats->neural_calls += ctx.neural_calls;
+    stats->nudf_cache_hits += ctx.nudf_cache_hits;
+    stats->vector_batches += ctx.vec_batches;
+    if (stats->analyze) {
+      // Parked until the enclosing ExecNode wrapper claims it for its
+      // NodeRunStats; children consume their own drains first, so a parent
+      // wrapper only ever sees its own operators' kernels.
+      stats->pending_vec.batches += ctx.vec_batches;
+      stats->pending_vec.rows_in += ctx.vec_rows_in;
+      stats->pending_vec.rows_selected += ctx.vec_rows_selected;
+    }
   }
   if (ctx.vec_batches > 0) {
     static Counter* const batches_counter =
@@ -281,21 +317,14 @@ double Database::DrainEvalContext(const EvalContext& ctx) {
     batches_counter->Increment(ctx.vec_batches);
     rows_counter->Increment(ctx.vec_rows_in);
     selected_counter->Increment(ctx.vec_rows_selected);
-    if (collect_node_stats_) {
-      // Parked per-thread until the enclosing ExecNode wrapper claims it for
-      // its NodeRunStats; children consume their own drains first, so a
-      // parent wrapper only ever sees its own operators' kernels.
-      tls_pending_vec_stats.batches += ctx.vec_batches;
-      tls_pending_vec_stats.rows_in += ctx.vec_rows_in;
-      tls_pending_vec_stats.rows_selected += ctx.vec_rows_selected;
-    }
   }
   return ctx.inference_seconds;
 }
 
-Result<Table> Database::Execute(const std::string& sql) {
+Result<Table> Database::Execute(const std::string& sql,
+                                CostAccumulator* costs) {
   DL2SQL_ASSIGN_OR_RETURN(Statement stmt, sql::ParseStatement(sql));
-  return ExecuteStatementRecorded(stmt, sql, QueryRecordHints{});
+  return ExecuteStatementRecorded(stmt, sql, QueryRecordHints{}, costs);
 }
 
 namespace {
@@ -318,40 +347,20 @@ QueryKind KindOfStatement(const Statement& stmt) {
 
 Result<Table> Database::ExecuteStatementRecorded(const Statement& stmt,
                                                  const std::string& sql,
-                                                 const QueryRecordHints& hints) {
-  if (query_log_ == nullptr) return ExecuteStatement(stmt);
+                                                 const QueryRecordHints& hints,
+                                                 CostAccumulator* costs) {
+  RunningStatement run(costs);
+  if (query_log_ == nullptr) return RunStatement(stmt);
 
   // Resource accounting: a per-query tracker parented under the session's
   // (serving) or the process root (embedded), carrying the optional hard
-  // budget. Declared before the tally so the tally's operator trackers —
-  // its children — are destroyed first, releasing their outstanding charges
-  // up the chain in order.
-  const bool profile = MemTracker::Enabled();
-  std::unique_ptr<MemTracker> query_mem;
-  QueryTally tally;
-  int64_t cpu0_ns = 0;
-  int64_t pool_cpu0_ns = 0;
-  int64_t pool_wait0_us = 0;
-  if (profile) {
-    query_mem = std::make_unique<MemTracker>(
-        "query-" + std::to_string(query_log_->total_recorded()),
-        hints.session_mem != nullptr ? hints.session_mem
-                                     : MemTracker::Process(),
-        query_mem_limit_.load(std::memory_order_relaxed));
-    tally.mem = query_mem.get();
-    cpu0_ns = ThreadCpuNanos();
-    pool_cpu0_ns = ThreadPool::credited_cpu_ns();
-    pool_wait0_us = ThreadPool::credited_queue_wait_us();
-  }
-  // Save/restore: a recorded statement can reach another recorded execution
-  // on the same thread (scripted pipelines); inner statements keep their own
-  // tallies and the outer record stays scoped to its own work.
-  QueryTally* const prev = tls_tally_;
-  tls_tally_ = &tally;
+  // budget.
+  run.Track("query-" + std::to_string(query_log_->total_recorded()),
+            hints.session_mem, query_mem_limit_.load(std::memory_order_relaxed));
+  const StatementStats& stats = run.stats;
   Stopwatch watch;
-  auto result = ExecuteStatement(stmt);
+  auto result = RunStatement(stmt);
   const int64_t duration_us = static_cast<int64_t>(watch.ElapsedMicros());
-  tls_tally_ = prev;
 
   QueryLogRecord rec;
   rec.sql = sql;
@@ -359,16 +368,16 @@ Result<Table> Database::ExecuteStatementRecorded(const Statement& stmt,
   if (!result.ok()) rec.error = result.status().ToString();
   rec.duration_us = duration_us;
   rec.rows = result.ok() ? result->num_rows() : 0;
-  rec.neural_calls = tally.neural_calls;
-  rec.nudf_cache_hits = tally.nudf_cache_hits;
-  rec.plan_cache_hit = tally.plan_cache_hit;
+  rec.neural_calls = stats.neural_calls;
+  rec.nudf_cache_hits = stats.nudf_cache_hits;
+  rec.plan_cache_hit = stats.plan_cache_hit;
   rec.admission_wait_us = hints.admission_wait_us;
   rec.session_id = hints.session_id;
-  rec.peak_operator_bytes = tally.peak_operator_bytes;
-  rec.operator_rows = tally.operator_rows;
-  rec.vector_batches = tally.vector_batches;
-  rec.spill_bytes = tally.spill_bytes;
-  rec.spill_partitions = tally.spill_partitions;
+  rec.peak_operator_bytes = stats.peak_operator_bytes;
+  rec.operator_rows = stats.operator_rows;
+  rec.vector_batches = stats.vector_batches;
+  rec.spill_bytes = stats.spill_bytes;
+  rec.spill_partitions = stats.spill_partitions;
   rec.end_micros = TraceCollector::NowMicros();
   rec.lock_wait_us = hints.lock_wait_us;
   // Distributed trace stamp: the wire header wins; otherwise inherit the
@@ -381,17 +390,13 @@ Result<Table> Database::ExecuteStatementRecorded(const Statement& stmt,
     rec.trace_id = ctx.trace_id;
     rec.parent_span_id = ctx.parent_span_id;
   }
+  const bool profile = run.mem != nullptr;
   if (profile) {
-    // CPU = this thread's execution time plus pool-morsel time the pool
-    // credited back to this thread; with parallel morsels the sum can
-    // legitimately exceed wall time (work done concurrently).
-    rec.cpu_us = (ThreadCpuNanos() - cpu0_ns +
-                  ThreadPool::credited_cpu_ns() - pool_cpu0_ns) /
-                 1000;
+    rec.cpu_us = run.CpuMicros();
     rec.pool_queue_wait_us =
-        ThreadPool::credited_queue_wait_us() - pool_wait0_us;
-    rec.mem_peak_bytes = query_mem->peak();
-    rec.mem_cumulative_bytes = query_mem->cumulative();
+        ThreadPool::credited_queue_wait_us() - run.pool_wait0_us;
+    rec.mem_peak_bytes = run.mem->peak();
+    rec.mem_cumulative_bytes = run.mem->cumulative();
     // Static handles: one registry lookup for the process lifetime.
     static Histogram* const h_mem_peak =
         MetricsRegistry::Global().histogram("dl2sql.query.mem_peak_bytes");
@@ -414,8 +419,8 @@ Result<Table> Database::ExecuteStatementRecorded(const Statement& stmt,
   if (threshold_ms > 0 && duration_ms >= threshold_ms) {
     std::string plan_text;
     if (rec.kind == QueryKind::kSelect) {
-      if (tally.plan != nullptr) {
-        plan_text = tally.plan->ToString();
+      if (stats.plan != nullptr) {
+        plan_text = stats.plan->ToString();
         if (!plan_text.empty() && plan_text.back() == '\n') {
           plan_text.pop_back();
         }
@@ -485,8 +490,24 @@ Status Database::ExecuteScript(const std::string& script) {
 }
 
 Result<Table> Database::ExecuteStatement(const Statement& stmt) {
+  RunningStatement run(nullptr);
+  return RunStatement(stmt);
+}
+
+Result<Table> Database::ExecuteSelect(const SelectStmt& stmt,
+                                      CostAccumulator* costs) {
+  RunningStatement run(costs);
+  return RunSelect(stmt);
+}
+
+Result<Table> Database::ExecutePlan(const PlanNode& plan) {
+  RunningStatement run(nullptr);
+  return ExecRoot(plan);
+}
+
+Result<Table> Database::RunStatement(const Statement& stmt) {
   if (std::holds_alternative<std::shared_ptr<SelectStmt>>(stmt)) {
-    return ExecuteSelect(*std::get<std::shared_ptr<SelectStmt>>(stmt));
+    return RunSelect(*std::get<std::shared_ptr<SelectStmt>>(stmt));
   }
   if (std::holds_alternative<CreateTableStmt>(stmt)) {
     return ExecCreateTable(std::get<CreateTableStmt>(stmt));
@@ -545,7 +566,7 @@ Result<std::string> Database::Explain(const std::string& sql) {
   return plan->ToString();
 }
 
-Result<Table> Database::ExecuteSelect(const SelectStmt& stmt) {
+Result<Table> Database::RunSelect(const SelectStmt& stmt) {
   if (plan_cache_ == nullptr) {
     DL2SQL_ASSIGN_OR_RETURN(PlanPtr plan, PlanQuery(stmt));
     SetLastPlan(plan);
@@ -570,7 +591,7 @@ Result<Table> Database::ExecuteSelect(const SelectStmt& stmt) {
         });
   }
   if (hit != nullptr) {
-    if (QueryTally* tally = tls_tally_) tally->plan_cache_hit = true;
+    if (StatementStats* stats = tls_stats_) stats->plan_cache_hit = true;
     SetLastPlan(hit->plan);
     return ExecRoot(*hit->plan);
   }
@@ -604,10 +625,6 @@ Result<Table> Database::ExecuteSelect(const SelectStmt& stmt) {
   return ExecRoot(*plan);
 }
 
-Result<Table> Database::ExecutePlan(const PlanNode& plan) {
-  return ExecRoot(plan);
-}
-
 Result<Table> Database::ExecRoot(const PlanNode& plan) {
   DL2SQL_ASSIGN_OR_RETURN(Table out, ExecNode(plan));
   // Callers of a SELECT — result consumers, CTAS, subqueries — expect
@@ -630,28 +647,29 @@ Status Database::RegisterTable(const std::string& name, Table table,
 // ------------------------------------------------------------- operators ----
 
 MemTracker* Database::OpScratchTracker(PlanKind kind) {
-  QueryTally* const tally = tls_tally_;
-  if (tally == nullptr || tally->mem == nullptr) return nullptr;
-  auto& slot = tally->op_trackers[static_cast<int>(kind)];
+  StatementStats* const stats = tls_stats_;
+  if (stats == nullptr || stats->mem == nullptr) return nullptr;
+  auto& slot = stats->op_trackers[static_cast<int>(kind)];
   if (slot == nullptr) {
-    slot = std::make_unique<MemTracker>(OpTrackerLabel(kind), tally->mem);
+    slot = std::make_unique<MemTracker>(OpTrackerLabel(kind), stats->mem);
   }
   return slot.get();
 }
 
-Status Database::ChargeOperatorOutput(QueryTally* tally, const PlanNode& node,
+Status Database::ChargeOperatorOutput(StatementStats* stats,
+                                      const PlanNode& node,
                                       int64_t out_bytes) {
   if (out_bytes <= 0) return Status::OK();
-  auto& slot = tally->op_trackers[static_cast<int>(node.kind)];
+  auto& slot = stats->op_trackers[static_cast<int>(node.kind)];
   if (slot == nullptr) {
-    slot = std::make_unique<MemTracker>(OpTrackerLabel(node.kind), tally->mem);
+    slot = std::make_unique<MemTracker>(OpTrackerLabel(node.kind), stats->mem);
   }
   DL2SQL_RETURN_NOT_OK(slot->TryConsume(out_bytes));
-  if (!tally->mem_frames.empty()) {
+  if (!stats->mem_frames.empty()) {
     // Parent operator holds this output as an input; released when it pops
     // its frame. The root output has no parent frame and stays charged until
     // the statement's trackers are destroyed.
-    tally->mem_frames.back().emplace_back(slot.get(), out_bytes);
+    stats->mem_frames.back().emplace_back(slot.get(), out_bytes);
   }
   return Status::OK();
 }
@@ -659,16 +677,16 @@ Status Database::ChargeOperatorOutput(QueryTally* tally, const PlanNode& node,
 Result<bool> Database::TryEnsureResident(PlanKind kind, Table* t) {
   if (!t->is_paged()) return true;
   const int64_t bytes = static_cast<int64_t>(t->ByteSize());
-  QueryTally* const tally = tls_tally_;
-  if (tally != nullptr && tally->mem != nullptr) {
+  StatementStats* const stats = tls_stats_;
+  if (stats != nullptr && stats->mem != nullptr) {
     MemTracker* const tracker = OpScratchTracker(kind);
     // Admission check: does the resident form fit under the query budget?
     // On admission the charge is parked in the operator's own frame (popped
     // when it finishes), billing the materialized input for exactly as long
     // as the operator holds it.
     if (!tracker->TryConsume(bytes).ok()) return false;
-    if (!tally->mem_frames.empty()) {
-      tally->mem_frames.back().emplace_back(tracker, bytes);
+    if (!stats->mem_frames.empty()) {
+      stats->mem_frames.back().emplace_back(tracker, bytes);
     } else {
       tracker->Release(bytes);
     }
@@ -684,39 +702,39 @@ Result<Table> Database::ExecNode(const PlanNode& node) {
 Result<Table> Database::ExecNodeWith(
     const PlanNode& node, const std::function<Result<Table>()>& body) {
   DL2SQL_TRACE_SPAN("db", PlanKindToString(node.kind));
-  // Per-operator accounting for the recorded statement running on this
-  // thread (system.queries / system.query_profiles): output rows across all
-  // plan nodes, the peak single-operator materialized footprint, and —
-  // with resource accounting enabled — charge-frame memory attribution.
-  // One TLS load when no recorded statement is active.
-  QueryTally* const tally = tls_tally_;
-  if (tally == nullptr && !collect_node_stats_) return body();
+  // Per-operator accounting for the statement running on this thread
+  // (system.queries / system.query_profiles, EXPLAIN ANALYZE): output rows
+  // across all plan nodes, the peak single-operator materialized footprint,
+  // and — with resource accounting enabled — charge-frame memory attribution.
+  StatementStats* const stats = tls_stats_;
+  if (stats == nullptr) return body();
 
-  const bool track = tally != nullptr && tally->mem != nullptr;
-  if (track) tally->mem_frames.emplace_back();
-  auto result = collect_node_stats_ ? ExecNodeCollect(node, body) : body();
+  const bool track = stats->mem != nullptr;
+  if (track) stats->mem_frames.emplace_back();
+  auto result = stats->analyze ? ExecNodeCollect(stats, node, body) : body();
   if (track) {
     // Children's outputs — charged into this operator's frame when their own
     // wrappers finished — die with this operator, like their Tables do.
-    for (const auto& [t, bytes] : tally->mem_frames.back()) t->Release(bytes);
-    tally->mem_frames.pop_back();
+    for (const auto& [t, bytes] : stats->mem_frames.back()) t->Release(bytes);
+    stats->mem_frames.pop_back();
   }
-  if (tally != nullptr && result.ok()) {
+  if (result.ok()) {
     // Resident bytes, not logical: a paged output's payload lives in the
     // buffer pool (billed to storage.buffer_pool), not in this query.
     const int64_t out_bytes = static_cast<int64_t>(result->ResidentBytes());
-    tally->operator_rows += result->num_rows();
-    tally->peak_operator_bytes =
-        std::max(tally->peak_operator_bytes, out_bytes);
+    stats->operator_rows += result->num_rows();
+    stats->peak_operator_bytes =
+        std::max(stats->peak_operator_bytes, out_bytes);
     if (track) {
-      DL2SQL_RETURN_NOT_OK(ChargeOperatorOutput(tally, node, out_bytes));
+      DL2SQL_RETURN_NOT_OK(ChargeOperatorOutput(stats, node, out_bytes));
     }
   }
   return result;
 }
 
 Result<Table> Database::ExecNodeCollect(
-    const PlanNode& node, const std::function<Result<Table>()>& body) {
+    StatementStats* stats, const PlanNode& node,
+    const std::function<Result<Table>()>& body) {
   ThreadPool* pool =
       exec_options_.device != nullptr ? exec_options_.device->pool() : nullptr;
   const int workers = pool != nullptr ? pool->num_threads() : 0;
@@ -730,79 +748,61 @@ Result<Table> Database::ExecNodeCollect(
   const double elapsed = watch.ElapsedSeconds();
 
   // Claim the vectorized-kernel stats this operator's context drains parked
-  // on this thread. Child operators ran inside `body` through their own
-  // ExecNode wrappers, which already claimed theirs.
-  const vec::VectorOpStats vstats = tls_pending_vec_stats;
-  tls_pending_vec_stats = vec::VectorOpStats{};
+  // in the statement's stats. Child operators ran inside `body` through
+  // their own ExecNode wrappers, which already claimed theirs.
+  const vec::VectorOpStats vstats = stats->pending_vec;
+  stats->pending_vec = vec::VectorOpStats{};
 
-  std::lock_guard<std::mutex> lock(node_stats_mu_);
-  NodeRunStats& stats = node_stats_[&node];
-  stats.cumulative_seconds += elapsed;
-  stats.vec_batches += vstats.batches;
-  stats.vec_rows_in += vstats.rows_in;
-  stats.vec_rows_selected += vstats.rows_selected;
+  NodeRunStats& ns = stats->nodes[&node];
+  ns.cumulative_seconds += elapsed;
+  ns.vec_batches += vstats.batches;
+  ns.vec_rows_in += vstats.rows_in;
+  ns.vec_rows_selected += vstats.rows_selected;
   if (result.ok()) {
-    stats.rows += result->num_rows();
-    stats.output_bytes = std::max(
-        stats.output_bytes, static_cast<int64_t>(result->ResidentBytes()));
+    ns.rows += result->num_rows();
+    ns.output_bytes = std::max(
+        ns.output_bytes, static_cast<int64_t>(result->ResidentBytes()));
   }
   if (workers > 0) {
-    if (static_cast<int>(stats.worker_busy_seconds.size()) < workers) {
-      stats.worker_busy_seconds.resize(static_cast<size_t>(workers), 0.0);
+    if (static_cast<int>(ns.worker_busy_seconds.size()) < workers) {
+      ns.worker_busy_seconds.resize(static_cast<size_t>(workers), 0.0);
     }
-    // Busy-time delta while this subtree ran. Morsels issued by concurrent
-    // re-entrant queries would be co-charged, but ExplainAnalyze drives one
-    // query at a time.
+    // Busy-time delta while this subtree ran. The pool is shared, so
+    // morsels of statements running beside this one are co-charged.
     for (int w = 0; w < workers; ++w) {
-      stats.worker_busy_seconds[static_cast<size_t>(w)] +=
+      ns.worker_busy_seconds[static_cast<size_t>(w)] +=
           pool->worker_busy_seconds(w) - busy_before[static_cast<size_t>(w)];
     }
   }
   return result;
 }
 
-Result<std::string> Database::ExplainAnalyze(const std::string& sql) {
+Result<std::string> Database::ExplainAnalyze(const std::string& sql,
+                                             MemTracker* session_mem) {
   DL2SQL_ASSIGN_OR_RETURN(Statement stmt, sql::ParseStatement(sql));
   if (!std::holds_alternative<std::shared_ptr<SelectStmt>>(stmt)) {
     return Status::InvalidArgument("EXPLAIN ANALYZE supports only SELECT");
   }
+  RunningStatement run(nullptr);
+  StatementStats& stats = run.stats;
+  stats.analyze = true;
   DL2SQL_ASSIGN_OR_RETURN(
       PlanPtr plan, PlanQuery(*std::get<std::shared_ptr<SelectStmt>>(stmt)));
   SetLastPlan(plan);
-  node_stats_.clear();
-  collect_node_stats_ = true;
 
-  // Registry state before execution, captured as one consistent session-
-  // local snapshot (single lock acquisition): the footer reports the deltas
-  // this query produced (nUDF invocations, cache hits, pool morsels, ...).
-  // The previous per-counter enumeration locked the registry once per name,
-  // twice, so counters registered mid-query or bumped between the two passes
-  // made footers interleave non-deterministically under concurrent sessions.
+  // Registry state before execution, captured as one consistent snapshot
+  // (single lock acquisition): the footer reports the deltas this query
+  // produced (nUDF invocations, cache hits, pool morsels, ...), plus those
+  // of any statement running beside it.
   MetricsRegistry& registry = MetricsRegistry::Global();
   const MetricsSnapshot counters_before = registry.Snapshot();
 
-  // Resource-accounting profile for the analyzed query: a scratch tracker
-  // (declared before the tally so the tally's operator trackers destroy
-  // first) plus a scoped tally so the charge frames run exactly as they do
-  // for recorded statements.
-  const bool profile = MemTracker::Enabled();
-  std::unique_ptr<MemTracker> query_mem;
-  QueryTally tally;
-  int64_t cpu0_ns = 0;
-  if (profile) {
-    query_mem = std::make_unique<MemTracker>(
-        "query-explain", MemTracker::Process(),
-        query_mem_limit_.load(std::memory_order_relaxed));
-    tally.mem = query_mem.get();
-    cpu0_ns = ThreadCpuNanos();
-  }
-  QueryTally* const prev_tally = tls_tally_;
-  tls_tally_ = &tally;
-  auto result = ExecNode(*plan);
-  tls_tally_ = prev_tally;
-  const int64_t cpu_us = profile ? (ThreadCpuNanos() - cpu0_ns) / 1000 : 0;
-  collect_node_stats_ = false;
-  DL2SQL_RETURN_NOT_OK(result.status());
+  // The scratch tracker runs the charge frames exactly as they run for
+  // recorded statements.
+  run.Track("query-explain", session_mem,
+            query_mem_limit_.load(std::memory_order_relaxed));
+  DL2SQL_RETURN_NOT_OK(ExecNode(*plan).status());
+  const int64_t cpu_us = run.CpuMicros();
 
   std::string out;
   std::function<void(const PlanNode&, int)> render = [&](const PlanNode& n,
@@ -811,12 +811,12 @@ Result<std::string> Database::ExplainAnalyze(const std::string& sql) {
     std::string line = n.ToString(indent);
     line = line.substr(0, line.find('\n'));
     out += line;
-    auto it = node_stats_.find(&n);
-    if (it != node_stats_.end()) {
+    auto it = stats.nodes.find(&n);
+    if (it != stats.nodes.end()) {
       double children = 0;
       for (const auto& c : n.children) {
-        auto ci = node_stats_.find(c.get());
-        if (ci != node_stats_.end()) children += ci->second.cumulative_seconds;
+        auto ci = stats.nodes.find(c.get());
+        if (ci != stats.nodes.end()) children += ci->second.cumulative_seconds;
       }
       char buf[128];
       std::snprintf(buf, sizeof(buf),
@@ -868,27 +868,20 @@ Result<std::string> Database::ExplainAnalyze(const std::string& sql) {
 
   // Per-query operator accounting: total rows produced across all plan
   // nodes and the largest single materialized operator output.
-  int64_t total_rows = 0;
-  int64_t peak_bytes = 0;
-  for (const auto& [_, stats] : node_stats_) {
-    total_rows += stats.rows;
-    peak_bytes = std::max(peak_bytes, stats.output_bytes);
-  }
-  out += "Operators: rows=" + std::to_string(total_rows) +
-         ", peak_bytes=" + std::to_string(peak_bytes) + "\n";
+  out += "Operators: rows=" + std::to_string(stats.operator_rows) +
+         ", peak_bytes=" + std::to_string(stats.peak_operator_bytes) + "\n";
 
   // Resource-accounting footer: tracked memory per operator kind (peak bytes
   // charged to each "op.<kind>" tracker) and query-level totals. Omitted
   // with DL2SQL_MEM_TRACKER=OFF.
-  if (profile) {
+  if (run.mem != nullptr) {
     out += "Profile: cpu_us=" + std::to_string(cpu_us) +
-           ", mem_peak_bytes=" + std::to_string(query_mem->peak()) +
-           ", mem_cumulative_bytes=" +
-           std::to_string(query_mem->cumulative()) +
-           ", spill_bytes=" + std::to_string(tally.spill_bytes) +
-           ", spill_partitions=" + std::to_string(tally.spill_partitions) +
+           ", mem_peak_bytes=" + std::to_string(run.mem->peak()) +
+           ", mem_cumulative_bytes=" + std::to_string(run.mem->cumulative()) +
+           ", spill_bytes=" + std::to_string(stats.spill_bytes) +
+           ", spill_partitions=" + std::to_string(stats.spill_partitions) +
            "\n";
-    for (const auto& [kind, tracker] : tally.op_trackers) {
+    for (const auto& [kind, tracker] : stats.op_trackers) {
       (void)kind;
       out += "  " + tracker->label() +
              ": peak_bytes=" + std::to_string(tracker->peak()) +
@@ -897,8 +890,8 @@ Result<std::string> Database::ExplainAnalyze(const std::string& sql) {
     }
   }
 
-  // Footer: registry counters incremented by this query, computed as the
-  // delta of two session-local snapshots.
+  // Footer: registry counters incremented by this query (and any statement
+  // beside it), computed as the delta of two snapshots.
   const MetricsSnapshot delta =
       MetricsRegistry::SnapshotDelta(counters_before, registry.Snapshot());
   std::string footer;
@@ -1002,7 +995,7 @@ Result<Table> Database::ExecNodeImpl(const PlanNode& node) {
       std::vector<int64_t> rows(static_cast<size_t>(n));
       for (int64_t i = 0; i < n; ++i) rows[static_cast<size_t>(i)] = i;
       Table out = in.TakeRows(rows);
-      ChargeOperator(costs_, "limit", watch.ElapsedSeconds(), 0);
+      ChargeOperator("limit", watch.ElapsedSeconds(), 0);
       return out;
     }
   }
@@ -1037,7 +1030,7 @@ Result<Table> Database::ExecScan(const PlanNode& node) {
     // the plan's qualified schema. Consumers either window over it, spill,
     // or materialize it after an admission check (TryEnsureResident).
     Table out = Table::FromPaged(node.output_schema, table->paged());
-    ChargeOperator(costs_, "scan", watch.ElapsedSeconds(), 0);
+    ChargeOperator("scan", watch.ElapsedSeconds(), 0);
     return out;
   }
   // Columns are shared copy-on-write; only the schema is rewritten with the
@@ -1047,7 +1040,7 @@ Result<Table> Database::ExecScan(const PlanNode& node) {
   for (int i = 0; i < table->num_columns(); ++i) cols.push_back(table->column(i));
   DL2SQL_ASSIGN_OR_RETURN(Table out,
                           Table::FromColumns(node.output_schema, std::move(cols)));
-  ChargeOperator(costs_, "scan", watch.ElapsedSeconds(), 0);
+  ChargeOperator("scan", watch.ElapsedSeconds(), 0);
   return out;
 }
 
@@ -1094,7 +1087,7 @@ Result<Table> Database::ExecFilter(const PlanNode& node, Table input) {
                           FilterRows(*node.predicate, input, &ctx));
   Table out = input.TakeRows(rows);
   const double inf = DrainEvalContext(ctx);
-  ChargeOperator(costs_, "filter", watch.ElapsedSeconds(), inf);
+  ChargeOperator("filter", watch.ElapsedSeconds(), inf);
   return out;
 }
 
@@ -1118,7 +1111,7 @@ Result<Table> Database::ExecFilterPaged(const PlanNode& node,
   }
   DL2SQL_ASSIGN_OR_RETURN(Table out, writer.Finish());
   const double inf = DrainEvalContext(ctx);
-  ChargeOperator(costs_, "filter", watch.ElapsedSeconds(), inf);
+  ChargeOperator("filter", watch.ElapsedSeconds(), inf);
   return out;
 }
 
@@ -1138,7 +1131,7 @@ Result<Table> Database::ExecProject(const PlanNode& node, Table input) {
   DL2SQL_ASSIGN_OR_RETURN(Table out,
                           Table::FromColumns(std::move(schema), std::move(cols)));
   if (node.exprs.empty()) out.SetZeroColumnRows(input.num_rows());
-  ChargeOperator(costs_, "project", watch.ElapsedSeconds(), inf);
+  ChargeOperator("project", watch.ElapsedSeconds(), inf);
   return out;
 }
 
@@ -1149,8 +1142,7 @@ Result<Table> Database::ExecProjectPaged(const PlanNode& node,
   if (node.exprs.empty()) {
     Table out;
     out.SetZeroColumnRows(input.num_rows());
-    ChargeOperator(costs_, "project", watch.ElapsedSeconds(),
-                   DrainEvalContext(ctx));
+    ChargeOperator("project", watch.ElapsedSeconds(), DrainEvalContext(ctx));
     return out;
   }
   const std::unique_ptr<storage::ColumnSource> source =
@@ -1180,7 +1172,7 @@ Result<Table> Database::ExecProjectPaged(const PlanNode& node,
   DL2SQL_CHECK(writer != nullptr) << "paged table with zero chunks";
   DL2SQL_ASSIGN_OR_RETURN(Table out, writer->Finish());
   const double inf = DrainEvalContext(ctx);
-  ChargeOperator(costs_, "project", watch.ElapsedSeconds(), inf);
+  ChargeOperator("project", watch.ElapsedSeconds(), inf);
   return out;
 }
 
@@ -1353,15 +1345,10 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
   std::vector<std::pair<int64_t, int64_t>> pairs;
 
   if (node.use_symmetric_hash && node.equi_keys.size() == 1) {
-    SymmetricHashJoinStats shj_stats;
     DL2SQL_ASSIGN_OR_RETURN(
         pairs, SymmetricHashJoinPairs(left, right, *node.equi_keys[0].first,
                                       *node.equi_keys[0].second, &ctx,
-                                      shj_options_, &shj_stats));
-    {
-      std::lock_guard<std::mutex> lock(last_run_mu_);
-      last_shj_stats_ = shj_stats;
-    }
+                                      shj_options_));
     ++symmetric_joins_;
     static Counter* const symmetric_counter =
         MetricsRegistry::Global().counter("db.symmetric_joins");
@@ -1454,7 +1441,7 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
     joined = joined.TakeRows(keep);
   }
   const double inf = DrainEvalContext(ctx);
-  ChargeOperator(costs_, "join", watch.ElapsedSeconds(), inf);
+  ChargeOperator("join", watch.ElapsedSeconds(), inf);
   return joined;
 }
 
@@ -1711,19 +1698,20 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
   // own measured work (key evaluation, grouping, accumulation, emission).
   const double join_seconds = watch.ElapsedSeconds() - groupby_seconds;
   const double inf = DrainEvalContext(ctx);
-  ChargeOperator(costs_, "join", join_seconds, inf);
-  ChargeOperator(costs_, "groupby", groupby_seconds, 0);
+  ChargeOperator("join", join_seconds, inf);
+  ChargeOperator("groupby", groupby_seconds, 0);
   static Counter* const fused_counter =
       MetricsRegistry::Global().counter("db.fused_join_aggs");
   fused_counter->Increment();
-  if (QueryTally* tally = tls_tally_) tally->operator_rows += pairs;
-  if (collect_node_stats_) {
-    std::lock_guard<std::mutex> lock(node_stats_mu_);
-    NodeRunStats& stats = node_stats_[&join];
-    stats.fused = true;
-    stats.rows += pairs;
-    stats.cumulative_seconds += join_seconds;
-    node_stats_[&node].dense_slots = dense_slots;
+  if (StatementStats* stats = tls_stats_) {
+    stats->operator_rows += pairs;
+    if (stats->analyze) {
+      NodeRunStats& js = stats->nodes[&join];
+      js.fused = true;
+      js.rows += pairs;
+      js.cumulative_seconds += join_seconds;
+      stats->nodes[&node].dense_slots = dense_slots;
+    }
   }
   return std::optional<Table>(std::move(out));
 }
@@ -1910,7 +1898,7 @@ Result<Table> Database::ExecJoinGrace(const PlanNode& node, Table left,
   }
   DL2SQL_ASSIGN_OR_RETURN(Table out, writer.Finish());
   const double inf = DrainEvalContext(ctx);
-  ChargeOperator(costs_, "join", watch.ElapsedSeconds(), inf);
+  ChargeOperator("join", watch.ElapsedSeconds(), inf);
   return out;
 }
 
@@ -2049,7 +2037,7 @@ Result<Table> Database::ExecAggregate(const PlanNode& node, Table input) {
                                            input.num_rows(), &ctx, &vout));
     if (done) {
       const double inf = DrainEvalContext(ctx);
-      ChargeOperator(costs_, "groupby", watch.ElapsedSeconds(), inf);
+      ChargeOperator("groupby", watch.ElapsedSeconds(), inf);
       return vout;
     }
   }
@@ -2120,7 +2108,7 @@ Result<Table> Database::ExecAggregate(const PlanNode& node, Table input) {
   const double inf = DrainEvalContext(ctx);
   DL2SQL_ASSIGN_OR_RETURN(
       Table out, Table::FromColumns(std::move(out_schema), std::move(out_cols)));
-  ChargeOperator(costs_, "groupby", watch.ElapsedSeconds(), inf);
+  ChargeOperator("groupby", watch.ElapsedSeconds(), inf);
   return out;
 }
 
@@ -2320,7 +2308,7 @@ Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
   const double inf = DrainEvalContext(ctx);
   DL2SQL_ASSIGN_OR_RETURN(
       Table out, Table::FromColumns(std::move(out_schema), std::move(out_cols)));
-  ChargeOperator(costs_, "groupby", watch.ElapsedSeconds(), inf);
+  ChargeOperator("groupby", watch.ElapsedSeconds(), inf);
   return out;
 }
 
@@ -2353,7 +2341,7 @@ Result<Table> Database::ExecSort(const PlanNode& node, Table input) {
   });
   Table out = input.TakeRows(idx);
   const double inf = DrainEvalContext(ctx);
-  ChargeOperator(costs_, "sort", watch.ElapsedSeconds(), inf);
+  ChargeOperator("sort", watch.ElapsedSeconds(), inf);
   return out;
 }
 
@@ -2370,7 +2358,7 @@ Result<Table> Database::ExecCreateTable(const CreateTableStmt& stmt) {
   }
   if (stmt.as_select != nullptr) {
     if (stmt.if_not_exists && catalog_.HasTable(stmt.name)) return Table{};
-    DL2SQL_ASSIGN_OR_RETURN(Table result, ExecuteSelect(*stmt.as_select));
+    DL2SQL_ASSIGN_OR_RETURN(Table result, RunSelect(*stmt.as_select));
     DL2SQL_RETURN_NOT_OK(MaybePageOut(&result));
     DL2SQL_RETURN_NOT_OK(catalog_.CreateTable(
         stmt.name, std::make_shared<Table>(std::move(result)), stmt.temporary,
@@ -2427,7 +2415,7 @@ Result<Table> Database::ExecInsert(const InsertStmt& stmt) {
 
   int64_t inserted = 0;
   if (stmt.select != nullptr) {
-    DL2SQL_ASSIGN_OR_RETURN(Table src, ExecuteSelect(*stmt.select));
+    DL2SQL_ASSIGN_OR_RETURN(Table src, RunSelect(*stmt.select));
     for (int64_t r = 0; r < src.num_rows(); ++r) {
       DL2SQL_RETURN_NOT_OK(append_row(src.GetRow(r)));
       ++inserted;

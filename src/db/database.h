@@ -18,6 +18,7 @@
 #include "db/catalog.h"
 #include "db/eval.h"
 #include "db/exec/symmetric_hash_join.h"
+#include "db/exec/vector_batch.h"
 #include "db/optimizer.h"
 #include "db/planner.h"
 #include "db/query_log.h"
@@ -82,10 +83,9 @@ struct CacheOptions {
 /// ring behind system.queries, and the slow-query log.
 ///
 /// Defaults are ON; DL2SQL_INTROSPECTION=OFF (or "off"/"0") disables the
-/// whole layer at Database construction — no providers are registered and
-/// query recording short-circuits to a null check, so the serving hot path
-/// pays nothing. DL2SQL_QUERY_LOG_CAPACITY and DL2SQL_SLOW_QUERY_MS override
-/// the other two knobs.
+/// whole layer at Database construction — no providers, no recording, no
+/// per-query memory tracker; statements still build their stats. Env vars
+/// DL2SQL_QUERY_LOG_CAPACITY and DL2SQL_SLOW_QUERY_MS override the others.
 struct IntrospectionOptions {
   bool enabled = true;
   /// Ring slots behind system.queries; oldest records are overwritten.
@@ -180,12 +180,6 @@ class Database {
   /// The prepared-plan cache, or nullptr when disabled.
   ShardedLruCache* plan_cache() { return plan_cache_.get(); }
 
-  /// When set, operator wall time is charged into this accumulator under
-  /// buckets: "scan", "filter", "join", "groupby", "project", "sort",
-  /// "limit", and nUDF time separately under "inference".
-  void set_cost_accumulator(CostAccumulator* acc) { costs_ = acc; }
-  CostAccumulator* cost_accumulator() const { return costs_; }
-
   /// Total nUDF invocations since construction (hint-pruning assertions).
   /// Atomic: nUDF bodies may finish on pool workers under morsel parallelism.
   int64_t neural_calls() const {
@@ -196,24 +190,31 @@ class Database {
   }
 
   /// Executes one SQL statement; SELECTs return their result set, DML/DDL
-  /// return an empty result (row count in the zero-column table).
-  Result<Table> Execute(const std::string& sql);
+  /// return an empty result (row count in the zero-column table). Every entry
+  /// point runs its statement under stats of its own: `costs`, when set, gets
+  /// its operators' wall time under "scan", "filter", "join", "groupby",
+  /// "project", "sort", "limit", and nUDF time under "inference", but never
+  /// the work of a statement that a nUDF body starts.
+  Result<Table> Execute(const std::string& sql,
+                        CostAccumulator* costs = nullptr);
 
   /// Executes a ';'-separated script, discarding intermediate results.
   Status ExecuteScript(const std::string& script);
 
   Result<Table> ExecuteStatement(const Statement& stmt);
-  Result<Table> ExecuteSelect(const SelectStmt& stmt);
+  Result<Table> ExecuteSelect(const SelectStmt& stmt,
+                              CostAccumulator* costs = nullptr);
 
   /// ExecuteStatement plus query-log recording: duration, result rows,
   /// per-query neural/cache tallies, error status, and the serving-layer
   /// hints. Execute()/ExecuteScript() route through this; the serving layer
   /// calls it directly (it parses before admission, so it holds the
-  /// Statement and the raw SQL separately). With introspection disabled this
-  /// is exactly ExecuteStatement.
+  /// Statement and the raw SQL separately). With introspection disabled
+  /// nothing is recorded.
   Result<Table> ExecuteStatementRecorded(const Statement& stmt,
                                          const std::string& sql,
-                                         const QueryRecordHints& hints);
+                                         const QueryRecordHints& hints,
+                                         CostAccumulator* costs = nullptr);
 
   /// The query-log ring, or nullptr when introspection is disabled.
   QueryLog* query_log() { return query_log_.get(); }
@@ -250,8 +251,11 @@ class Database {
   Result<std::string> Explain(const std::string& sql);
 
   /// Executes the SELECT and renders the plan annotated with actual row
-  /// counts and per-operator wall time (cumulative and self).
-  Result<std::string> ExplainAnalyze(const std::string& sql);
+  /// counts and per-operator wall time (cumulative and self). It may run
+  /// beside other statements (see DESIGN.md, "Introspection"); its query
+  /// tracker parents under `session_mem` (the process root when null).
+  Result<std::string> ExplainAnalyze(const std::string& sql,
+                                     MemTracker* session_mem = nullptr);
 
   /// Runs an already-optimized plan.
   Result<Table> ExecutePlan(const PlanNode& plan);
@@ -266,12 +270,6 @@ class Database {
   PlanPtr last_plan() const {
     std::lock_guard<std::mutex> lock(last_run_mu_);
     return last_plan_;
-  }
-
-  /// Stats of the most recent symmetric hash join, if any ran.
-  SymmetricHashJoinStats last_symmetric_stats() const {
-    std::lock_guard<std::mutex> lock(last_run_mu_);
-    return last_shj_stats_;
   }
 
   /// Count of symmetric hash joins executed since construction.
@@ -309,17 +307,26 @@ class Database {
     int64_t dense_slots = 0;
   };
 
-  /// Per-query tallies accumulated while a recorded statement executes,
-  /// reached through a thread_local pointer (set/cleared by
-  /// ExecuteStatementRecorded on the query's calling thread; operators and
-  /// DrainEvalContext fold into it from that same thread).
-  struct QueryTally {
+  /// Everything one statement accumulates while it runs, reached through a
+  /// thread_local pointer its entry point installs on the calling thread
+  /// (RunningStatement); operators and DrainEvalContext fold into it from
+  /// that thread. A statement started inside another gets its own.
+  struct StatementStats {
+    /// The caller's clause buckets (Execute's `costs`); null when unwanted.
+    CostAccumulator* costs = nullptr;
+    /// \name EXPLAIN ANALYZE's per-node profile (ExplainAnalyze only)
+    /// @{
+    bool analyze = false;
+    std::map<const PlanNode*, NodeRunStats> nodes;
+    /// Kernel counts drained since the innermost ExecNode wrapper took them.
+    vec::VectorOpStats pending_vec;
+    /// @}
     int64_t neural_calls = 0;
     int64_t nudf_cache_hits = 0;
     bool plan_cache_hit = false;
     /// The plan this statement ran: set by the first SELECT executed under
-    /// this tally. Scalar subqueries run after it, and nested recorded
-    /// statements have tallies of their own, so neither overwrites it.
+    /// these stats. Scalar subqueries run after it, and nested statements
+    /// have stats of their own, so neither overwrites it.
     PlanPtr plan;
     int64_t operator_rows = 0;
     int64_t peak_operator_bytes = 0;
@@ -327,8 +334,8 @@ class Database {
     int64_t vector_batches = 0;
     /// \name Resource accounting (null/zero when MemTracker is disabled)
     /// @{
-    /// The per-query tracker (owned by ExecuteStatementRecorded's stack
-    /// frame); operator charges and limit checks go through it.
+    /// The per-query tracker (owned by the RunningStatement of a recorded or
+    /// analyzed statement); operator charges and limit checks go through it.
     MemTracker* mem = nullptr;
     /// Lazily created per-PlanKind operator trackers, children of `mem`
     /// (labels "op.<kind>"; the map key is the PlanKind value).
@@ -349,25 +356,40 @@ class Database {
     /// @}
   };
 
+  /// One statement in flight (defined in database.cc): installs its
+  /// StatementStats on the calling thread for its lifetime, plus, for
+  /// recorded and analyzed statements, the query tracker and CPU baselines.
+  struct RunningStatement;
+
+  /// Charges `seconds` minus the inference time already charged separately
+  /// to `bucket` of the running statement's clause buckets, if it has any.
+  static void ChargeOperator(const std::string& bucket, double seconds,
+                             double inference_delta);
+
+  /// The entry points' bodies, run under the caller's stats (CTAS, INSERT
+  /// ... SELECT and scalar subqueries run their SELECT through RunSelect).
+  Result<Table> RunStatement(const Statement& stmt);
+  Result<Table> RunSelect(const SelectStmt& stmt);
+
   Result<Table> ExecNode(const PlanNode& node);
   /// ExecNode's per-operator accounting (trace span, memory frames, rows,
   /// EXPLAIN ANALYZE stats) around `body`, which produces `node`'s output.
   Result<Table> ExecNodeWith(const PlanNode& node,
                              const std::function<Result<Table>()>& body);
-  /// `body` plus NodeRunStats collection (ExplainAnalyze runs).
-  Result<Table> ExecNodeCollect(const PlanNode& node,
+  /// `body` plus NodeRunStats collection into `stats` (ExplainAnalyze runs).
+  Result<Table> ExecNodeCollect(StatementStats* stats, const PlanNode& node,
                                 const std::function<Result<Table>()>& body);
   Result<Table> ExecNodeImpl(const PlanNode& node);
-  /// Lazily created "op.<kind>" child of the running recorded statement's
-  /// query tracker; null when no tracked statement is active on this thread.
+  /// Lazily created "op.<kind>" child of the running statement's query
+  /// tracker; null when no tracked statement is active on this thread.
   /// Operators charge transient state (join build sides, aggregation groups)
   /// against it via ScopedMemCharge.
   MemTracker* OpScratchTracker(PlanKind kind);
   /// Charges `out_bytes` of operator output against the per-PlanKind tracker
-  /// of the running recorded statement; parks the charge in the parent's
-  /// frame (released when the parent operator finishes). ResourceExhausted
-  /// when the charge would exceed a tracker limit up the chain.
-  Status ChargeOperatorOutput(QueryTally* tally, const PlanNode& node,
+  /// of the running statement; parks the charge in the parent's frame
+  /// (released when the parent operator finishes). ResourceExhausted when
+  /// the charge would exceed a tracker limit up the chain.
+  Status ChargeOperatorOutput(StatementStats* stats, const PlanNode& node,
                               int64_t out_bytes);
   Result<Table> ExecScan(const PlanNode& node);
   Result<Table> ExecFilter(const PlanNode& node, Table input);
@@ -428,7 +450,7 @@ class Database {
   /// groups back into first-seen order.
   Result<Table> ExecAggregateExternal(const PlanNode& node,
                                       const Table& input);
-  /// Folds spilled bytes/partitions into the running query tally and the
+  /// Folds spilled bytes/partitions into the running statement's stats and the
   /// db.spill.* metrics counters.
   void TallySpill(int64_t bytes, int64_t partitions);
   /// @}
@@ -446,8 +468,8 @@ class Database {
   uint64_t PlanCacheKey(const SelectStmt& stmt) const;
 
   void SetLastPlan(PlanPtr plan) {
-    QueryTally* const tally = tls_tally_;
-    if (tally != nullptr && tally->plan == nullptr) tally->plan = plan;
+    StatementStats* const stats = tls_stats_;
+    if (stats != nullptr && stats->plan == nullptr) stats->plan = plan;
     std::lock_guard<std::mutex> lock(last_run_mu_);
     last_plan_ = std::move(plan);
   }
@@ -468,7 +490,6 @@ class Database {
   std::unique_ptr<ShardedLruCache> nudf_cache_;
   /// Prepared-plan cache; null when disabled.
   std::unique_ptr<ShardedLruCache> plan_cache_;
-  CostAccumulator* costs_ = nullptr;
   /// Batch-at-a-time vectorized execution toggle (DL2SQL_VECTOR).
   bool vectorized_ = true;
   IntrospectionOptions introspection_options_;
@@ -482,22 +503,15 @@ class Database {
   /// Ring behind system.queries; null when introspection is disabled.
   std::unique_ptr<QueryLog> query_log_;
   std::atomic<int64_t> neural_calls_{0};
-  /// Guards the "most recent run" introspection snapshots below, which
+  /// Guards the "most recent run" introspection snapshot below, which
   /// concurrent sessions would otherwise race on.
   mutable std::mutex last_run_mu_;
   PlanPtr last_plan_;
-  SymmetricHashJoinStats last_shj_stats_;
   std::atomic<int64_t> symmetric_joins_{0};
   std::atomic<int64_t> index_joins_{0};
-  /// Tally of the recorded statement currently executing on this thread;
-  /// null outside ExecuteStatementRecorded (and always null with
-  /// introspection disabled, keeping the hot path a single TLS load).
-  static thread_local QueryTally* tls_tally_;
-  bool collect_node_stats_ = false;
-  /// Guards node_stats_: nUDF bodies can re-enter the executor while an
-  /// ExplainAnalyze run is collecting (generated DL2SQL pipelines).
-  std::mutex node_stats_mu_;
-  std::map<const PlanNode*, NodeRunStats> node_stats_;
+  /// Stats of the statement currently executing on this thread; null
+  /// outside the statement entry points (and on pool workers).
+  static thread_local StatementStats* tls_stats_;
 };
 
 }  // namespace dl2sql::db

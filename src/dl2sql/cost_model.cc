@@ -124,7 +124,7 @@ Result<std::vector<OpCostEstimate>> EstimateDefault(const ConvertedModel& model,
     if (model.options.batched) {
       schema.AddField({"BatchID", db::DataType::kInt64});
     }
-    if (name.find("_fm") != std::string::npos) {
+    if (name.ends_with("_fm")) {
       schema.AddField({"MatrixID", db::DataType::kInt64});
       schema.AddField({"OrderID", db::DataType::kInt64});
       schema.AddField({"Value", db::DataType::kFloat64});

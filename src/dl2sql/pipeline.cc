@@ -65,29 +65,16 @@ Status Dl2SqlRunner::LoadInputs(const std::vector<Tensor>& inputs) {
                             /*temporary=*/true);
 }
 
-Status Dl2SqlRunner::Cleanup() {
-  for (const auto& t : model_.RuntimeTables()) {
-    DL2SQL_RETURN_NOT_OK(db_->Execute("DROP TABLE IF EXISTS " + t).status());
-  }
-  return Status::OK();
-}
-
 Status Dl2SqlRunner::RunStatements(PipelineRunStats* stats) {
   Stopwatch infer_watch;
   for (const auto& op : model_.ops) {
     Stopwatch op_watch;
     for (const auto& stmt : op.runtime_sql) {
-      static const std::string kPrefix = "CREATE TEMP TABLE ";
-      if (stmt.compare(0, kPrefix.size(), kPrefix) == 0) {
-        const size_t start = kPrefix.size();
-        const size_t end = stmt.find(' ', start);
-        const std::string table = stmt.substr(start, end - start);
-        DL2SQL_RETURN_NOT_OK(
-            db_->Execute("DROP TABLE IF EXISTS " + table).status());
-      }
-      DL2SQL_RETURN_NOT_OK(db_->Execute(stmt).status().WithContext(
-          "running generated SQL for " + op.layer_name + ": " +
-          stmt.substr(0, 120)));
+      DL2SQL_RETURN_NOT_OK(
+          db_->Execute(stmt, &stats->clause_costs)
+              .status()
+              .WithContext("running generated SQL for " + op.layer_name +
+                           ": " + stmt.substr(0, 120)));
     }
     stats->per_op.push_back({op.layer_name, op.kind, op_watch.ElapsedSeconds()});
   }
@@ -143,7 +130,6 @@ Result<std::vector<Tensor>> Dl2SqlRunner::InferSubBatch(
     }
   }
   PipelineRunStats local;
-  db_->set_cost_accumulator(&local.clause_costs);
   auto body = [&]() -> Result<std::vector<Tensor>> {
     {
       Stopwatch watch;
@@ -153,8 +139,10 @@ Result<std::vector<Tensor>> Dl2SqlRunner::InferSubBatch(
     DL2SQL_RETURN_NOT_OK(RunStatements(&local));
     const std::string keys = batched ? "BatchID, TupleID" : "TupleID";
     DL2SQL_ASSIGN_OR_RETURN(
-        Table result, db_->Execute("SELECT " + keys + ", Value FROM " +
-                                   model_.output_table + " ORDER BY " + keys));
+        Table result,
+        db_->Execute("SELECT " + keys + ", Value FROM " + model_.output_table +
+                         " ORDER BY " + keys,
+                     &local.clause_costs));
     const int64_t batch = static_cast<int64_t>(inputs.size());
     const int64_t per_image = result.num_rows() / batch;
     if (per_image * batch != result.num_rows()) {
@@ -176,11 +164,14 @@ Result<std::vector<Tensor>> Dl2SqlRunner::InferSubBatch(
       out[static_cast<size_t>(b)].at(id) =
           static_cast<float>(result.column(id_col + 1).floats()[row]);
     }
-    DL2SQL_RETURN_NOT_OK(Cleanup());
     return out;
   };
   auto out = body();
-  db_->set_cost_accumulator(nullptr);
+  // Every exit drops the runtime tables (if_exists: the drop cannot fail),
+  // so each run creates them afresh and a failed run leaves none behind.
+  for (const auto& t : model_.RuntimeTables()) {
+    (void)db_->catalog().DropTable(t, /*if_exists=*/true);
+  }
   DL2SQL_RETURN_NOT_OK(out.status());
   if (stats != nullptr) *stats = std::move(local);
   return out;

@@ -80,9 +80,6 @@ class Dl2SqlRunner {
   Result<std::vector<int64_t>> PredictBatch(const std::vector<Tensor>& inputs,
                                             PipelineRunStats* stats = nullptr);
 
-  /// Drops all runtime tables (called automatically at the end of each run).
-  Status Cleanup();
-
  private:
   Status LoadInputs(const std::vector<Tensor>& inputs);
   Status RunStatements(PipelineRunStats* stats);

@@ -203,13 +203,11 @@ Result<std::vector<db::Value>> Dl2SqlEngine::Score(
     if (m.runner == nullptr) {
       return Status::InternalError("nUDF called before model deployment");
     }
-    // The pipeline's recursive SQL runs under its own accumulator so the
-    // outer query's relational buckets stay clean; the whole call is still
-    // charged to "inference" by the expression evaluator.
+    // The pipeline's generated SQL runs as statements of their own, which
+    // charge their clauses into `stats`, not the outer query's buckets; the
+    // whole call is charged to "inference" by the expression evaluator.
     core::PipelineRunStats stats;
-    CostAccumulator* outer = db_.cost_accumulator();
     auto preds = m.runner->PredictBatch(inputs[v], &stats);
-    db_.set_cost_accumulator(outer);
     DL2SQL_RETURN_NOT_OK(preds.status());
     call_loading_seconds_ += stats.load_seconds;
     // Per-op and per-clause profiles for Figs. 9-10.
@@ -295,13 +293,10 @@ Result<db::Table> Dl2SqlEngine::ExecuteCollaborative(const std::string& sql,
   }
 
   CostAccumulator acc;
-  db_.set_cost_accumulator(&acc);
   Result<db::Table> result = [&] {
     DL2SQL_TRACE_SPAN("engine", "dl2sql.exec");
-    return db_.Execute(sql);
+    return db_.Execute(sql, &acc);
   }();
-  // The nUDF body nulls the accumulator before recursing; restore & clear.
-  db_.set_cost_accumulator(nullptr);
 
   if (options_.redeploy_per_query) {
     for (DeployedModel* m : deployed_now) {

@@ -281,9 +281,7 @@ Result<db::Table> IndependentEngine::ExecuteCollaborative(const std::string& sql
       local_stmt->where = db::CombineConjuncts(local_preds);
     }
     CostAccumulator acc;
-    db_.set_cost_accumulator(&acc);
-    auto rows_r = db_.ExecuteSelect(*local_stmt);
-    db_.set_cost_accumulator(nullptr);
+    auto rows_r = db_.ExecuteSelect(*local_stmt, &acc);
     DL2SQL_RETURN_NOT_OK(rows_r.status());
     db::Table rows = std::move(rows_r).ValueOrDie();
     {
@@ -381,13 +379,11 @@ Result<db::Table> IndependentEngine::ExecuteCollaborative(const std::string& sql
   for (auto& o : phase3->order_by) o.expr = rewrite_expr(o.expr);
 
   CostAccumulator acc3;
-  db_.set_cost_accumulator(&acc3);
   Result<db::Table> result = [&] {
     // Q_db phase: the rewritten query over the enriched temp tables.
     DL2SQL_TRACE_SPAN("engine", "independent.q_db");
-    return db_.ExecuteSelect(*phase3);
+    return db_.ExecuteSelect(*phase3, &acc3);
   }();
-  db_.set_cost_accumulator(nullptr);
   for (const auto& t : temp_tables) {
     (void)db_.catalog().DropTable(t, true);
   }

@@ -218,12 +218,10 @@ Result<db::Table> UdfEngine::ExecuteCollaborative(const std::string& sql,
     }
   }
   CostAccumulator acc;
-  db_.set_cost_accumulator(&acc);
   Result<db::Table> result = [&] {
     DL2SQL_TRACE_SPAN("engine", "udf.exec");
-    return db_.Execute(sql);
+    return db_.Execute(sql, &acc);
   }();
-  db_.set_cost_accumulator(nullptr);
   DL2SQL_RETURN_NOT_OK(result.status());
 
   if (cost != nullptr) {

@@ -183,6 +183,25 @@ Result<db::Table> QueryService::Execute(const std::string& sql,
   return result;
 }
 
+Result<std::string> QueryService::ExplainAnalyze(const std::string& sql,
+                                                 Session* session) {
+  DL2SQL_ASSIGN_OR_RETURN(db::Statement stmt, db::sql::ParseStatement(sql));
+  DL2SQL_ASSIGN_OR_RETURN(AdmissionController::Ticket ticket,
+                          admission_.AdmitTicket());
+  DistributedExecutor* const dist =
+      distributed_ != nullptr && distributed_->Handles(stmt) ? distributed_
+                                                             : nullptr;
+  // Both forms accept only a SELECT, so the lock is shared, except for a
+  // distributed fallback gather, which materializes shard tables locally.
+  if (dist != nullptr && !dist->IsReadOnly(stmt)) {
+    std::unique_lock<std::shared_mutex> lock(exec_mu_);
+    return dist->ExplainAnalyze(stmt, sql);
+  }
+  std::shared_lock<std::shared_mutex> lock(exec_mu_);
+  if (dist != nullptr) return dist->ExplainAnalyze(stmt, sql);
+  return db_->ExplainAnalyze(sql, session->mem_tracker());
+}
+
 Status QueryService::ExecuteScript(const std::string& script) {
   DL2SQL_TRACE_SPAN("server", "script");
   DL2SQL_ASSIGN_OR_RETURN(AdmissionController::Ticket ticket,

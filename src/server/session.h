@@ -132,6 +132,11 @@ class QueryService {
   }
   DistributedExecutor* distributed_executor() const { return distributed_; }
 
+  /// EXPLAIN ANALYZE under admission and the statement lock, routed as
+  /// Execute routes; a local run's query tracker parents under the session's.
+  Result<std::string> ExplainAnalyze(const std::string& sql,
+                                     Session* session);
+
  private:
   friend class Session;
 

@@ -281,18 +281,11 @@ void TcpServer::ServeConnection(int fd) {
           }
         }
         if (StartsWith(line, ".analyze ")) {
-          // EXPLAIN ANALYZE; statements on sharded tables route through the
-          // distributed executor, which appends the per-shard footer.
-          const std::string sql = Trim(line.substr(9));
-          auto text = [&]() -> Result<std::string> {
-            DL2SQL_ASSIGN_OR_RETURN(db::Statement stmt,
-                                    db::sql::ParseStatement(sql));
-            DistributedExecutor* const dist = service_->distributed_executor();
-            if (dist != nullptr && dist->Handles(stmt)) {
-              return dist->ExplainAnalyze(stmt, sql);
-            }
-            return service_->database()->ExplainAnalyze(sql);
-          }();
+          // EXPLAIN ANALYZE under admission and the statement lock;
+          // statements on sharded tables route through the distributed
+          // executor, which appends the per-shard footer.
+          auto text =
+              service_->ExplainAnalyze(Trim(line.substr(9)), session.get());
           if (!text.ok()) {
             open = SendAll(fd, FormatErrorResponse(text.status()));
             continue;

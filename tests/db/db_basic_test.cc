@@ -4,6 +4,9 @@
 /// depend on.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <vector>
+
 #include "db/database.h"
 
 namespace dl2sql::db {
@@ -248,16 +251,83 @@ TEST_F(DbBasicTest, ExplainShowsPushdown) {
   EXPECT_GT(filter_pos, join_pos);
 }
 
+const char* const kJoinGroupSql =
+    "SELECT patternID, sum(meter) FROM fabric F, video V WHERE F.transID = "
+    "V.transID GROUP BY patternID";
+
 TEST_F(DbBasicTest, CostBreakdownBuckets) {
   CostAccumulator acc;
-  db_.set_cost_accumulator(&acc);
-  MustQuery(
-      "SELECT patternID, sum(meter) FROM fabric F, video V WHERE F.transID = "
-      "V.transID GROUP BY patternID");
-  db_.set_cost_accumulator(nullptr);
+  ASSERT_TRUE(db_.Execute(kJoinGroupSql, &acc).ok());
   EXPECT_GT(acc.Get("scan"), 0.0);
   EXPECT_GT(acc.Get("join"), 0.0);
   EXPECT_GT(acc.Get("groupby"), 0.0);
+}
+
+TEST(DbStatementStatsTest, IntrospectionOffStillFillsBuckets) {
+  // The statement builds its stats whether or not anything is recorded.
+  ::setenv("DL2SQL_INTROSPECTION", "OFF", 1);
+  Database db;
+  ::unsetenv("DL2SQL_INTROSPECTION");
+  ASSERT_EQ(db.query_log(), nullptr);
+  ASSERT_TRUE(db.ExecuteScript(R"sql(
+    CREATE TABLE fabric (transID INT, patternID INT, meter FLOAT);
+    INSERT INTO fabric VALUES (1, 10, 5.0), (2, 10, 7.5), (3, 20, 2.5);
+    CREATE TABLE video (transID INT, keyframe TEXT);
+    INSERT INTO video VALUES (1, 'k1'), (2, 'k2'), (3, 'k3');
+  )sql")
+                  .ok());
+  CostAccumulator acc;
+  ASSERT_TRUE(db.Execute(kJoinGroupSql, &acc).ok());
+  EXPECT_GT(acc.Get("scan"), 0.0);
+  EXPECT_GT(acc.Get("join"), 0.0);
+  EXPECT_GT(acc.Get("groupby"), 0.0);
+}
+
+TEST(DbStatementStatsTest, NestedStatementsKeepTheirOwnStats) {
+  // A neural UDF whose body runs a 200k-row GROUP BY on the same Database:
+  // that SQL is a statement of its own, so none of its work reaches the
+  // calling statement's clause buckets, node map or footer.
+  Database db;
+  constexpr int64_t kBigRows = 200000;
+  std::vector<int64_t> g(kBigRows);
+  std::vector<int64_t> v(kBigRows);
+  for (int64_t i = 0; i < kBigRows; ++i) {
+    g[static_cast<size_t>(i)] = i % 97;
+    v[static_cast<size_t>(i)] = i % 1000;
+  }
+  auto big = Table::FromColumns(
+      TableSchema({{"g", DataType::kInt64}, {"v", DataType::kInt64}}),
+      {Column::Ints(std::move(g)), Column::Ints(std::move(v))});
+  ASSERT_TRUE(big.ok());
+  ASSERT_TRUE(db.RegisterTable("big", std::move(big).ValueOrDie()).ok());
+  ASSERT_TRUE(db.ExecuteScript("CREATE TABLE small (x INT);"
+                               "INSERT INTO small VALUES (1), (2), (3), (4)")
+                  .ok());
+  NUdfInfo info;
+  info.model_name = "nested";
+  db.udfs().RegisterNeural(
+      "nudf_nested", DataType::kFloat64,
+      [&db](const std::vector<Value>& args) -> Result<Value> {
+        DL2SQL_ASSIGN_OR_RETURN(
+            Table groups, db.Execute("SELECT g, sum(v) FROM big GROUP BY g"));
+        DL2SQL_ASSIGN_OR_RETURN(double x, args[0].AsDouble());
+        return Value::Float(x + static_cast<double>(groups.num_rows()));
+      },
+      info);
+  const std::string sql = "SELECT nudf_nested(x) AS y FROM small";
+
+  CostAccumulator acc;
+  auto result = db.Execute(sql, &acc);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->num_rows(), 4);
+  EXPECT_GT(acc.Get("inference"), 0.0);
+  EXPECT_EQ(acc.Get("groupby"), 0.0);
+
+  // Scan small and Project produce 4 rows each; the nested GROUP BYs' scans
+  // of big belong to their own statements.
+  auto text = db.ExplainAnalyze(sql);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_NE(text->find("Operators: rows=8,"), std::string::npos) << *text;
 }
 
 }  // namespace

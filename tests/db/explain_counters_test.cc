@@ -1,12 +1,16 @@
 /// \file explain_counters_test.cc
 /// \brief ExplainAnalyze observability: golden plan structure, parallel runs
 /// matching serial row counts, sane per-node timings, the per-worker
-/// parallelism breakdown, and the registry-counter footer.
+/// parallelism breakdown, the registry-counter footer, and EXPLAIN ANALYZE
+/// running beside other statements on the same Database.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "accel/device.h"
@@ -186,6 +190,54 @@ TEST(ExplainCountersTest, AnalyzeFooterReportsCounterDeltas) {
   EXPECT_NE(again->find("nudf.invocations=" + std::to_string(kRows)),
             std::string::npos)
       << *again;
+}
+
+TEST(ExplainCountersTest, ExplainAnalyzeRunsBesideOtherStatements) {
+  // Two EXPLAIN ANALYZE loops and a plain SELECT loop on one Database: each
+  // analyzed statement collects into its own node map, so every call
+  // succeeds and each footer counts exactly its own rendered nodes.
+  Database db;
+  FillTables(&db);
+  auto device = MakeCpuDevice(2);
+  db.set_exec_options({device.get(), kSmallMorsel});
+  constexpr int kIterations = 200;
+  std::atomic<int> failures{0};
+  std::mutex mu;
+  std::vector<std::string> mismatched;
+  auto analyze = [&](const std::string& sql) {
+    for (int i = 0; i < kIterations; ++i) {
+      auto text = db.ExplainAnalyze(sql);
+      if (!text.ok()) {
+        failures.fetch_add(1);
+        continue;
+      }
+      int64_t rendered = 0;
+      for (int64_t rows : ActualRows(*text)) rendered += rows;
+      const std::string key = "Operators: rows=";
+      const size_t pos = text->find(key);
+      if (pos == std::string::npos ||
+          std::stoll(text->substr(pos + key.size())) != rendered) {
+        std::lock_guard<std::mutex> lock(mu);
+        mismatched.push_back(*text);
+      }
+    }
+  };
+  std::thread join_agg(analyze, kJoinAggSql);
+  std::thread nudf(analyze,
+                   "SELECT id, nudf_affine(val) AS p FROM fact WHERE val < 500");
+  std::thread plain([&] {
+    for (int i = 0; i < kIterations; ++i) {
+      if (!db.Execute("SELECT grp, count(*) AS c FROM fact GROUP BY grp").ok()) {
+        failures.fetch_add(1);
+      }
+    }
+  });
+  join_agg.join();
+  nudf.join();
+  plain.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_TRUE(mismatched.empty()) << mismatched.size() << " mismatched, e.g.\n"
+                                  << mismatched.front();
 }
 
 }  // namespace

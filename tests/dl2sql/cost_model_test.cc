@@ -97,6 +97,24 @@ TEST(DefaultEstimateTest, LeavesNoShellTablesBehind) {
   EXPECT_EQ(db.catalog().TableNames().size(), before);
 }
 
+TEST(DefaultEstimateTest, FeatureMapSchemaFollowsTheSuffix) {
+  // Only the converter's "_fm" reshape tables get the (MatrixID, OrderID)
+  // shell schema, whatever the table prefix contains.
+  nn::BuilderOptions b;
+  b.input_size = 8;
+  b.base_channels = 2;
+  nn::Model model = nn::BuildStudentCnn(b);
+  for (const std::string prefix : {"x_fm", "nn_fmt0"}) {
+    db::Database db;
+    ConvertOptions options;
+    options.table_prefix = prefix;
+    auto converted = ConvertModel(model, options, &db);
+    ASSERT_TRUE(converted.ok()) << prefix;
+    auto blind = EstimateDefault(*converted, &db);
+    EXPECT_TRUE(blind.ok()) << prefix << ": " << blind.status().ToString();
+  }
+}
+
 TEST(CustomCostModelTest, LinearOpsScanOnce) {
   Rng rng(4);
   nn::Model m("linear_ops", Shape({2, 8, 8}), {"a", "b"});

@@ -43,6 +43,28 @@ TEST(PipelineTest, RuntimeTablesAreCleanedUp) {
   }
 }
 
+TEST(PipelineTest, FailedRunCleansUpItsRuntimeTables) {
+  db::Database db;
+  auto converted = ConvertModel(SmallModel(), {}, &db);
+  ASSERT_TRUE(converted.ok());
+  const auto runtime_tables = converted->RuntimeTables();
+  // Without the FC bias table the run fails at its last op, when every
+  // other runtime table already exists.
+  std::string fc_bias;
+  for (const auto& t : converted->static_tables) {
+    if (t.find("_fc") != std::string::npos && t.ends_with("_b")) fc_bias = t;
+  }
+  ASSERT_FALSE(fc_bias.empty());
+  ASSERT_TRUE(db.catalog().DropTable(fc_bias, false).ok());
+  Dl2SqlRunner runner(&db, std::move(converted).ValueOrDie());
+  Rng rng(1);
+  Tensor in = Tensor::Random(Shape({3, 8, 8}), &rng, 1.0f);
+  ASSERT_FALSE(runner.Infer(in).ok());
+  for (const auto& t : runtime_tables) {
+    EXPECT_FALSE(db.catalog().HasTable(t)) << t << " left behind";
+  }
+}
+
 TEST(PipelineTest, RepeatedRunsAreDeterministic) {
   db::Database db;
   auto converted = ConvertModel(SmallModel(), {}, &db);

@@ -1,6 +1,7 @@
 /// \file server_tcp_test.cc
 /// \brief TcpServer end-to-end over a real loopback socket: framed OK/ERR
-/// responses, dot-commands, per-connection sessions, and clean Stop().
+/// responses, dot-commands, per-connection sessions, .analyze beside a
+/// writer, and clean Stop().
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -8,8 +9,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.h"
@@ -163,6 +166,55 @@ TEST(TcpServer, SessionsAreIndependentPerConnection) {
   EXPECT_EQ(from_b, "OK 1 1\nv\n42\nEND\n");  // B still renders TSV
   const std::string from_a = a.RoundTrip("SELECT v FROM shared");
   EXPECT_NE(from_a.find("\"rows\":[[42]]"), std::string::npos) << from_a;
+}
+
+TEST(TcpServer, AnalyzeWaitsForConcurrentWriters) {
+  // .analyze takes admission and the statement lock like any SELECT, so a
+  // writer appending to the analyzed table on another connection never
+  // changes it mid-read.
+  ServerFixture f;
+  RawClient setup(f.server->port());
+  ASSERT_EQ(setup.RoundTrip("CREATE TABLE grow (g INT64, v INT64)"),
+            "OK 0 0\nEND\n");
+  std::string insert = "INSERT INTO grow VALUES ";
+  for (int i = 0; i < 200; ++i) {
+    insert += (i == 0 ? "(" : ", (") + std::to_string(i % 7) + ", " +
+              std::to_string(i) + ")";
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> inserts{0};
+  std::atomic<bool> writer_done{false};
+  std::string write_error;
+  std::thread writer([&] {
+    RawClient client(f.server->port());
+    for (int i = 0; i < 2000 && !stop.load(); ++i) {
+      const std::string r = client.RoundTrip(insert);
+      if (r != "OK 200 0\nEND\n") {
+        write_error = r;
+        break;
+      }
+      inserts.fetch_add(1);
+    }
+    writer_done.store(true);
+  });
+  // Start analyzing once the writer is appending, so the two overlap.
+  while (inserts.load() == 0 && !writer_done.load()) std::this_thread::yield();
+  RawClient analyzer(f.server->port());
+  std::vector<std::string> failed;
+  for (int i = 0; i < 600; ++i) {
+    const std::string r =
+        analyzer.RoundTrip(".analyze SELECT g, sum(v) FROM grow GROUP BY g");
+    if (r.compare(0, 3, "OK ") != 0 ||
+        r.find("actual rows=") == std::string::npos) {
+      failed.push_back(r);
+    }
+  }
+  stop.store(true);
+  writer.join();
+  EXPECT_EQ(write_error, "");
+  EXPECT_TRUE(failed.empty()) << failed.size() << " failed, e.g. "
+                              << failed.front();
 }
 
 TEST(TcpServer, QuitClosesConnectionAndStopIsClean) {

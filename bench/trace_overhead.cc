@@ -370,11 +370,7 @@ int main(int argc, char** argv) {
     for (int c = 0; c < 100; ++c) g_sink = WorkloadTraced(data);
     TraceCollector::Global().SetEnabled(false);
     const int64_t events = TraceCollector::Global().EventCount();
-#if defined(DL2SQL_TRACING_DISABLED)
-    const int64_t expected = 0;
-#else
     const int64_t expected = 100;
-#endif
     std::printf("enabled-mode events recorded: %lld (expected %lld)\n",
                 static_cast<long long>(events),
                 static_cast<long long>(expected));

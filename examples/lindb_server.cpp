@@ -91,10 +91,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // DL2SQL_TRACE=on|1|true enables runtime span collection (the compile-time
-  // DL2SQL_TRACING gate must also be on, which is the default build). Traced
-  // spans feed system.spans, the .ctrace export, and — in coordinator mode —
-  // the cross-node trailer shipping.
+  // DL2SQL_TRACE=on|1|true enables runtime span collection. Traced spans
+  // feed system.spans, the .ctrace export, and — in coordinator mode — the
+  // cross-node trailer shipping.
   if (const char* env = std::getenv("DL2SQL_TRACE")) {
     const std::string v = env;
     if (v == "on" || v == "1" || v == "true") {

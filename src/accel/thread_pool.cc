@@ -77,7 +77,6 @@ Status ThreadPool::RunMorsel(const MorselFn& fn, int64_t begin, int64_t end,
   const int64_t t0 = TraceCollector::NowMicros();
   const int64_t cpu0 = cpu_ns_out != nullptr ? ThreadCpuNanos() : 0;
   Status s;
-#if !defined(DL2SQL_TRACING_DISABLED)
   if (TraceCollector::Global().enabled()) {
     DL2SQL_TRACE_SPAN("pool", "morsel",
                       "\"worker\":" + std::to_string(worker) +
@@ -87,9 +86,6 @@ Status ThreadPool::RunMorsel(const MorselFn& fn, int64_t begin, int64_t end,
   } else {
     s = fn(begin, end, worker);
   }
-#else
-  s = fn(begin, end, worker);
-#endif
   const int64_t us = TraceCollector::NowMicros() - t0;
   if (cpu_ns_out != nullptr) {
     cpu_ns_out->fetch_add(ThreadCpuNanos() - cpu0, std::memory_order_relaxed);

@@ -424,31 +424,28 @@ Result<db::Table> Coordinator::Execute(const db::Statement& stmt,
     }
   }
 
-  db::QueryLog* log = db_->query_log();
-  if (log != nullptr) {
-    db::QueryLogRecord rec;
-    rec.sql = sql;
-    rec.kind = KindOfStatement(stmt);
-    if (result.ok()) {
-      rec.rows = result->num_rows();
-    } else {
-      rec.error = result.status().ToString();
-    }
-    rec.duration_us = duration_us;
-    rec.session_id = hints.session_id;
-    rec.admission_wait_us = hints.admission_wait_us;
-    rec.lock_wait_us = hints.lock_wait_us;
-    rec.end_micros = TraceCollector::NowMicros();
-    rec.trace_id = stats.trace_id;
-    rec.parent_span_id = hints.parent_span_id;
-    rec.dist_strategy = stats.strategy;
-    rec.dist_shards = shards_used;
-    rec.dist_slowest_shard = slowest_shard;
-    rec.dist_slowest_us = slowest_us;
-    rec.dist_merge_us = stats.merge_us;
-    log->Record(rec);
-    if (hints.record_out != nullptr) *hints.record_out = rec;
+  db::QueryLogRecord rec;
+  rec.sql = sql;
+  rec.kind = KindOfStatement(stmt);
+  if (result.ok()) {
+    rec.rows = result->num_rows();
+  } else {
+    rec.error = result.status().ToString();
   }
+  rec.duration_us = duration_us;
+  rec.session_id = hints.session_id;
+  rec.admission_wait_us = hints.admission_wait_us;
+  rec.lock_wait_us = hints.lock_wait_us;
+  rec.end_micros = TraceCollector::NowMicros();
+  rec.trace_id = stats.trace_id;
+  rec.parent_span_id = hints.parent_span_id;
+  rec.dist_strategy = stats.strategy;
+  rec.dist_shards = shards_used;
+  rec.dist_slowest_shard = slowest_shard;
+  rec.dist_slowest_us = slowest_us;
+  rec.dist_merge_us = stats.merge_us;
+  db_->query_log()->Record(rec);
+  if (hints.record_out != nullptr) *hints.record_out = rec;
 
   // The single-node slow-query WARN lives in ExecuteStatementRecorded, which
   // distributed statements bypass — so the coordinator emits its own, naming

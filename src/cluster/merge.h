@@ -5,10 +5,11 @@
 ///
 /// All functions here are pure table-in/table-out so the merge semantics are
 /// unit-testable without sockets or a running cluster. The re-aggregation
-/// rules deliberately mirror Database::ExecAggregate's output semantics
-/// (AggOutputValue): COUNT merges by integer addition, SUM by adding non-NULL
-/// partial sums (all-NULL partials stay NULL), AVG from a SUM+COUNT rewrite,
-/// MIN/MAX by Value::Compare — so a merged result is indistinguishable from
+/// rules deliberately mirror the final values of lindb's one aggregator
+/// (vec::BatchAggregator::FinalColumn in db/exec/vector_aggregate.cc):
+/// COUNT merges by integer addition, SUM by adding non-NULL partial sums
+/// (all-NULL partials stay NULL), AVG from a SUM+COUNT rewrite, MIN/MAX by
+/// Value::Compare — so a merged result is indistinguishable from
 /// running the same aggregate on one node whenever float addition order
 /// cannot matter (integers, or a single contributing shard).
 #pragma once

@@ -19,9 +19,6 @@ int64_t ThreadCpuNanos() {
 namespace {
 
 bool DefaultEnabled() {
-#if defined(DL2SQL_MEM_TRACKER_DISABLED)
-  return false;
-#else
   const char* env = std::getenv("DL2SQL_MEM_TRACKER");
   if (env != nullptr && (std::strcmp(env, "OFF") == 0 ||
                          std::strcmp(env, "off") == 0 ||
@@ -29,7 +26,6 @@ bool DefaultEnabled() {
     return false;
   }
   return true;
-#endif
 }
 
 std::atomic<bool>& EnabledFlag() {
@@ -62,19 +58,11 @@ MemTracker* MemTracker::Process() {
 }
 
 bool MemTracker::Enabled() {
-#if defined(DL2SQL_MEM_TRACKER_DISABLED)
-  return false;
-#else
   return EnabledFlag().load(std::memory_order_relaxed);
-#endif
 }
 
 void MemTracker::SetEnabled(bool enabled) {
-#if defined(DL2SQL_MEM_TRACKER_DISABLED)
-  (void)enabled;
-#else
   EnabledFlag().store(enabled, std::memory_order_relaxed);
-#endif
 }
 
 void MemTracker::ConsumeLocal(int64_t bytes) {

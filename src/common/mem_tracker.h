@@ -23,9 +23,8 @@
 /// turns exactly this failure into a spill).
 ///
 /// Gate semantics mirror the trace/vector switches: `DL2SQL_MEM_TRACKER=OFF`
-/// in the environment (or `-DDL2SQL_MEM_TRACKER=OFF` at configure time, which
-/// defines DL2SQL_MEM_TRACKER_DISABLED) turns the whole resource-accounting
-/// layer — memory charges AND the CPU/wait-state sampling that keys off
+/// in the environment turns the whole resource-accounting layer — memory
+/// charges AND the CPU/wait-state sampling that keys off
 /// MemTracker::Enabled() — into a single relaxed atomic load per call site.
 /// Accounting must never change query results; the bit-identity test pins
 /// that, and bench/profile_overhead.cc pins the <5% overhead budget.
@@ -64,12 +63,11 @@ class MemTracker {
   static MemTracker* Process();
 
   /// Runtime gate for the whole resource-accounting layer. Initialized once
-  /// from the DL2SQL_MEM_TRACKER env var (OFF/off/0 disable); always false
-  /// when compiled out. A disabled tracker still exists — charges are no-ops.
+  /// from the DL2SQL_MEM_TRACKER env var (OFF/off/0 disable). A disabled
+  /// tracker still exists — charges are no-ops.
   static bool Enabled();
 
-  /// Flips the runtime gate (tests and the overhead bench). No-op when the
-  /// layer is compiled out with -DDL2SQL_MEM_TRACKER=OFF.
+  /// Flips the runtime gate (tests and the overhead bench).
   static void SetEnabled(bool enabled);
 
   /// Charges `bytes` to this tracker and every ancestor, ignoring limits.

@@ -9,8 +9,8 @@
 ///    a nesting depth, collected into per-thread buffers (no shared state on
 ///    the hot path; one uncontended per-buffer lock per event).
 ///  - DL2SQL_TRACE_SPAN(category, name[, args]): the instrumentation macro.
-///    Compiled out entirely under -DDL2SQL_TRACING=OFF; when compiled in but
-///    runtime-disabled (the default) a span costs one relaxed atomic load.
+///    While tracing is runtime-disabled (the default) a span costs one
+///    relaxed atomic load.
 ///  - TraceCollector: process-wide sink. Snapshot(), Clear(),
 ///    WriteChromeTrace(path) (chrome://tracing / Perfetto "X" events) and
 ///    SummaryJson() (per-name aggregate, embedded in bench output).
@@ -174,9 +174,6 @@ int32_t TraceDepth();
 
 }  // namespace dl2sql
 
-// DL2SQL_TRACING is defined (by CMake) as 1 when tracing is compiled in.
-// -DDL2SQL_TRACING=OFF at configure time compiles every span site out.
-#if !defined(DL2SQL_TRACING_DISABLED)
 #define DL2SQL_TRACE_CONCAT_(a, b) a##b
 #define DL2SQL_TRACE_CONCAT(a, b) DL2SQL_TRACE_CONCAT_(a, b)
 /// Opens a span covering the rest of the enclosing scope. Argument
@@ -186,8 +183,3 @@ int32_t TraceDepth();
 #define DL2SQL_TRACE_SPAN(category, ...)                                   \
   ::dl2sql::TraceSpan DL2SQL_TRACE_CONCAT(dl2sql_trace_span_, __LINE__)(   \
       category, __VA_ARGS__)
-#else
-#define DL2SQL_TRACE_SPAN(category, ...) \
-  do {                                   \
-  } while (0)
-#endif

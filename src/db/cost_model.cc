@@ -135,7 +135,7 @@ Status DefaultCostModel::Annotate(PlanNode* node, const CostContext& ctx) const 
     child_cost += c->est_cost;
   }
   // Morsel-parallel operators split their per-row CPU work across the
-  // device's workers; scan and sort stay serial in the executor.
+  // device's workers; scan, aggregation and sort stay serial in the executor.
   const double par = std::max(1.0, ctx.parallelism);
   switch (node->kind) {
     case PlanKind::kScan: {
@@ -210,9 +210,8 @@ Status DefaultCostModel::Annotate(PlanNode* node, const CostContext& ctx) const 
                             : child.est_rows * kDefaultGroupRatio;
       }
       node->est_rows = std::max(groups, 1.0);
-      // Thread-local accumulation parallelizes; the merge/emit over groups
-      // stays serial.
-      node->est_cost = child_cost + child.est_rows / par + node->est_rows;
+      // Accumulation and emission both run serially.
+      node->est_cost = child_cost + child.est_rows + node->est_rows;
       return Status::OK();
     }
     case PlanKind::kSort: {

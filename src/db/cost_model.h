@@ -43,8 +43,8 @@ struct CostContext {
   double seconds_per_unit = 8e-9;
   /// Effective intra-query parallelism degree (the executing device's thread
   /// count). Per-row CPU terms of morsel-parallel operators (filter, project,
-  /// join build/probe, aggregation) are divided by this; scan (bandwidth
-  /// bound) and sort (serial) are not. 1.0 = the serial kEdgeCpu model.
+  /// join build/probe) are divided by this; scan (bandwidth bound),
+  /// aggregation and sort (serial) are not. 1.0 = the serial kEdgeCpu model.
   double parallelism = 1.0;
 };
 

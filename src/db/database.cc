@@ -5,6 +5,7 @@
 #include <cctype>
 #include <cmath>
 #include <map>
+#include <numeric>
 
 #include <cstdlib>
 
@@ -76,14 +77,9 @@ bool DefaultVectorEnabled() {
   return true;
 }
 
-/// DL2SQL_INTROSPECTION=OFF|off|0 disables the system.* tables and query
-/// recording; DL2SQL_QUERY_LOG_CAPACITY / DL2SQL_SLOW_QUERY_MS tune them.
+/// DL2SQL_QUERY_LOG_CAPACITY / DL2SQL_SLOW_QUERY_MS tune the query log.
 IntrospectionOptions DefaultIntrospectionOptions() {
   IntrospectionOptions opts;
-  if (const char* env = std::getenv("DL2SQL_INTROSPECTION")) {
-    const std::string v = env;
-    if (v == "OFF" || v == "off" || v == "0") opts.enabled = false;
-  }
   if (const char* env = std::getenv("DL2SQL_QUERY_LOG_CAPACITY")) {
     const long parsed = std::strtol(env, nullptr, 10);
     if (parsed > 0) opts.query_log_capacity = static_cast<size_t>(parsed);
@@ -184,11 +180,9 @@ Database::Database()
                              "staying in-memory";
     }
   }
-  if (introspection_options_.enabled) {
-    query_log_ =
-        std::make_unique<QueryLog>(introspection_options_.query_log_capacity);
-    RegisterDatabaseSystemTables(this);
-  }
+  query_log_ =
+      std::make_unique<QueryLog>(introspection_options_.query_log_capacity);
+  RegisterDatabaseSystemTables(this);
 }
 
 void Database::set_cache_options(CacheOptions opts) {
@@ -350,7 +344,6 @@ Result<Table> Database::ExecuteStatementRecorded(const Statement& stmt,
                                                  const QueryRecordHints& hints,
                                                  CostAccumulator* costs) {
   RunningStatement run(costs);
-  if (query_log_ == nullptr) return RunStatement(stmt);
 
   // Resource accounting: a per-query tracker parented under the session's
   // (serving) or the process root (embedded), carrying the optional hard
@@ -1488,8 +1481,9 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
 
   // Batch and whole-table evaluation agree value for value and type for
   // type only over NULL-free operands (a NULL operand turns an arithmetic
-  // result FLOAT64), and the aggregate kernels refuse NULL arguments; so
-  // only a bare column group key may hold NULLs.
+  // result FLOAT64), so a compiled program reads NULL-free columns only;
+  // bare columns (group keys, and arguments the generic state reads
+  // through the row ids) may hold NULLs.
   const vec::ColumnResolver resolve = [&](const Expr& c) -> const Column* {
     return input_column(c.bound_index).HasNulls() ? nullptr : buffer(c);
   };
@@ -1517,7 +1511,7 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
   const size_t num_keys = node.group_keys.size();
   const size_t num_aggs = node.agg_calls.size();
   // factors[a] is set when argument a is a product the sum kernels take as
-  // two bare columns (BatchAggregator::Compile checks their types).
+  // two bare columns (BatchAggregator::Compile checks their shapes).
   std::vector<Operand> keys(num_keys), args(num_aggs), factors(num_aggs);
   for (size_t k = 0; k < num_keys; ++k) {
     const Expr& e = *node.group_keys[k];
@@ -1550,15 +1544,19 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
     return vec::ColumnRead{op.col,
                            op.rows != nullptr ? op.rows->data() : nullptr};
   };
-  std::vector<const Column*> key_cols;
-  for (const Operand& k : keys) key_cols.push_back(k.col);
+  std::vector<DataType> key_types;
+  for (const Operand& k : keys) key_types.push_back(k.col->type());
   std::vector<vec::ColumnRead> kreads(num_keys);
   std::vector<vec::ArgRead> areads(num_aggs);
+  std::vector<vec::ArgShape> shapes(num_aggs);
   for (size_t a = 0; a < num_aggs; ++a) {
     areads[a] = {read(args[a]), read(factors[a])};
+    shapes[a] = vec::ShapeOf(areads[a]);
   }
   vec::BatchAggregator agg;
-  if (!agg.Compile(node, key_cols, areads)) return std::optional<Table>();
+  if (!agg.Compile(node, key_types, shapes, /*vectorized=*/true)) {
+    return std::optional<Table>();
+  }
 
   Stopwatch watch;
   EvalContext ctx = MakeEvalContext();
@@ -1673,7 +1671,8 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
     for (size_t a = 0; a < num_aggs; ++a) {
       areads[a] = {read(args[a]), read(factors[a])};
     }
-    agg.Consume(kreads, areads, 0, n, pairs - n, key_hashes);
+    DL2SQL_RETURN_NOT_OK(
+        agg.Consume(kreads, areads, 0, n, pairs - n, key_hashes));
     ++ctx.vec_batches;
     ctx.vec_rows_in += n;
     ctx.vec_rows_selected += n;
@@ -1902,104 +1901,6 @@ Result<Table> Database::ExecJoinGrace(const PlanNode& node, Table left,
   return out;
 }
 
-namespace {
-
-/// Running state for one aggregate over one group.
-struct AggState {
-  int64_t count = 0;
-  double sum = 0;
-  double sumsq = 0;
-  Value min;
-  Value max;
-};
-
-/// Folds one argument value into an aggregate state. Shared by the in-memory
-/// row path and the external (spilling) aggregation so both accumulate in
-/// exactly the same order with exactly the same float operations — the
-/// bit-identity contract between the two paths rests on this.
-Status AccumulateAggValue(AggFunc f, const Value& v, AggState* st) {
-  if (f == AggFunc::kCountStar) {
-    ++st->count;
-    return Status::OK();
-  }
-  if (v.is_null()) return Status::OK();
-  switch (f) {
-    case AggFunc::kCount:
-      // COUNT over a boolean expression counts TRUE rows (the intent of
-      // the paper's count(nUDF(...) = TRUE); ClickHouse would use
-      // countIf). COUNT over other types counts non-NULL rows.
-      if (v.type() == DataType::kBool) {
-        if (v.bool_value()) ++st->count;
-      } else {
-        ++st->count;
-      }
-      break;
-    case AggFunc::kSum:
-    case AggFunc::kAvg:
-    case AggFunc::kStddevSamp: {
-      DL2SQL_ASSIGN_OR_RETURN(double d, v.AsDouble());
-      ++st->count;
-      st->sum += d;
-      st->sumsq += d * d;
-      break;
-    }
-    case AggFunc::kMin:
-      if (st->min.is_null() || v.Compare(st->min) < 0) st->min = v;
-      break;
-    case AggFunc::kMax:
-      if (st->max.is_null() || v.Compare(st->max) > 0) st->max = v;
-      break;
-    case AggFunc::kCountStar:
-      break;
-  }
-  return Status::OK();
-}
-
-/// Output column type of aggregate `f` over an argument of `arg_type`
-/// (kNull when the aggregate takes no argument).
-DataType AggOutputType(AggFunc f, DataType arg_type) {
-  switch (f) {
-    case AggFunc::kCount:
-    case AggFunc::kCountStar:
-      return DataType::kInt64;
-    case AggFunc::kMin:
-    case AggFunc::kMax:
-      return arg_type != DataType::kNull ? arg_type : DataType::kFloat64;
-    default:
-      return DataType::kFloat64;
-  }
-}
-
-/// Final value of aggregate `f` from an accumulated state.
-Value AggOutputValue(AggFunc f, const AggState& st) {
-  switch (f) {
-    case AggFunc::kCount:
-    case AggFunc::kCountStar:
-      return Value::Int(st.count);
-    case AggFunc::kSum:
-      return st.count == 0 ? Value::Null() : Value::Float(st.sum);
-    case AggFunc::kAvg:
-      return st.count == 0
-                 ? Value::Null()
-                 : Value::Float(st.sum / static_cast<double>(st.count));
-    case AggFunc::kStddevSamp: {
-      if (st.count < 2) return Value::Null();
-      const double mean = st.sum / static_cast<double>(st.count);
-      const double var =
-          (st.sumsq - static_cast<double>(st.count) * mean * mean) /
-          static_cast<double>(st.count - 1);
-      return Value::Float(std::sqrt(std::max(0.0, var)));
-    }
-    case AggFunc::kMin:
-      return st.min;
-    case AggFunc::kMax:
-      return st.max;
-  }
-  return Value::Null();
-}
-
-}  // namespace
-
 Result<Table> Database::ExecAggregate(const PlanNode& node, Table input) {
   if (input.is_paged()) {
     DL2SQL_ASSIGN_OR_RETURN(bool fits,
@@ -2023,91 +1924,12 @@ Result<Table> Database::ExecAggregate(const PlanNode& node, Table input) {
                               EvalExpr(*call.children[0], input, &ctx));
     }
   }
-
-  std::vector<const Column*> kptrs;
-  for (const auto& c : key_cols) kptrs.push_back(c.get());
-
-  if (ctx.vectorized) {
-    // Batch-at-a-time path: typed per-group accumulators updated by tight
-    // kernels (db/exec/vector_aggregate.h). Falls through to the row path
-    // when any aggregate or argument shape is outside the kernel inventory.
-    Table vout;
-    DL2SQL_ASSIGN_OR_RETURN(
-        bool done, vec::TryVectorAggregate(node, key_cols, arg_cols,
-                                           input.num_rows(), &ctx, &vout));
-    if (done) {
-      const double inf = DrainEvalContext(ctx);
-      ChargeOperator("groupby", watch.ElapsedSeconds(), inf);
-      return vout;
-    }
-  }
-
-  struct Group {
-    int64_t first_row;
-    std::vector<AggState> aggs;
-  };
-
-  // Serial: groups in first-seen order, each accumulating in row order.
-  // Grouping state is charged against op.aggregate once the group count is
-  // known and released on return.
-  ScopedMemCharge scratch_mem(OpScratchTracker(PlanKind::kAggregate));
-  std::vector<Group> groups;
-  const int64_t n = input.num_rows();
-  std::vector<DataType> key_types;
-  for (const Column* k : kptrs) key_types.push_back(k->type());
-  KeyHashTable index = KeyHashTable::ForGroups(key_types);
-  std::vector<uint64_t> hashes(static_cast<size_t>(n));
-  std::vector<KeyHashTable::KeyId> gids(static_cast<size_t>(n));
-  vec::HashKeyRange(kptrs, 0, n, hashes.data());
-  index.FindOrInsertRange(kptrs, 0, n, hashes.data(), nullptr, gids.data());
-  for (int64_t row = 0; row < n; ++row) {
-    const size_t gid = static_cast<size_t>(gids[static_cast<size_t>(row)]);
-    if (gid == groups.size()) {
-      groups.push_back(Group{row, std::vector<AggState>(node.agg_calls.size())});
-    }
-    Group& g = groups[gid];
-    for (size_t a = 0; a < node.agg_calls.size(); ++a) {
-      const AggFunc f = node.agg_calls[a]->agg_func;
-      DL2SQL_RETURN_NOT_OK(AccumulateAggValue(
-          f,
-          f == AggFunc::kCountStar ? Value::Null() : arg_cols[a]->GetValue(row),
-          &g.aggs[a]));
-    }
-  }
-
-  // Global aggregate over empty input still yields one row.
-  if (kptrs.empty() && groups.empty()) {
-    groups.push_back(Group{-1, std::vector<AggState>(node.agg_calls.size())});
-  }
-  DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(static_cast<int64_t>(
-      groups.size() *
-      (sizeof(Group) + 16 +
-       node.agg_calls.size() * sizeof(AggState)))));
-
-  // Emit: key columns then aggregate columns.
-  std::vector<Column> out_cols;
-  TableSchema out_schema;
-  for (size_t k = 0; k < key_cols.size(); ++k) {
-    // The key table holds one row per group, in first-seen order.
-    const Column& c = index.key_columns()[k];
-    out_schema.AddField({node.group_names[k], c.type()});
-    out_cols.push_back(c);
-  }
-  for (size_t a = 0; a < node.agg_calls.size(); ++a) {
-    const AggFunc f = node.agg_calls[a]->agg_func;
-    Column c(AggOutputType(
-        f, arg_cols[a] != nullptr ? arg_cols[a]->type() : DataType::kNull));
-    c.Reserve(static_cast<int64_t>(groups.size()));
-    for (const Group& g : groups) {
-      DL2SQL_RETURN_NOT_OK(c.Append(AggOutputValue(f, g.aggs[a])));
-    }
-    out_schema.AddField({node.agg_names[a], c.type()});
-    out_cols.push_back(std::move(c));
-  }
-
-  const double inf = DrainEvalContext(ctx);
+  // The grouping state is charged against op.aggregate until return.
+  ScopedMemCharge agg_mem(OpScratchTracker(PlanKind::kAggregate));
   DL2SQL_ASSIGN_OR_RETURN(
-      Table out, Table::FromColumns(std::move(out_schema), std::move(out_cols)));
+      Table out, vec::TryVectorAggregate(node, key_cols, arg_cols,
+                                         input.num_rows(), &ctx, &agg_mem));
+  const double inf = DrainEvalContext(ctx);
   ChargeOperator("groupby", watch.ElapsedSeconds(), inf);
   return out;
 }
@@ -2116,8 +1938,9 @@ Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
                                               const Table& input) {
   Stopwatch watch;
   EvalContext ctx = MakeEvalContext();
-  // Final group states live until emit and bill against op.aggregate; each
-  // partition's hash index is charged on its own per-iteration scope.
+  // Finished partition results live until emit and bill against
+  // op.aggregate; each partition's grouping state is charged on its own
+  // per-iteration scope.
   ScopedMemCharge scratch_mem(OpScratchTracker(PlanKind::kAggregate));
   const std::shared_ptr<storage::StorageEngine>& engine =
       input.paged()->shared_engine();
@@ -2141,8 +1964,11 @@ Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
   // (global row id, key values..., argument values...); same-key rows land
   // in one partition in global row order, so per-group accumulation in
   // phase 2 replays exactly the serial order — float-identical results.
+  // An aggregate's state kind is fixed before its first row is folded, so
+  // phase 1 also notes which arguments hold a NULL anywhere.
   std::vector<std::unique_ptr<storage::PagedTableBuilder>> builders;
-  std::vector<DataType> key_types, arg_types;
+  std::vector<DataType> key_types;
+  std::vector<vec::ArgShape> shapes(num_aggs);
   const std::unique_ptr<storage::ColumnSource> source =
       storage::MakeColumnSource(std::make_shared<Table>(input), 0);
   for (int64_t w = 0; w < source->num_windows(); ++w) {
@@ -2158,6 +1984,7 @@ Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
       if (arg_slot[a] < 0) continue;
       DL2SQL_ASSIGN_OR_RETURN(
           arg_cols[a], EvalExpr(*node.agg_calls[a]->children[0], window, &ctx));
+      shapes[a].nulls = shapes[a].nulls || arg_cols[a]->HasNulls();
     }
     if (builders.empty()) {
       // Spill layout discovered from the first window's expression types.
@@ -2170,7 +1997,7 @@ Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
       }
       for (size_t a = 0; a < num_aggs; ++a) {
         if (arg_slot[a] < 0) continue;
-        arg_types.push_back(arg_cols[a]->type());
+        shapes[a].type = arg_cols[a]->type();
         spill_schema.AddField(
             {"__arg" + std::to_string(arg_slot[a]), arg_cols[a]->type()});
       }
@@ -2201,113 +2028,73 @@ Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
     return Status::InternalError("external aggregation over empty paged input");
   }
 
-  // Phase 2: per partition, group and accumulate in spill order. The
-  // partition's key table keeps its groups' keys across chunks; canonical
-  // key equality survives the spill round trip, so grouping matches the
-  // in-memory path.
-  struct SpillGroup {
-    int64_t first_row;
-    std::vector<Value> keys;
-    std::vector<AggState> aggs;
-  };
-  std::vector<SpillGroup> groups;
+  // Phase 2: per partition, fold its chunks one at a time, in spill order,
+  // through its own aggregator; a group's number is its first row's spilled
+  // id. Canonical key equality survives the spill round trip, so grouping
+  // matches the in-memory path. A global aggregate has one partition, whose
+  // result is its one row even when no row reached it.
+  std::vector<Table> results;
+  std::vector<int64_t> first_rows;
   int64_t spilled_bytes = 0;
   int64_t spilled_parts = 0;
   for (auto& b : builders) {
     DL2SQL_ASSIGN_OR_RETURN(std::shared_ptr<storage::PagedTableData> part,
                             b->Finish());
-    if (part->num_rows() == 0) continue;
-    spilled_bytes += part->logical_bytes();
-    ++spilled_parts;
+    if (part->num_rows() > 0) {
+      spilled_bytes += part->logical_bytes();
+      ++spilled_parts;
+    }
     ScopedMemCharge part_mem(OpScratchTracker(PlanKind::kAggregate));
-    KeyHashTable index = KeyHashTable::ForGroups(key_types);
-    const size_t part_first_group = groups.size();
-    std::vector<uint64_t> hashes;
-    std::vector<KeyHashTable::KeyId> gids;
+    vec::BatchAggregator agg;
+    if (!agg.Compile(node, key_types, shapes, ctx.vectorized)) {
+      return Status::InternalError("aggregate refused without a product");
+    }
+    std::vector<vec::ColumnRead> kreads(num_keys);
+    std::vector<vec::ArgRead> areads(num_aggs);
     for (int64_t c = 0; c < part->num_chunks(); ++c) {
       DL2SQL_ASSIGN_OR_RETURN(std::vector<Column> cols, part->ReadChunk(c));
-      std::vector<const Column*> kptrs;
-      for (size_t k = 0; k < num_keys; ++k) kptrs.push_back(&cols[1 + k]);
-      const int64_t rows = static_cast<int64_t>(cols[0].size());
-      hashes.resize(static_cast<size_t>(rows));
-      gids.resize(static_cast<size_t>(rows));
-      vec::HashKeyRange(kptrs, 0, rows, hashes.data());
-      index.FindOrInsertRange(kptrs, 0, rows, hashes.data(), nullptr,
-                              gids.data());
-      for (int64_t r = 0; r < rows; ++r) {
-        const size_t gid =
-            part_first_group + static_cast<size_t>(gids[static_cast<size_t>(r)]);
-        if (gid == groups.size()) {
-          SpillGroup g;
-          g.first_row = cols[0].ints()[static_cast<size_t>(r)];
-          for (size_t k = 0; k < num_keys; ++k) {
-            g.keys.push_back(cols[1 + k].GetValue(r));
-          }
-          g.aggs.resize(num_aggs);
-          groups.push_back(std::move(g));
-        }
-        SpillGroup& g = groups[gid];
-        for (size_t a = 0; a < num_aggs; ++a) {
-          DL2SQL_RETURN_NOT_OK(AccumulateAggValue(
-              node.agg_calls[a]->agg_func,
-              arg_slot[a] < 0
-                  ? Value::Null()
-                  : cols[1 + num_keys + static_cast<size_t>(arg_slot[a])]
-                        .GetValue(r),
-              &g.aggs[a]));
-        }
+      for (size_t k = 0; k < num_keys; ++k) kreads[k].col = &cols[1 + k];
+      for (size_t a = 0; a < num_aggs; ++a) {
+        if (arg_slot[a] < 0) continue;
+        areads[a].x.col =
+            &cols[1 + num_keys + static_cast<size_t>(arg_slot[a])];
       }
-      DL2SQL_RETURN_NOT_OK(part_mem.Charge(
-          index.ByteSize() +
-          static_cast<int64_t>((groups.size() - part_first_group) * 48) -
-          part_mem.charged()));
+      DL2SQL_RETURN_NOT_OK(agg.Consume(kreads, areads, 0, cols[0].size(), 0,
+                                       nullptr, cols[0].ints().data()));
+      DL2SQL_RETURN_NOT_OK(
+          part_mem.Charge(agg.ByteSize() - part_mem.charged()));
     }
+    DL2SQL_ASSIGN_OR_RETURN(Table result, agg.Finish(node));
+    DL2SQL_RETURN_NOT_OK(
+        scratch_mem.Charge(static_cast<int64_t>(result.ByteSize())));
+    first_rows.insert(first_rows.end(), agg.first_rows().begin(),
+                      agg.first_rows().end());
+    results.push_back(std::move(result));
   }
   TallySpill(spilled_bytes, spilled_parts);
   static Counter* const external_agg_counter =
       MetricsRegistry::Global().counter("db.external_aggs");
   external_agg_counter->Increment();
 
-  // Partition order scattered the groups; serial emit order is first-seen,
-  // i.e. ascending first_row.
-  std::sort(groups.begin(), groups.end(),
-            [](const SpillGroup& a, const SpillGroup& b) {
-              return a.first_row < b.first_row;
-            });
-  // Global aggregate over empty input still yields one row.
-  if (num_keys == 0 && groups.empty()) {
-    groups.push_back(SpillGroup{-1, {}, std::vector<AggState>(num_aggs)});
-  }
-  DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(static_cast<int64_t>(
-      groups.size() * (sizeof(SpillGroup) + num_aggs * sizeof(AggState)))));
-
-  std::vector<Column> out_cols;
-  TableSchema out_schema;
-  for (size_t k = 0; k < num_keys; ++k) {
-    Column c(key_types[k]);
-    c.Reserve(static_cast<int64_t>(groups.size()));
-    for (const SpillGroup& g : groups) {
-      DL2SQL_RETURN_NOT_OK(c.Append(g.keys[k]));
+  // Partitions hold disjoint groups, each in its own first-seen order; the
+  // serial emit order is ascending first row across all of them.
+  Table out = std::move(results[0]);
+  for (size_t p = 1; p < results.size(); ++p) {
+    for (int c = 0; c < out.num_columns(); ++c) {
+      const Column& src = results[p].column(c);
+      Column& dst = out.mutable_column(c);
+      for (int64_t r = 0; r < src.size(); ++r) dst.AppendFrom(src, r);
     }
-    out_schema.AddField({node.group_names[k], c.type()});
-    out_cols.push_back(std::move(c));
   }
-  for (size_t a = 0; a < num_aggs; ++a) {
-    const AggFunc f = node.agg_calls[a]->agg_func;
-    Column c(AggOutputType(
-        f, arg_slot[a] >= 0 ? arg_types[static_cast<size_t>(arg_slot[a])]
-                            : DataType::kNull));
-    c.Reserve(static_cast<int64_t>(groups.size()));
-    for (const SpillGroup& g : groups) {
-      DL2SQL_RETURN_NOT_OK(c.Append(AggOutputValue(f, g.aggs[a])));
-    }
-    out_schema.AddField({node.agg_names[a], c.type()});
-    out_cols.push_back(std::move(c));
-  }
+  std::vector<int64_t> order(first_rows.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+    return first_rows[static_cast<size_t>(a)] <
+           first_rows[static_cast<size_t>(b)];
+  });
+  out = out.TakeRows(order);
 
   const double inf = DrainEvalContext(ctx);
-  DL2SQL_ASSIGN_OR_RETURN(
-      Table out, Table::FromColumns(std::move(out_schema), std::move(out_cols)));
   ChargeOperator("groupby", watch.ElapsedSeconds(), inf);
   return out;
 }

@@ -79,15 +79,11 @@ struct CacheOptions {
   size_t plan_cache_bytes = 8ull << 20;
 };
 
-/// \brief Introspection knobs: the system.* virtual tables, the query-log
-/// ring behind system.queries, and the slow-query log.
-///
-/// Defaults are ON; DL2SQL_INTROSPECTION=OFF (or "off"/"0") disables the
-/// whole layer at Database construction — no providers, no recording, no
-/// per-query memory tracker; statements still build their stats. Env vars
-/// DL2SQL_QUERY_LOG_CAPACITY and DL2SQL_SLOW_QUERY_MS override the others.
+/// \brief Introspection knobs: the size of the query-log ring behind
+/// system.queries and the slow-query threshold. The system.* virtual tables
+/// and the ring always exist. Env vars DL2SQL_QUERY_LOG_CAPACITY and
+/// DL2SQL_SLOW_QUERY_MS override the defaults at Database construction.
 struct IntrospectionOptions {
-  bool enabled = true;
   /// Ring slots behind system.queries; oldest records are overwritten.
   size_t query_log_capacity = 512;
   /// Statements at least this slow also emit a WARN line with the plan
@@ -113,8 +109,8 @@ struct QueryRecordHints {
   uint64_t parent_span_id = 0;
   /// When non-null, receives a copy of the query-log record for this
   /// statement (so a shard server can ship the profile back in the wire
-  /// trailer without re-scanning the ring). Untouched when introspection is
-  /// off or the statement fails before recording.
+  /// trailer without re-scanning the ring). Untouched when the statement
+  /// fails before recording.
   QueryLogRecord* record_out = nullptr;
 };
 
@@ -209,19 +205,15 @@ class Database {
   /// per-query neural/cache tallies, error status, and the serving-layer
   /// hints. Execute()/ExecuteScript() route through this; the serving layer
   /// calls it directly (it parses before admission, so it holds the
-  /// Statement and the raw SQL separately). With introspection disabled
-  /// nothing is recorded.
+  /// Statement and the raw SQL separately).
   Result<Table> ExecuteStatementRecorded(const Statement& stmt,
                                          const std::string& sql,
                                          const QueryRecordHints& hints,
                                          CostAccumulator* costs = nullptr);
 
-  /// The query-log ring, or nullptr when introspection is disabled.
+  /// The query-log ring behind system.queries.
   QueryLog* query_log() { return query_log_.get(); }
 
-  const IntrospectionOptions& introspection_options() const {
-    return introspection_options_;
-  }
   /// Runtime-adjustable slow-query threshold. Atomic: tests and tooling may
   /// lower it while serving threads are recording.
   void set_slow_query_ms(double ms) {
@@ -446,8 +438,8 @@ class Database {
   /// spill runs, joins partition pairs, restores the classic pair order.
   Result<Table> ExecJoinGrace(const PlanNode& node, Table left, Table right);
   /// External aggregation: partitions rows (key + argument values) into
-  /// block-file spill runs, aggregates each partition in-core, and merges
-  /// groups back into first-seen order.
+  /// block-file spill runs, folds each partition through its own
+  /// vec::BatchAggregator, and puts the groups back into first-seen order.
   Result<Table> ExecAggregateExternal(const PlanNode& node,
                                       const Table& input);
   /// Folds spilled bytes/partitions into the running statement's stats and the

@@ -1,11 +1,9 @@
 #include "db/exec/vector_aggregate.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -77,103 +75,142 @@ void WithArg(const ArgRead& arg, int64_t begin, Fn&& fn) {
   });
 }
 
-/// Final value of one aggregate from its typed state — the row path's
-/// formulas, NULL rules and types.
-Value AggValue(AggFunc f, const VAggSpec& spec, const VAggState& st) {
+/// Folds one argument value into a generic state: NULLs are skipped, COUNT
+/// over BOOL counts TRUE values (the paper's count(nUDF(...) = TRUE);
+/// ClickHouse would use countIf), SUM/AVG/STDDEV add Value::AsDouble, and
+/// MIN/MAX replace the extremum only when Value::Compare finds the value
+/// strictly better, so ties keep the first-seen value.
+Status FoldValue(AggFunc f, const Value& v, GenericAggState* st) {
+  if (v.is_null()) return Status::OK();
+  switch (f) {
+    case AggFunc::kCountStar:  // no argument: the caller counts its rows
+      break;
+    case AggFunc::kCount:
+      if (v.type() != DataType::kBool || v.bool_value()) ++st->count;
+      break;
+    case AggFunc::kSum:
+    case AggFunc::kAvg:
+    case AggFunc::kStddevSamp: {
+      DL2SQL_ASSIGN_OR_RETURN(double d, v.AsDouble());
+      ++st->count;
+      st->sum += d;
+      st->sumsq += d * d;
+      break;
+    }
+    case AggFunc::kMin:
+    case AggFunc::kMax: {
+      if (st->extremum.is_null()) {
+        st->extremum = v;
+        break;
+      }
+      const int c = v.Compare(st->extremum);
+      if (f == AggFunc::kMin ? c < 0 : c > 0) st->extremum = v;
+      break;
+    }
+  }
+  return Status::OK();
+}
+
+/// Final value of aggregate `f` from its row count, sums and extremum (NULL
+/// when no row set one).
+Value FinalValue(AggFunc f, int64_t count, double sum, double sumsq,
+                 Value extremum) {
   switch (f) {
     case AggFunc::kCount:
     case AggFunc::kCountStar:
-      return Value::Int(st.count);
+      return Value::Int(count);
     case AggFunc::kSum:
-      return st.count == 0 ? Value::Null() : Value::Float(st.sum);
+      return count == 0 ? Value::Null() : Value::Float(sum);
     case AggFunc::kAvg:
-      return st.count == 0
-                 ? Value::Null()
-                 : Value::Float(st.sum / static_cast<double>(st.count));
+      return count == 0 ? Value::Null()
+                        : Value::Float(sum / static_cast<double>(count));
     case AggFunc::kStddevSamp: {
-      if (st.count < 2) return Value::Null();
-      const double mean = st.sum / static_cast<double>(st.count);
-      const double var =
-          (st.sumsq - static_cast<double>(st.count) * mean * mean) /
-          static_cast<double>(st.count - 1);
+      if (count < 2) return Value::Null();
+      const double mean = sum / static_cast<double>(count);
+      const double var = (sumsq - static_cast<double>(count) * mean * mean) /
+                         static_cast<double>(count - 1);
       return Value::Float(std::sqrt(std::max(0.0, var)));
     }
     case AggFunc::kMin:
     case AggFunc::kMax:
-      if (!st.has_minmax) return Value::Null();
-      return spec.arg_type == DataType::kInt64 ? Value::Int(st.imin_max)
-                                               : Value::Float(st.fmin_max);
+      return extremum;
   }
   return Value::Null();
 }
 
-bool NullFreeNumeric(const Column* c) {
-  return c != nullptr && !c->HasNulls() &&
-         (c->type() == DataType::kInt64 || c->type() == DataType::kFloat64);
-}
-
 }  // namespace
 
+ArgShape ShapeOf(const ArgRead& arg) {
+  ArgShape s;
+  if (arg.x.col != nullptr) {
+    s.type = arg.x.col->type();
+    s.nulls = arg.x.col->HasNulls();
+  }
+  if (arg.y.col != nullptr) {
+    s.factor_type = arg.y.col->type();
+    s.factor_nulls = arg.y.col->HasNulls();
+  }
+  return s;
+}
+
 bool BatchAggregator::Compile(const PlanNode& node,
-                              const std::vector<const Column*>& keys,
-                              const std::vector<ArgRead>& args) {
+                              const std::vector<DataType>& key_types,
+                              const std::vector<ArgShape>& args,
+                              bool vectorized) {
   specs_.clear();
   for (size_t a = 0; a < node.agg_calls.size(); ++a) {
-    const AggFunc f = node.agg_calls[a]->agg_func;
+    const ArgShape& arg = args[a];
     VAggSpec s;
-    if (f == AggFunc::kCountStar) {
-      specs_.push_back(s);
-      continue;
-    }
-    const Column* arg = args[a].x.col;
-    const Column* factor = args[a].y.col;
-    // NULL-bearing arguments keep the row path's skip-NULL semantics; the
-    // whole operator falls back rather than special-casing validity here.
-    if (arg == nullptr || arg->HasNulls() || arg->type() == DataType::kNull) {
-      return false;
-    }
-    s.arg_type = arg->type();
-    if (factor != nullptr) {
-      if (!NullFreeNumeric(arg) || !NullFreeNumeric(factor) ||
-          (f != AggFunc::kSum && f != AggFunc::kAvg &&
-           f != AggFunc::kStddevSamp)) {
+    s.func = node.agg_calls[a]->agg_func;
+    s.arg_type = arg.type;
+    s.kind = VAggSpec::Kind::kGeneric;
+    const bool numeric = IsNumeric(arg.type) && !arg.nulls;
+    const bool sums = s.func == AggFunc::kSum || s.func == AggFunc::kAvg ||
+                      s.func == AggFunc::kStddevSamp;
+    if (arg.factor_type != DataType::kNull) {
+      // The generic state reads one column: a product needs a sum kernel.
+      if (!vectorized || !sums || !numeric || !IsNumeric(arg.factor_type) ||
+          arg.factor_nulls) {
         return false;
       }
-      if (factor->type() == DataType::kFloat64) {
+      if (arg.factor_type == DataType::kFloat64) {
         s.arg_type = DataType::kFloat64;
       }
     }
-    const bool numeric = s.arg_type == DataType::kInt64 ||
-                         s.arg_type == DataType::kFloat64;
-    switch (f) {
-      case AggFunc::kCount:
-        s.kind = arg->type() == DataType::kBool ? VAggSpec::Kind::kCountBool
-                                                : VAggSpec::Kind::kCountAll;
-        break;
-      case AggFunc::kSum:
-      case AggFunc::kAvg:
-      case AggFunc::kStddevSamp:
-        if (!numeric) return false;
-        s.kind = VAggSpec::Kind::kSum;
-        s.squares = f == AggFunc::kStddevSamp;
-        break;
-      case AggFunc::kMin:
-      case AggFunc::kMax:
-        // String MIN/MAX stays on the row path (Value comparison).
-        if (!numeric) return false;
-        s.kind = VAggSpec::Kind::kMinMax;
-        s.want_min = f == AggFunc::kMin;
-        break;
-      case AggFunc::kCountStar:
-        break;
+    if (vectorized && !arg.nulls) {
+      switch (s.func) {
+        case AggFunc::kCountStar:
+          s.kind = VAggSpec::Kind::kCountStar;
+          break;
+        case AggFunc::kCount:
+          if (arg.type != DataType::kNull) {
+            s.kind = arg.type == DataType::kBool ? VAggSpec::Kind::kCountBool
+                                                 : VAggSpec::Kind::kCountAll;
+          }
+          break;
+        case AggFunc::kSum:
+        case AggFunc::kAvg:
+        case AggFunc::kStddevSamp:
+          if (numeric) {
+            s.kind = VAggSpec::Kind::kSum;
+            s.squares = s.func == AggFunc::kStddevSamp;
+          }
+          break;
+        case AggFunc::kMin:
+        case AggFunc::kMax:
+          if (numeric) {
+            s.kind = VAggSpec::Kind::kMinMax;
+            s.want_min = s.func == AggFunc::kMin;
+          }
+          break;
+      }
     }
     specs_.push_back(s);
   }
-  std::vector<DataType> key_types;
-  for (const Column* k : keys) key_types.push_back(k->type());
   table_ = KeyHashTable::ForGroups(key_types);
   first_row_.clear();
-  per_agg_.assign(specs_.size(), {});
+  typed_.assign(specs_.size(), {});
+  generic_.assign(specs_.size(), {});
   slot_gid_.clear();
   dense_keys_.clear();
   return true;
@@ -218,16 +255,22 @@ int64_t BatchAggregator::UseDenseSlots(
 }
 
 void BatchAggregator::SyncStates() {
-  for (auto& states : per_agg_) states.resize(first_row_.size());
+  for (size_t a = 0; a < specs_.size(); ++a) {
+    if (specs_[a].kind == VAggSpec::Kind::kGeneric) {
+      generic_[a].resize(first_row_.size());
+    } else {
+      typed_[a].resize(first_row_.size());
+    }
+  }
 }
 
-void BatchAggregator::Accumulate(const std::vector<ArgRead>& args,
-                                 int64_t begin, SelIndex n) {
+Status BatchAggregator::Accumulate(const std::vector<ArgRead>& args,
+                                   int64_t begin, SelIndex n) {
   SyncStates();
   const SelIndex* gids = gid_buf_.data();
   for (size_t a = 0; a < specs_.size(); ++a) {
     const VAggSpec& s = specs_[a];
-    VAggState* states = per_agg_[a].data();
+    VAggState* states = typed_[a].data();
     switch (s.kind) {
       case VAggSpec::Kind::kCountStar:
       case VAggSpec::Kind::kCountAll:
@@ -252,13 +295,29 @@ void BatchAggregator::Accumulate(const std::vector<ArgRead>& args,
           AccumulateMinMax(at, gids, n, s.want_min, states);
         });
         break;
+      case VAggSpec::Kind::kGeneric: {
+        GenericAggState* gstates = generic_[a].data();
+        const ColumnRead& x = args[a].x;
+        for (SelIndex i = 0; i < n; ++i) {
+          GenericAggState& st = gstates[gids[i]];
+          if (x.col == nullptr) {  // COUNT(*)
+            ++st.count;
+            continue;
+          }
+          DL2SQL_RETURN_NOT_OK(FoldValue(
+              s.func, x.col->GetValue(x.rows != nullptr ? x.rows[i] : begin + i),
+              &st));
+        }
+        break;
+      }
     }
   }
+  return Status::OK();
 }
 
 void BatchAggregator::FindDenseGroups(const std::vector<ColumnRead>& keys,
-                                      int64_t begin, SelIndex n,
-                                      int64_t base) {
+                                      int64_t begin, SelIndex n, int64_t base,
+                                      const int64_t* ids) {
   // Slot numbers key by key, column at a time. Every key value lies in its
   // bounds (UseDenseSlots' contract), so every row has a slot.
   slot_buf_.resize(static_cast<size_t>(n));
@@ -283,8 +342,9 @@ void BatchAggregator::FindDenseGroups(const std::vector<ColumnRead>& keys,
     KeyHashTable::KeyId& g = slot_gid_[slot[i]];
     if (g == KeyHashTable::kAbsent) {
       // A new group: its key values are its slot's coordinates.
+      const int64_t row = begin + i;
       g = static_cast<KeyHashTable::KeyId>(first_row_.size());
-      first_row_.push_back(base + begin + i);
+      first_row_.push_back(ids != nullptr ? ids[row] : base + row);
       for (size_t k = 0; k < dense_keys_.size(); ++k) {
         const uint64_t d = slot[i] / slot_stride_[k] % slot_span_[k];
         dense_keys_[k].mutable_ints().push_back(
@@ -295,17 +355,20 @@ void BatchAggregator::FindDenseGroups(const std::vector<ColumnRead>& keys,
   }
 }
 
-void BatchAggregator::Consume(const std::vector<ColumnRead>& keys,
-                              const std::vector<ArgRead>& args, int64_t begin,
-                              int64_t end, int64_t base,
-                              const uint64_t* hashes) {
+Status BatchAggregator::Consume(const std::vector<ColumnRead>& keys,
+                                const std::vector<ArgRead>& args,
+                                int64_t begin, int64_t end, int64_t base,
+                                const uint64_t* hashes, const int64_t* ids) {
   const SelIndex n = static_cast<SelIndex>(end - begin);
   gid_buf_.resize(static_cast<size_t>(n));
+  auto number = [&](int64_t row) {
+    return ids != nullptr ? ids[row] : base + row;
+  };
   if (keys.empty()) {
-    if (first_row_.empty() && n > 0) first_row_.push_back(base + begin);
+    if (first_row_.empty() && n > 0) first_row_.push_back(number(begin));
     std::fill(gid_buf_.begin(), gid_buf_.end(), 0);
   } else if (!slot_gid_.empty()) {
-    FindDenseGroups(keys, begin, n, base);
+    FindDenseGroups(keys, begin, n, base, ids);
   } else {
     std::vector<const Column*> cols;
     for (const ColumnRead& k : keys) cols.push_back(k.col);
@@ -319,51 +382,51 @@ void BatchAggregator::Consume(const std::vector<ColumnRead>& keys,
     for (SelIndex i = 0; i < n; ++i) {
       if (static_cast<size_t>(gid_buf_[static_cast<size_t>(i)]) ==
           first_row_.size()) {
-        first_row_.push_back(base + begin + i);
+        first_row_.push_back(number(begin + i));
       }
     }
   }
-  Accumulate(args, begin, n);
-}
-
-void BatchAggregator::ConsumeRows(const std::vector<const Column*>& keys,
-                                  const std::vector<ArgRead>& args,
-                                  const int64_t* rows, int64_t count,
-                                  const uint64_t* hashes, int64_t chunk) {
-  std::vector<ArgRead> listed = args;
-  for (int64_t off = 0; off < count; off += chunk) {
-    const int64_t* batch = rows + off;
-    const SelIndex n = static_cast<SelIndex>(std::min(chunk, count - off));
-    gid_buf_.resize(static_cast<size_t>(n));
-    for (SelIndex i = 0; i < n; ++i) {
-      const int64_t row = batch[i];
-      const SelIndex gid =
-          table_.FindOrInsert(keys, row, hashes[static_cast<size_t>(row)]);
-      if (static_cast<size_t>(gid) == first_row_.size()) {
-        first_row_.push_back(row);
-      }
-      gid_buf_[static_cast<size_t>(i)] = gid;
-    }
-    for (ArgRead& a : listed) a.x.rows = a.y.rows = batch;
-    Accumulate(listed, 0, n);
-  }
-}
-
-void BatchAggregator::TakeGroup(const BatchAggregator& other, int64_t g) {
-  std::vector<const Column*> keys;
-  for (const Column& c : other.table_.key_columns()) keys.push_back(&c);
-  table_.FindOrInsert(keys, g, HashKeyRow(keys, g));
-  first_row_.push_back(other.first_row_[static_cast<size_t>(g)]);
-  for (size_t a = 0; a < per_agg_.size(); ++a) {
-    per_agg_[a].push_back(other.per_agg_[a][static_cast<size_t>(g)]);
-  }
+  return Accumulate(args, begin, n);
 }
 
 int64_t BatchAggregator::ByteSize() const {
+  size_t per_group = sizeof(int64_t) * (1 + dense_keys_.size());
+  for (const VAggSpec& s : specs_) {
+    per_group += s.kind == VAggSpec::Kind::kGeneric ? sizeof(GenericAggState)
+                                                    : sizeof(VAggState);
+  }
   return table_.ByteSize() +
-         static_cast<int64_t>(first_row_.size() *
-                              (sizeof(int64_t) * (1 + dense_keys_.size()) +
-                               per_agg_.size() * sizeof(VAggState)));
+         static_cast<int64_t>(first_row_.size() * per_group);
+}
+
+Result<Column> BatchAggregator::FinalColumn(size_t a) const {
+  const VAggSpec& s = specs_[a];
+  DataType type = DataType::kFloat64;
+  if (s.func == AggFunc::kCount || s.func == AggFunc::kCountStar) {
+    type = DataType::kInt64;
+  } else if ((s.func == AggFunc::kMin || s.func == AggFunc::kMax) &&
+             s.arg_type != DataType::kNull) {
+    type = s.arg_type;
+  }
+  Column c(type);
+  c.Reserve(static_cast<int64_t>(first_row_.size()));
+  for (size_t g = 0; g < first_row_.size(); ++g) {
+    Value v;
+    if (s.kind == VAggSpec::Kind::kGeneric) {
+      const GenericAggState& st = generic_[a][g];
+      v = FinalValue(s.func, st.count, st.sum, st.sumsq, st.extremum);
+    } else {
+      const VAggState& st = typed_[a][g];
+      Value extremum;
+      if (st.has_minmax) {
+        extremum = s.arg_type == DataType::kInt64 ? Value::Int(st.imin_max)
+                                                  : Value::Float(st.fmin_max);
+      }
+      v = FinalValue(s.func, st.count, st.sum, st.sumsq, std::move(extremum));
+    }
+    DL2SQL_RETURN_NOT_OK(c.Append(std::move(v)));
+  }
+  return c;
 }
 
 Result<Table> BatchAggregator::Finish(const PlanNode& node) {
@@ -374,7 +437,6 @@ Result<Table> BatchAggregator::Finish(const PlanNode& node) {
     first_row_.push_back(-1);
     SyncStates();
   }
-  const size_t num_groups = first_row_.size();
   std::vector<Column> out_cols;
   TableSchema out_schema;
   for (size_t k = 0; k < key_cols.size(); ++k) {
@@ -383,138 +445,50 @@ Result<Table> BatchAggregator::Finish(const PlanNode& node) {
     out_cols.push_back(c);  // one row per group, first-seen order
   }
   for (size_t a = 0; a < specs_.size(); ++a) {
-    const AggFunc f = node.agg_calls[a]->agg_func;
-    DataType t = DataType::kFloat64;
-    if (f == AggFunc::kCount || f == AggFunc::kCountStar) {
-      t = DataType::kInt64;
-    } else if (f == AggFunc::kMin || f == AggFunc::kMax) {
-      t = specs_[a].arg_type;
-    }
-    Column c(t);
-    c.Reserve(static_cast<int64_t>(num_groups));
-    for (size_t g = 0; g < num_groups; ++g) {
-      DL2SQL_RETURN_NOT_OK(c.Append(AggValue(f, specs_[a], per_agg_[a][g])));
-    }
+    DL2SQL_ASSIGN_OR_RETURN(Column c, FinalColumn(a));
     out_schema.AddField({node.agg_names[a], c.type()});
     out_cols.push_back(std::move(c));
   }
   return Table::FromColumns(std::move(out_schema), std::move(out_cols));
 }
 
-Result<bool> TryVectorAggregate(const PlanNode& node,
-                                const std::vector<ColumnHandle>& key_cols,
-                                const std::vector<ColumnHandle>& arg_cols,
-                                int64_t n, EvalContext* ctx, Table* out) {
-  std::vector<const Column*> kptrs;
+Result<Table> TryVectorAggregate(const PlanNode& node,
+                                 const std::vector<ColumnHandle>& key_cols,
+                                 const std::vector<ColumnHandle>& arg_cols,
+                                 int64_t n, EvalContext* ctx,
+                                 ScopedMemCharge* charge) {
+  std::vector<DataType> key_types;
   std::vector<ColumnRead> kreads;
   for (const auto& c : key_cols) {
-    kptrs.push_back(c.get());
+    key_types.push_back(c->type());
     kreads.push_back({c.get(), nullptr});
   }
   std::vector<ArgRead> areads;
-  for (const auto& c : arg_cols) areads.push_back({{c.get(), nullptr}, {}});
+  std::vector<ArgShape> shapes;
+  for (const auto& c : arg_cols) {
+    areads.push_back({{c.get(), nullptr}, {}});
+    shapes.push_back(ShapeOf(areads.back()));
+  }
   BatchAggregator agg;
-  if (!agg.Compile(node, kptrs, areads)) return false;
-
-  DL2SQL_TRACE_SPAN("vector", "aggregate");
-
-  const int64_t m = ctx != nullptr && ctx->morsel_size > 0
-                        ? ctx->morsel_size
-                        : ThreadPool::kDefaultMorselSize;
-  const int64_t num_morsels = n == 0 ? 0 : (n + m - 1) / m;
-  ThreadPool* const pool = ctx != nullptr ? ctx->pool : nullptr;
-  // A global aggregate is one group: nothing to partition.
-  const bool parallel = pool != nullptr && pool->num_threads() > 1 && n > m &&
-                        !kptrs.empty();
-
-  if (!parallel) {
-    auto body = [&](int64_t bgn, int64_t end, int) -> Status {
-      agg.Consume(kreads, areads, bgn, end, 0);
-      return Status::OK();
-    };
-    if (pool != nullptr && (pool->num_threads() == 1 || n <= m)) {
-      // Driven through the pool for its accounting and trace spans; these
-      // conditions make ParallelForMorsel run inline, morsel by morsel.
-      DL2SQL_RETURN_NOT_OK(pool->ParallelForMorsel(n, m, body));
-    } else {
-      for (int64_t bgn = 0; bgn < n; bgn += m) {
-        DL2SQL_RETURN_NOT_OK(body(bgn, std::min(n, bgn + m), 0));
-      }
-    }
-  } else {
-    // Partition rows by the high bits of their key hash. Each group lands
-    // in exactly one partition with its rows in ascending order, so each
-    // partition aggregates independently with serial accumulation order;
-    // sorting all groups by first row restores first-seen order.
-    const int64_t parts = static_cast<int64_t>(
-        std::bit_ceil(static_cast<uint64_t>(pool->num_threads()) * 4));
-    const int shift = 64 - std::countr_zero(static_cast<uint64_t>(parts));
-    std::vector<uint64_t> hashes(static_cast<size_t>(n));
-    std::vector<int64_t> cursor(static_cast<size_t>(num_morsels * parts), 0);
-    DL2SQL_RETURN_NOT_OK(pool->ParallelForMorsel(
-        n, m, [&](int64_t bgn, int64_t end, int) -> Status {
-          HashKeyRange(kptrs, bgn, end, hashes.data() + bgn);
-          int64_t* counts = cursor.data() + (bgn / m) * parts;
-          for (int64_t r = bgn; r < end; ++r) {
-            ++counts[hashes[static_cast<size_t>(r)] >> shift];
-          }
-          return Status::OK();
-        }));
-    // Counts -> write cursors: partition-major, morsel order within.
-    std::vector<int64_t> part_begin(static_cast<size_t>(parts) + 1, 0);
-    int64_t pos = 0;
-    for (int64_t p = 0; p < parts; ++p) {
-      part_begin[static_cast<size_t>(p)] = pos;
-      for (int64_t mo = 0; mo < num_morsels; ++mo) {
-        int64_t& c = cursor[static_cast<size_t>(mo * parts + p)];
-        const int64_t count = c;
-        c = pos;
-        pos += count;
-      }
-    }
-    part_begin[static_cast<size_t>(parts)] = pos;
-    std::vector<int64_t> order(static_cast<size_t>(n));
-    DL2SQL_RETURN_NOT_OK(pool->ParallelForMorsel(
-        n, m, [&](int64_t bgn, int64_t end, int) -> Status {
-          int64_t* cur = cursor.data() + (bgn / m) * parts;
-          for (int64_t r = bgn; r < end; ++r) {
-            order[static_cast<size_t>(
-                cur[hashes[static_cast<size_t>(r)] >> shift]++)] = r;
-          }
-          return Status::OK();
-        }));
-    std::vector<BatchAggregator> part_aggs(static_cast<size_t>(parts), agg);
-    DL2SQL_RETURN_NOT_OK(pool->ParallelForMorsel(
-        parts, 1, [&](int64_t p0, int64_t p1, int) -> Status {
-          for (int64_t p = p0; p < p1; ++p) {
-            const int64_t b = part_begin[static_cast<size_t>(p)];
-            part_aggs[static_cast<size_t>(p)].ConsumeRows(
-                kptrs, areads, order.data() + b,
-                part_begin[static_cast<size_t>(p) + 1] - b, hashes.data(), m);
-          }
-          return Status::OK();
-        }));
-    std::vector<std::tuple<int64_t, size_t, int64_t>> groups;
-    for (size_t p = 0; p < part_aggs.size(); ++p) {
-      const auto& first = part_aggs[p].first_rows();
-      for (size_t g = 0; g < first.size(); ++g) {
-        groups.emplace_back(first[g], p, static_cast<int64_t>(g));
-      }
-    }
-    std::sort(groups.begin(), groups.end());
-    for (const auto& [first, p, g] : groups) {
-      agg.TakeGroup(part_aggs[p], g);
-    }
+  if (!agg.Compile(node, key_types, shapes, ctx->vectorized)) {
+    return Status::InternalError("aggregate refused without a product");
   }
 
+  DL2SQL_TRACE_SPAN("vector", "aggregate");
+  const int64_t m =
+      ctx->morsel_size > 0 ? ctx->morsel_size : ThreadPool::kDefaultMorselSize;
+  for (int64_t bgn = 0; bgn < n; bgn += m) {
+    DL2SQL_RETURN_NOT_OK(agg.Consume(kreads, areads, bgn, std::min(n, bgn + m),
+                                     0));
+  }
+  DL2SQL_RETURN_NOT_OK(charge->Charge(agg.ByteSize()));
   DL2SQL_ASSIGN_OR_RETURN(Table result, agg.Finish(node));
-  if (ctx != nullptr) {
-    ctx->vec_batches += num_morsels;
+  if (ctx->vectorized) {
+    ctx->vec_batches += (n + m - 1) / m;
     ctx->vec_rows_in += n;
     ctx->vec_rows_selected += n;
   }
-  *out = std::move(result);
-  return true;
+  return result;
 }
 
 }  // namespace dl2sql::db::vec

@@ -1,13 +1,22 @@
 /// \file vector_aggregate.h
-/// \brief Batch-at-a-time hash aggregation over typed accumulator arrays.
+/// \brief Hash aggregation: lindb's one GROUP BY implementation.
 ///
-/// Group assignment happens morsel-at-a-time (batched canonical key hashing,
-/// then one KeyHashTable lookup per row) producing a gid-per-row buffer;
-/// each aggregate then updates its contiguous per-group state array with one
-/// tight typed loop per batch. Every group accumulates its rows in input row
-/// order, serially and in parallel alike: the parallel mode partitions rows
-/// by key hash (each group lives in one partition, which keeps row order),
-/// so float sums are bit-identical to the row path and across thread counts.
+/// BatchAggregator folds batches of group keys and aggregate arguments into
+/// per-group states, serially, on the calling thread. Three callers feed it:
+/// TryVectorAggregate (the input's morsels), the fused join→aggregate pass
+/// (batches of join pairs) and the external aggregation (each spilled
+/// partition's chunks). Group assignment happens a batch at a time (batched
+/// canonical key hashing, then one KeyHashTable lookup per row, or dense
+/// slots) and produces a gid-per-row buffer; each aggregate then folds the
+/// batch into its own state array.
+///
+/// An aggregate keeps one of two kinds of state. A typed VAggState is
+/// updated by one tight kernel loop per batch; it needs a vectorized
+/// statement and a NULL-free argument the kernels take. A GenericAggState
+/// folds the argument's values one row at a time, skipping NULLs, over any
+/// type. Both kinds fold every group's rows in input row order with the same
+/// float operations and share one set of final-value formulas, so results
+/// are bit-identical whichever kind, caller or thread count runs them.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +31,7 @@
 
 namespace dl2sql::db::vec {
 
-/// One aggregate compiled to a typed accumulation kernel.
+/// One aggregate compiled to a typed kernel or to the generic state.
 struct VAggSpec {
   enum class Kind : uint8_t {
     kCountStar,
@@ -30,11 +39,21 @@ struct VAggSpec {
     kCountBool,  ///< COUNT over a no-null bool column: TRUE rows count
     kSum,        ///< SUM/AVG/STDDEV over an INT64 or FLOAT64 argument
     kMinMax,     ///< MIN/MAX over an INT64 or FLOAT64 argument
+    kGeneric,    ///< any function and argument: a GenericAggState per group
   };
+  AggFunc func = AggFunc::kCountStar;
   Kind kind = Kind::kCountStar;
   bool want_min = false;
   bool squares = false;  ///< kSum: keep the sum of squares (STDDEV)
   DataType arg_type = DataType::kNull;  ///< kNull for COUNT(*)
+};
+
+/// A generic aggregate's running state over one group.
+struct GenericAggState {
+  int64_t count = 0;
+  double sum = 0;
+  double sumsq = 0;
+  Value extremum;  ///< MIN or MAX so far; NULL until a non-NULL row
 };
 
 /// Where an operand's batch row i is read: row rows[i] of `col`, or row
@@ -53,11 +72,21 @@ struct ArgRead {
   ColumnRead y;
 };
 
-/// \brief Streaming form of the vectorized aggregation: batches of group
-/// keys and aggregate arguments fold into the per-group states in arrival
-/// order. The fused join→aggregate pass feeds it one batch of join pairs at
-/// a time, reading bare input columns through the pairs' row ids;
-/// TryVectorAggregate feeds it the input's morsels.
+/// What Compile needs to know of one aggregate's argument over the whole
+/// input: x's type (kNull for COUNT(*)) and whether any of its rows is
+/// NULL, and, for a product x * y, the same of y.
+struct ArgShape {
+  DataType type = DataType::kNull;
+  bool nulls = false;
+  DataType factor_type = DataType::kNull;  ///< kNull: not a product
+  bool factor_nulls = false;
+};
+
+/// The shape of an argument whose columns hold the whole input.
+ArgShape ShapeOf(const ArgRead& arg);
+
+/// \brief Folds batches of group keys and aggregate arguments into
+/// per-group states in arrival order; see the file comment.
 ///
 /// Groups are found by hash through a KeyHashTable, or, with dense slots
 /// (UseDenseSlots), through a flat slot → group array indexed by the row's
@@ -66,12 +95,16 @@ struct ArgRead {
 /// aggregator's own key columns, so first-seen order is kept either way.
 class BatchAggregator {
  public:
-  /// Compiles `node`'s aggregates for arguments shaped like `args` and keys
-  /// typed like `keys`. Returns false when an aggregate is outside the
-  /// kernel inventory (NULL-bearing or kNull arguments, string MIN/MAX, a
-  /// product outside SUM/AVG/STDDEV); the caller then runs the row path.
-  bool Compile(const PlanNode& node, const std::vector<const Column*>& keys,
-               const std::vector<ArgRead>& args);
+  /// Compiles `node`'s aggregates for keys of `key_types` and arguments
+  /// shaped like `args`. An aggregate takes a typed kernel when `vectorized`
+  /// and its argument is NULL-free and fits one (COUNT over any type;
+  /// SUM/AVG/STDDEV and MIN/MAX over INT64 or FLOAT64), and the generic
+  /// state otherwise. A product argument always takes a sum kernel: Compile
+  /// returns false when the kernels cannot take it (a NULL-bearing or
+  /// non-numeric factor, a function other than SUM/AVG/STDDEV, or
+  /// `vectorized` off), and only then.
+  bool Compile(const PlanNode& node, const std::vector<DataType>& key_types,
+               const std::vector<ArgShape>& args, bool vectorized);
 
   /// Dense slots allowed per input row. The slot array (4 bytes a slot) is
   /// allocated and cleared once per aggregation, so two slots per row cap
@@ -91,31 +124,23 @@ class BatchAggregator {
   int64_t UseDenseSlots(const std::vector<std::pair<int64_t, int64_t>>& bounds,
                         int64_t input_rows, ScopedMemCharge* charge);
 
-  /// Folds batch rows [begin, end) of the given keys and arguments; batch
-  /// row i is the input's row `base + i` (first-seen order is by that
-  /// number). Hashed grouping reads its keys contiguously (no row ids) and
-  /// takes `hashes`, when given, as their HashKeyRange key hashes; dense
-  /// slots read keys through row ids too and ignore `hashes`.
-  void Consume(const std::vector<ColumnRead>& keys,
-               const std::vector<ArgRead>& args, int64_t begin, int64_t end,
-               int64_t base, const uint64_t* hashes = nullptr);
+  /// Folds rows [begin, end) of the given keys and arguments. Row r is
+  /// numbered ids[r] when `ids` is given, else base + r; a group's number is
+  /// its first row's, and groups are emitted in first-seen order. Hashed
+  /// grouping reads its keys contiguously (no row ids) and takes `hashes`,
+  /// when given, as their HashKeyRange key hashes; dense slots read keys
+  /// through row ids too and ignore `hashes`. Fails only when a generic
+  /// SUM/AVG/STDDEV meets a non-numeric value.
+  Status Consume(const std::vector<ColumnRead>& keys,
+                 const std::vector<ArgRead>& args, int64_t begin, int64_t end,
+                 int64_t base, const uint64_t* hashes = nullptr,
+                 const int64_t* ids = nullptr);
 
-  /// Folds `count` rows listed in `rows` (ascending row ids into the key
-  /// and argument columns, `hashes` indexed by row id), `chunk` at a time.
-  /// Always hashed; the arguments' own row ids are ignored.
-  void ConsumeRows(const std::vector<const Column*>& keys,
-                   const std::vector<ArgRead>& args, const int64_t* rows,
-                   int64_t count, const uint64_t* hashes, int64_t chunk);
-
-  /// Appends group `g` of `other` — same compiled aggregates, a key this
-  /// aggregator does not hold — as this aggregator's next group.
-  void TakeGroup(const BatchAggregator& other, int64_t g);
-
-  /// Global row number of each group's first row, in group order.
+  /// Number of each group's first row, in group order.
   const std::vector<int64_t>& first_rows() const { return first_row_; }
 
   /// Approximate bytes of the grouping state (key table or dense key
-  /// columns, plus accumulators; the dense slot array is not included).
+  /// columns, plus the states; the dense slot array is not included).
   int64_t ByteSize() const;
 
   /// The result table: key columns then aggregates, groups in first-seen
@@ -123,12 +148,15 @@ class BatchAggregator {
   Result<Table> Finish(const PlanNode& node);
 
  private:
-  /// Accumulates the batch's `n` rows, whose groups are in gid_buf_.
-  void Accumulate(const std::vector<ArgRead>& args, int64_t begin, SelIndex n);
+  /// Folds the batch's `n` rows, whose groups are in gid_buf_.
+  Status Accumulate(const std::vector<ArgRead>& args, int64_t begin,
+                    SelIndex n);
   void SyncStates();
-  /// Dense-slot group lookup of batch rows [begin, begin + n) into gid_buf_.
+  /// Dense-slot group lookup of rows [begin, begin + n) into gid_buf_.
   void FindDenseGroups(const std::vector<ColumnRead>& keys, int64_t begin,
-                       SelIndex n, int64_t base);
+                       SelIndex n, int64_t base, const int64_t* ids);
+  /// Aggregate `a`'s output column: every final value and output type.
+  Result<Column> FinalColumn(size_t a) const;
 
   std::vector<VAggSpec> specs_;
   KeyHashTable table_;
@@ -142,21 +170,22 @@ class BatchAggregator {
   std::vector<uint64_t> slot_buf_;
   std::vector<Column> dense_keys_;
   std::vector<int64_t> first_row_;
-  std::vector<std::vector<VAggState>> per_agg_;
+  /// Per aggregate, one state per group: typed aggregates fill typed_[a],
+  /// generic ones generic_[a]; the other array stays empty.
+  std::vector<std::vector<VAggState>> typed_;
+  std::vector<std::vector<GenericAggState>> generic_;
   std::vector<uint64_t> hash_buf_;
   std::vector<SelIndex> gid_buf_;
 };
 
-/// Attempts the vectorized aggregation for `node` over pre-evaluated group
-/// keys and aggregate arguments (`n` input rows). Returns true and fills
-/// `out` with the complete result table — identical to the row path's
-/// emission — when every aggregate compiled to a typed kernel; returns false
-/// (out untouched) when any aggregate or key shape is unsupported
-/// (NULL-bearing argument columns, string MIN/MAX, kNull-typed arguments),
-/// in which case the caller must run the row path.
-Result<bool> TryVectorAggregate(const PlanNode& node,
-                                const std::vector<ColumnHandle>& key_cols,
-                                const std::vector<ColumnHandle>& arg_cols,
-                                int64_t n, EvalContext* ctx, Table* out);
+/// Aggregates `node` over its pre-evaluated group keys and aggregate
+/// arguments (`n` input rows), folding them morsel by morsel on the calling
+/// thread; kernels run when ctx->vectorized. Charges the grouping state to
+/// `charge` before the result is built.
+Result<Table> TryVectorAggregate(const PlanNode& node,
+                                 const std::vector<ColumnHandle>& key_cols,
+                                 const std::vector<ColumnHandle>& arg_cols,
+                                 int64_t n, EvalContext* ctx,
+                                 ScopedMemCharge* charge);
 
 }  // namespace dl2sql::db::vec

@@ -136,9 +136,10 @@ void EncodeColumnKeysRange(const Column& col, int64_t begin, int64_t end,
 /// \name Typed aggregate accumulation
 /// Per-(group, aggregate) state updated a batch at a time through a
 /// gid-per-row buffer; no Value boxing. Emission converts these back into
-/// exactly the Values the row path produces. A kernel reads batch row i's
-/// argument as `at(i)`, so one loop serves a contiguous array, a column
-/// read through row ids, and the product of two such reads.
+/// exactly the Values the generic state (vector_aggregate.h) produces. A
+/// kernel reads batch row i's argument as `at(i)`, so one loop serves a
+/// contiguous array, a column read through row ids, and the product of two
+/// such reads.
 /// @{
 
 struct VAggState {
@@ -168,7 +169,7 @@ void AccumulateCountBool(At at, const SelIndex* gids, SelIndex n,
 
 /// SUM/AVG/STDDEV over a numeric argument: count + sum, plus the sum of
 /// squares when kSquares (STDDEV), in row order (serial accumulation order
-/// matches the row path bit-for-bit). INT64 arguments sum as doubles.
+/// matches the generic state bit-for-bit). INT64 arguments sum as doubles.
 template <bool kSquares, typename At>
 void AccumulateSum(At at, const SelIndex* gids, SelIndex n,
                    VAggState* states) {

@@ -61,9 +61,7 @@ std::string TraceIdHex(uint64_t id) {
 
 Result<TablePtr> MaterializeQueries(Database* db, const TableSchema& schema) {
   auto t = std::make_shared<Table>(Table{schema});
-  QueryLog* log = db->query_log();
-  if (log == nullptr) return t;
-  for (const QueryLogRecord& r : log->Snapshot()) {
+  for (const QueryLogRecord& r : db->query_log()->Snapshot()) {
     DL2SQL_RETURN_NOT_OK(t->AppendRow({
         Value::Int(r.id),
         Value::String(r.sql),
@@ -100,9 +98,7 @@ Result<TablePtr> MaterializeQueries(Database* db, const TableSchema& schema) {
 Result<TablePtr> MaterializeQueryProfiles(Database* db,
                                           const TableSchema& schema) {
   auto t = std::make_shared<Table>(Table{schema});
-  QueryLog* log = db->query_log();
-  if (log == nullptr) return t;
-  for (const QueryLogRecord& r : log->Snapshot()) {
+  for (const QueryLogRecord& r : db->query_log()->Snapshot()) {
     DL2SQL_RETURN_NOT_OK(t->AppendRow({
         Value::Int(r.id),
         Value::String(r.sql),

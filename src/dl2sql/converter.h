@@ -84,7 +84,7 @@ struct ConvertedOp {
   nn::LayerKind kind;
   std::string layer_name;
   /// Statements executed at inference time, in order. Tables they create are
-  /// recreated on every run (the runner prepends DROP TABLE IF EXISTS).
+  /// created on every run; the runner drops them when the run exits.
   std::vector<std::string> runtime_sql;
   /// Name of the flat (TupleID, Value) table produced by this op.
   std::string output_table;

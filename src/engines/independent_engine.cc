@@ -164,7 +164,6 @@ Result<db::Table> IndependentEngine::ExecuteCollaborative(const std::string& sql
   // strategy's structural cost, and it is what makes it insensitive to the
   // relational selectivity (Table V's observation).
   QueryCost local;
-  const DeviceProfile& prof = device_->profile();
   DL2SQL_TRACE_SPAN("engine", "independent.query");
   DL2SQL_ASSIGN_OR_RETURN(db::Statement parsed, db::sql::ParseStatement(sql));
   if (!std::holds_alternative<std::shared_ptr<db::SelectStmt>>(parsed)) {

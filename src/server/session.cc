@@ -49,34 +49,32 @@ bool IsSelect(const db::Statement& stmt) {
 
 QueryService::QueryService(db::Database* db, ServiceOptions options)
     : db_(db), options_(options), admission_(options.admission) {
-  if (db_->introspection_options().enabled) {
-    db::TableSchema schema({{"id", db::DataType::kInt64},
-                            {"statements_ok", db::DataType::kInt64},
-                            {"statements_failed", db::DataType::kInt64},
-                            {"tracked_bytes", db::DataType::kInt64},
-                            {"tracked_peak_bytes", db::DataType::kInt64}});
-    sessions_table_registered_ =
-        db_->catalog()
-            .RegisterVirtualTable(std::make_shared<db::CallbackVirtualTable>(
-                "system.sessions", std::move(schema),
-                [this](const db::TableSchema& s) -> Result<db::TablePtr> {
-                  auto t = std::make_shared<db::Table>(db::Table{s});
-                  std::lock_guard<std::mutex> lock(sessions_mu_);
-                  for (const auto& weak : sessions_) {
-                    auto session = weak.lock();
-                    if (session == nullptr) continue;
-                    const MemTracker& mem = *session->mem_tracker();
-                    DL2SQL_RETURN_NOT_OK(t->AppendRow(
-                        {db::Value::Int(static_cast<int64_t>(session->id())),
-                         db::Value::Int(session->statements_ok()),
-                         db::Value::Int(session->statements_failed()),
-                         db::Value::Int(mem.consumption()),
-                         db::Value::Int(mem.peak())}));
-                  }
-                  return t;
-                }))
-            .ok();
-  }
+  db::TableSchema schema({{"id", db::DataType::kInt64},
+                          {"statements_ok", db::DataType::kInt64},
+                          {"statements_failed", db::DataType::kInt64},
+                          {"tracked_bytes", db::DataType::kInt64},
+                          {"tracked_peak_bytes", db::DataType::kInt64}});
+  sessions_table_registered_ =
+      db_->catalog()
+          .RegisterVirtualTable(std::make_shared<db::CallbackVirtualTable>(
+              "system.sessions", std::move(schema),
+              [this](const db::TableSchema& s) -> Result<db::TablePtr> {
+                auto t = std::make_shared<db::Table>(db::Table{s});
+                std::lock_guard<std::mutex> lock(sessions_mu_);
+                for (const auto& weak : sessions_) {
+                  auto session = weak.lock();
+                  if (session == nullptr) continue;
+                  const MemTracker& mem = *session->mem_tracker();
+                  DL2SQL_RETURN_NOT_OK(t->AppendRow(
+                      {db::Value::Int(static_cast<int64_t>(session->id())),
+                       db::Value::Int(session->statements_ok()),
+                       db::Value::Int(session->statements_failed()),
+                       db::Value::Int(mem.consumption()),
+                       db::Value::Int(mem.peak())}));
+                }
+                return t;
+              }))
+          .ok();
 }
 
 QueryService::~QueryService() {

@@ -14,29 +14,20 @@
 namespace dl2sql {
 namespace {
 
-/// Forces the gate on for the test body and restores the prior state. Skips
-/// the test when the layer is compiled out (-DDL2SQL_MEM_TRACKER=OFF), since
-/// charges are unconditional no-ops then.
+/// Forces the gate on for the test body and restores the prior state.
 class ScopedTrackingEnabled {
  public:
   ScopedTrackingEnabled() : prior_(MemTracker::Enabled()) {
     MemTracker::SetEnabled(true);
   }
   ~ScopedTrackingEnabled() { MemTracker::SetEnabled(prior_); }
-  bool active() const { return MemTracker::Enabled(); }
 
  private:
   const bool prior_;
 };
 
-#define REQUIRE_TRACKING(guard)                                         \
-  if (!(guard).active()) {                                              \
-    GTEST_SKIP() << "resource accounting compiled out";                 \
-  }
-
 TEST(MemTrackerTest, ChargesPropagateToAncestors) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   MemTracker root("root");
   MemTracker mid("mid", &root);
   MemTracker leaf("leaf", &mid);
@@ -58,7 +49,6 @@ TEST(MemTrackerTest, ChargesPropagateToAncestors) {
 
 TEST(MemTrackerTest, PeakAndCumulativeTrackHighWaterAndTotal) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   MemTracker t("t");
   t.Consume(100);
   t.Release(60);
@@ -71,7 +61,6 @@ TEST(MemTrackerTest, PeakAndCumulativeTrackHighWaterAndTotal) {
 
 TEST(MemTrackerTest, TryConsumeEnforcesAncestorLimitNamingTracker) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   MemTracker budget("query-7", nullptr, /*limit_bytes=*/1000);
   MemTracker op("op.join", &budget);
 
@@ -93,7 +82,6 @@ TEST(MemTrackerTest, TryConsumeEnforcesAncestorLimitNamingTracker) {
 
 TEST(MemTrackerTest, DestructorReleasesOutstandingFromAncestors) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   MemTracker root("root");
   {
     MemTracker child("child", &root);
@@ -105,7 +93,6 @@ TEST(MemTrackerTest, DestructorReleasesOutstandingFromAncestors) {
 
 TEST(MemTrackerTest, ScopedChargeReleasesOnScopeExit) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   MemTracker t("t", nullptr, /*limit_bytes=*/100);
   {
     ScopedMemCharge charge(&t);
@@ -120,7 +107,6 @@ TEST(MemTrackerTest, ScopedChargeReleasesOnScopeExit) {
 
 TEST(MemTrackerTest, BatchedChargeFlushesAtThresholdAndReleasesAll) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   MemTracker t("t");
   {
     BatchedMemCharge charge(&t, /*flush_bytes=*/100);
@@ -135,7 +121,6 @@ TEST(MemTrackerTest, BatchedChargeFlushesAtThresholdAndReleasesAll) {
 
 TEST(MemTrackerTest, DisabledGateMakesChargesNoOps) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   MemTracker t("t", nullptr, /*limit_bytes=*/10);
   MemTracker::SetEnabled(false);
   t.Consume(1000);
@@ -147,7 +132,6 @@ TEST(MemTrackerTest, DisabledGateMakesChargesNoOps) {
 
 TEST(MemTrackerTest, ConcurrentChargesSumExactly) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   MemTracker root("root");
   MemTracker child("child", &root);
   constexpr int kThreads = 4;

@@ -73,7 +73,6 @@ TEST_F(TraceTest, SpansNestWithDepthAndContainment) {
             outer.start_us + outer.duration_us);
 }
 
-#if !defined(DL2SQL_TRACING_DISABLED)
 TEST_F(TraceTest, MacroRecordsSpan) {
   TraceCollector::Global().SetEnabled(true);
   {
@@ -86,7 +85,6 @@ TEST_F(TraceTest, MacroRecordsSpan) {
   EXPECT_TRUE(names.count("via_macro"));
   EXPECT_TRUE(names.count("with_args"));
 }
-#endif
 
 TEST_F(TraceTest, SpanStartedWhileDisabledStaysQuiet) {
   // The enabled check happens at construction; flipping the switch mid-span

@@ -263,26 +263,6 @@ TEST_F(DbBasicTest, CostBreakdownBuckets) {
   EXPECT_GT(acc.Get("groupby"), 0.0);
 }
 
-TEST(DbStatementStatsTest, IntrospectionOffStillFillsBuckets) {
-  // The statement builds its stats whether or not anything is recorded.
-  ::setenv("DL2SQL_INTROSPECTION", "OFF", 1);
-  Database db;
-  ::unsetenv("DL2SQL_INTROSPECTION");
-  ASSERT_EQ(db.query_log(), nullptr);
-  ASSERT_TRUE(db.ExecuteScript(R"sql(
-    CREATE TABLE fabric (transID INT, patternID INT, meter FLOAT);
-    INSERT INTO fabric VALUES (1, 10, 5.0), (2, 10, 7.5), (3, 20, 2.5);
-    CREATE TABLE video (transID INT, keyframe TEXT);
-    INSERT INTO video VALUES (1, 'k1'), (2, 'k2'), (3, 'k3');
-  )sql")
-                  .ok());
-  CostAccumulator acc;
-  ASSERT_TRUE(db.Execute(kJoinGroupSql, &acc).ok());
-  EXPECT_GT(acc.Get("scan"), 0.0);
-  EXPECT_GT(acc.Get("join"), 0.0);
-  EXPECT_GT(acc.Get("groupby"), 0.0);
-}
-
 TEST(DbStatementStatsTest, NestedStatementsKeepTheirOwnStats) {
   // A neural UDF whose body runs a 200k-row GROUP BY on the same Database:
   // that SQL is a statement of its own, so none of its work reaches the

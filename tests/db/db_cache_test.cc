@@ -205,7 +205,6 @@ TEST(DbCacheTest, PlanCacheReusesPlanUntilDmlInvalidates) {
   EXPECT_EQ(db.last_plan().get(), p3);  // re-cached after the replan
 }
 
-#if !defined(DL2SQL_TRACING_DISABLED)
 TEST(DbCacheTest, PlanProbeSpanEndsBeforeTheCachedPlanRuns) {
   Database db;
   ForceCachesOn(&db);
@@ -241,7 +240,6 @@ TEST(DbCacheTest, PlanProbeSpanEndsBeforeTheCachedPlanRuns) {
                          << " lies inside plan_probe";
   }
 }
-#endif
 
 TEST(DbCacheTest, PlanCacheSurvivesDropAndRecreateWithNewSchema) {
   Database db;

@@ -510,6 +510,48 @@ TEST_F(JoinSqlTest, RowIdOperandsMatchTheOracle) {
   EXPECT_EQ(sites, static_cast<int>(cases.size()));
 }
 
+// A NULL-bearing or non-numeric bare argument fuses too: the generic state
+// reads it through the row ids, beside the typed kernels of the same pass.
+TEST_F(JoinSqlTest, GenericArgumentsFuseLikeTheOracle) {
+  db_.set_vectorized(true);  // explicit: survives a DL2SQL_VECTOR=OFF CI leg
+  AddFactAndDim(&db_);
+  std::vector<std::vector<Value>> tags;
+  for (int64_t j = 0; j < 21; ++j) {
+    tags.push_back({Value::Int(j % 7),
+                    j % 4 == 0 ? Value::Null()
+                               : Value::String("t" + std::to_string(j * 5 % 11))});
+  }
+  AddTable(&db_, "tag", tags,
+           TableSchema({{"k", DataType::kInt64}, {"name", DataType::kString}}));
+  const std::string from = " FROM fact F INNER JOIN dim D ON F.k = D.k";
+  const std::string tagged = " FROM fact F INNER JOIN tag T ON F.k = T.k";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      // n holds NULLs: every function over it, dense and hashed.
+      {"SELECT D.w AS w, sum(F.n) AS s, count(F.n) AS c, min(F.n) AS lo, "
+       "max(F.n) AS hi, avg(F.n) AS m, stddevSamp(F.n) AS sd, "
+       "count(*) AS cs, sum(F.v) AS sv" +
+           from + " GROUP BY D.w",
+       "[dense slots=14]"},
+      {"SELECT F.f AS f, avg(F.n) AS m, max(D.wf) AS hi" + from +
+           " GROUP BY F.f",
+       ""},
+      // String MIN/MAX over a NULL-bearing column beside typed aggregates,
+      // grouped and global.
+      {"SELECT F.g AS g, min(T.name) AS lo, max(T.name) AS hi, "
+       "count(T.name) AS c, sum(F.v) AS s" +
+           tagged + " GROUP BY F.g",
+       "[dense slots=5]"},
+      {"SELECT min(T.name) AS lo, max(F.n) AS hi, count(F.b) AS cb" + tagged,
+       ""},
+  };
+  int sites = 0;
+  for (const auto& [sql, mark] : cases) {
+    EXPECT_EQ(DenseMark(&db_, sql), mark) << sql;
+    RunChecked(&db_, sql, &sites);
+  }
+  EXPECT_EQ(sites, static_cast<int>(cases.size()));
+}
+
 TEST_F(JoinSqlTest, DenseGroupsComeOutInFirstSeenOrder) {
   db_.set_vectorized(true);
   ASSERT_TRUE(db_.set_storage_mode(StorageMode::kInMemory).ok());
@@ -545,9 +587,8 @@ TEST(DenseSlotsTest, BudgetAndRefusedChargeKeepGroupingHashed) {
   MemTracker::SetEnabled(true);
   PlanNode node;  // no aggregates: Compile reads only the key types here
   node.kind = PlanKind::kAggregate;
-  const Column keys = Column::Ints({3, -2, 3});
   vec::BatchAggregator agg;
-  ASSERT_TRUE(agg.Compile(node, {&keys}, {}));
+  ASSERT_TRUE(agg.Compile(node, {DataType::kInt64}, {}, /*vectorized=*/true));
   const std::vector<std::pair<int64_t, int64_t>> bounds = {{-2, 3}};
   // Six slots of 4 bytes: a 16-byte limit refuses them, charging nothing.
   MemTracker tight("tight", nullptr, 16);

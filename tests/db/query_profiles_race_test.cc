@@ -82,7 +82,7 @@ TEST(QueryProfilesRaceTest, SeqlockNeverYieldsTornRecordsAcrossWrap) {
 /// the ring while two more scan system.query_profiles through SQL.
 TEST(QueryProfilesRaceTest, ConcurrentScansSurviveRingOverflow) {
   const bool prior = MemTracker::Enabled();
-  MemTracker::SetEnabled(true);  // no-op when compiled out; either way safe
+  MemTracker::SetEnabled(true);
   ::setenv("DL2SQL_QUERY_LOG_CAPACITY", "8", 1);
   auto db = std::make_unique<Database>();
   ::unsetenv("DL2SQL_QUERY_LOG_CAPACITY");

@@ -30,16 +30,10 @@ class ScopedTrackingEnabled {
     MemTracker::SetEnabled(true);
   }
   ~ScopedTrackingEnabled() { MemTracker::SetEnabled(prior_); }
-  bool active() const { return MemTracker::Enabled(); }
 
  private:
   const bool prior_;
 };
-
-#define REQUIRE_TRACKING(guard)                                         \
-  if (!(guard).active()) {                                              \
-    GTEST_SKIP() << "resource accounting compiled out";                 \
-  }
 
 void FillTables(Database* db) {
   // The payload column makes operator outputs comfortably larger than the
@@ -100,7 +94,6 @@ const char* const kNudfSql =
 
 TEST(QueryProfilesTest, ProfilesCarryMemoryPeaksAndSaneTimeBreakdown) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   Database db;
   // This test asserts in-memory tracker behavior; paged mode (spilling,
   // resident-bytes billing) legitimately reports different peaks.
@@ -142,7 +135,6 @@ TEST(QueryProfilesTest, ProfilesCarryMemoryPeaksAndSaneTimeBreakdown) {
 
 TEST(QueryProfilesTest, ResultsAreBitIdenticalTrackerOnVsOff) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   const char* const queries[] = {kJoinSql, kAggSql, kNudfSql};
 
   MemTracker::SetEnabled(true);
@@ -173,7 +165,6 @@ TEST(QueryProfilesTest, ResultsAreBitIdenticalTrackerOnVsOff) {
 
 TEST(QueryProfilesTest, QueryMemLimitFailsNamingTheOffendingOperator) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   Database db;
   // Paged mode spills instead of failing on the limit — pin in-memory.
   ASSERT_TRUE(db.set_storage_mode(StorageMode::kInMemory).ok());
@@ -200,7 +191,6 @@ TEST(QueryProfilesTest, QueryMemLimitFailsNamingTheOffendingOperator) {
 
 TEST(QueryProfilesTest, EnvSeedsQueryMemLimitAtConstruction) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   ::setenv("DL2SQL_QUERY_MEM_LIMIT", "1048576", 1);
   Database db;
   ::unsetenv("DL2SQL_QUERY_MEM_LIMIT");
@@ -216,7 +206,6 @@ TEST(QueryProfilesTest, EnvSeedsQueryMemLimitAtConstruction) {
 
 TEST(QueryProfilesTest, SystemTablesReportTrackedStorageBytes) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   Database db;
   FillTables(&db);  // registered with the gate on → synced at create
   auto r = db.Execute(
@@ -240,7 +229,6 @@ TEST(QueryProfilesTest, SystemTablesReportTrackedStorageBytes) {
 
 TEST(QueryProfilesTest, ExplainAnalyzeGrowsProfileFooterWhenEnabled) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   Database db;
   FillTables(&db);
   auto text = db.ExplainAnalyze(kAggSql);
@@ -257,7 +245,6 @@ TEST(QueryProfilesTest, ExplainAnalyzeGrowsProfileFooterWhenEnabled) {
 
 TEST(QueryProfilesTest, DisabledGateLeavesProfileColumnsZero) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   MemTracker::SetEnabled(false);
   Database db;
   FillTables(&db);

@@ -3,13 +3,13 @@
 /// external aggregation, windowed filter/project) against the in-memory
 /// executor, across several pool/query-memory budgets.
 ///
-/// All databases here run serially (no device pool), because the parallel
-/// in-memory aggregation merges float state in worker order; the spill
-/// contract is bit-identity with the SERIAL in-memory execution.
+/// All databases here run without a device pool: the spill contract is
+/// bit-identity with the serial in-memory execution.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -30,16 +30,10 @@ class ScopedTrackingEnabled {
     MemTracker::SetEnabled(true);
   }
   ~ScopedTrackingEnabled() { MemTracker::SetEnabled(prior_); }
-  bool active() const { return MemTracker::Enabled(); }
 
  private:
   const bool prior_;
 };
-
-#define REQUIRE_TRACKING(guard)                         \
-  if (!(guard).active()) {                              \
-    GTEST_SKIP() << "resource accounting compiled out"; \
-  }
 
 void FillTables(Database* db) {
   // ~2.8 MB fact table: big enough that a ~1 MB query budget refuses to
@@ -67,6 +61,30 @@ void FillTables(Database* db) {
     DL2SQL_CHECK(dim.AppendRow({Value::Int(i), Value::Int(i * i)}).ok());
   }
   DL2SQL_CHECK(db->RegisterTable("dim", std::move(dim)).ok());
+
+  // The aggregate shapes the typed kernels do not take: a string column and
+  // an INT64 one with NULLs, beside a bool and a float one. The payload
+  // keeps the table over the query budgets below.
+  TableSchema shapes_schema({{"grp", DataType::kInt64},
+                             {"val", DataType::kFloat64},
+                             {"flag", DataType::kBool},
+                             {"name", DataType::kString},
+                             {"nv", DataType::kInt64},
+                             {"payload", DataType::kString}});
+  Table shapes{shapes_schema};
+  for (int64_t i = 0; i < kRows; ++i) {
+    const int64_t v = (i * 104729 + 13) % 1000;
+    DL2SQL_CHECK(
+        shapes
+            .AppendRow({Value::Int((i * 7919) % kDimRows),
+                        Value::Float(static_cast<double>(v) / 7.0),
+                        Value::Bool(i % 3 == 0),
+                        Value::String("n" + std::to_string(v % 97)),
+                        i % 5 == 0 ? Value::Null() : Value::Int(v % 17),
+                        Value::String(payload)})
+            .ok());
+  }
+  DL2SQL_CHECK(db->RegisterTable("shapes", std::move(shapes)).ok());
 }
 
 // The join probe side must be the whole fact table (nothing pushable below
@@ -87,6 +105,15 @@ const char* const kGlobalAggSql =
     "SELECT count(*) AS c, sum(val) AS s, avg(val) AS a FROM fact";
 const char* const kFilterProjectSql =
     "SELECT id * 2 AS d, val + 1.0 AS v FROM fact WHERE grp < 7";
+// MIN/MAX over a string and a NULL-bearing column, AVG/STDDEV over the
+// latter, and one operator mixing typed and generic aggregates.
+const char* const kGenericAggSqls[] = {
+    "SELECT grp, min(name) AS mn, max(name) AS mx, min(nv) AS lo, "
+    "max(nv) AS hi FROM shapes GROUP BY grp",
+    "SELECT grp, avg(nv) AS a, stddev_samp(nv) AS sd FROM shapes GROUP BY grp",
+    "SELECT grp, count(flag) AS cf, sum(val) AS s, min(name) AS mn, "
+    "avg(nv) AS a FROM shapes GROUP BY grp",
+};
 
 std::vector<std::string> RunAll(Database* db,
                                 const std::vector<const char*>& queries) {
@@ -130,9 +157,10 @@ struct PagedConfig {
 };
 
 void ExpectBitIdentical(const PagedConfig& cfg) {
-  const std::vector<const char*> queries = {kJoinSql, kJoinResidualSql,
-                                            kAggSql, kGlobalAggSql,
-                                            kFilterProjectSql};
+  std::vector<const char*> queries = {kJoinSql, kJoinResidualSql, kAggSql,
+                                      kGlobalAggSql, kFilterProjectSql};
+  queries.insert(queries.end(), std::begin(kGenericAggSqls),
+                 std::end(kGenericAggSqls));
   const std::vector<std::string> expected = ReferenceRenders(queries);
 
   Database db;
@@ -156,11 +184,13 @@ void ExpectBitIdentical(const PagedConfig& cfg) {
   // the join and aggregation must have taken the spill paths.
   EXPECT_GT(SpillBytesFor(&db, kJoinSql), 0);
   EXPECT_GT(SpillBytesFor(&db, kAggSql), 0);
+  for (const char* sql : kGenericAggSqls) {
+    EXPECT_GT(SpillBytesFor(&db, sql), 0) << sql;
+  }
 }
 
 TEST(SpillExecTest, GraceJoinAndExternalAggMatchInMemory) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   // Comfortable pool, a query budget below the fact table's footprint.
   ExpectBitIdentical({/*pool_bytes=*/4u << 20, /*block_bytes=*/64 * 1024,
                       /*shards=*/4, /*spill_partitions=*/4,
@@ -169,7 +199,6 @@ TEST(SpillExecTest, GraceJoinAndExternalAggMatchInMemory) {
 
 TEST(SpillExecTest, TinyPoolForcesAllPartitionsThroughDisk) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   // Pool far below the data size (floor: shards * block_bytes = 32 KB), so
   // every spill partition round-trips through the block file; more
   // partitions than the pool can hold frames for.
@@ -180,7 +209,6 @@ TEST(SpillExecTest, TinyPoolForcesAllPartitionsThroughDisk) {
 
 TEST(SpillExecTest, LargerBudgetStillSpillsIdentically) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   ExpectBitIdentical({/*pool_bytes=*/1u << 20, /*block_bytes=*/32 * 1024,
                       /*shards=*/4, /*spill_partitions=*/16,
                       /*query_mem_limit=*/2 << 20});
@@ -206,7 +234,6 @@ TEST(SpillExecTest, PagedModeWithoutPressureIsStillBitIdentical) {
 
 TEST(SpillExecTest, OrderByOverBudgetReportsMissingSpillSort) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   Database db;
   storage::StorageOptions opts;
   opts.pool_bytes = 2u << 20;

@@ -268,7 +268,7 @@ TEST(SystemTablesTest, ExplainAnalyzeReportsOperatorTotals) {
   EXPECT_NE(text->find("Counters:"), std::string::npos) << *text;
 }
 
-TEST(SystemTablesTest, EnvKnobsControlCapacityAndKillSwitch) {
+TEST(SystemTablesTest, EnvKnobControlsQueryLogCapacity) {
   ::setenv("DL2SQL_QUERY_LOG_CAPACITY", "4", 1);
   {
     Database db;
@@ -276,16 +276,6 @@ TEST(SystemTablesTest, EnvKnobsControlCapacityAndKillSwitch) {
     EXPECT_EQ(db.query_log()->capacity(), 4u);
   }
   ::unsetenv("DL2SQL_QUERY_LOG_CAPACITY");
-
-  ::setenv("DL2SQL_INTROSPECTION", "OFF", 1);
-  {
-    Database db;
-    EXPECT_FALSE(db.introspection_options().enabled);
-    EXPECT_EQ(db.query_log(), nullptr);
-    // No providers registered: the system schema does not resolve.
-    EXPECT_FALSE(db.Execute("SELECT count(*) FROM system.metrics").ok());
-  }
-  ::unsetenv("DL2SQL_INTROSPECTION");
 }
 
 }  // namespace

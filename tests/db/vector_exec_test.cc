@@ -119,10 +119,18 @@ const char* const kQueries[] = {
     "max(fval) AS mx, stddev_samp(val) AS sd FROM fact",
     "SELECT grp, sum(fval) AS fs, stddev_samp(fval) AS fsd FROM fact "
     "WHERE val % 2 = 0 GROUP BY grp",
-    // Aggregates over NULL-bearing input fall back; empty input emits the
-    // row path's single global-aggregate row.
+    // Aggregates the kernels do not take (NULL-bearing or non-numeric
+    // arguments) keep the generic state; empty input emits the single
+    // global-aggregate row.
     "SELECT grp, sum(nv) AS s, count(nv) AS c FROM fact GROUP BY grp",
     "SELECT count(*) AS c, sum(x) AS s FROM etab",
+    "SELECT grp, min(name) AS mn, max(name) AS mx, min(nv) AS lo, "
+    "max(nv) AS hi FROM fact GROUP BY grp",
+    "SELECT grp2, avg(nv) AS a, stddev_samp(nv) AS sd FROM fact GROUP BY grp2",
+    // One operator mixing both kinds: the first two typed, the last two
+    // generic.
+    "SELECT grp, count(flag) AS cf, sum(val) AS s, min(name) AS mn, "
+    "avg(nv) AS a FROM fact GROUP BY grp",
 };
 
 /// Renders every result row; byte-compared across configurations.
@@ -182,10 +190,8 @@ TEST(VectorExecTest, SmallMorselsWithPooledDeviceStayByteIdentical) {
 }
 
 TEST(VectorExecTest, ParallelExactQueriesMatchRowPathAtEightThreads) {
-  // Row sets (filters, joins) and integer aggregates are exact in double, so
-  // they must match the row path even under multi-threaded execution, where
-  // float accumulation order is worker-dependent in both paths.
-  const std::vector<size_t> exact = {0, 1, 2, 5, 6, 7, 11, 12, 13, 14};
+  // Filters and joins run morsel-parallel and aggregation folds serially,
+  // so every query of the mix matches the row path at eight threads.
   auto device = MakeCpuDevice(8);
 
   Database off;
@@ -198,13 +204,12 @@ TEST(VectorExecTest, ParallelExactQueriesMatchRowPathAtEightThreads) {
   FillTables(&on);
   on.set_exec_options({device.get(), kSmallMorsel});
 
-  for (size_t q : exact) {
-    auto a = off.Execute(kQueries[q]);
-    auto b = on.Execute(kQueries[q]);
-    ASSERT_TRUE(a.ok()) << kQueries[q] << ": " << a.status().ToString();
-    ASSERT_TRUE(b.ok()) << kQueries[q] << ": " << b.status().ToString();
-    EXPECT_EQ(a->ToString(a->num_rows()), b->ToString(b->num_rows()))
-        << kQueries[q];
+  for (const char* sql : kQueries) {
+    auto a = off.Execute(sql);
+    auto b = on.Execute(sql);
+    ASSERT_TRUE(a.ok()) << sql << ": " << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << sql << ": " << b.status().ToString();
+    EXPECT_EQ(a->ToString(a->num_rows()), b->ToString(b->num_rows())) << sql;
   }
 }
 

@@ -129,8 +129,6 @@ class EngineTraceTest : public ::testing::Test {
 
 Testbed* EngineTraceTest::testbed_ = nullptr;
 
-#if !defined(DL2SQL_TRACING_DISABLED)
-
 TEST_F(EngineTraceTest, IndependentEngineTraceNestsPhases) {
   QueryParams p;
   p.selectivity = 0.05;
@@ -186,17 +184,6 @@ TEST_F(EngineTraceTest, QuerySpanDepthsFormAHierarchy) {
     }
   }
 }
-
-#else
-
-TEST_F(EngineTraceTest, CompiledOutTracingRecordsNothing) {
-  QueryParams p;
-  p.selectivity = 0.05;
-  const auto events = CaptureQuery(testbed_->udf(), MakeType1Query(p));
-  EXPECT_TRUE(events.empty());
-}
-
-#endif  // !defined(DL2SQL_TRACING_DISABLED)
 
 }  // namespace
 }  // namespace dl2sql::workload

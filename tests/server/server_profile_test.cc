@@ -29,16 +29,10 @@ class ScopedTrackingEnabled {
     MemTracker::SetEnabled(true);
   }
   ~ScopedTrackingEnabled() { MemTracker::SetEnabled(prior_); }
-  bool active() const { return MemTracker::Enabled(); }
 
  private:
   const bool prior_;
 };
-
-#define REQUIRE_TRACKING(guard)                                         \
-  if (!(guard).active()) {                                              \
-    GTEST_SKIP() << "resource accounting compiled out";                 \
-  }
 
 void SetUpDatabase(Database* db) {
   TableSchema schema({{"id", DataType::kInt64}, {"val", DataType::kInt64}});
@@ -52,7 +46,6 @@ void SetUpDatabase(Database* db) {
 
 TEST(ServerProfileTest, SessionsSurfaceTrackedMemory) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   Database db;
   // This test asserts in-memory tracker peaks; paged mode bills resident
   // bytes (possibly zero for streamed intermediates) — pin in-memory.
@@ -88,7 +81,6 @@ TEST(ServerProfileTest, SessionsSurfaceTrackedMemory) {
 
 TEST(ServerProfileTest, ServedQueriesRecordSessionAndLockAttribution) {
   ScopedTrackingEnabled guard;
-  REQUIRE_TRACKING(guard);
   Database db;
   SetUpDatabase(&db);
   ServiceOptions opts;

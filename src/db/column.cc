@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
+
 namespace dl2sql::db {
 
 int64_t Column::size() const {
@@ -156,6 +158,43 @@ void Column::AppendFrom(const Column& src, int64_t row) {
       break;
   }
   if (!data_->validity.empty()) data_->validity.push_back(valid ? 1 : 0);
+}
+
+void Column::AppendColumn(const Column& src) {
+  DL2SQL_DCHECK(src.type_ == type_) << "AppendColumn type mismatch";
+  Detach();
+  const Payload& s = *src.data_;
+  auto append = [](auto* dst, const auto& from) {
+    dst->insert(dst->end(), from.begin(), from.end());
+  };
+  if (!data_->validity.empty() || !s.validity.empty()) {
+    // Before the payload grows: EnsureValiditySized sizes by size().
+    EnsureValiditySized();
+    if (s.validity.empty()) {
+      data_->validity.resize(data_->validity.size() +
+                                 static_cast<size_t>(src.size()),
+                             1);
+    } else {
+      append(&data_->validity, s.validity);
+    }
+  }
+  switch (type_) {
+    case DataType::kBool:
+      append(&data_->bools, s.bools);
+      break;
+    case DataType::kInt64:
+      append(&data_->ints, s.ints);
+      break;
+    case DataType::kFloat64:
+      append(&data_->floats, s.floats);
+      break;
+    case DataType::kString:
+    case DataType::kBlob:
+      append(&data_->strings, s.strings);
+      break;
+    case DataType::kNull:
+      break;
+  }
 }
 
 Value Column::GetValue(int64_t i) const {

@@ -72,6 +72,10 @@ class Column {
   /// it into a Value. Detaches if shared.
   void AppendFrom(const Column& src, int64_t row);
 
+  /// Appends every row of `src`, a column of the same type, as typed vector
+  /// inserts (no per-value boxing), keeping NULLs. Detaches if shared.
+  void AppendColumn(const Column& src);
+
   /// Reads row `i` as a Value (NULL if invalid).
   Value GetValue(int64_t i) const;
 

@@ -14,7 +14,6 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "db/exec/hash_table.h"
-#include "db/exec/row_key.h"
 #include "db/exec/vector_aggregate.h"
 #include "db/exec/vector_batch.h"
 #include "db/exec/vector_expr.h"
@@ -1070,100 +1069,307 @@ class PagedResultWriter {
   storage::PagedTableBuilder builder_;
 };
 
-}  // namespace
-
-Result<Table> Database::ExecFilter(const PlanNode& node, Table input) {
-  if (input.is_paged()) return ExecFilterPaged(node, input);
-  Stopwatch watch;
-  EvalContext ctx = MakeEvalContext();
-  DL2SQL_ASSIGN_OR_RETURN(std::vector<int64_t> rows,
-                          FilterRows(*node.predicate, input, &ctx));
-  Table out = input.TakeRows(rows);
-  const double inf = DrainEvalContext(ctx);
-  ChargeOperator("filter", watch.ElapsedSeconds(), inf);
-  return out;
-}
-
-Result<Table> Database::ExecFilterPaged(const PlanNode& node,
-                                        const Table& input) {
-  Stopwatch watch;
-  EvalContext ctx = MakeEvalContext();
-  // One window per storage chunk: the predicate is row-local, so evaluating
-  // it window-by-window and re-paging the survivors is exactly the resident
-  // semantics with bounded residency.
+/// Runs the row-local operator `fn` over `input` one window at a time and
+/// concatenates the windows' outputs. A resident input is one window,
+/// shared copy-on-write, whose output is the result; a paged input gives one
+/// window per storage chunk, and the outputs stream back out through a
+/// PagedResultWriter (under the first output's schema), so at most one
+/// window of input and of output is resident.
+Result<Table> MapWindows(const Table& input,
+                         const std::function<Result<Table>(const Table&)>& fn) {
   const std::unique_ptr<storage::ColumnSource> source =
       storage::MakeColumnSource(std::make_shared<Table>(input), 0);
-  PagedResultWriter writer(input.paged()->shared_engine(), input.schema());
-  for (int64_t w = 0; w < source->num_windows(); ++w) {
-    DL2SQL_ASSIGN_OR_RETURN(Table window, source->ReadWindow(w));
-    DL2SQL_ASSIGN_OR_RETURN(std::vector<int64_t> rows,
-                            FilterRows(*node.predicate, window, &ctx));
-    if (!rows.empty()) {
-      DL2SQL_RETURN_NOT_OK(writer.Append(window.TakeRows(rows)));
-    }
-  }
-  DL2SQL_ASSIGN_OR_RETURN(Table out, writer.Finish());
-  const double inf = DrainEvalContext(ctx);
-  ChargeOperator("filter", watch.ElapsedSeconds(), inf);
-  return out;
-}
-
-Result<Table> Database::ExecProject(const PlanNode& node, Table input) {
-  if (input.is_paged()) return ExecProjectPaged(node, input);
-  Stopwatch watch;
-  EvalContext ctx = MakeEvalContext();
-  std::vector<Column> cols;
-  TableSchema schema;
-  for (size_t i = 0; i < node.exprs.size(); ++i) {
-    DL2SQL_ASSIGN_OR_RETURN(ColumnHandle col,
-                            EvalExpr(*node.exprs[i], input, &ctx));
-    cols.push_back(*col);  // cheap: shared payload
-    schema.AddField({node.names[i], col->type()});
-  }
-  const double inf = DrainEvalContext(ctx);
-  DL2SQL_ASSIGN_OR_RETURN(Table out,
-                          Table::FromColumns(std::move(schema), std::move(cols)));
-  if (node.exprs.empty()) out.SetZeroColumnRows(input.num_rows());
-  ChargeOperator("project", watch.ElapsedSeconds(), inf);
-  return out;
-}
-
-Result<Table> Database::ExecProjectPaged(const PlanNode& node,
-                                         const Table& input) {
-  Stopwatch watch;
-  EvalContext ctx = MakeEvalContext();
-  if (node.exprs.empty()) {
-    Table out;
-    out.SetZeroColumnRows(input.num_rows());
-    ChargeOperator("project", watch.ElapsedSeconds(), DrainEvalContext(ctx));
-    return out;
-  }
-  const std::unique_ptr<storage::ColumnSource> source =
-      storage::MakeColumnSource(std::make_shared<Table>(input), 0);
-  // All expressions are row-local, so projecting each window independently
-  // and concatenating reproduces the resident output exactly. The output
-  // schema is discovered from the first window's expression types.
   std::unique_ptr<PagedResultWriter> writer;
   for (int64_t w = 0; w < source->num_windows(); ++w) {
     DL2SQL_ASSIGN_OR_RETURN(Table window, source->ReadWindow(w));
-    std::vector<Column> cols;
-    TableSchema schema;
-    for (size_t i = 0; i < node.exprs.size(); ++i) {
-      DL2SQL_ASSIGN_OR_RETURN(ColumnHandle col,
-                              EvalExpr(*node.exprs[i], window, &ctx));
-      cols.push_back(*col);
-      schema.AddField({node.names[i], col->type()});
-    }
-    DL2SQL_ASSIGN_OR_RETURN(
-        Table piece, Table::FromColumns(std::move(schema), std::move(cols)));
+    DL2SQL_ASSIGN_OR_RETURN(Table piece, fn(window));
+    if (!input.is_paged()) return piece;
     if (writer == nullptr) {
       writer = std::make_unique<PagedResultWriter>(
           input.paged()->shared_engine(), piece.schema());
     }
     DL2SQL_RETURN_NOT_OK(writer->Append(piece));
   }
-  DL2SQL_CHECK(writer != nullptr) << "paged table with zero chunks";
-  DL2SQL_ASSIGN_OR_RETURN(Table out, writer->Finish());
+  DL2SQL_CHECK(writer != nullptr) << "paged table with zero windows";
+  return writer->Finish();
+}
+
+/// Canonical hashes and NULL flags of `keys`' rows, a morsel at a time into
+/// preallocated arrays (disjoint writes, so any wired pool may run the
+/// loop). With `table`, each morsel also resolves its rows' key ids in it
+/// (read-only, so morsels may share it) into `ids`.
+Status HashJoinKeys(const std::vector<const Column*>& keys,
+                    const KeyHashTable* table, EvalContext* ctx,
+                    std::vector<uint64_t>* hash, std::vector<uint8_t>* nulls,
+                    std::vector<KeyHashTable::KeyId>* ids) {
+  const int64_t n = keys.empty() ? 0 : keys[0]->size();
+  hash->resize(static_cast<size_t>(n));
+  nulls->resize(static_cast<size_t>(n));
+  if (table != nullptr) ids->resize(static_cast<size_t>(n));
+  const int64_t m = ctx->morsel_size;
+  auto body = [&](int64_t bgn, int64_t end, int) -> Status {
+    vec::KeyNullRange(keys, bgn, end, nulls->data() + bgn);
+    vec::HashKeyRange(keys, bgn, end, hash->data() + bgn);
+    if (table != nullptr) {
+      table->FindRange(keys, bgn, end, hash->data() + bgn,
+                       nulls->data() + bgn, ids->data() + bgn);
+    }
+    return Status::OK();
+  };
+  if (ctx->pool != nullptr) {
+    DL2SQL_RETURN_NOT_OK(ctx->pool->ParallelForMorsel(n, m, body));
+  } else {
+    for (int64_t b = 0; b < n; b += m) {
+      DL2SQL_RETURN_NOT_OK(body(b, std::min(n, b + m), 0));
+    }
+  }
+  if (ctx->vectorized) {
+    ctx->vec_batches += n == 0 ? 0 : (n + m - 1) / m;
+    ctx->vec_rows_in += n;
+    ctx->vec_rows_selected += n;
+  }
+  return Status::OK();
+}
+
+/// The join build step: a table over every row of `keys` (rows with a NULL
+/// key part are never listed), charged to `scratch` with its transient hash
+/// arrays.
+Result<KeyHashTable> BuildJoinTable(std::vector<Column> keys,
+                                    EvalContext* ctx,
+                                    ScopedMemCharge* scratch) {
+  std::vector<const Column*> kptrs;
+  for (const Column& c : keys) kptrs.push_back(&c);
+  std::vector<uint64_t> hash;
+  std::vector<uint8_t> nulls;
+  DL2SQL_RETURN_NOT_OK(
+      HashJoinKeys(kptrs, nullptr, ctx, &hash, &nulls, nullptr));
+  const int64_t n = static_cast<int64_t>(hash.size());
+  KeyHashTable table =
+      KeyHashTable::ForJoin(std::move(keys), hash.data(), nulls.data());
+  DL2SQL_RETURN_NOT_OK(scratch->Charge(
+      table.ByteSize() + n * static_cast<int64_t>(sizeof(uint64_t) + 1)));
+  return table;
+}
+
+/// The join probe step: per row of `keys`, the id of its key in `table`
+/// (kAbsent: no match, or a NULL key part), with the transient arrays
+/// charged to `scratch`.
+Result<std::vector<KeyHashTable::KeyId>> ProbeJoinTable(
+    const KeyHashTable& table, const std::vector<const Column*>& keys,
+    EvalContext* ctx, ScopedMemCharge* scratch) {
+  std::vector<uint64_t> hash;
+  std::vector<uint8_t> nulls;
+  std::vector<KeyHashTable::KeyId> ids;
+  DL2SQL_RETURN_NOT_OK(HashJoinKeys(keys, &table, ctx, &hash, &nulls, &ids));
+  DL2SQL_RETURN_NOT_OK(scratch->Charge(
+      static_cast<int64_t>(ids.size()) *
+      static_cast<int64_t>(sizeof(uint64_t) + 1 +
+                           sizeof(KeyHashTable::KeyId))));
+  return ids;
+}
+
+/// Join output for the pairs (lrows[i], rrows[i]): both inputs' rows
+/// taken and set side by side under the join's output schema, then the
+/// residual condition applied. The condition is row-local, so a slice of
+/// the pairs materializes on its own.
+Result<Table> MaterializeJoinPairs(const PlanNode& node, const Table& left,
+                                   const Table& right,
+                                   const std::vector<int64_t>& lrows,
+                                   const std::vector<int64_t>& rrows,
+                                   EvalContext* ctx) {
+  Table ltaken = left.TakeRows(lrows);
+  Table rtaken = right.TakeRows(rrows);
+  std::vector<Column> cols;
+  for (int i = 0; i < ltaken.num_columns(); ++i) cols.push_back(ltaken.column(i));
+  for (int i = 0; i < rtaken.num_columns(); ++i) cols.push_back(rtaken.column(i));
+  DL2SQL_ASSIGN_OR_RETURN(Table joined,
+                          Table::FromColumns(node.output_schema, std::move(cols)));
+  if (node.join_condition != nullptr) {
+    DL2SQL_ASSIGN_OR_RETURN(std::vector<int64_t> keep,
+                            FilterRows(*node.join_condition, joined, ctx));
+    joined = joined.TakeRows(keep);
+  }
+  return joined;
+}
+
+Status TooManyJoinPairs() {
+  return Status::ResourceExhausted("join produced more than ", kMaxJoinPairs,
+                                   " pairs");
+}
+
+/// Windows of one input may type an expression differently: integer
+/// arithmetic over a window holding a NULL evaluates to FLOAT64 (eval.cc's
+/// row-wise fallback). A spilled column keeps its first window's type. A
+/// later INT64 window widens to FLOAT64, as Column::Append coerces; with
+/// `canonical` (join keys, which only hash and compare canonically), an
+/// integral FLOAT64 window narrows to INT64, which keeps every key.
+Result<Column> ConformSpillColumn(Column col, DataType type, bool canonical) {
+  if (col.type() == type) return col;
+  Column out(type);
+  if (col.type() == DataType::kInt64 && type == DataType::kFloat64) {
+    out = Column::Floats(
+        std::vector<double>(col.ints().begin(), col.ints().end()));
+  } else if (canonical && col.type() == DataType::kFloat64 &&
+             type == DataType::kInt64) {
+    std::vector<int64_t> ints(static_cast<size_t>(col.size()), 0);
+    for (int64_t i = 0; i < col.size(); ++i) {
+      const double d = col.floats()[static_cast<size_t>(i)];
+      if (!col.IsValid(i)) continue;
+      if (!(d >= -9223372036854775808.0 && d < 9223372036854775808.0) ||
+          static_cast<double>(static_cast<int64_t>(d)) != d) {
+        return Status::TypeError("spilled INT64 key column got ", d);
+      }
+      ints[static_cast<size_t>(i)] = static_cast<int64_t>(d);
+    }
+    out = Column::Ints(std::move(ints));
+  } else {
+    return Status::TypeError("spilled column changes type from ",
+                             DataTypeToString(type), " to ",
+                             DataTypeToString(col.type()));
+  }
+  out.SetValidity(col.validity());
+  return out;
+}
+
+/// An input's rows hash-partitioned into paged spill runs.
+struct SpillRun {
+  /// Per partition, a paged table of (__row, key columns..., payload
+  /// columns...); __row is the row's index in the input, and a partition
+  /// holds its rows in input order.
+  std::vector<std::shared_ptr<storage::PagedTableData>> parts;
+  /// Per key and payload column: its type, and whether a NULL was spilled.
+  std::vector<DataType> types;
+  std::vector<uint8_t> nulls;
+  int64_t bytes = 0;       ///< logical bytes spilled
+  int64_t used_parts = 0;  ///< partitions holding at least one row
+};
+
+/// The spill operators' one partitioner. Evaluates `exprs` (the first
+/// `num_keys` are the keys, the rest payload) over `input` window by window,
+/// routes each row to partition vec::HashKeyRange(keys) % num_parts, and
+/// appends each partition's rows of a window as one typed slice. With
+/// `join_keys`, rows with a NULL key part are dropped (NULL keys never
+/// join) and key columns conform canonically (ConformSpillColumn).
+Result<SpillRun> SpillPartitions(
+    const Table& input, const std::vector<const Expr*>& exprs,
+    size_t num_keys, bool join_keys,
+    const std::shared_ptr<storage::StorageEngine>& engine, int64_t num_parts,
+    EvalContext* ctx) {
+  SpillRun run;
+  TableSchema schema;
+  std::vector<std::unique_ptr<storage::PagedTableBuilder>> builders;
+  std::vector<uint64_t> hashes;
+  std::vector<uint8_t> nulls;
+  std::vector<std::vector<int64_t>> rows(static_cast<size_t>(num_parts));
+  const std::unique_ptr<storage::ColumnSource> source =
+      storage::MakeColumnSource(std::make_shared<Table>(input), 0);
+  for (int64_t w = 0; w < source->num_windows(); ++w) {
+    DL2SQL_ASSIGN_OR_RETURN(Table window, source->ReadWindow(w));
+    const int64_t n = window.num_rows();
+    std::vector<Column> cols;
+    for (const Expr* e : exprs) {
+      DL2SQL_ASSIGN_OR_RETURN(ColumnHandle c, EvalExpr(*e, window, ctx));
+      cols.push_back(*c);
+    }
+    if (builders.empty()) {
+      schema.AddField({"__row", DataType::kInt64});
+      for (size_t c = 0; c < cols.size(); ++c) {
+        run.types.push_back(cols[c].type());
+        schema.AddField({"__col" + std::to_string(c), cols[c].type()});
+      }
+      run.nulls.assign(cols.size(), 0);
+      for (int64_t p = 0; p < num_parts; ++p) {
+        builders.push_back(
+            std::make_unique<storage::PagedTableBuilder>(engine, schema));
+      }
+    }
+    for (size_t c = 0; c < cols.size(); ++c) {
+      DL2SQL_ASSIGN_OR_RETURN(
+          cols[c], ConformSpillColumn(std::move(cols[c]), run.types[c],
+                                      join_keys && c < num_keys));
+      if (cols[c].HasNulls()) run.nulls[c] = 1;
+    }
+    std::vector<const Column*> keys;
+    for (size_t c = 0; c < num_keys; ++c) keys.push_back(&cols[c]);
+    hashes.resize(static_cast<size_t>(n));
+    vec::HashKeyRange(keys, 0, n, hashes.data());
+    if (join_keys) {
+      nulls.resize(static_cast<size_t>(n));
+      vec::KeyNullRange(keys, 0, n, nulls.data());
+    }
+    for (auto& r : rows) r.clear();
+    for (int64_t i = 0; i < n; ++i) {
+      if (join_keys && nulls[static_cast<size_t>(i)] != 0) continue;
+      rows[hashes[static_cast<size_t>(i)] % static_cast<uint64_t>(num_parts)]
+          .push_back(i);
+    }
+    const int64_t base = source->window_start(w);
+    for (size_t p = 0; p < rows.size(); ++p) {
+      const std::vector<int64_t>& sel = rows[p];
+      if (sel.empty()) continue;
+      std::vector<int64_t> ids(sel.size());
+      for (size_t i = 0; i < sel.size(); ++i) ids[i] = base + sel[i];
+      std::vector<Column> slice;
+      slice.push_back(Column::Ints(std::move(ids)));
+      const bool whole = static_cast<int64_t>(sel.size()) == n;
+      for (const Column& c : cols) slice.push_back(whole ? c : c.Take(sel));
+      DL2SQL_ASSIGN_OR_RETURN(Table t,
+                              Table::FromColumns(schema, std::move(slice)));
+      DL2SQL_RETURN_NOT_OK(builders[p]->Append(t));
+    }
+  }
+  for (auto& b : builders) {
+    DL2SQL_ASSIGN_OR_RETURN(std::shared_ptr<storage::PagedTableData> part,
+                            b->Finish());
+    if (part->num_rows() > 0) {
+      run.bytes += part->logical_bytes();
+      ++run.used_parts;
+    }
+    run.parts.push_back(std::move(part));
+  }
+  return run;
+}
+
+}  // namespace
+
+Result<Table> Database::ExecFilter(const PlanNode& node, Table input) {
+  Stopwatch watch;
+  EvalContext ctx = MakeEvalContext();
+  // The predicate is row-local, so filtering window by window is exactly
+  // the whole-input result.
+  auto filter = [&](const Table& window) -> Result<Table> {
+    DL2SQL_ASSIGN_OR_RETURN(std::vector<int64_t> rows,
+                            FilterRows(*node.predicate, window, &ctx));
+    return window.TakeRows(rows);
+  };
+  DL2SQL_ASSIGN_OR_RETURN(Table out, MapWindows(input, filter));
+  const double inf = DrainEvalContext(ctx);
+  ChargeOperator("filter", watch.ElapsedSeconds(), inf);
+  return out;
+}
+
+Result<Table> Database::ExecProject(const PlanNode& node, Table input) {
+  Stopwatch watch;
+  EvalContext ctx = MakeEvalContext();
+  // Every expression is row-local, so projecting window by window is
+  // exactly the whole-input result.
+  auto project = [&](const Table& window) -> Result<Table> {
+    std::vector<Column> cols;
+    TableSchema schema;
+    for (size_t i = 0; i < node.exprs.size(); ++i) {
+      DL2SQL_ASSIGN_OR_RETURN(ColumnHandle col,
+                              EvalExpr(*node.exprs[i], window, &ctx));
+      cols.push_back(*col);  // cheap: shared payload
+      schema.AddField({node.names[i], col->type()});
+    }
+    return Table::FromColumns(std::move(schema), std::move(cols));
+  };
+  Table out;
+  if (node.exprs.empty()) {
+    out.SetZeroColumnRows(input.num_rows());
+  } else {
+    DL2SQL_ASSIGN_OR_RETURN(out, MapWindows(input, project));
+  }
   const double inf = DrainEvalContext(ctx);
   ChargeOperator("project", watch.ElapsedSeconds(), inf);
   return out;
@@ -1171,10 +1377,8 @@ Result<Table> Database::ExecProjectPaged(const PlanNode& node,
 
 struct Database::HashJoinSides {
   bool build_left = false;
-  /// Evaluated probe-side keys and, per probe row, the id of its key in
-  /// the build table (kAbsent: no match, or a NULL key part).
-  std::vector<ColumnHandle> probe_key_cols;
-  std::vector<const Column*> probe_keys;
+  /// Per probe row, the id of its key in the build table (kAbsent: no
+  /// match, or a NULL key part).
   std::vector<KeyHashTable::KeyId> probe_ids;
   /// A reused prebuilt index, else the table built for this join.
   std::shared_ptr<HashIndex> index;
@@ -1193,16 +1397,21 @@ struct Database::HashJoinSides {
     return {table().rows_begin(k), table().rows_end(k)};
   }
 
-  /// Appends the (left, right) row pairs of probe row `p` to `lrows` and
-  /// `rrows`, in build-row order.
-  void AppendPairs(int64_t p, std::vector<int64_t>* lrows,
-                   std::vector<int64_t>* rrows) const {
-    const auto [b, e] = Matches(p);
-    if (b == e) return;
+  /// Appends the (left, right) row pairs of probe rows p, p + 1, ... before
+  /// `end` to `lrows` and `rrows`, each probe row's in build-row order, and
+  /// stops after the probe row that brings them to `limit` pairs. Returns
+  /// the next probe row.
+  int64_t AppendPairs(int64_t p, int64_t end, size_t limit,
+                      std::vector<int64_t>* lrows,
+                      std::vector<int64_t>* rrows) const {
     std::vector<int64_t>* build_rows = build_left ? lrows : rrows;
     std::vector<int64_t>* probe_rows = build_left ? rrows : lrows;
-    build_rows->insert(build_rows->end(), b, e);
-    probe_rows->insert(probe_rows->end(), static_cast<size_t>(e - b), p);
+    for (; p < end && build_rows->size() < limit; ++p) {
+      const auto [b, e] = Matches(p);
+      build_rows->insert(build_rows->end(), b, e);
+      probe_rows->insert(probe_rows->end(), static_cast<size_t>(e - b), p);
+    }
+    return p;
   }
 };
 
@@ -1211,52 +1420,13 @@ Result<Database::HashJoinSides> Database::PrepareHashJoin(
     EvalContext* ctx, ScopedMemCharge* scratch) {
   HashJoinSides s;
   s.build_left = node.join_build_left;
-  std::vector<ColumnHandle> build_key_cols;
+  std::vector<ColumnHandle> build_key_cols, probe_key_cols;
   for (const auto& [lk, rk] : node.equi_keys) {
     DL2SQL_ASSIGN_OR_RETURN(ColumnHandle lc, EvalExpr(*lk, left, ctx));
     DL2SQL_ASSIGN_OR_RETURN(ColumnHandle rc, EvalExpr(*rk, right, ctx));
     build_key_cols.push_back(s.build_left ? lc : rc);
-    s.probe_key_cols.push_back(s.build_left ? rc : lc);
+    probe_key_cols.push_back(s.build_left ? rc : lc);
   }
-  for (const auto& c : s.probe_key_cols) s.probe_keys.push_back(c.get());
-  std::vector<const Column*> build_keys;
-  for (const auto& c : build_key_cols) build_keys.push_back(c.get());
-
-  // Canonical hashes and NULL flags a morsel at a time into preallocated
-  // arrays (disjoint writes, so any wired pool may run the loop); for the
-  // probe side, `table` is given and each morsel also resolves its rows'
-  // key ids in it (read-only, so morsels may share it).
-  auto hash_keys = [&](const std::vector<const Column*>& keys, int64_t kn,
-                       std::vector<uint64_t>* hash,
-                       std::vector<uint8_t>* nulls,
-                       const KeyHashTable* table) -> Status {
-    hash->resize(static_cast<size_t>(kn));
-    nulls->resize(static_cast<size_t>(kn));
-    if (table != nullptr) s.probe_ids.resize(static_cast<size_t>(kn));
-    const int64_t m = ctx->morsel_size;
-    auto body = [&](int64_t bgn, int64_t end, int) -> Status {
-      vec::KeyNullRange(keys, bgn, end, nulls->data() + bgn);
-      vec::HashKeyRange(keys, bgn, end, hash->data() + bgn);
-      if (table != nullptr) {
-        table->FindRange(keys, bgn, end, hash->data() + bgn,
-                         nulls->data() + bgn, s.probe_ids.data() + bgn);
-      }
-      return Status::OK();
-    };
-    if (ctx->pool != nullptr) {
-      DL2SQL_RETURN_NOT_OK(ctx->pool->ParallelForMorsel(kn, m, body));
-    } else {
-      for (int64_t b = 0; b < kn; b += m) {
-        DL2SQL_RETURN_NOT_OK(body(b, std::min(kn, b + m), 0));
-      }
-    }
-    if (ctx->vectorized) {
-      ctx->vec_batches += kn == 0 ? 0 : (kn + m - 1) / m;
-      ctx->vec_rows_in += kn;
-      ctx->vec_rows_selected += kn;
-    }
-    return Status::OK();
-  };
 
   // Reuse a prebuilt base-table index when the build side is an unfiltered
   // scan keyed on an indexed column (the shape of the generated
@@ -1286,25 +1456,15 @@ Result<Database::HashJoinSides> Database::PrepareHashJoin(
         MetricsRegistry::Global().counter("db.index_joins");
     index_counter->Increment();
   } else {
-    std::vector<uint64_t> bhash;
-    std::vector<uint8_t> bnull;
-    const int64_t bn = (s.build_left ? left : right).num_rows();
-    DL2SQL_RETURN_NOT_OK(hash_keys(build_keys, bn, &bhash, &bnull, nullptr));
     std::vector<Column> keys;
-    for (const Column* c : build_keys) keys.push_back(*c);
-    s.built = KeyHashTable::ForJoin(std::move(keys), bhash.data(), bnull.data());
-    DL2SQL_RETURN_NOT_OK(scratch->Charge(
-        s.built.ByteSize() +
-        bn * static_cast<int64_t>(sizeof(uint64_t) + 1)));
+    for (const auto& c : build_key_cols) keys.push_back(*c);
+    DL2SQL_ASSIGN_OR_RETURN(s.built,
+                            BuildJoinTable(std::move(keys), ctx, scratch));
   }
-  const int64_t pn = (s.build_left ? right : left).num_rows();
-  std::vector<uint64_t> phash;
-  std::vector<uint8_t> pnull;
-  DL2SQL_RETURN_NOT_OK(
-      hash_keys(s.probe_keys, pn, &phash, &pnull, &s.table()));
-  DL2SQL_RETURN_NOT_OK(scratch->Charge(
-      pn * static_cast<int64_t>(sizeof(uint64_t) + 1 +
-                                sizeof(KeyHashTable::KeyId))));
+  std::vector<const Column*> probe_keys;
+  for (const auto& c : probe_key_cols) probe_keys.push_back(c.get());
+  DL2SQL_ASSIGN_OR_RETURN(s.probe_ids,
+                          ProbeJoinTable(s.table(), probe_keys, ctx, scratch));
   return s;
 }
 
@@ -1331,17 +1491,25 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
   Stopwatch watch;
   EvalContext ctx = MakeEvalContext();
   // Transient join state — build-side hash table, probe hashes and the pair
-  // buffer — is charged against op.join while live and released on return.
-  // Estimates, not malloc-exact: the accounting answers "which operator
-  // holds the memory", not "what does malloc say".
+  // row ids — is charged against op.join while live and released on
+  // return. Estimates, not malloc-exact: the accounting answers "which
+  // operator holds the memory", not "what does malloc say".
   ScopedMemCharge scratch_mem(OpScratchTracker(PlanKind::kJoin));
-  std::vector<std::pair<int64_t, int64_t>> pairs;
+  // Join pair i is row lrows[i] of the left input and row rrows[i] of the
+  // right one.
+  std::vector<int64_t> lrows, rrows;
 
   if (node.use_symmetric_hash && node.equi_keys.size() == 1) {
     DL2SQL_ASSIGN_OR_RETURN(
-        pairs, SymmetricHashJoinPairs(left, right, *node.equi_keys[0].first,
-                                      *node.equi_keys[0].second, &ctx,
-                                      shj_options_));
+        const auto pairs,
+        SymmetricHashJoinPairs(left, right, *node.equi_keys[0].first,
+                               *node.equi_keys[0].second, &ctx, shj_options_));
+    lrows.reserve(pairs.size());
+    rrows.reserve(pairs.size());
+    for (const auto& [l, r] : pairs) {
+      lrows.push_back(l);
+      rrows.push_back(r);
+    }
     ++symmetric_joins_;
     static Counter* const symmetric_counter =
         MetricsRegistry::Global().counter("db.symmetric_joins");
@@ -1352,49 +1520,33 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
         PrepareHashJoin(node, left, right, &ctx, &scratch_mem));
     // Morsel-parallel probe: the table is immutable once built, so any
     // number of workers may probe it; each probe morsel collects its pairs
-    // into its own buffer and the buffers are concatenated in morsel order,
-    // which reproduces the serial pair order exactly for every thread count.
+    // into its own row-id vectors and these are concatenated in morsel
+    // order, which reproduces the serial pair order for every thread count.
     const int64_t pn = sides.probe_rows();
     const int64_t m = ctx.morsel_size;
-    auto probe_range = [&](int64_t bgn, int64_t end,
-                           std::vector<std::pair<int64_t, int64_t>>* out) {
-      for (int64_t p = bgn; p < end; ++p) {
-        const auto [b, e] = sides.Matches(p);
-        for (const int64_t* r = b; r != e; ++r) {
-          if (sides.build_left) {
-            out->emplace_back(*r, p);
-          } else {
-            out->emplace_back(p, *r);
-          }
-        }
-      }
-    };
+    const size_t limit = static_cast<size_t>(kMaxJoinPairs) + 1;
     if (ctx.pool == nullptr || ctx.pool->num_threads() <= 1 || pn <= m) {
-      for (int64_t bgn = 0; bgn < pn; bgn += m) {
-        probe_range(bgn, std::min(pn, bgn + m), &pairs);
-        if (static_cast<int64_t>(pairs.size()) > kMaxJoinPairs) {
-          return Status::ResourceExhausted("join produced more than ",
-                                           kMaxJoinPairs, " pairs");
-        }
-      }
+      sides.AppendPairs(0, pn, limit, &lrows, &rrows);
+      if (lrows.size() >= limit) return TooManyJoinPairs();
     } else {
-      std::vector<std::vector<std::pair<int64_t, int64_t>>> parts(
-          static_cast<size_t>((pn + m - 1) / m));
+      std::vector<std::pair<std::vector<int64_t>, std::vector<int64_t>>>
+          parts(static_cast<size_t>((pn + m - 1) / m));
       std::atomic<int64_t> total_pairs{0};
       DL2SQL_RETURN_NOT_OK(ctx.pool->ParallelForMorsel(
           pn, m, [&](int64_t bgn, int64_t end, int) -> Status {
-            auto& part = parts[static_cast<size_t>(bgn / m)];
-            probe_range(bgn, end, &part);
-            const int64_t sz = static_cast<int64_t>(part.size());
+            auto& [l, r] = parts[static_cast<size_t>(bgn / m)];
+            sides.AppendPairs(bgn, end, limit, &l, &r);
+            const int64_t sz = static_cast<int64_t>(l.size());
             if (total_pairs.fetch_add(sz) + sz > kMaxJoinPairs) {
-              return Status::ResourceExhausted("join produced more than ",
-                                               kMaxJoinPairs, " pairs");
+              return TooManyJoinPairs();
             }
             return Status::OK();
           }));
-      pairs.reserve(static_cast<size_t>(total_pairs.load()));
-      for (auto& part : parts) {
-        pairs.insert(pairs.end(), part.begin(), part.end());
+      lrows.reserve(static_cast<size_t>(total_pairs.load()));
+      rrows.reserve(static_cast<size_t>(total_pairs.load()));
+      for (const auto& [l, r] : parts) {
+        lrows.insert(lrows.end(), l.begin(), l.end());
+        rrows.insert(rrows.end(), r.begin(), r.end());
       }
     }
   } else {
@@ -1404,35 +1556,21 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
       return Status::ResourceExhausted("cross join of ", left.num_rows(), " x ",
                                        right.num_rows(), " rows is too large");
     }
-    pairs.reserve(static_cast<size_t>(total));
+    lrows.reserve(static_cast<size_t>(total));
+    rrows.reserve(static_cast<size_t>(total));
     for (int64_t l = 0; l < left.num_rows(); ++l) {
-      for (int64_t r = 0; r < right.num_rows(); ++r) pairs.emplace_back(l, r);
+      for (int64_t r = 0; r < right.num_rows(); ++r) {
+        lrows.push_back(l);
+        rrows.push_back(r);
+      }
     }
   }
 
-  // Materialize the joined table.
   DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(
-      static_cast<int64_t>(pairs.size() * sizeof(pairs[0]) * 2)));
-  std::vector<int64_t> lrows, rrows;
-  lrows.reserve(pairs.size());
-  rrows.reserve(pairs.size());
-  for (const auto& [l, r] : pairs) {
-    lrows.push_back(l);
-    rrows.push_back(r);
-  }
-  Table ltaken = left.TakeRows(lrows);
-  Table rtaken = right.TakeRows(rrows);
-  std::vector<Column> cols;
-  for (int i = 0; i < ltaken.num_columns(); ++i) cols.push_back(ltaken.column(i));
-  for (int i = 0; i < rtaken.num_columns(); ++i) cols.push_back(rtaken.column(i));
-  DL2SQL_ASSIGN_OR_RETURN(Table joined,
-                          Table::FromColumns(node.output_schema, std::move(cols)));
-
-  if (node.join_condition != nullptr) {
-    DL2SQL_ASSIGN_OR_RETURN(std::vector<int64_t> keep,
-                            FilterRows(*node.join_condition, joined, &ctx));
-    joined = joined.TakeRows(keep);
-  }
+      static_cast<int64_t>(2 * lrows.size() * sizeof(int64_t))));
+  DL2SQL_ASSIGN_OR_RETURN(
+      Table joined,
+      MaterializeJoinPairs(node, left, right, lrows, rrows, &ctx));
   const double inf = DrainEvalContext(ctx);
   ChargeOperator("join", watch.ElapsedSeconds(), inf);
   return joined;
@@ -1609,11 +1747,11 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
 
   // Batches stay small enough that a batch's row ids, gathered columns,
   // hashes and group ids remain cache-resident between the passes over them.
-  const int64_t batch_pairs = 1024;
+  const size_t batch_pairs = 1024;
   DL2SQL_RETURN_NOT_OK(join_mem.Charge(
-      batch_pairs * static_cast<int64_t>(2 * sizeof(int64_t))));
-  lrows.reserve(static_cast<size_t>(batch_pairs));
-  rrows.reserve(static_cast<size_t>(batch_pairs));
+      static_cast<int64_t>(batch_pairs * 2 * sizeof(int64_t))));
+  lrows.reserve(batch_pairs);
+  rrows.reserve(batch_pairs);
   vec::BatchArena arena;
   double groupby_seconds = 0;
   int64_t pairs = 0;
@@ -1623,10 +1761,7 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
   auto flush = [&]() -> Status {
     const int64_t n = static_cast<int64_t>(lrows.size());
     pairs += n;
-    if (pairs > kMaxJoinPairs) {
-      return Status::ResourceExhausted("join produced more than ",
-                                       kMaxJoinPairs, " pairs");
-    }
+    if (pairs > kMaxJoinPairs) return TooManyJoinPairs();
     for (size_t i = 0; i < refs.size(); ++i) {
       if (gather[i] == 0) continue;
       const int idx = refs[i];
@@ -1681,11 +1816,9 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
     groupby_seconds += group_watch.ElapsedSeconds();
     return Status::OK();
   };
-  for (int64_t p = 0; p < sides.probe_rows(); ++p) {
-    sides.AppendPairs(p, &lrows, &rrows);
-    if (static_cast<int64_t>(lrows.size()) >= batch_pairs) {
-      DL2SQL_RETURN_NOT_OK(flush());
-    }
+  for (int64_t p = 0; p < sides.probe_rows();) {
+    p = sides.AppendPairs(p, sides.probe_rows(), batch_pairs, &lrows, &rrows);
+    if (lrows.size() >= batch_pairs) DL2SQL_RETURN_NOT_OK(flush());
   }
   if (!lrows.empty()) DL2SQL_RETURN_NOT_OK(flush());
   Stopwatch finish_watch;
@@ -1733,119 +1866,70 @@ Result<Table> Database::ExecJoinGrace(const PlanNode& node, Table left,
   const int64_t num_parts =
       std::max<int64_t>(1, engine->options().spill_partitions);
 
-  // Phase 1: partition. Each side spills (global row id, canonical key
-  // bytes) pairs into per-partition paged files keyed by hash(key) — the
-  // canonical encoding is EncodeRowKey's, so cross-type matches (int vs
-  // integral float) behave exactly like the in-memory join. NULL keys never
-  // match and are dropped here.
-  TableSchema spill_schema;
-  spill_schema.AddField({"__row", DataType::kInt64});
-  spill_schema.AddField({"__key", DataType::kBlob});
-
-  int64_t spilled_bytes = 0;
-  int64_t spilled_parts = 0;
-
-  auto partition_side =
-      [&](const Table& side, bool left_side)
-      -> Result<std::vector<std::shared_ptr<storage::PagedTableData>>> {
-    std::vector<std::unique_ptr<storage::PagedTableBuilder>> builders;
-    builders.reserve(static_cast<size_t>(num_parts));
-    for (int64_t p = 0; p < num_parts; ++p) {
-      builders.push_back(
-          std::make_unique<storage::PagedTableBuilder>(engine, spill_schema));
-    }
-    const std::unique_ptr<storage::ColumnSource> source =
-        storage::MakeColumnSource(std::make_shared<Table>(side), 0);
-    for (int64_t w = 0; w < source->num_windows(); ++w) {
-      DL2SQL_ASSIGN_OR_RETURN(Table window, source->ReadWindow(w));
-      const int64_t base = source->window_start(w);
-      std::vector<ColumnHandle> keys;
-      for (const auto& [lk, rk] : node.equi_keys) {
-        DL2SQL_ASSIGN_OR_RETURN(
-            ColumnHandle c, EvalExpr(left_side ? *lk : *rk, window, &ctx));
-        keys.push_back(std::move(c));
-      }
-      std::vector<const Column*> kptrs;
-      for (const auto& c : keys) kptrs.push_back(c.get());
-      for (int64_t r = 0; r < window.num_rows(); ++r) {
-        if (RowKeyHasNull(kptrs, r)) continue;
-        std::string key;
-        for (const Column* c : kptrs) AppendKeyPart(*c, r, &key);
-        const int64_t p = static_cast<int64_t>(
-            Hash64(key.data(), key.size()) % static_cast<uint64_t>(num_parts));
-        DL2SQL_RETURN_NOT_OK(builders[static_cast<size_t>(p)]->AppendRow(
-            {Value::Int(base + r), Value::Blob(key)}));
-      }
-    }
-    std::vector<std::shared_ptr<storage::PagedTableData>> parts;
-    parts.reserve(builders.size());
-    for (auto& b : builders) {
-      DL2SQL_ASSIGN_OR_RETURN(std::shared_ptr<storage::PagedTableData> d,
-                              b->Finish());
-      spilled_bytes += d->logical_bytes();
-      if (d->num_rows() > 0) ++spilled_parts;
-      parts.push_back(std::move(d));
-    }
-    return parts;
-  };
-
-  DL2SQL_ASSIGN_OR_RETURN(auto lparts, partition_side(left, true));
-  DL2SQL_ASSIGN_OR_RETURN(auto rparts, partition_side(right, false));
-  TallySpill(spilled_bytes, spilled_parts);
+  // Phase 1: partition. Each side spills (global row id, key columns in
+  // their own types) into per-partition paged runs by the keys' canonical
+  // hash, so keys that join in memory (an INT64 3 and a FLOAT64 3.0) share
+  // a partition. NULL keys never match and are dropped here.
+  std::vector<const Expr*> lkeys, rkeys;
+  for (const auto& [lk, rk] : node.equi_keys) {
+    lkeys.push_back(lk.get());
+    rkeys.push_back(rk.get());
+  }
+  DL2SQL_ASSIGN_OR_RETURN(
+      const SpillRun lrun,
+      SpillPartitions(left, lkeys, lkeys.size(), /*join_keys=*/true, engine,
+                      num_parts, &ctx));
+  DL2SQL_ASSIGN_OR_RETURN(
+      const SpillRun rrun,
+      SpillPartitions(right, rkeys, rkeys.size(), /*join_keys=*/true, engine,
+                      num_parts, &ctx));
+  TallySpill(lrun.bytes + rrun.bytes, lrun.used_parts + rrun.used_parts);
   static Counter* const grace_counter =
       MetricsRegistry::Global().counter("db.grace_joins");
   grace_counter->Increment();
 
-  // Phase 2: per partition, build a join table on the optimizer's build side
-  // and probe with the other. Only one partition's table is resident at a
-  // time; its bytes are charged on a per-iteration scope.
+  // Phase 2: per partition, the in-memory join's build step over the
+  // optimizer's build side and its probe step over each chunk of the other
+  // side. Only one partition's table is resident at a time; its bytes are
+  // charged on a per-iteration scope.
   const bool build_left = node.join_build_left;
-  const auto& bparts = build_left ? lparts : rparts;
-  const auto& pparts = build_left ? rparts : lparts;
-
+  const SpillRun& brun = build_left ? lrun : rrun;
+  const SpillRun& prun = build_left ? rrun : lrun;
   std::vector<std::pair<int64_t, int64_t>> pb_pairs;  // (probe row, build row)
   for (int64_t part = 0; part < num_parts; ++part) {
-    const auto& bp = bparts[static_cast<size_t>(part)];
-    const auto& pp = pparts[static_cast<size_t>(part)];
+    const auto& bp = brun.parts[static_cast<size_t>(part)];
+    const auto& pp = prun.parts[static_cast<size_t>(part)];
     if (bp->num_rows() == 0 || pp->num_rows() == 0) continue;
     ScopedMemCharge part_mem(OpScratchTracker(PlanKind::kJoin));
-    DL2SQL_ASSIGN_OR_RETURN(std::vector<Column> bcols, bp->Materialize());
-    // The spilled canonical key bytes are the partition's one key column:
-    // equal encodings are exactly equal keys.
-    const auto& brows = bcols[0].ints();
-    const std::vector<const Column*> bkey = {&bcols[1]};
-    const int64_t bn = static_cast<int64_t>(brows.size());
-    std::vector<uint64_t> bhash(static_cast<size_t>(bn));
-    vec::HashKeyRange(bkey, 0, bn, bhash.data());
-    const std::vector<uint8_t> no_nulls(static_cast<size_t>(bn), 0);
-    const KeyHashTable build =
-        KeyHashTable::ForJoin({bcols[1]}, bhash.data(), no_nulls.data());
-    DL2SQL_RETURN_NOT_OK(part_mem.Charge(
-        build.ByteSize() + static_cast<int64_t>(bcols[1].ByteSize()) +
-        bn * static_cast<int64_t>(sizeof(uint64_t) + 1)));
-    std::vector<uint64_t> phash;
-    std::vector<KeyHashTable::KeyId> pids;
+    DL2SQL_ASSIGN_OR_RETURN(const std::vector<Column> bcols, bp->Materialize());
+    for (const Column& c : bcols) {
+      DL2SQL_RETURN_NOT_OK(part_mem.Charge(static_cast<int64_t>(c.ByteSize())));
+    }
+    // Spilled columns are (__row, key columns...).
+    HashJoinSides sides;
+    DL2SQL_ASSIGN_OR_RETURN(
+        sides.built,
+        BuildJoinTable(std::vector<Column>(bcols.begin() + 1, bcols.end()),
+                       &ctx, &part_mem));
+    const std::vector<int64_t>& brows = bcols[0].ints();
     for (int64_t c = 0; c < pp->num_chunks(); ++c) {
-      DL2SQL_ASSIGN_OR_RETURN(std::vector<Column> pcols, pp->ReadChunk(c));
-      const auto& prow_ids = pcols[0].ints();
-      const std::vector<const Column*> pkey = {&pcols[1]};
-      const int64_t pn = static_cast<int64_t>(prow_ids.size());
-      phash.resize(static_cast<size_t>(pn));
-      pids.resize(static_cast<size_t>(pn));
-      vec::HashKeyRange(pkey, 0, pn, phash.data());
-      build.FindRange(pkey, 0, pn, phash.data(), nullptr, pids.data());
-      for (int64_t i = 0; i < pn; ++i) {
-        const KeyHashTable::KeyId k = pids[static_cast<size_t>(i)];
-        if (k == KeyHashTable::kAbsent) continue;
-        for (const int64_t* b = build.rows_begin(k); b != build.rows_end(k);
-             ++b) {
-          pb_pairs.emplace_back(prow_ids[static_cast<size_t>(i)],
-                                brows[static_cast<size_t>(*b)]);
+      DL2SQL_ASSIGN_OR_RETURN(const std::vector<Column> pcols, pp->ReadChunk(c));
+      std::vector<const Column*> pkeys;
+      for (size_t k = 1; k < pcols.size(); ++k) pkeys.push_back(&pcols[k]);
+      ScopedMemCharge probe_mem(OpScratchTracker(PlanKind::kJoin));
+      DL2SQL_ASSIGN_OR_RETURN(
+          sides.probe_ids,
+          ProbeJoinTable(sides.table(), pkeys, &ctx, &probe_mem));
+      const std::vector<int64_t>& prows = pcols[0].ints();
+      for (int64_t p = 0; p < sides.probe_rows(); ++p) {
+        const auto [b, e] = sides.Matches(p);
+        for (const int64_t* r = b; r != e; ++r) {
+          pb_pairs.emplace_back(prows[static_cast<size_t>(p)],
+                                brows[static_cast<size_t>(*r)]);
         }
-        if (static_cast<int64_t>(pb_pairs.size()) > kMaxJoinPairs) {
-          return Status::ResourceExhausted("join produced more than ",
-                                           kMaxJoinPairs, " pairs");
-        }
+      }
+      if (static_cast<int64_t>(pb_pairs.size()) > kMaxJoinPairs) {
+        return TooManyJoinPairs();
       }
     }
   }
@@ -1858,39 +1942,23 @@ Result<Table> Database::ExecJoinGrace(const PlanNode& node, Table left,
   // order — the bit-identity contract for join output.
   std::sort(pb_pairs.begin(), pb_pairs.end());
 
-  // Phase 3: emit in bounded slices through paged output, applying the
-  // residual condition per slice (it is row-local, so slice-local filtering
-  // equals whole-table filtering).
+  // Phase 3: materialize bounded slices of the pairs as the in-memory join
+  // does and stream them out through paged output.
   PagedResultWriter writer(engine, node.output_schema);
-  constexpr int64_t kEmitRows = 16384;
-  for (size_t start = 0; start < pb_pairs.size();
-       start += static_cast<size_t>(kEmitRows)) {
-    const size_t end =
-        std::min(pb_pairs.size(), start + static_cast<size_t>(kEmitRows));
-    std::vector<int64_t> lrows, rrows;
-    lrows.reserve(end - start);
-    rrows.reserve(end - start);
+  constexpr size_t kEmitRows = 16384;
+  std::vector<int64_t> lrows, rrows;
+  for (size_t start = 0; start < pb_pairs.size(); start += kEmitRows) {
+    const size_t end = std::min(pb_pairs.size(), start + kEmitRows);
+    lrows.clear();
+    rrows.clear();
     for (size_t i = start; i < end; ++i) {
       const auto& [p, b] = pb_pairs[i];
       lrows.push_back(build_left ? b : p);
       rrows.push_back(build_left ? p : b);
     }
-    Table ltaken = left.TakeRows(lrows);
-    Table rtaken = right.TakeRows(rrows);
-    std::vector<Column> cols;
-    for (int i = 0; i < ltaken.num_columns(); ++i) {
-      cols.push_back(ltaken.column(i));
-    }
-    for (int i = 0; i < rtaken.num_columns(); ++i) {
-      cols.push_back(rtaken.column(i));
-    }
     DL2SQL_ASSIGN_OR_RETURN(
-        Table joined, Table::FromColumns(node.output_schema, std::move(cols)));
-    if (node.join_condition != nullptr) {
-      DL2SQL_ASSIGN_OR_RETURN(std::vector<int64_t> keep,
-                              FilterRows(*node.join_condition, joined, &ctx));
-      joined = joined.TakeRows(keep);
-    }
+        Table joined,
+        MaterializeJoinPairs(node, left, right, lrows, rrows, &ctx));
     if (joined.num_rows() > 0) {
       DL2SQL_RETURN_NOT_OK(writer.Append(joined));
     }
@@ -1947,85 +2015,43 @@ Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
 
   const size_t num_keys = node.group_keys.size();
   const size_t num_aggs = node.agg_calls.size();
-  // Aggregate arguments pack densely into the spill rows; COUNT(*) has none.
+  // Spill rows carry the group keys, then the aggregate arguments packed
+  // densely (COUNT(*) has none).
+  std::vector<const Expr*> exprs;
+  for (const auto& k : node.group_keys) exprs.push_back(k.get());
   std::vector<int> arg_slot(num_aggs, -1);
-  int num_args = 0;
   for (size_t a = 0; a < num_aggs; ++a) {
-    if (node.agg_calls[a]->agg_func != AggFunc::kCountStar) {
-      arg_slot[a] = num_args++;
-    }
+    const Expr& call = *node.agg_calls[a];
+    if (call.agg_func == AggFunc::kCountStar) continue;
+    arg_slot[a] = static_cast<int>(exprs.size() - num_keys);
+    exprs.push_back(call.children[0].get());
   }
   const int64_t num_parts =
       num_keys == 0
           ? 1
           : std::max<int64_t>(1, engine->options().spill_partitions);
 
-  // Phase 1: partition by key hash. Each spill row is
-  // (global row id, key values..., argument values...); same-key rows land
-  // in one partition in global row order, so per-group accumulation in
-  // phase 2 replays exactly the serial order — float-identical results.
-  // An aggregate's state kind is fixed before its first row is folded, so
-  // phase 1 also notes which arguments hold a NULL anywhere.
-  std::vector<std::unique_ptr<storage::PagedTableBuilder>> builders;
-  std::vector<DataType> key_types;
+  // Phase 1: partition by key hash; same-key rows land in one partition in
+  // global row order, so per-group accumulation in phase 2 replays exactly
+  // the serial order — float-identical results. An aggregate's state kind
+  // is fixed before its first row is folded, so the run also records which
+  // arguments hold a NULL anywhere.
+  DL2SQL_ASSIGN_OR_RETURN(
+      const SpillRun run,
+      SpillPartitions(input, exprs, num_keys, /*join_keys=*/false, engine,
+                      num_parts, &ctx));
+  TallySpill(run.bytes, run.used_parts);
+  static Counter* const external_agg_counter =
+      MetricsRegistry::Global().counter("db.external_aggs");
+  external_agg_counter->Increment();
+  const std::vector<DataType> key_types(run.types.begin(),
+                                        run.types.begin() + num_keys);
   std::vector<vec::ArgShape> shapes(num_aggs);
-  const std::unique_ptr<storage::ColumnSource> source =
-      storage::MakeColumnSource(std::make_shared<Table>(input), 0);
-  for (int64_t w = 0; w < source->num_windows(); ++w) {
-    DL2SQL_ASSIGN_OR_RETURN(Table window, source->ReadWindow(w));
-    const int64_t base = source->window_start(w);
-    std::vector<ColumnHandle> key_cols;
-    for (const auto& k : node.group_keys) {
-      DL2SQL_ASSIGN_OR_RETURN(ColumnHandle c, EvalExpr(*k, window, &ctx));
-      key_cols.push_back(std::move(c));
-    }
-    std::vector<ColumnHandle> arg_cols(num_aggs);
-    for (size_t a = 0; a < num_aggs; ++a) {
-      if (arg_slot[a] < 0) continue;
-      DL2SQL_ASSIGN_OR_RETURN(
-          arg_cols[a], EvalExpr(*node.agg_calls[a]->children[0], window, &ctx));
-      shapes[a].nulls = shapes[a].nulls || arg_cols[a]->HasNulls();
-    }
-    if (builders.empty()) {
-      // Spill layout discovered from the first window's expression types.
-      TableSchema spill_schema;
-      spill_schema.AddField({"__row", DataType::kInt64});
-      for (size_t k = 0; k < num_keys; ++k) {
-        key_types.push_back(key_cols[k]->type());
-        spill_schema.AddField(
-            {"__key" + std::to_string(k), key_cols[k]->type()});
-      }
-      for (size_t a = 0; a < num_aggs; ++a) {
-        if (arg_slot[a] < 0) continue;
-        shapes[a].type = arg_cols[a]->type();
-        spill_schema.AddField(
-            {"__arg" + std::to_string(arg_slot[a]), arg_cols[a]->type()});
-      }
-      builders.reserve(static_cast<size_t>(num_parts));
-      for (int64_t p = 0; p < num_parts; ++p) {
-        builders.push_back(std::make_unique<storage::PagedTableBuilder>(
-            engine, spill_schema));
-      }
-    }
-    std::vector<const Column*> kptrs;
-    for (const auto& c : key_cols) kptrs.push_back(c.get());
-    std::vector<uint64_t> hashes(static_cast<size_t>(window.num_rows()));
-    vec::HashKeyRange(kptrs, 0, window.num_rows(), hashes.data());
-    for (int64_t r = 0; r < window.num_rows(); ++r) {
-      const int64_t p = static_cast<int64_t>(
-          hashes[static_cast<size_t>(r)] % static_cast<uint64_t>(num_parts));
-      std::vector<Value> row;
-      row.reserve(1 + num_keys + static_cast<size_t>(num_args));
-      row.push_back(Value::Int(base + r));
-      for (const Column* c : kptrs) row.push_back(c->GetValue(r));
-      for (size_t a = 0; a < num_aggs; ++a) {
-        if (arg_slot[a] >= 0) row.push_back(arg_cols[a]->GetValue(r));
-      }
-      DL2SQL_RETURN_NOT_OK(builders[static_cast<size_t>(p)]->AppendRow(row));
-    }
-  }
-  if (builders.empty()) {
-    return Status::InternalError("external aggregation over empty paged input");
+  for (size_t a = 0; a < num_aggs; ++a) {
+    if (arg_slot[a] < 0) continue;
+    const size_t c = num_keys + static_cast<size_t>(arg_slot[a]);
+    shapes[a].type = run.types[c];
+    shapes[a].nulls = run.nulls[c] != 0;
   }
 
   // Phase 2: per partition, fold its chunks one at a time, in spill order,
@@ -2035,15 +2061,7 @@ Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
   // result is its one row even when no row reached it.
   std::vector<Table> results;
   std::vector<int64_t> first_rows;
-  int64_t spilled_bytes = 0;
-  int64_t spilled_parts = 0;
-  for (auto& b : builders) {
-    DL2SQL_ASSIGN_OR_RETURN(std::shared_ptr<storage::PagedTableData> part,
-                            b->Finish());
-    if (part->num_rows() > 0) {
-      spilled_bytes += part->logical_bytes();
-      ++spilled_parts;
-    }
+  for (const auto& part : run.parts) {
     ScopedMemCharge part_mem(OpScratchTracker(PlanKind::kAggregate));
     vec::BatchAggregator agg;
     if (!agg.Compile(node, key_types, shapes, ctx.vectorized)) {
@@ -2071,20 +2089,12 @@ Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
                       agg.first_rows().end());
     results.push_back(std::move(result));
   }
-  TallySpill(spilled_bytes, spilled_parts);
-  static Counter* const external_agg_counter =
-      MetricsRegistry::Global().counter("db.external_aggs");
-  external_agg_counter->Increment();
 
   // Partitions hold disjoint groups, each in its own first-seen order; the
   // serial emit order is ascending first row across all of them.
   Table out = std::move(results[0]);
   for (size_t p = 1; p < results.size(); ++p) {
-    for (int c = 0; c < out.num_columns(); ++c) {
-      const Column& src = results[p].column(c);
-      Column& dst = out.mutable_column(c);
-      for (int64_t r = 0; r < src.size(); ++r) dst.AppendFrom(src, r);
-    }
+    DL2SQL_RETURN_NOT_OK(out.AppendTable(results[p]));
   }
   std::vector<int64_t> order(first_rows.size());
   std::iota(order.begin(), order.end(), 0);

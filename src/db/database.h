@@ -384,6 +384,9 @@ class Database {
   Status ChargeOperatorOutput(StatementStats* stats, const PlanNode& node,
                               int64_t out_bytes);
   Result<Table> ExecScan(const PlanNode& node);
+  /// Filter and project run one body over the input's windows: a resident
+  /// input is one window, a paged one gives a window per storage chunk and
+  /// streams its output back out to paged storage.
   Result<Table> ExecFilter(const PlanNode& node, Table input);
   Result<Table> ExecProject(const PlanNode& node, Table input);
   Result<Table> ExecJoin(const PlanNode& node, Table left, Table right);
@@ -397,7 +400,8 @@ class Database {
   /// Evaluates both inputs' equi keys, takes the optimizer's build side's
   /// table — a prebuilt HashIndex when the build side is an unfiltered scan
   /// of an indexed column, else a KeyHashTable built here and charged to
-  /// `scratch` — and hashes the probe keys.
+  /// `scratch` — and looks up every probe row's key id. The build and probe
+  /// steps are the ones each grace-join partition runs.
   Result<HashJoinSides> PrepareHashJoin(const PlanNode& node,
                                         const Table& left, const Table& right,
                                         EvalContext* ctx,
@@ -429,17 +433,15 @@ class Database {
   /// `t` is (now) resident, false if its resident form would not fit under
   /// the query memory budget (the caller must take a spill path or fail).
   Result<bool> TryEnsureResident(PlanKind kind, Table* t);
-  /// Windowed filter/project over a paged input: evaluates row-local
-  /// expressions one storage chunk at a time and streams the output back out
-  /// through the engine, bounding residency to one window.
-  Result<Table> ExecFilterPaged(const PlanNode& node, const Table& input);
-  Result<Table> ExecProjectPaged(const PlanNode& node, const Table& input);
-  /// Grace hash join: partitions both sides by key hash into block-file
-  /// spill runs, joins partition pairs, restores the classic pair order.
+  /// Grace hash join: partitions both sides' typed key columns by key hash
+  /// into block-file spill runs, joins each partition pair with the
+  /// in-memory join's build and probe steps, restores the in-memory pair
+  /// order and materializes the pairs as the in-memory join does.
   Result<Table> ExecJoinGrace(const PlanNode& node, Table left, Table right);
-  /// External aggregation: partitions rows (key + argument values) into
-  /// block-file spill runs, folds each partition through its own
-  /// vec::BatchAggregator, and puts the groups back into first-seen order.
+  /// External aggregation: partitions rows (typed key and argument columns)
+  /// into block-file spill runs with the grace join's partitioner, folds
+  /// each partition through its own vec::BatchAggregator, and puts the
+  /// groups back into first-seen order.
   Result<Table> ExecAggregateExternal(const PlanNode& node,
                                       const Table& input);
   /// Folds spilled bytes/partitions into the running statement's stats and the

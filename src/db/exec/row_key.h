@@ -1,9 +1,11 @@
 /// \file row_key.h
-/// \brief Binary row-key encoding for hash joins and hash aggregation.
+/// \brief Canonical byte encoding of one key part: the symmetric hash
+/// join's keys, and the order-sensitive table checksums of the out-of-core
+/// benchmarks. The executor's hash table hashes and compares the same
+/// canonical view without encoding (vector_kernels.h).
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "db/column.h"
 
@@ -57,22 +59,6 @@ inline void AppendKeyPart(const Column& col, int64_t row, std::string* out) {
       out->push_back('\x00');
       return;
   }
-}
-
-/// Encodes one row's key across several columns.
-inline std::string EncodeRowKey(const std::vector<const Column*>& cols,
-                                int64_t row) {
-  std::string key;
-  for (const Column* c : cols) AppendKeyPart(*c, row, &key);
-  return key;
-}
-
-/// True if any key column is NULL at `row` (NULL keys never join).
-inline bool RowKeyHasNull(const std::vector<const Column*>& cols, int64_t row) {
-  for (const Column* c : cols) {
-    if (!c->IsValid(row)) return true;
-  }
-  return false;
 }
 
 }  // namespace dl2sql::db

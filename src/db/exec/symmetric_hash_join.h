@@ -38,8 +38,8 @@ struct SymmetricHashJoinStats {
   int64_t online_pairs = 0;
 };
 
-/// Joins `left` and `right` on EncodeRowKey(left_key(row)) ==
-/// EncodeRowKey(right_key(row)); key expressions are evaluated per batch via
+/// Joins `left` and `right` on equal AppendKeyPart encodings of
+/// left_key(row) and right_key(row); key expressions are evaluated per batch via
 /// `ctx` (so nUDF time lands in the inference bucket). Returns matching
 /// (left_row, right_row) index pairs in unspecified order.
 Result<std::vector<std::pair<int64_t, int64_t>>> SymmetricHashJoinPairs(

@@ -440,14 +440,6 @@ void KeyPartHashRange(const Column& col, int64_t begin, int64_t end,
                  [out](int64_t i, uint64_t part) { out[i] = part; });
 }
 
-uint64_t HashKeyRow(const std::vector<const Column*>& cols, int64_t row) {
-  uint64_t h = kKeyHashSeed;
-  for (const Column* c : cols) {
-    h = CombineKeyHash(h, PartHash(KeyPartView(*c, row)));
-  }
-  return h;
-}
-
 void KeyNullRange(const std::vector<const Column*>& cols, int64_t begin,
                   int64_t end, uint8_t* out) {
   const int64_t n = end - begin;
@@ -458,16 +450,6 @@ void KeyNullRange(const std::vector<const Column*>& cols, int64_t begin,
       if (!c->IsValid(begin + i) || c->type() == DataType::kNull) out[i] = 1;
     }
   }
-}
-
-bool CanonicalKeyRowsEqual(const std::vector<const Column*>& a, int64_t ra,
-                           const std::vector<const Column*>& b, int64_t rb) {
-  for (size_t c = 0; c < a.size(); ++c) {
-    if (!PartEqual(KeyPartView(*a[c], ra), KeyPartView(*b[c], rb))) {
-      return false;
-    }
-  }
-  return true;
 }
 
 bool CanonicalKeyPartEqual(const Column& a, int64_t ra, const Column& b,

@@ -88,7 +88,7 @@ void NegFloat(const NumOperand& a, const SelIndex* sel, SelIndex count,
 
 /// \name Batched canonical row-key hashing (join build/probe, hash agg)
 /// The canonical key view mirrors row_key.h byte encodings: two rows hash
-/// (and compare) equal iff their EncodeRowKey strings are equal.
+/// (and compare) equal iff their AppendKeyPart encodings are equal.
 /// @{
 
 /// Combined canonical hash of the key columns for rows [begin, end), written
@@ -109,20 +109,13 @@ inline uint64_t CombineKeyHash(uint64_t hash, uint64_t part) {
 void KeyPartHashRange(const Column& col, int64_t begin, int64_t end,
                       uint64_t* out);
 
-/// Single-row variant (parallel-merge bookkeeping; same function).
-uint64_t HashKeyRow(const std::vector<const Column*>& cols, int64_t row);
-
 /// out[i] = 1 iff any key column is NULL at row begin+i (NULL keys never
 /// join).
 void KeyNullRange(const std::vector<const Column*>& cols, int64_t begin,
                   int64_t end, uint8_t* out);
 
-/// Exact canonical key equality across (possibly differently typed) column
-/// sets — equivalent to EncodeRowKey(a, ra) == EncodeRowKey(b, rb).
-bool CanonicalKeyRowsEqual(const std::vector<const Column*>& a, int64_t ra,
-                           const std::vector<const Column*>& b, int64_t rb);
-
-/// One key part of CanonicalKeyRowsEqual: a[ra] and b[rb] encode equally.
+/// Exact canonical equality of one key part across (possibly differently
+/// typed) columns: a[ra] and b[rb] have equal AppendKeyPart encodings.
 bool CanonicalKeyPartEqual(const Column& a, int64_t ra, const Column& b,
                            int64_t rb);
 

@@ -105,8 +105,6 @@ class PagedTableBuilder {
   /// Appends all rows of `t` (column types must match the schema).
   Status Append(const Table& t);
 
-  Status AppendRow(const std::vector<Value>& row);
-
   /// Flushes the staging tail and returns the finished immutable backing.
   /// The builder must not be reused afterwards.
   Result<std::shared_ptr<PagedTableData>> Finish();

@@ -84,8 +84,10 @@ Status Table::AppendRow(const std::vector<Value>& row) {
                                    num_columns(), " columns");
   }
   for (size_t i = 0; i < row.size(); ++i) {
-    DL2SQL_RETURN_NOT_OK(columns_[i].Append(row[i]).WithContext(
-        "column " + schema_.field(static_cast<int>(i)).name));
+    Status s = columns_[i].Append(row[i]);
+    if (!s.ok()) {
+      return s.WithContext("column " + schema_.field(static_cast<int>(i)).name);
+    }
   }
   return Status::OK();
 }
@@ -120,10 +122,8 @@ Status Table::AppendTable(const Table& other) {
       return Status::TypeError("AppendTable: column ", i, " type mismatch");
     }
   }
-  // Row-wise append keeps validity handling in one place; bulk appends of the
-  // typed vectors would skip null propagation.
-  for (int64_t r = 0; r < other.num_rows(); ++r) {
-    DL2SQL_RETURN_NOT_OK(AppendRow(other.GetRow(r)));
+  for (int i = 0; i < num_columns(); ++i) {
+    columns_[static_cast<size_t>(i)].AppendColumn(other.column(i));
   }
   return Status::OK();
 }

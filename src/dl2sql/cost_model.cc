@@ -5,10 +5,8 @@
 
 namespace dl2sql::core {
 
-std::vector<OpCostEstimate> EstimateCustom(const ConvertedModel& model,
-                                           double parallelism) {
+std::vector<OpCostEstimate> EstimateCustom(const ConvertedModel& model) {
   std::vector<OpCostEstimate> out;
-  const double par = std::max(1.0, parallelism);
   // Track the flat cardinality flowing between ops (dense activations).
   double flat_rows = static_cast<double>(model.input_shape.NumElements());
   for (const auto& op : model.ops) {
@@ -93,22 +91,17 @@ std::vector<OpCostEstimate> EstimateCustom(const ConvertedModel& model,
         break;
       }
     }
-    // Every op above is executed as generated SQL (scans, joins, group-bys)
-    // whose hot loops run morsel-parallel on the device pool.
-    e.cost_units /= par;
     out.push_back(std::move(e));
   }
   return out;
 }
 
 Result<std::vector<OpCostEstimate>> EstimateDefault(const ConvertedModel& model,
-                                                    db::Database* db,
-                                                    double parallelism) {
+                                                    db::Database* db) {
   std::vector<OpCostEstimate> out;
   db::CostContext ctx;
   ctx.catalog = &db->catalog();
   ctx.udfs = &db->udfs();
-  ctx.parallelism = std::max(1.0, parallelism);
   ctx.assumed_rows[ToLower(model.input_table)] =
       static_cast<double>(model.input_shape.NumElements());
   db::DefaultCostModel blind;

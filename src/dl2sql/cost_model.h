@@ -30,12 +30,7 @@ struct OpCostEstimate {
 ///   C_cnn  = T_in + T_out * k_in + T_out                (Eq. 7, + mapping)
 /// BN/ReLU/Pooling are linear scans of their input feature table; residual
 /// adds are linear in the feature size.
-///
-/// `parallelism` is the executing device's thread count: the generated SQL
-/// (scans, joins, group-bys) runs morsel-parallel on the device pool, so
-/// per-op units divide by it. 1.0 models the serial kEdgeCpu execution.
-std::vector<OpCostEstimate> EstimateCustom(const ConvertedModel& model,
-                                           double parallelism = 1.0);
+std::vector<OpCostEstimate> EstimateCustom(const ConvertedModel& model);
 
 /// \brief What the stock optimizer would predict: every generated statement
 /// is planned and annotated with db::DefaultCostModel, chaining each
@@ -43,11 +38,8 @@ std::vector<OpCostEstimate> EstimateCustom(const ConvertedModel& model,
 /// assumed input cardinality (temp tables do not exist/have no stats at
 /// planning time — the blind spot the paper describes). Statistics for the
 /// static parameter tables are real (they exist in the catalog).
-/// `parallelism` is forwarded into the blind model's CostContext so both
-/// estimators price the same multi-core execution.
 Result<std::vector<OpCostEstimate>> EstimateDefault(const ConvertedModel& model,
-                                                    db::Database* db,
-                                                    double parallelism = 1.0);
+                                                    db::Database* db);
 
 /// Sum of cost_units over an estimate vector.
 double TotalUnits(const std::vector<OpCostEstimate>& estimates);

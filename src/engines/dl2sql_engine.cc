@@ -13,30 +13,6 @@ namespace dl2sql::engines {
 
 namespace {
 
-db::DataType ReturnType(NUdfOutput output) {
-  switch (output) {
-    case NUdfOutput::kBool:
-      return db::DataType::kBool;
-    case NUdfOutput::kLabel:
-      return db::DataType::kString;
-    case NUdfOutput::kClassId:
-      return db::DataType::kInt64;
-  }
-  return db::DataType::kNull;
-}
-
-db::Value ToValue(NUdfOutput output, const nn::Model& model, int64_t cls) {
-  switch (output) {
-    case NUdfOutput::kBool:
-      return db::Value::Bool(cls == 1);
-    case NUdfOutput::kLabel:
-      return db::Value::String(model.classes()[static_cast<size_t>(cls)]);
-    case NUdfOutput::kClassId:
-      return db::Value::Int(cls);
-  }
-  return db::Value::Null();
-}
-
 /// True if lower-cased `sql` names `name` as a whole identifier, not inside
 /// a longer one (nudf_detect inside nudf_detect_1).
 bool NamesIdentifier(const std::string& sql, const std::string& name) {

@@ -5,6 +5,30 @@
 
 namespace dl2sql::engines {
 
+db::DataType ReturnType(NUdfOutput output) {
+  switch (output) {
+    case NUdfOutput::kBool:
+      return db::DataType::kBool;
+    case NUdfOutput::kLabel:
+      return db::DataType::kString;
+    case NUdfOutput::kClassId:
+      return db::DataType::kInt64;
+  }
+  return db::DataType::kNull;
+}
+
+db::Value ToValue(NUdfOutput output, const nn::Model& model, int64_t cls) {
+  switch (output) {
+    case NUdfOutput::kBool:
+      return db::Value::Bool(cls == 1);
+    case NUdfOutput::kLabel:
+      return db::Value::String(model.classes()[static_cast<size_t>(cls)]);
+    case NUdfOutput::kClassId:
+      return db::Value::Int(cls);
+  }
+  return db::Value::Null();
+}
+
 Result<uint64_t> FamilyFingerprint(const ModelFamilyDeployment& family) {
   // Routing is part of the function: same args through a family whose
   // thresholds moved may pick a different variant, so thresholds and output
@@ -60,19 +84,7 @@ Result<db::NUdfSelectivity> LearnSelectivityHistogram(const nn::Model& model,
   for (int64_t s = 0; s < samples; ++s) {
     Tensor input = Tensor::Random(model.input_shape(), &rng, 1.0f);
     DL2SQL_ASSIGN_OR_RETURN(int64_t cls, model.Predict(input, device));
-    std::string label;
-    switch (output) {
-      case NUdfOutput::kBool:
-        label = cls == 1 ? "TRUE" : "FALSE";
-        break;
-      case NUdfOutput::kLabel:
-        label = model.classes()[static_cast<size_t>(cls)];
-        break;
-      case NUdfOutput::kClassId:
-        label = std::to_string(cls);
-        break;
-    }
-    sel.histogram[label] += 1;
+    sel.histogram[ToValue(output, model, cls).ToString()] += 1;
   }
   return sel;
 }

@@ -46,6 +46,12 @@ enum class NUdfOutput : int {
   kClassId,  ///< recog-style: the predicted class index (e.g. a pattern ID)
 };
 
+/// The nUDF return type of an output kind.
+db::DataType ReturnType(NUdfOutput output);
+
+/// The nUDF value of `model`'s prediction `cls` (a class index).
+db::Value ToValue(NUdfOutput output, const nn::Model& model, int64_t cls);
+
 /// Everything a deployed model needs.
 struct ModelDeployment {
   std::string udf_name;

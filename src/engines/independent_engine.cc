@@ -81,20 +81,8 @@ Status IndependentEngine::DeployModel(const nn::Model& model,
   info.model_name = model.name();
   info.selectivity = deployment.selectivity;
   info.num_parameters = model.NumParameters();
-  db::DataType ret;
-  switch (deployment.output) {
-    case NUdfOutput::kBool:
-      ret = db::DataType::kBool;
-      break;
-    case NUdfOutput::kLabel:
-      ret = db::DataType::kString;
-      break;
-    case NUdfOutput::kClassId:
-      ret = db::DataType::kInt64;
-      break;
-  }
   db_.udfs().RegisterNeural(
-      deployment.udf_name, ret,
+      deployment.udf_name, ReturnType(deployment.output),
       [](const std::vector<db::Value>&) -> Result<db::Value> {
         return Status::InternalError(
             "independent processing must not evaluate nUDFs inside the "
@@ -137,17 +125,7 @@ Result<std::vector<db::Value>> IndependentEngine::ServeBatch(
   Stopwatch fwd_watch;
   for (const auto& input : inputs) {
     DL2SQL_ASSIGN_OR_RETURN(int64_t cls, model.Predict(input, device_.get()));
-    switch (served.output) {
-      case NUdfOutput::kBool:
-        out.push_back(db::Value::Bool(cls == 1));
-        break;
-      case NUdfOutput::kLabel:
-        out.push_back(db::Value::String(model.classes()[static_cast<size_t>(cls)]));
-        break;
-      case NUdfOutput::kClassId:
-        out.push_back(db::Value::Int(cls));
-        break;
-    }
+    out.push_back(ToValue(served.output, model, cls));
   }
   cost->inference_seconds += fwd_watch.ElapsedSeconds() * prof.compute_scale;
   return out;

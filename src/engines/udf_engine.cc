@@ -38,22 +38,9 @@ Status UdfEngine::DeployModel(const nn::Model& model,
     info.per_call_cost_sec = watch.ElapsedSeconds();
   }
 
-  db::DataType ret;
-  switch (deployment.output) {
-    case NUdfOutput::kBool:
-      ret = db::DataType::kBool;
-      break;
-    case NUdfOutput::kLabel:
-      ret = db::DataType::kString;
-      break;
-    case NUdfOutput::kClassId:
-      ret = db::DataType::kInt64;
-      break;
-  }
-
   auto state_ref = state;
   db_.udfs().RegisterNeural(
-      deployment.udf_name, ret,
+      deployment.udf_name, ReturnType(deployment.output),
       [state_ref](const std::vector<db::Value>& args) -> Result<db::Value> {
         UdfState& st = *state_ref;
         if (args.size() != 1 || (args[0].type() != db::DataType::kBlob &&
@@ -88,16 +75,7 @@ Status UdfEngine::DeployModel(const nn::Model& model,
         }
         DL2SQL_ASSIGN_OR_RETURN(int64_t cls,
                                 st.loaded->Predict(input, st.device));
-        switch (st.output) {
-          case NUdfOutput::kBool:
-            return db::Value::Bool(cls == 1);
-          case NUdfOutput::kLabel:
-            return db::Value::String(
-                st.loaded->classes()[static_cast<size_t>(cls)]);
-          case NUdfOutput::kClassId:
-            return db::Value::Int(cls);
-        }
-        return Status::InternalError("bad output kind");
+        return ToValue(st.output, *st.loaded, cls);
       },
       std::move(info));
   return Status::OK();
@@ -139,22 +117,9 @@ Status UdfEngine::DeployModelFamily(const ModelFamilyDeployment& family) {
     info.per_call_cost_sec = watch.ElapsedSeconds();
   }
 
-  db::DataType ret;
-  switch (family.output) {
-    case NUdfOutput::kBool:
-      ret = db::DataType::kBool;
-      break;
-    case NUdfOutput::kLabel:
-      ret = db::DataType::kString;
-      break;
-    case NUdfOutput::kClassId:
-      ret = db::DataType::kInt64;
-      break;
-  }
-
   ModelFamilyDeployment family_copy = family;
   db_.udfs().RegisterNeural(
-      family.udf_name, ret,
+      family.udf_name, ReturnType(family.output),
       [variant_states, family_copy](
           const std::vector<db::Value>& args) -> Result<db::Value> {
         if (args.size() != 3 || (args[0].type() != db::DataType::kBlob &&
@@ -189,16 +154,7 @@ Status UdfEngine::DeployModelFamily(const ModelFamilyDeployment& family) {
         }
         DL2SQL_ASSIGN_OR_RETURN(int64_t cls,
                                 st.loaded->Predict(input, st.device));
-        switch (st.output) {
-          case NUdfOutput::kBool:
-            return db::Value::Bool(cls == 1);
-          case NUdfOutput::kLabel:
-            return db::Value::String(
-                st.loaded->classes()[static_cast<size_t>(cls)]);
-          case NUdfOutput::kClassId:
-            return db::Value::Int(cls);
-        }
-        return Status::InternalError("bad output kind");
+        return ToValue(st.output, *st.loaded, cls);
       },
       std::move(info), nullptr, /*arity=*/3);
   return Status::OK();

@@ -11,6 +11,7 @@
 
 #include "cluster/hash_partitioner.h"
 #include "cluster/merge.h"
+#include "db/storage/storage_engine.h"
 #include "db/table.h"
 
 namespace dl2sql::cluster {
@@ -104,6 +105,57 @@ TEST(ClusterMerge, ConcatKeepsShardOrderAndAppliesLimit) {
   auto limited = ConcatTables(schema, parts, 3);
   ASSERT_TRUE(limited.ok());
   EXPECT_EQ(Column(*limited, 0), (std::vector<int64_t>{1, 2, 3}));
+}
+
+TEST(ClusterMerge, ConcatAppendsTypedColumnsKeepingNulls) {
+  const db::TableSchema schema({{"v", db::DataType::kInt64},
+                                {"s", db::DataType::kString}});
+  auto table = [&](const std::vector<std::vector<db::Value>>& rows) {
+    db::Table t{schema};
+    for (const auto& row : rows) EXPECT_TRUE(t.AppendRow(row).ok());
+    return t;
+  };
+  using db::Value;
+  // A NULL-free shard, one with NULLs in both columns, and a paged one
+  // (its rows are decoded, then appended like the others).
+  db::Table paged = table({{Value::Int(5), Value::Null()}});
+  db::storage::StorageOptions opts;
+  opts.pool_bytes = 64 * 4096;
+  opts.block_bytes = 4096;
+  opts.shards = 1;
+  auto engine = db::storage::StorageEngine::Create(opts);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_TRUE(paged.PageOut(*engine).ok());
+  ASSERT_TRUE(paged.is_paged());
+  const std::vector<db::Table> parts = {
+      table({{Value::Int(1), Value::String("a")}}),
+      table({{Value::Null(), Value::String("b")},
+             {Value::Int(3), Value::Null()}}),
+      paged};
+  auto all = ConcatTables(schema, parts, -1);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  ASSERT_FALSE(all->is_paged());
+  EXPECT_EQ(all->ToString(), "v | s\n1 | a\nNULL | b\n3 | NULL\n5 | NULL\n");
+  EXPECT_TRUE(all->column(0).HasNulls());
+  EXPECT_FALSE(all->column(0).IsValid(1));
+  EXPECT_FALSE(all->column(1).IsValid(2));
+  EXPECT_TRUE(all->column(1).IsValid(1));
+
+  // A shard whose column types differ is refused, naming the column.
+  const db::Table floats{db::TableSchema(
+      {{"v", db::DataType::kFloat64}, {"s", db::DataType::kString}})};
+  auto mismatch = ConcatTables(schema, {parts[0], floats}, -1);
+  ASSERT_FALSE(mismatch.ok());
+  EXPECT_EQ(mismatch.status().code(), StatusCode::kTypeError)
+      << mismatch.status().ToString();
+
+  // A refused row append names its column.
+  db::Table t{schema};
+  const Status bad = t.AppendRow({Value::String("x"), Value::String("y")});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.ToString().find("column v"), std::string::npos)
+      << bad.ToString();
+  EXPECT_EQ(t.num_rows(), 0);
 }
 
 TEST(ClusterMerge, KWayMergeReproducesSingleNodeOrdering) {

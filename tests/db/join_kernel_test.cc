@@ -46,12 +46,18 @@ KeyHashTable JoinTableOver(const Column& key) {
   return KeyHashTable::ForJoin({key}, hashes.data(), nulls.data());
 }
 
+/// vec::HashKeyRange's hash of row `row` of `keys`.
+uint64_t HashRow(const std::vector<const Column*>& keys, int64_t row) {
+  uint64_t hash = 0;
+  vec::HashKeyRange(keys, row, row + 1, &hash);
+  return hash;
+}
+
 /// Build rows matching probe row `row` of `probe`, in emission order.
 std::vector<int64_t> Matches(const KeyHashTable& table, const Column& probe,
                              int64_t row) {
   const std::vector<const Column*> keys = {&probe};
-  const KeyHashTable::KeyId k =
-      table.Find(keys, row, vec::HashKeyRow(keys, row));
+  const KeyHashTable::KeyId k = table.Find(keys, row, HashRow(keys, row));
   if (k == KeyHashTable::kAbsent) return {};
   return std::vector<int64_t>(table.rows_begin(k), table.rows_end(k));
 }
@@ -97,7 +103,7 @@ TEST(KeyHashTableTest, GroupingCopiesKeysInFirstSeenOrderAndGrowsPastBuckets) {
   const std::vector<const Column*> kptrs = {&keys};
   std::vector<KeyHashTable::KeyId> ids;
   for (int64_t r = 0; r < keys.size(); ++r) {
-    ids.push_back(groups.FindOrInsert(kptrs, r, vec::HashKeyRow(kptrs, r)));
+    ids.push_back(groups.FindOrInsert(kptrs, r, HashRow(kptrs, r)));
   }
   // NULL keys group together (GROUP BY semantics).
   EXPECT_EQ(ids, (std::vector<KeyHashTable::KeyId>{0, 1, 0, 1}));
@@ -111,10 +117,10 @@ TEST(KeyHashTableTest, GroupingCopiesKeysInFirstSeenOrderAndGrowsPastBuckets) {
   const std::vector<const Column*> wptrs = {&wide};
   KeyHashTable big = KeyHashTable::ForGroups({DataType::kInt64});
   for (int64_t r = 0; r < wide.size(); ++r) {
-    ASSERT_EQ(big.FindOrInsert(wptrs, r, vec::HashKeyRow(wptrs, r)), r);
+    ASSERT_EQ(big.FindOrInsert(wptrs, r, HashRow(wptrs, r)), r);
   }
   for (int64_t r = 0; r < wide.size(); ++r) {
-    ASSERT_EQ(big.Find(wptrs, r, vec::HashKeyRow(wptrs, r)), r);
+    ASSERT_EQ(big.Find(wptrs, r, HashRow(wptrs, r)), r);
   }
 }
 

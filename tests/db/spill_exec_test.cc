@@ -63,17 +63,23 @@ void FillTables(Database* db) {
   DL2SQL_CHECK(db->RegisterTable("dim", std::move(dim)).ok());
 
   // The aggregate shapes the typed kernels do not take: a string column and
-  // an INT64 one with NULLs, beside a bool and a float one. The payload
-  // keeps the table over the query budgets below.
+  // an INT64 one with NULLs, beside a bool and a float one. `lead` holds
+  // NULLs in the first storage chunk only and `trail` in the last one only,
+  // so integer arithmetic over them evaluates to FLOAT64 in those windows
+  // and to INT64 in the others. The payload keeps the table over the query
+  // budgets below.
   TableSchema shapes_schema({{"grp", DataType::kInt64},
                              {"val", DataType::kFloat64},
                              {"flag", DataType::kBool},
                              {"name", DataType::kString},
                              {"nv", DataType::kInt64},
+                             {"lead", DataType::kInt64},
+                             {"trail", DataType::kInt64},
                              {"payload", DataType::kString}});
   Table shapes{shapes_schema};
   for (int64_t i = 0; i < kRows; ++i) {
     const int64_t v = (i * 104729 + 13) % 1000;
+    const bool sparse_null = i % 7 == 0;
     DL2SQL_CHECK(
         shapes
             .AppendRow({Value::Int((i * 7919) % kDimRows),
@@ -81,10 +87,28 @@ void FillTables(Database* db) {
                         Value::Bool(i % 3 == 0),
                         Value::String("n" + std::to_string(v % 97)),
                         i % 5 == 0 ? Value::Null() : Value::Int(v % 17),
+                        sparse_null && i < 1000 ? Value::Null()
+                                                : Value::Int(v % 23),
+                        sparse_null && i >= kRows - 1000 ? Value::Null()
+                                                         : Value::Int(v % 23),
                         Value::String(payload)})
             .ok());
   }
   DL2SQL_CHECK(db->RegisterTable("shapes", std::move(shapes)).ok());
+
+  // A small STRING-keyed build side: every name it holds appears twice, so
+  // a matching probe row emits two pairs in build-row order; shapes' names
+  // n60..n96 find no match.
+  TableSchema names_schema({{"name", DataType::kString},
+                            {"k", DataType::kInt64}});
+  Table names{names_schema};
+  for (int64_t i = 0; i < 120; ++i) {
+    DL2SQL_CHECK(
+        names.AppendRow({Value::String("n" + std::to_string(i % 60)),
+                         Value::Int(i)})
+            .ok());
+  }
+  DL2SQL_CHECK(db->RegisterTable("names", std::move(names)).ok());
 }
 
 // The join probe side must be the whole fact table (nothing pushable below
@@ -113,6 +137,32 @@ const char* const kGenericAggSqls[] = {
     "SELECT grp, avg(nv) AS a, stddev_samp(nv) AS sd FROM shapes GROUP BY grp",
     "SELECT grp, count(flag) AS cf, sum(val) AS s, min(name) AS mn, "
     "avg(nv) AS a FROM shapes GROUP BY grp",
+};
+
+// Grace joins of the over-budget shapes table over every key shape: a
+// FLOAT64 key of integral values against INT64 dim.id, the NULL-bearing nv
+// (its NULL rows never join), a two-column key, and a STRING key.
+const char* const kFloatKeyJoinSql =
+    "SELECT S.grp, S.name, D.w FROM shapes S INNER JOIN dim D "
+    "ON S.grp * 1.0 = D.id";
+const char* const kNullKeyJoinSql =
+    "SELECT S.nv, S.name, D.w FROM shapes S INNER JOIN dim D ON S.nv = D.id";
+const char* const kKeyJoinSqls[] = {
+    kFloatKeyJoinSql,
+    kNullKeyJoinSql,
+    "SELECT S.grp, S.nv, D.w FROM shapes S INNER JOIN dim D "
+    "ON S.grp = D.id AND S.nv = D.w % 17",
+    "SELECT S.grp, S.name, N.k FROM shapes S INNER JOIN names N "
+    "ON S.name = N.name",
+};
+// Spilled columns whose windows evaluate to different types: lead + 1 is
+// FLOAT64 over the first chunk and INT64 after it, trail + 1 the other way
+// round (a join key, compared canonically).
+const char* const kTypeDriftSqls[] = {
+    "SELECT grp, sum(lead + 1) AS s, max(lead + 1) AS hi FROM shapes "
+    "GROUP BY grp",
+    "SELECT S.grp, S.trail, D.w FROM shapes S INNER JOIN dim D "
+    "ON S.trail + 1 = D.id",
 };
 
 std::vector<std::string> RunAll(Database* db,
@@ -161,6 +211,10 @@ void ExpectBitIdentical(const PagedConfig& cfg) {
                                       kGlobalAggSql, kFilterProjectSql};
   queries.insert(queries.end(), std::begin(kGenericAggSqls),
                  std::end(kGenericAggSqls));
+  queries.insert(queries.end(), std::begin(kKeyJoinSqls),
+                 std::end(kKeyJoinSqls));
+  queries.insert(queries.end(), std::begin(kTypeDriftSqls),
+                 std::end(kTypeDriftSqls));
   const std::vector<std::string> expected = ReferenceRenders(queries);
 
   Database db;
@@ -187,6 +241,17 @@ void ExpectBitIdentical(const PagedConfig& cfg) {
   for (const char* sql : kGenericAggSqls) {
     EXPECT_GT(SpillBytesFor(&db, sql), 0) << sql;
   }
+  for (const char* sql : kKeyJoinSqls) {
+    EXPECT_GT(SpillBytesFor(&db, sql), 0) << sql;
+  }
+  for (const char* sql : kTypeDriftSqls) {
+    EXPECT_GT(SpillBytesFor(&db, sql), 0) << sql;
+  }
+  // NULL keys never join, so the grace join spills none of the fifth of
+  // shapes rows whose nv is NULL: less than the same join on a NULL-free
+  // key of every row.
+  EXPECT_LT(SpillBytesFor(&db, kNullKeyJoinSql),
+            SpillBytesFor(&db, kFloatKeyJoinSql));
 }
 
 TEST(SpillExecTest, GraceJoinAndExternalAggMatchInMemory) {

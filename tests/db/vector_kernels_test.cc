@@ -194,9 +194,9 @@ TEST(VectorArithTest, FloatDivByZeroIsInfAndModIsFmod) {
 }
 
 /// Hash/equality kernels must agree with row_key.h's byte encoding: two rows
-/// compare equal iff their EncodeRowKey strings are equal, and equal keys
+/// compare equal iff their AppendKeyPart encodings are equal, and equal keys
 /// hash equal (including the int64 <-> integral-float canonicalization).
-TEST(VectorHashKeyTest, MatchesEncodeRowKeyAcrossTypes) {
+TEST(VectorHashKeyTest, MatchesAppendKeyPartAcrossTypes) {
   Column ints = Column::Ints({1, 2, 3, 1});
   Column floats = Column::Floats({1.0, 2.5, 3.0, 1.0});
   Column strs = Column::Strings({"a", "b", "a", "a"});
@@ -206,30 +206,44 @@ TEST(VectorHashKeyTest, MatchesEncodeRowKeyAcrossTypes) {
   ASSERT_TRUE(with_null.Append(Value::Int(7)).ok());
   ASSERT_TRUE(with_null.Append(Value::Null()).ok());
 
+  auto encode = [](const std::vector<const Column*>& cols, int64_t row) {
+    std::string key;
+    for (const Column* c : cols) AppendKeyPart(*c, row, &key);
+    return key;
+  };
+  auto hash_row = [](const std::vector<const Column*>& cols, int64_t row) {
+    uint64_t h = 0;
+    HashKeyRange(cols, row, row + 1, &h);
+    return h;
+  };
   const std::vector<const Column*> a = {&ints, &strs};
   const std::vector<const Column*> b = {&floats, &strs};
   for (int64_t ra = 0; ra < 4; ++ra) {
     for (int64_t rb = 0; rb < 4; ++rb) {
-      const bool want = EncodeRowKey(a, ra) == EncodeRowKey(b, rb);
-      EXPECT_EQ(CanonicalKeyRowsEqual(a, ra, b, rb), want)
-          << "rows " << ra << " vs " << rb;
+      const bool want = encode(a, ra) == encode(b, rb);
+      bool equal = true;
+      for (size_t c = 0; c < a.size(); ++c) {
+        equal = equal && CanonicalKeyPartEqual(*a[c], ra, *b[c], rb);
+      }
+      EXPECT_EQ(equal, want) << "rows " << ra << " vs " << rb;
       if (want) {
-        EXPECT_EQ(HashKeyRow(a, ra), HashKeyRow(b, rb));
+        EXPECT_EQ(hash_row(a, ra), hash_row(b, rb));
       }
     }
   }
 
-  // Batched hashing agrees with the single-row variant.
+  // Batched hashing agrees with hashing one row at a time.
   uint64_t batch[4];
   HashKeyRange(a, 0, 4, batch);
-  for (int64_t r = 0; r < 4; ++r) EXPECT_EQ(batch[r], HashKeyRow(a, r));
+  for (int64_t r = 0; r < 4; ++r) EXPECT_EQ(batch[r], hash_row(a, r));
 
-  // NULL detection mirrors RowKeyHasNull.
+  // A row is flagged iff one of its key parts is NULL.
   const std::vector<const Column*> nullable = {&ints, &with_null};
   uint8_t nulls[4];
   KeyNullRange(nullable, 0, 4, nulls);
   for (int64_t r = 0; r < 4; ++r) {
-    EXPECT_EQ(nulls[r] != 0, RowKeyHasNull(nullable, r)) << "row " << r;
+    EXPECT_EQ(nulls[r] != 0, !ints.IsValid(r) || !with_null.IsValid(r))
+        << "row " << r;
   }
 }
 

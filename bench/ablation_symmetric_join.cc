@@ -1,8 +1,14 @@
 /// \file ablation_symmetric_join.cc
 /// \brief Ablation of the symmetric-hash-join buffer design (Section IV-B,
 /// hint rule 3): throughput and eviction/cleanup behaviour across memory
-/// budgets and nUDF batch sizes.
+/// budgets and arrival batch sizes. Every run must give the unbounded run's
+/// pairs (BENCH_CHECK aborts the binary otherwise), so the cleanup phase is
+/// checked at a size the unit tests do not reach.
+#include <algorithm>
+#include <limits>
+
 #include "bench/bench_util.h"
+#include "common/mem_tracker.h"
 #include "common/random.h"
 #include "db/exec/symmetric_hash_join.h"
 
@@ -11,6 +17,8 @@ using namespace dl2sql::bench;   // NOLINT
 using namespace dl2sql::db;      // NOLINT
 
 namespace {
+
+using Pairs = std::vector<std::pair<int64_t, int64_t>>;
 
 Table MakeKeyedTable(int64_t rows, int64_t key_range, uint64_t seed) {
   Rng rng(seed);
@@ -21,6 +29,28 @@ Table MakeKeyedTable(int64_t rows, int64_t key_range, uint64_t seed) {
   return std::move(t).ValueOrDie();
 }
 
+/// Joins `left` and `right` on column k; returns the pairs, sorted, and the
+/// join's own seconds.
+Pairs Join(const Table& left, const Table& right,
+           const SymmetricHashJoinOptions& opts, SymmetricHashJoinStats* stats,
+           double* seconds) {
+  ExprPtr key = Expr::BoundCol(0, "k");
+  UdfRegistry udfs;
+  EvalContext ctx;
+  ctx.udfs = &udfs;
+  ScopedMemCharge uncharged(nullptr);
+  std::vector<int64_t> lrows, rrows;
+  Stopwatch watch;
+  BENCH_CHECK_OK(SymmetricHashJoinPairs(
+      left, right, *key, *key, &ctx, opts, &uncharged,
+      std::numeric_limits<size_t>::max(), &lrows, &rrows, stats));
+  *seconds = watch.ElapsedSeconds();
+  Pairs pairs(lrows.size());
+  for (size_t i = 0; i < pairs.size(); ++i) pairs[i] = {lrows[i], rrows[i]};
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
 }  // namespace
 
 int main() {
@@ -28,8 +58,7 @@ int main() {
   const int64_t key_range = rows / 20;
   Table left = MakeKeyedTable(rows, key_range, 1);
   Table right = MakeKeyedTable(rows, key_range, 2);
-  ExprPtr key = Expr::BoundCol(0, "k");
-  UdfRegistry udfs;
+  Pairs reference;  // the unbounded run's (budget 0 comes first)
 
   PrintHeader("Ablation: symmetric hash join vs memory budget (" +
                   std::to_string(rows) + " rows/side)",
@@ -40,14 +69,12 @@ int main() {
     opts.batch_size = 256;
     opts.memory_budget_tuples = budget;
     SymmetricHashJoinStats stats;
-    EvalContext ctx;
-    ctx.udfs = &udfs;
-    Stopwatch watch;
-    auto pairs =
-        SymmetricHashJoinPairs(left, right, *key, *key, &ctx, opts, &stats);
-    BENCH_CHECK_OK(pairs.status());
+    double seconds = 0;
+    const Pairs pairs = Join(left, right, opts, &stats, &seconds);
+    if (budget == 0) reference = pairs;
+    BENCH_CHECK(pairs == reference);
     PrintCell(budget);
-    PrintCell(watch.ElapsedSeconds());
+    PrintCell(seconds);
     PrintCell(stats.evicted_buckets);
     PrintCell(stats.evicted_tuples);
     PrintCell(stats.cleanup_pairs);
@@ -60,14 +87,10 @@ int main() {
     SymmetricHashJoinOptions opts;
     opts.batch_size = batch;
     SymmetricHashJoinStats stats;
-    EvalContext ctx;
-    ctx.udfs = &udfs;
-    Stopwatch watch;
-    auto pairs =
-        SymmetricHashJoinPairs(left, right, *key, *key, &ctx, opts, &stats);
-    BENCH_CHECK_OK(pairs.status());
+    double seconds = 0;
+    BENCH_CHECK(Join(left, right, opts, &stats, &seconds) == reference);
     PrintCell(batch);
-    PrintCell(watch.ElapsedSeconds());
+    PrintCell(seconds);
     PrintCell(stats.online_pairs);
     EndRow();
   }

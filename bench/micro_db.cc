@@ -1,7 +1,8 @@
 /// \file micro_db.cc
 /// \brief google-benchmark microbenchmarks of the lindb engine primitives
-/// underlying every experiment: scan+filter, hash join, group-by, symmetric
-/// hash join, and SQL parsing.
+/// underlying every experiment: scan+filter, hash join, group-by, SQL
+/// parsing and row inserts (the symmetric hash join has its own ablation,
+/// ablation_symmetric_join.cc).
 #include <benchmark/benchmark.h>
 
 #include "db/database.h"

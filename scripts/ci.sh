@@ -132,10 +132,14 @@ pass_perfbench_selfcheck() {
 
 pass_batching_ablation() {
   # Batched DL2SQL pipelines must predict the per-image pipeline's classes
-  # at every sub-batch size swept, the runner's automatic one included
-  # (BENCH_CHECK aborts the binary otherwise).
-  cmake --build build-ci -j "${JOBS}" --target bench_ablation_batching
+  # at every sub-batch size swept, the runner's automatic one included; the
+  # symmetric hash join must give its unbounded run's pairs at every memory
+  # budget and arrival batch size (BENCH_CHECK aborts either binary
+  # otherwise).
+  cmake --build build-ci -j "${JOBS}" --target bench_ablation_batching \
+    bench_ablation_shj
   ./build-ci/bench/bench_ablation_batching
+  ./build-ci/bench/bench_ablation_shj
 }
 
 pass_server_smoke() {

@@ -1,6 +1,7 @@
 #include "cluster/hash_partitioner.h"
 
 #include <cstring>
+#include <string>
 
 namespace dl2sql::cluster {
 
@@ -20,8 +21,7 @@ void AppendU32Le(uint32_t v, std::string* out) {
   }
 }
 
-}  // namespace
-
+/// Appends the canonical encoding of `v` to `out`.
 void AppendCanonicalKey(const db::Value& v, std::string* out) {
   switch (v.type()) {
     case db::DataType::kNull:
@@ -59,6 +59,8 @@ void AppendCanonicalKey(const db::Value& v, std::string* out) {
     }
   }
 }
+
+}  // namespace
 
 uint64_t PartitionHash(const db::Value& v) {
   std::string key;

@@ -11,18 +11,14 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "db/value.h"
 
 namespace dl2sql::cluster {
 
-/// Appends the canonical encoding of `v` to `out`: one type byte, then a
+/// 64-bit FNV-1a over the canonical encoding of `v`: one type byte, then a
 /// fixed- or length-prefixed payload. Integral-valued floats encode as ints,
 /// mirroring row_key.h, so a key of 3 and 3.0 land on the same shard.
-void AppendCanonicalKey(const db::Value& v, std::string* out);
-
-/// 64-bit FNV-1a over the canonical encoding of `v`.
 uint64_t PartitionHash(const db::Value& v);
 
 /// Shard owning partition-key value `v`: PartitionHash(v) % num_shards.

@@ -1,12 +1,12 @@
 #include "cluster/merge.h"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
-#include <string>
 #include <utility>
 
-#include "cluster/hash_partitioner.h"
+#include "common/logging.h"
+#include "db/exec/hash_table.h"
+#include "db/exec/vector_kernels.h"
 #include "db/value.h"
 
 namespace dl2sql::cluster {
@@ -91,33 +91,44 @@ Result<db::Table> MergeAggregatePartials(
     bool seen = false;     // any non-NULL partial folded in
     db::Value minmax;      // kMin / kMax (NULL = none yet)
   };
-  struct Group {
-    std::vector<db::Value> keys;
-    std::vector<Acc> accs;
-  };
 
-  std::vector<Group> groups;
-  std::map<std::string, size_t> index;
+  // Groups are numbered in first-seen order by a grouping table over the
+  // partials' leading key columns (canonical keys, as hash aggregation
+  // groups them: 3 and 3.0 are one group, NULLs form one group). Without
+  // keys every row is group 0: a global aggregate yields its one row even
+  // when every shard's partial went missing (COUNT 0, SUM/AVG/MIN/MAX NULL).
+  std::vector<db::DataType> key_types;
+  for (int k = 0; k < num_keys && !parts.empty(); ++k) {
+    key_types.push_back(parts[0].column(k).type());
+  }
+  db::KeyHashTable groups = db::KeyHashTable::ForGroups(key_types);
+  const std::vector<Acc> empty_accs(outputs.size());
+  std::vector<std::vector<Acc>> accs(num_keys == 0 ? 1 : 0, empty_accs);
+  std::vector<uint64_t> hashes;
+  std::vector<db::KeyHashTable::KeyId> ids;
   for (const db::Table& part : parts) {
-    for (int64_t r = 0; r < part.num_rows(); ++r) {
-      std::string key;
+    const int64_t rows = part.num_rows();
+    ids.assign(static_cast<size_t>(rows), 0);
+    if (num_keys > 0) {
+      std::vector<const db::Column*> keys;
       for (int k = 0; k < num_keys; ++k) {
-        AppendCanonicalKey(part.column(k).GetValue(r), &key);
+        DL2SQL_CHECK(part.column(k).type() == key_types[static_cast<size_t>(k)])
+            << "aggregate partials disagree on key column " << k << "'s type";
+        keys.push_back(&part.column(k));
       }
-      auto [it, fresh] = index.try_emplace(key, groups.size());
-      if (fresh) {
-        Group g;
-        for (int k = 0; k < num_keys; ++k) {
-          g.keys.push_back(part.column(k).GetValue(r));
-        }
-        g.accs.resize(outputs.size());
-        groups.push_back(std::move(g));
-      }
-      Group& g = groups[it->second];
+      hashes.resize(static_cast<size_t>(rows));
+      db::vec::HashKeyRange(keys, 0, rows, hashes.data());
+      groups.FindOrInsertRange(keys, 0, rows, hashes.data(),
+                               /*nulls=*/nullptr, ids.data());
+      accs.resize(static_cast<size_t>(groups.num_keys()), empty_accs);
+    }
+    for (int64_t r = 0; r < rows; ++r) {
+      std::vector<Acc>& g =
+          accs[static_cast<size_t>(ids[static_cast<size_t>(r)])];
       for (size_t o = 0; o < outputs.size(); ++o) {
         const MergeOutputSpec& spec = outputs[o];
         if (spec.kind == MergeOutputSpec::Kind::kGroupKey) continue;
-        Acc& acc = g.accs[o];
+        Acc& acc = g[o];
         const db::Value v = part.column(spec.partial_index).GetValue(r);
         switch (spec.kind) {
           case MergeOutputSpec::Kind::kCount: {
@@ -163,30 +174,28 @@ Result<db::Table> MergeAggregatePartials(
     }
   }
 
-  // A global aggregate (no GROUP BY) yields a row even over empty input;
-  // if every shard's partial went missing we still owe the caller one row
-  // of empty accumulators (COUNT 0, SUM/AVG/MIN/MAX NULL).
-  if (num_keys == 0 && groups.empty()) {
-    Group g;
-    g.accs.resize(outputs.size());
-    groups.push_back(std::move(g));
-  }
-
-  std::stable_sort(groups.begin(), groups.end(),
-                   [](const Group& a, const Group& b) {
-                     return CompareKeyTuples(a.keys, b.keys, nullptr) < 0;
-                   });
+  const std::vector<db::Column>& key_cols = groups.key_columns();
+  std::vector<int64_t> order(accs.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+    for (const db::Column& col : key_cols) {
+      const int c = col.GetValue(a).Compare(col.GetValue(b));
+      if (c != 0) return c < 0;
+    }
+    return false;
+  });
 
   db::Table out(out_schema);
-  for (const Group& g : groups) {
+  for (const int64_t g : order) {
     std::vector<db::Value> row;
     row.reserve(outputs.size());
     for (size_t o = 0; o < outputs.size(); ++o) {
       const MergeOutputSpec& spec = outputs[o];
-      const Acc& acc = g.accs[o];
+      const Acc& acc = accs[static_cast<size_t>(g)][o];
       switch (spec.kind) {
         case MergeOutputSpec::Kind::kGroupKey:
-          row.push_back(g.keys[static_cast<size_t>(spec.partial_index)]);
+          row.push_back(key_cols[static_cast<size_t>(spec.partial_index)]
+                            .GetValue(g));
           break;
         case MergeOutputSpec::Kind::kCount:
           row.push_back(db::Value::Int(acc.count));

@@ -57,8 +57,9 @@ struct MergeOutputSpec {
 };
 
 /// Re-aggregates shard partial rows into final output rows. The first
-/// `num_keys` columns of every partial row are the GROUP BY keys; rows with
-/// equal keys (row_key encoding, as hash aggregation groups them) merge into
+/// `num_keys` columns of every partial row are the GROUP BY keys, typed
+/// alike in every part; rows with equal keys (canonical equality, numbered
+/// by a grouping KeyHashTable as hash aggregation groups them) merge into
 /// one output group. Groups are emitted in ascending key order
 /// (Value::Compare lexicographic) — a deterministic order that is
 /// independent of how rows were split across shards. With `num_keys` == 0

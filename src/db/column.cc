@@ -157,7 +157,8 @@ void Column::AppendFrom(const Column& src, int64_t row) {
     case DataType::kNull:
       break;
   }
-  if (!data_->validity.empty()) data_->validity.push_back(valid ? 1 : 0);
+  // A NULL needs its flag even when the rows before it left none.
+  if (!valid || !data_->validity.empty()) data_->validity.push_back(valid);
 }
 
 void Column::AppendColumn(const Column& src) {

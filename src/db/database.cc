@@ -14,6 +14,7 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "db/exec/hash_table.h"
+#include "db/exec/symmetric_hash_join.h"
 #include "db/exec/vector_aggregate.h"
 #include "db/exec/vector_batch.h"
 #include "db/exec/vector_expr.h"
@@ -1094,63 +1095,6 @@ Result<Table> MapWindows(const Table& input,
   return writer->Finish();
 }
 
-/// Canonical hashes and NULL flags of `keys`' rows, a morsel at a time into
-/// preallocated arrays (disjoint writes, so any wired pool may run the
-/// loop). With `table`, each morsel also resolves its rows' key ids in it
-/// (read-only, so morsels may share it) into `ids`.
-Status HashJoinKeys(const std::vector<const Column*>& keys,
-                    const KeyHashTable* table, EvalContext* ctx,
-                    std::vector<uint64_t>* hash, std::vector<uint8_t>* nulls,
-                    std::vector<KeyHashTable::KeyId>* ids) {
-  const int64_t n = keys.empty() ? 0 : keys[0]->size();
-  hash->resize(static_cast<size_t>(n));
-  nulls->resize(static_cast<size_t>(n));
-  if (table != nullptr) ids->resize(static_cast<size_t>(n));
-  const int64_t m = ctx->morsel_size;
-  auto body = [&](int64_t bgn, int64_t end, int) -> Status {
-    vec::KeyNullRange(keys, bgn, end, nulls->data() + bgn);
-    vec::HashKeyRange(keys, bgn, end, hash->data() + bgn);
-    if (table != nullptr) {
-      table->FindRange(keys, bgn, end, hash->data() + bgn,
-                       nulls->data() + bgn, ids->data() + bgn);
-    }
-    return Status::OK();
-  };
-  if (ctx->pool != nullptr) {
-    DL2SQL_RETURN_NOT_OK(ctx->pool->ParallelForMorsel(n, m, body));
-  } else {
-    for (int64_t b = 0; b < n; b += m) {
-      DL2SQL_RETURN_NOT_OK(body(b, std::min(n, b + m), 0));
-    }
-  }
-  if (ctx->vectorized) {
-    ctx->vec_batches += n == 0 ? 0 : (n + m - 1) / m;
-    ctx->vec_rows_in += n;
-    ctx->vec_rows_selected += n;
-  }
-  return Status::OK();
-}
-
-/// The join build step: a table over every row of `keys` (rows with a NULL
-/// key part are never listed), charged to `scratch` with its transient hash
-/// arrays.
-Result<KeyHashTable> BuildJoinTable(std::vector<Column> keys,
-                                    EvalContext* ctx,
-                                    ScopedMemCharge* scratch) {
-  std::vector<const Column*> kptrs;
-  for (const Column& c : keys) kptrs.push_back(&c);
-  std::vector<uint64_t> hash;
-  std::vector<uint8_t> nulls;
-  DL2SQL_RETURN_NOT_OK(
-      HashJoinKeys(kptrs, nullptr, ctx, &hash, &nulls, nullptr));
-  const int64_t n = static_cast<int64_t>(hash.size());
-  KeyHashTable table =
-      KeyHashTable::ForJoin(std::move(keys), hash.data(), nulls.data());
-  DL2SQL_RETURN_NOT_OK(scratch->Charge(
-      table.ByteSize() + n * static_cast<int64_t>(sizeof(uint64_t) + 1)));
-  return table;
-}
-
 /// The join probe step: per row of `keys`, the id of its key in `table`
 /// (kAbsent: no match, or a NULL key part), with the transient arrays
 /// charged to `scratch`.
@@ -1498,18 +1442,14 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
   // Join pair i is row lrows[i] of the left input and row rrows[i] of the
   // right one.
   std::vector<int64_t> lrows, rrows;
+  const size_t limit = static_cast<size_t>(kMaxJoinPairs) + 1;
 
   if (node.use_symmetric_hash && node.equi_keys.size() == 1) {
-    DL2SQL_ASSIGN_OR_RETURN(
-        const auto pairs,
-        SymmetricHashJoinPairs(left, right, *node.equi_keys[0].first,
-                               *node.equi_keys[0].second, &ctx, shj_options_));
-    lrows.reserve(pairs.size());
-    rrows.reserve(pairs.size());
-    for (const auto& [l, r] : pairs) {
-      lrows.push_back(l);
-      rrows.push_back(r);
-    }
+    DL2SQL_RETURN_NOT_OK(SymmetricHashJoinPairs(
+        left, right, *node.equi_keys[0].first, *node.equi_keys[0].second,
+        &ctx, SymmetricHashJoinOptions{}, &scratch_mem, limit, &lrows,
+        &rrows));
+    if (lrows.size() >= limit) return TooManyJoinPairs();
     ++symmetric_joins_;
     static Counter* const symmetric_counter =
         MetricsRegistry::Global().counter("db.symmetric_joins");
@@ -1524,7 +1464,6 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
     // order, which reproduces the serial pair order for every thread count.
     const int64_t pn = sides.probe_rows();
     const int64_t m = ctx.morsel_size;
-    const size_t limit = static_cast<size_t>(kMaxJoinPairs) + 1;
     if (ctx.pool == nullptr || ctx.pool->num_threads() <= 1 || pn <= m) {
       sides.AppendPairs(0, pn, limit, &lrows, &rrows);
       if (lrows.size() >= limit) return TooManyJoinPairs();

@@ -17,7 +17,6 @@
 #include "common/timer.h"
 #include "db/catalog.h"
 #include "db/eval.h"
-#include "db/exec/symmetric_hash_join.h"
 #include "db/exec/vector_batch.h"
 #include "db/optimizer.h"
 #include "db/planner.h"
@@ -132,9 +131,6 @@ class Database {
 
   /// Optimizer configuration (pushdown, nUDF hint rules, cost model).
   OptimizerOptions& optimizer_options() { return opt_options_; }
-
-  /// Symmetric-hash-join tuning (hint rule 3).
-  SymmetricHashJoinOptions& symmetric_join_options() { return shj_options_; }
 
   /// Intra-query parallelism: wires a Device's thread pool into plan
   /// execution. Engines call this once at construction.
@@ -477,7 +473,6 @@ class Database {
   Catalog catalog_;
   UdfRegistry udfs_;
   OptimizerOptions opt_options_;
-  SymmetricHashJoinOptions shj_options_;
   ExecOptions exec_options_;
   CacheOptions cache_options_;
   /// Cross-query nUDF result memoization; null when disabled.

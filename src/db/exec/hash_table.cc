@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 
+#include "accel/thread_pool.h"
+#include "common/mem_tracker.h"
+#include "db/eval.h"
 #include "db/exec/vector_kernels.h"
 
 namespace dl2sql::db {
@@ -210,6 +213,56 @@ int64_t KeyHashTable::ByteSize() const {
     for (const Column& c : keys_) bytes += static_cast<int64_t>(c.ByteSize());
   }
   return bytes;
+}
+
+Status HashJoinKeys(const std::vector<const Column*>& keys,
+                    const KeyHashTable* table, EvalContext* ctx,
+                    std::vector<uint64_t>* hash, std::vector<uint8_t>* nulls,
+                    std::vector<KeyHashTable::KeyId>* ids) {
+  const int64_t n = keys.empty() ? 0 : keys[0]->size();
+  hash->resize(static_cast<size_t>(n));
+  nulls->resize(static_cast<size_t>(n));
+  if (table != nullptr) ids->resize(static_cast<size_t>(n));
+  const int64_t m = ctx->morsel_size;
+  auto body = [&](int64_t bgn, int64_t end, int) -> Status {
+    vec::KeyNullRange(keys, bgn, end, nulls->data() + bgn);
+    vec::HashKeyRange(keys, bgn, end, hash->data() + bgn);
+    if (table != nullptr) {
+      table->FindRange(keys, bgn, end, hash->data() + bgn,
+                       nulls->data() + bgn, ids->data() + bgn);
+    }
+    return Status::OK();
+  };
+  if (ctx->pool != nullptr) {
+    DL2SQL_RETURN_NOT_OK(ctx->pool->ParallelForMorsel(n, m, body));
+  } else {
+    for (int64_t b = 0; b < n; b += m) {
+      DL2SQL_RETURN_NOT_OK(body(b, std::min(n, b + m), 0));
+    }
+  }
+  if (ctx->vectorized) {
+    ctx->vec_batches += n == 0 ? 0 : (n + m - 1) / m;
+    ctx->vec_rows_in += n;
+    ctx->vec_rows_selected += n;
+  }
+  return Status::OK();
+}
+
+Result<KeyHashTable> BuildJoinTable(std::vector<Column> keys,
+                                    EvalContext* ctx,
+                                    ScopedMemCharge* scratch) {
+  std::vector<const Column*> kptrs;
+  for (const Column& c : keys) kptrs.push_back(&c);
+  std::vector<uint64_t> hash;
+  std::vector<uint8_t> nulls;
+  DL2SQL_RETURN_NOT_OK(
+      HashJoinKeys(kptrs, nullptr, ctx, &hash, &nulls, nullptr));
+  const int64_t n = static_cast<int64_t>(hash.size());
+  KeyHashTable table =
+      KeyHashTable::ForJoin(std::move(keys), hash.data(), nulls.data());
+  DL2SQL_RETURN_NOT_OK(scratch->Charge(
+      table.ByteSize() + n * static_cast<int64_t>(sizeof(uint64_t) + 1)));
+  return table;
 }
 
 }  // namespace dl2sql::db

@@ -1,7 +1,8 @@
 /// \file hash_table.h
 /// \brief The executor's one hash table over canonical row keys: join build
-/// sides (in-memory and grace partitions), prebuilt base-table indexes, and
-/// group-by key maps all use it.
+/// sides (in-memory and grace partitions), prebuilt base-table indexes,
+/// group-by key maps, the symmetric hash join's key numbering and the
+/// coordinator's partial-aggregate merge all use it.
 ///
 /// Layout: the table holds distinct keys. Bucket heads (a power-of-two
 /// array indexed by the low bits of the canonical key hash) start chains
@@ -22,9 +23,16 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/result.h"
 #include "db/column.h"
 
+namespace dl2sql {
+class ScopedMemCharge;
+}
+
 namespace dl2sql::db {
+
+struct EvalContext;
 
 class KeyHashTable {
  public:
@@ -131,5 +139,20 @@ class KeyHashTable {
   std::vector<int64_t> offsets_;
   std::vector<int64_t> rows_;
 };
+
+/// Canonical hashes (vec::HashKeyRange) and NULL flags (vec::KeyNullRange)
+/// of `keys`' rows, a morsel at a time (disjoint writes, so any pool wired
+/// into `ctx` may run the loop); with `table`, also each row's key id in it.
+Status HashJoinKeys(const std::vector<const Column*>& keys,
+                    const KeyHashTable* table, EvalContext* ctx,
+                    std::vector<uint64_t>* hash, std::vector<uint8_t>* nulls,
+                    std::vector<KeyHashTable::KeyId>* ids);
+
+/// The join build step: a table over every row of `keys` (rows with a NULL
+/// key part are never listed), charged to `scratch` with its transient hash
+/// arrays. A prebuilt index is built by it too.
+Result<KeyHashTable> BuildJoinTable(std::vector<Column> keys,
+                                    EvalContext* ctx,
+                                    ScopedMemCharge* scratch);
 
 }  // namespace dl2sql::db

@@ -1,7 +1,7 @@
 /// \file row_key.h
-/// \brief Canonical byte encoding of one key part: the symmetric hash
-/// join's keys, and the order-sensitive table checksums of the out-of-core
-/// benchmarks. The executor's hash table hashes and compares the same
+/// \brief Canonical byte encoding of one key part: the order-sensitive table
+/// checksums of the out-of-core benchmarks, and the reference the hashing
+/// kernels are tested against. The executor hashes and compares the same
 /// canonical view without encoding (vector_kernels.h).
 #pragma once
 

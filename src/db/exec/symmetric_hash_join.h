@@ -4,19 +4,20 @@
 /// Section IV-B: when an nUDF appears in a join condition
 /// (T0.nUDF(x) = T1.y), the paper joins the streams symmetrically — hash
 /// tables are kept for nUDF(x) and y, each arriving tuple probes the other
-/// side's bucket, the buffer applies a *bucket*-granularity LRU policy, and
-/// nUDF evaluation happens in batches.
+/// side's bucket, and the buffer applies a *bucket*-granularity LRU policy.
 ///
 /// This implementation preserves exact join semantics under eviction: every
 /// tuple carries an arrival stamp and (if evicted) an eviction stamp; a pair
 /// (l, r) is emitted online when the later tuple arrives while the earlier
 /// one is still resident, and a cleanup phase emits exactly the pairs whose
-/// earlier tuple was evicted before the later one arrived.
+/// earlier tuple was evicted before the later one arrived. Keys are numbered
+/// by a grouping KeyHashTable per side, and the protocol runs over key ids.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/mem_tracker.h"
 #include "db/eval.h"
 #include "db/expr.h"
 #include "db/table.h"
@@ -24,7 +25,7 @@
 namespace dl2sql::db {
 
 struct SymmetricHashJoinOptions {
-  /// Rows consumed per step from each side (the nUDF batch size).
+  /// Rows that arrive per step from each side before the other side's turn.
   int64_t batch_size = 64;
   /// Max resident tuples across both hash tables; <=0 means unbounded.
   int64_t memory_budget_tuples = 0;
@@ -38,14 +39,21 @@ struct SymmetricHashJoinStats {
   int64_t online_pairs = 0;
 };
 
-/// Joins `left` and `right` on equal AppendKeyPart encodings of
-/// left_key(row) and right_key(row); key expressions are evaluated per batch via
-/// `ctx` (so nUDF time lands in the inference bucket). Returns matching
-/// (left_row, right_row) index pairs in unspecified order.
-Result<std::vector<std::pair<int64_t, int64_t>>> SymmetricHashJoinPairs(
-    const Table& left, const Table& right, const Expr& left_key,
-    const Expr& right_key, EvalContext* ctx,
-    const SymmetricHashJoinOptions& options,
-    SymmetricHashJoinStats* stats = nullptr);
+/// Appends to `lrows`/`rrows` (pair i is (lrows[i], rrows[i])) every pair of
+/// a `left` row and a `right` row with equal keys left_key(row) and
+/// right_key(row): online pairs in arrival order, then the cleanup's. Keys
+/// compare canonically, as the hash join's do: INT64 3 joins FLOAT64 3.0,
+/// and a NULL key joins nothing. Key expressions are evaluated via `ctx` (so
+/// nUDF time lands in the inference bucket); key tables and per-row arrays
+/// are charged to `scratch`. Stops after the tuple that brings `lrows` to
+/// `limit` pairs.
+Status SymmetricHashJoinPairs(const Table& left, const Table& right,
+                              const Expr& left_key, const Expr& right_key,
+                              EvalContext* ctx,
+                              const SymmetricHashJoinOptions& options,
+                              ScopedMemCharge* scratch, size_t limit,
+                              std::vector<int64_t>* lrows,
+                              std::vector<int64_t>* rrows,
+                              SymmetricHashJoinStats* stats = nullptr);
 
 }  // namespace dl2sql::db

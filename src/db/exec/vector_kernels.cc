@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/cache.h"
-#include "db/exec/row_key.h"
 
 namespace dl2sql::db::vec {
 
@@ -455,15 +454,6 @@ void KeyNullRange(const std::vector<const Column*>& cols, int64_t begin,
 bool CanonicalKeyPartEqual(const Column& a, int64_t ra, const Column& b,
                            int64_t rb) {
   return PartEqual(KeyPartView(a, ra), KeyPartView(b, rb));
-}
-
-void EncodeColumnKeysRange(const Column& col, int64_t begin, int64_t end,
-                           std::vector<std::string>* out) {
-  for (int64_t r = begin; r < end; ++r) {
-    std::string k;
-    if (col.IsValid(r)) AppendKeyPart(col, r, &k);
-    out->push_back(std::move(k));  // empty = NULL, never joins
-  }
 }
 
 }  // namespace dl2sql::db::vec

@@ -118,12 +118,6 @@ void KeyNullRange(const std::vector<const Column*>& cols, int64_t begin,
 /// typed) columns: a[ra] and b[rb] have equal AppendKeyPart encodings.
 bool CanonicalKeyPartEqual(const Column& a, int64_t ra, const Column& b,
                            int64_t rb);
-
-/// Batched single-column key encoding for the symmetric hash join: appends
-/// each row's AppendKeyPart encoding (empty string for NULL) to `out`,
-/// without materializing a table slice or evaluating an expression.
-void EncodeColumnKeysRange(const Column& col, int64_t begin, int64_t end,
-                           std::vector<std::string>* out);
 /// @}
 
 /// \name Typed aggregate accumulation

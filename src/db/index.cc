@@ -1,6 +1,7 @@
 #include "db/index.h"
 
-#include "db/exec/vector_kernels.h"
+#include "common/mem_tracker.h"
+#include "db/eval.h"
 
 namespace dl2sql::db {
 
@@ -17,15 +18,15 @@ Result<std::shared_ptr<HashIndex>> HashIndex::Build(const Table& table,
         DataTypeToString(col.type()), " for column ",
         table.schema().field(column_index).name);
   }
-  const std::vector<const Column*> key = {&col};
-  std::vector<uint64_t> hashes(static_cast<size_t>(col.size()));
-  std::vector<uint8_t> nulls(static_cast<size_t>(col.size()));
-  vec::HashKeyRange(key, 0, col.size(), hashes.data());
-  vec::KeyNullRange(key, 0, col.size(), nulls.data());
+  // The join's own build step, serial and uncharged: the index outlives
+  // any one query.
+  EvalContext ctx;
+  ScopedMemCharge uncharged(nullptr);
   auto index = std::shared_ptr<HashIndex>(new HashIndex());
   index->column_index_ = column_index;
   index->indexed_rows_ = col.size();
-  index->table_ = KeyHashTable::ForJoin({col}, hashes.data(), nulls.data());
+  DL2SQL_ASSIGN_OR_RETURN(index->table_,
+                          BuildJoinTable({col}, &ctx, &uncharged));
   return index;
 }
 

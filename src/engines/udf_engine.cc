@@ -12,73 +12,19 @@ UdfEngine::UdfEngine(std::shared_ptr<Device> device)
 
 Status UdfEngine::DeployModel(const nn::Model& model,
                               const ModelDeployment& deployment) {
-  // "Model compilation": serialize to the stripped kernel-linkable blob.
+  auto nudf = std::make_shared<DeployedNUdf>();
   DL2SQL_ASSIGN_OR_RETURN(
-      std::string blob,
-      nn::SerializeModel(model, nn::ModelFormat::kCompiledBlob));
-  auto state = std::make_shared<UdfState>();
-  state->blob = std::move(blob);
-  state->output = deployment.output;
-  state->device = device_.get();
-  states_[deployment.udf_name] = state;
+      std::shared_ptr<UdfState> state,
+      Compile(model, deployment.output, deployment.udf_name));
+  nudf->models.push_back(std::move(state));
   deployments_[deployment.udf_name] = deployment;
 
-  // Estimate per-call cost once for the registry metadata (used only by
-  // DL2SQL-OP's hint rules; the blind optimizer here ignores it).
   db::NUdfInfo info;
   info.model_name = model.name();
   info.selectivity = deployment.selectivity;
-  info.num_parameters = model.NumParameters();
   DL2SQL_ASSIGN_OR_RETURN(info.fingerprint, nn::ModelFingerprint(model));
-  {
-    Rng rng(1);
-    Tensor probe = Tensor::Random(model.input_shape(), &rng, 1.0f);
-    Stopwatch watch;
-    DL2SQL_RETURN_NOT_OK(model.Predict(probe, device_.get()).status());
-    info.per_call_cost_sec = watch.ElapsedSeconds();
-  }
-
-  auto state_ref = state;
-  db_.udfs().RegisterNeural(
-      deployment.udf_name, ReturnType(deployment.output),
-      [state_ref](const std::vector<db::Value>& args) -> Result<db::Value> {
-        UdfState& st = *state_ref;
-        if (args.size() != 1 || (args[0].type() != db::DataType::kBlob &&
-                                 args[0].type() != db::DataType::kString)) {
-          return Status::InvalidArgument("nUDF expects one keyframe blob");
-        }
-        // Lazy in-kernel load of the compiled blob (charged as loading).
-        if (st.loaded == nullptr) {
-          Stopwatch load_watch;
-          DL2SQL_ASSIGN_OR_RETURN(nn::Model m, nn::DeserializeModel(st.blob));
-          st.loaded = std::make_shared<nn::Model>(std::move(m));
-          st.loading_seconds += load_watch.ElapsedSeconds();
-          st.weights_on_device = false;
-        }
-        Stopwatch decode_watch;
-        DL2SQL_ASSIGN_OR_RETURN(Tensor input,
-                                DecodeTensorBlob(args[0].string_value()));
-        st.loading_seconds += decode_watch.ElapsedSeconds();
-        // Simulated accelerator traffic: weights once per query, activations
-        // per call (the per-call latency is what keeps DB-UDF from gaining
-        // on the GPU server, Fig. 8).
-        if (st.device->profile().NeedsTransfer()) {
-          if (!st.weights_on_device) {
-            st.transfer_seconds += st.device->TransferSeconds(
-                static_cast<uint64_t>(st.loaded->NumParameters()) *
-                sizeof(float));
-            st.weights_on_device = true;
-          }
-          st.transfer_seconds += st.device->TransferSeconds(
-              static_cast<uint64_t>(input.NumElements()) * sizeof(float));
-          st.transfer_seconds += st.device->TransferSeconds(sizeof(int64_t));
-        }
-        DL2SQL_ASSIGN_OR_RETURN(int64_t cls,
-                                st.loaded->Predict(input, st.device));
-        return ToValue(st.output, *st.loaded, cls);
-      },
-      std::move(info));
-  return Status::OK();
+  return RegisterNUdf(deployment.udf_name, std::move(nudf), model,
+                      std::move(info));
 }
 
 Status UdfEngine::DeployModelFamily(const ModelFamilyDeployment& family) {
@@ -87,77 +33,103 @@ Status UdfEngine::DeployModelFamily(const ModelFamilyDeployment& family) {
                                    "' has no variants");
   }
   // Compile every variant into its own kernel blob.
-  std::vector<std::shared_ptr<UdfState>> variant_states;
+  auto nudf = std::make_shared<DeployedNUdf>();
   for (size_t i = 0; i < family.variants.size(); ++i) {
     DL2SQL_ASSIGN_OR_RETURN(
-        std::string blob,
-        nn::SerializeModel(family.variants[i].model,
-                           nn::ModelFormat::kCompiledBlob));
-    auto st = std::make_shared<UdfState>();
-    st->blob = std::move(blob);
-    st->output = family.output;
-    st->device = device_.get();
-    states_[ToLower(family.udf_name) + "#" + std::to_string(i)] = st;
-    variant_states.push_back(std::move(st));
+        std::shared_ptr<UdfState> state,
+        Compile(family.variants[i].model, family.output,
+                ToLower(family.udf_name) + "#" + std::to_string(i)));
+    nudf->models.push_back(std::move(state));
   }
-  families_[ToLower(family.udf_name)] = family;
+  nudf->family = std::make_shared<const ModelFamilyDeployment>(family);
 
   db::NUdfInfo info;
   info.model_name = family.udf_name;
   info.selectivity = family.MergedSelectivity();
-  info.num_parameters = family.variants[0].model.NumParameters();
   DL2SQL_ASSIGN_OR_RETURN(info.fingerprint, FamilyFingerprint(family));
-  {
-    Rng rng(1);
-    Tensor probe =
-        Tensor::Random(family.variants[0].model.input_shape(), &rng, 1.0f);
-    Stopwatch watch;
-    DL2SQL_RETURN_NOT_OK(
-        family.variants[0].model.Predict(probe, device_.get()).status());
-    info.per_call_cost_sec = watch.ElapsedSeconds();
-  }
+  return RegisterNUdf(family.udf_name, std::move(nudf),
+                      family.variants[0].model, std::move(info));
+}
 
-  ModelFamilyDeployment family_copy = family;
+Result<std::shared_ptr<UdfEngine::UdfState>> UdfEngine::Compile(
+    const nn::Model& model, NUdfOutput output, const std::string& key) {
+  DL2SQL_ASSIGN_OR_RETURN(
+      std::string blob,
+      nn::SerializeModel(model, nn::ModelFormat::kCompiledBlob));
+  auto state = std::make_shared<UdfState>();
+  state->blob = std::move(blob);
+  state->output = output;
+  states_[key] = state;
+  return state;
+}
+
+Status UdfEngine::RegisterNUdf(const std::string& name,
+                               std::shared_ptr<const DeployedNUdf> nudf,
+                               const nn::Model& probe, db::NUdfInfo info) {
+  info.num_parameters = probe.NumParameters();
+  // Per-call cost for the registry metadata (used only by DL2SQL-OP's hint
+  // rules; the blind optimizer here ignores it).
+  Rng rng(1);
+  const Tensor input = Tensor::Random(probe.input_shape(), &rng, 1.0f);
+  Stopwatch watch;
+  DL2SQL_RETURN_NOT_OK(probe.Predict(input, device_.get()).status());
+  info.per_call_cost_sec = watch.ElapsedSeconds();
+  const int arity = nudf->family != nullptr ? 3 : 1;
+  const NUdfOutput output = nudf->models[0]->output;
   db_.udfs().RegisterNeural(
-      family.udf_name, ReturnType(family.output),
-      [variant_states, family_copy](
-          const std::vector<db::Value>& args) -> Result<db::Value> {
-        if (args.size() != 3 || (args[0].type() != db::DataType::kBlob &&
-                                 args[0].type() != db::DataType::kString)) {
-          return Status::InvalidArgument(
-              "family nUDF expects (keyframe, humidity, temperature)");
-        }
-        DL2SQL_ASSIGN_OR_RETURN(double humidity, args[1].AsDouble());
-        DL2SQL_ASSIGN_OR_RETURN(double temperature, args[2].AsDouble());
-        UdfState& st =
-            *variant_states[family_copy.Select(humidity, temperature)];
-        if (st.loaded == nullptr) {
-          Stopwatch load_watch;
-          DL2SQL_ASSIGN_OR_RETURN(nn::Model m, nn::DeserializeModel(st.blob));
-          st.loaded = std::make_shared<nn::Model>(std::move(m));
-          st.loading_seconds += load_watch.ElapsedSeconds();
-          st.weights_on_device = false;
-        }
-        Stopwatch decode_watch;
-        DL2SQL_ASSIGN_OR_RETURN(Tensor input,
-                                DecodeTensorBlob(args[0].string_value()));
-        st.loading_seconds += decode_watch.ElapsedSeconds();
-        if (st.device->profile().NeedsTransfer()) {
-          if (!st.weights_on_device) {
-            st.transfer_seconds += st.device->TransferSeconds(
-                static_cast<uint64_t>(st.loaded->NumParameters()) *
-                sizeof(float));
-            st.weights_on_device = true;
-          }
-          st.transfer_seconds += st.device->TransferSeconds(
-              static_cast<uint64_t>(input.NumElements()) * sizeof(float));
-        }
-        DL2SQL_ASSIGN_OR_RETURN(int64_t cls,
-                                st.loaded->Predict(input, st.device));
-        return ToValue(st.output, *st.loaded, cls);
+      name, ReturnType(output),
+      [this, nudf](const std::vector<db::Value>& args) {
+        return Score(*nudf, args);
       },
-      std::move(info), nullptr, /*arity=*/3);
+      std::move(info), nullptr, arity);
   return Status::OK();
+}
+
+Result<db::Value> UdfEngine::Score(const DeployedNUdf& nudf,
+                                   const std::vector<db::Value>& args) const {
+  const bool family = nudf.family != nullptr;
+  if (args.size() != (family ? 3u : 1u) ||
+      (args[0].type() != db::DataType::kBlob &&
+       args[0].type() != db::DataType::kString)) {
+    return Status::InvalidArgument(
+        family ? "family nUDF expects (keyframe, humidity, temperature)"
+               : "nUDF expects one keyframe blob");
+  }
+  size_t v = 0;
+  if (family) {
+    DL2SQL_ASSIGN_OR_RETURN(double humidity, args[1].AsDouble());
+    DL2SQL_ASSIGN_OR_RETURN(double temperature, args[2].AsDouble());
+    v = nudf.family->Select(humidity, temperature);
+  }
+  UdfState& st = *nudf.models[v];
+  // Lazy in-kernel load of the compiled blob (charged as loading).
+  if (st.loaded == nullptr) {
+    Stopwatch load_watch;
+    DL2SQL_ASSIGN_OR_RETURN(nn::Model m, nn::DeserializeModel(st.blob));
+    st.loaded = std::make_shared<nn::Model>(std::move(m));
+    st.loading_seconds += load_watch.ElapsedSeconds();
+    st.weights_on_device = false;
+  }
+  Stopwatch decode_watch;
+  DL2SQL_ASSIGN_OR_RETURN(Tensor input,
+                          DecodeTensorBlob(args[0].string_value()));
+  st.loading_seconds += decode_watch.ElapsedSeconds();
+  // Simulated accelerator traffic: weights once per query, activations and
+  // the result per call (the per-call latency is what keeps DB-UDF from
+  // gaining on the GPU server, Fig. 8).
+  if (device_->profile().NeedsTransfer()) {
+    if (!st.weights_on_device) {
+      st.transfer_seconds += device_->TransferSeconds(
+          static_cast<uint64_t>(st.loaded->NumParameters()) * sizeof(float));
+      st.weights_on_device = true;
+    }
+    st.transfer_seconds += device_->TransferSeconds(
+        static_cast<uint64_t>(input.NumElements()) * sizeof(float));
+    st.transfer_seconds += device_->TransferSeconds(sizeof(int64_t));
+  }
+  DL2SQL_ASSIGN_OR_RETURN(int64_t cls,
+                          st.loaded->Predict(input, device_.get()));
+  return ToValue(st.output, *st.loaded, cls);
 }
 
 Result<db::Table> UdfEngine::ExecuteCollaborative(const std::string& sql,

@@ -45,16 +45,36 @@ class UdfEngine : public CollaborativeEngine {
     /// Modeled host<->accelerator transfer seconds (absolute, not subject to
     /// device speed scaling).
     double transfer_seconds = 0;
-    Device* device = nullptr;
     /// Model parameter bytes shipped to the accelerator once per query.
     bool weights_on_device = false;
   };
 
+  /// What one nUDF name runs: a plain deployment's one compiled model, or a
+  /// family's variants, one picked per row by its condition columns.
+  struct DeployedNUdf {
+    std::vector<std::shared_ptr<UdfState>> models;
+    /// Set for a family only.
+    std::shared_ptr<const ModelFamilyDeployment> family;
+  };
+
+  /// "Model compilation" into a kernel blob, kept as states_[key].
+  Result<std::shared_ptr<UdfState>> Compile(const nn::Model& model,
+                                            NUdfOutput output,
+                                            const std::string& key);
+  /// Registers `nudf` under `name` with the one nUDF body, Score; `probe`
+  /// gives the registry's parameter count and per-call cost.
+  Status RegisterNUdf(const std::string& name,
+                      std::shared_ptr<const DeployedNUdf> nudf,
+                      const nn::Model& probe, db::NUdfInfo info);
+  /// The one nUDF body, called once per row: picks the row's model (a
+  /// family's variant by its condition columns), loads the blob on first
+  /// use, decodes the keyframe, charges modeled transfers and predicts.
+  Result<db::Value> Score(const DeployedNUdf& nudf,
+                          const std::vector<db::Value>& args) const;
+
+  /// Every compiled model, a family's variants keyed "<family>#<i>"; all
+  /// share the per-query accounting.
   std::map<std::string, std::shared_ptr<UdfState>> states_;
-  /// Family variants also live in `states_` (one entry per variant, keyed
-  /// "<family>#<i>"), sharing all per-query accounting; this map only tracks
-  /// the selection metadata.
-  std::map<std::string, ModelFamilyDeployment> families_;
 };
 
 }  // namespace dl2sql::engines

@@ -268,6 +268,35 @@ TEST(ClusterMerge, GroupKeysSplitAcrossShardsMergeIntoOneGroup) {
   EXPECT_DOUBLE_EQ(merged->GetRow(2)[2].AsDouble().ValueOr(0), 40.0);
 }
 
+TEST(ClusterMerge, NullAndStringKeysMergeAcrossShards) {
+  // Two key columns, NULLs included: a NULL key part groups with NULL
+  // (hash aggregation's rule) and sorts first.
+  const db::TableSchema partial({{"s", db::DataType::kString},
+                                 {"g", db::DataType::kInt64},
+                                 {"c", db::DataType::kInt64}});
+  using db::Value;
+  auto table = [&](const std::vector<std::vector<Value>>& rows) {
+    db::Table t{partial};
+    for (const auto& row : rows) EXPECT_TRUE(t.AppendRow(row).ok());
+    return t;
+  };
+  const std::vector<db::Table> parts = {
+      table({{Value::String("b"), Value::Null(), Value::Int(1)},
+             {Value::String("a"), Value::Int(2), Value::Int(2)}}),
+      table({{Value::String("a"), Value::Int(2), Value::Int(3)},
+             {Value::String("b"), Value::Null(), Value::Int(4)},
+             {Value::Null(), Value::Int(2), Value::Int(5)}})};
+  const std::vector<MergeOutputSpec> outputs = {
+      {MergeOutputSpec::Kind::kGroupKey, 0, -1},
+      {MergeOutputSpec::Kind::kGroupKey, 1, -1},
+      {MergeOutputSpec::Kind::kCount, 2, -1}};
+  auto merged = MergeAggregatePartials(partial, parts, /*num_keys=*/2,
+                                       outputs);
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged->ToString(),
+            "s | g | c\nNULL | 2 | 5\na | 2 | 5\nb | NULL | 5\n");
+}
+
 TEST(ClusterMerge, AvgRewritesFromSumAndCount) {
   // AVG ships as SUM+COUNT partials; the coordinator divides. 10+20 over
   // 3+1 calls = 7.5 — a value neither shard's local average equals (the

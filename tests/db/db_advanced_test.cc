@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "common/logging.h"
+#include "common/mem_tracker.h"
 #include "db/database.h"
 
 namespace dl2sql::db {
@@ -84,6 +85,14 @@ TEST_F(DbAdvancedTest, GroupByNullsFormOneGroup) {
   Table r = Q("SELECT k, count(*) FROM n GROUP BY k ORDER BY count(*) DESC");
   ASSERT_EQ(r.num_rows(), 2);
   EXPECT_EQ(r.column(1).GetValue(0).int_value(), 2);  // the NULL group
+  // The NULL group seen first, alone and beside a second key.
+  Q("CREATE TABLE m (s TEXT, k INT)");
+  Q("INSERT INTO m VALUES ('x', NULL), ('y', 2), ('x', NULL)");
+  EXPECT_EQ(Q("SELECT k, count(*) FROM m GROUP BY k ORDER BY k").ToString(),
+            "k | count(*)\nNULL | 2\n2 | 1\n");
+  EXPECT_EQ(
+      Q("SELECT s, k, count(*) FROM m GROUP BY s, k ORDER BY s").ToString(),
+      "s | k | count(*)\nx | NULL | 2\ny | 2 | 1\n");
 }
 
 TEST_F(DbAdvancedTest, LimitZeroAndOverLimit) {
@@ -142,6 +151,60 @@ TEST_F(DbAdvancedTest, CrossJoinGuardRejectsHugeProducts) {
   auto r = db_.Execute("SELECT count(*) FROM a, b");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST_F(DbAdvancedTest, NeuralEquiJoinRunsSymmetricLikeTheHashJoin) {
+  // Forced on: a DL2SQL_MEM_TRACKER=OFF leg would print no accounting.
+  const bool prior = MemTracker::Enabled();
+  MemTracker::SetEnabled(true);
+  constexpr int kFrames = 400;
+  Q("CREATE TABLE frames (id INT, v INT)");
+  Q("CREATE TABLE patterns (pid INT)");
+  std::string rows;
+  for (int i = 0; i < kFrames; ++i) {
+    rows += (i == 0 ? "(" : ", (") + std::to_string(i) + ", " +
+            std::to_string(i % 37) + ")";
+  }
+  Q("INSERT INTO frames VALUES " + rows);
+  Q("INSERT INTO patterns VALUES (0), (1), (2), (3), (4), (NULL)");
+  // A FLOAT64 nUDF equated to an INT64 column: v / 2 joins pid when v is
+  // even.
+  NUdfInfo info;
+  info.model_name = "half";
+  db_.udfs().RegisterNeural(
+      "nudf_half", DataType::kFloat64,
+      [](const std::vector<Value>& args) -> Result<Value> {
+        DL2SQL_ASSIGN_OR_RETURN(double v, args[0].AsDouble());
+        return Value::Float(v / 2);
+      },
+      info);
+  const std::string sql =
+      "SELECT F.id, P.pid FROM frames F, patterns P WHERE "
+      "nudf_half(F.v) = P.pid ORDER BY F.id";
+
+  db_.optimizer_options().enable_nudf_hints = true;
+  auto analyzed = db_.ExplainAnalyze(sql);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_NE(analyzed->find("[symmetric]"), std::string::npos) << *analyzed;
+  // The key tables and per-row arrays are charged to op.join: the arrival
+  // and eviction stamps alone are 16 bytes a row, more than the pairs and
+  // the join output of this selective join take.
+  const size_t at = analyzed->find("op.join: peak_bytes=");
+  ASSERT_NE(at, std::string::npos) << *analyzed;
+  const size_t cum = analyzed->find("cumulative_bytes=", at);
+  ASSERT_NE(cum, std::string::npos);
+  EXPECT_GE(std::stoll(analyzed->substr(cum + 17)), 16 * (kFrames + 6))
+      << *analyzed;
+  const Table symmetric = Q(sql);
+
+  db_.optimizer_options().enable_nudf_hints = false;
+  auto plain = db_.Explain(sql);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(plain->find("[symmetric]"), std::string::npos) << *plain;
+  const Table hashed = Q(sql);
+  EXPECT_EQ(symmetric.num_rows(), 55);  // 11 frames each with v = 0, 2, .., 8
+  EXPECT_EQ(symmetric.ToString(), hashed.ToString());
+  MemTracker::SetEnabled(prior);
 }
 
 TEST_F(DbAdvancedTest, ThreeWayJoin) {

@@ -247,22 +247,6 @@ TEST(VectorHashKeyTest, MatchesAppendKeyPartAcrossTypes) {
   }
 }
 
-TEST(VectorHashKeyTest, EncodeColumnKeysRangeMatchesAppendKeyPart) {
-  Column col{DataType::kFloat64};
-  ASSERT_TRUE(col.Append(Value::Float(2.0)).ok());
-  ASSERT_TRUE(col.Append(Value::Null()).ok());
-  ASSERT_TRUE(col.Append(Value::Float(-0.5)).ok());
-  std::vector<std::string> got;
-  EncodeColumnKeysRange(col, 0, 3, &got);
-  ASSERT_EQ(got.size(), 3u);
-  for (int64_t r = 0; r < 3; ++r) {
-    std::string want;
-    if (col.IsValid(r)) AppendKeyPart(col, r, &want);
-    EXPECT_EQ(got[static_cast<size_t>(r)], want) << "row " << r;
-  }
-  EXPECT_TRUE(got[1].empty()) << "NULL encodes as the empty (never-joining) key";
-}
-
 TEST(VectorAggTest, AccumulateAndMergeMatchScalarReference) {
   const std::vector<int64_t> vals = {5, 1, 9, 3};
   const std::vector<SelIndex> gids = {0, 1, 0, 1};

@@ -1,14 +1,18 @@
 /// \file oocore_scale.cc
 /// \brief Out-of-core scale demonstration: a fig8-style relational mix
-/// (hash join, grouped + global aggregation, filter/project) over a fact
-/// table ~10x larger than the configured buffer-pool budget.
+/// (two hash joins, grouped + global aggregation, filter/project) over a
+/// fact table ~10x larger than the configured buffer-pool budget.
 ///
 /// The paged run happens FIRST, before any in-memory copy of the data
 /// exists, so the sampled resident-set growth genuinely reflects the paged
 /// working set (pool frames + spill scratch + the served result), not the
 /// dataset. The run must
 ///   - keep the RSS delta below the logical data size (bounded peak RSS),
-///   - record spills in system.query_profiles (both spill paths exercised),
+///   - take each join path, per statement in system.query_profiles: the
+///     join with the small dim table streams fact through dim's table and
+///     spills nothing, while fact joined with itself has a build side over
+///     the budget and spills (grace join), as does the grouped aggregation
+///     (external aggregation),
 ///   - and produce bit-identical results: every query's row-key checksum is
 ///     compared against a serial in-memory Database over the same data.
 ///
@@ -41,16 +45,26 @@ namespace {
 constexpr int64_t kDimRows = 96;
 constexpr int64_t kSliceRows = 8192;  // load granularity (stays resident)
 
-// The fig8-style statement shapes: join, grouped aggregation, global
-// aggregation, filter+project. The join has no pushable single-side filter,
-// so the whole fact table reaches the join input and must spill.
-const char* const kMixSql[] = {
-    "SELECT F.id, F.grp, D.w FROM fact F INNER JOIN dim D ON F.grp = D.id",
+// The fig8-style statement shapes: two joins, grouped aggregation, global
+// aggregation, filter+project. Neither join has a pushable single-side
+// filter, so the whole fact table reaches each join's inputs. dim's table
+// fits the budget and fact streams through it as the probe side; the
+// self-join builds on fact, which does not fit, so it takes the grace join.
+const char* const kStarJoinSql =
+    "SELECT F.id, F.grp, D.w FROM fact F INNER JOIN dim D ON F.grp = D.id";
+const char* const kSelfJoinSql =
+    "SELECT A.id, B.val FROM fact A INNER JOIN fact B ON A.id = B.id";
+const char* const kGroupBySql =
     "SELECT grp, count(*) AS c, sum(val) AS s, avg(val) AS a, "
-    "min(val) AS lo, max(val) AS hi FROM fact GROUP BY grp",
+    "min(val) AS lo, max(val) AS hi FROM fact GROUP BY grp";
+const char* const kMixSql[] = {
+    kStarJoinSql,
+    kSelfJoinSql,
+    kGroupBySql,
     "SELECT count(*) AS c, sum(val) AS s FROM fact",
     "SELECT id * 2 AS d, val + 1.0 AS v FROM fact WHERE grp < 7",
 };
+constexpr size_t kMixSize = sizeof(kMixSql) / sizeof(kMixSql[0]);
 
 struct ScaleConfig {
   int64_t fact_rows;
@@ -60,8 +74,10 @@ struct ScaleConfig {
 
 /// Default exercises ~29 MB of data against a 2 MB pool (~14x); --quick
 /// shrinks to ~12 MB against 1 MB (~12x) for CI. The query memory limit must
-/// sit below the fact table (forcing the spill paths) but above the grace
-/// join's global pair vector (16 bytes per matching pair, one per fact row).
+/// sit below the fact table (so the self-join and the grouped aggregation
+/// spill) but above the self-join's grace pair vector (16 bytes per
+/// matching pair, one per fact row); the star join streams and holds only
+/// one window's pairs.
 ScaleConfig PickScale(bool quick) {
   if (quick) return {160000, 1u << 20, 4 << 20};
   return {400000, 2u << 20, 12 << 20};
@@ -160,6 +176,19 @@ MixResult RunMix(Database* db) {
   return out;
 }
 
+/// spill_bytes recorded for `sql` in system.query_profiles (-1: none).
+int64_t StatementSpillBytes(Database* db, const char* sql) {
+  auto r = db->Execute("SELECT sql, spill_bytes FROM system.query_profiles");
+  DL2SQL_CHECK(r.ok()) << r.status().ToString();
+  int64_t spill = -1;
+  for (int64_t i = 0; i < r->num_rows(); ++i) {
+    if (r->column(0).GetValue(i).string_value() == sql) {
+      spill = std::max(spill, r->column(1).GetValue(i).int_value());
+    }
+  }
+  return spill;
+}
+
 int64_t SumProfileColumn(Database* db, const char* column) {
   auto r = db->Execute(std::string("SELECT sum(") + column +
                        ") AS s FROM system.query_profiles");
@@ -233,16 +262,27 @@ int main(int argc, char** argv) {
   std::printf("in-memory mix: %.3fs\n", ref_run.seconds);
 
   bool ok = true;
-  for (size_t q = 0; q < paged_run.checksums.size(); ++q) {
+  for (size_t q = 0; q < kMixSize; ++q) {
     if (paged_run.checksums[q] != ref_run.checksums[q]) {
       std::fprintf(stderr, "FAIL: result mismatch for %s\n", kMixSql[q]);
       ok = false;
     }
   }
-  if (tracking && spill_bytes <= 0) {
-    std::fprintf(stderr,
-                 "FAIL: no spills recorded; the mix never left memory\n");
-    ok = false;
+  if (tracking) {
+    // Each join path, checked per statement: the grace join and external
+    // aggregation spill, the streamed star join does not.
+    for (const char* sql : {kSelfJoinSql, kGroupBySql}) {
+      if (StatementSpillBytes(&paged, sql) <= 0) {
+        std::fprintf(stderr, "FAIL: no spill recorded for %s\n", sql);
+        ok = false;
+      }
+    }
+    const int64_t star_spill = StatementSpillBytes(&paged, kStarJoinSql);
+    if (star_spill != 0) {
+      std::fprintf(stderr, "FAIL: the streamed join spilled (%lld bytes)\n",
+                   static_cast<long long>(star_spill));
+      ok = false;
+    }
   }
   // Bounded peak RSS: the paged working set must stay below the logical data
   // size (an in-memory run needs at least all of it resident). The bound is

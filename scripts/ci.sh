@@ -58,9 +58,12 @@ pass_mem_tracker_off() {
 pass_paged_storage() {
   # Paged storage must be bit-identical to the in-memory path: the whole
   # suite reruns with a deliberately tiny pool (2 MB), an aggressive paging
-  # threshold, and a query memory budget, so eviction, the grace hash join,
-  # and external aggregation all run on every merge — not just the happy
-  # in-memory path. Tests that assert in-memory accounting semantics pin
+  # threshold, and a query memory budget, so every test table is paged and
+  # read through the buffer pool (with constant eviction) and the windowed
+  # operators. No suite input outgrows the 64 MB budget: the spill paths
+  # (grace hash join, external aggregation) and the hash join's streamed
+  # probe run where a test sets a budget of its own (spill_exec_test).
+  # Tests that assert in-memory accounting semantics pin
   # StorageMode::kInMemory themselves.
   DL2SQL_STORAGE=paged \
   DL2SQL_BUFFER_POOL_BYTES=2097152 \
@@ -116,8 +119,10 @@ pass_profile_overhead() {
 
 pass_oocore_scale() {
   # Out-of-core scale guard: a fig8-style mix over data >= 10x the buffer
-  # pool must complete bit-identical to the in-memory run with bounded RSS
-  # and visible spills. Runs from the build dir (emits BENCH_oocore.json).
+  # pool must complete bit-identical to the in-memory run with bounded RSS,
+  # the star join streaming without a spill and the self-join (grace) and
+  # grouped aggregation spilling. Runs from the build dir (emits
+  # BENCH_oocore.json).
   cmake --build build-ci -j "${JOBS}" --target bench_oocore_scale
   (cd build-ci && ./bench/bench_oocore_scale --quick)
 }

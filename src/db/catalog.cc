@@ -48,8 +48,11 @@ Status Catalog::CreateTable(const std::string& name, TablePtr table,
     if (if_not_exists) return Status::OK();
     return Status::AlreadyExists("table '", name, "' already exists");
   }
-  Entry& entry =
-      (tables_[key] = Entry{std::move(table), temporary, std::nullopt});
+  Entry& entry = (tables_[key] = Entry{.table = std::move(table),
+                                        .temporary = temporary,
+                                        .stats = std::nullopt,
+                                        .indexes = {},
+                                        .tracked_bytes = 0});
   SyncTrackedLocked(entry);
   BumpVersion(key);
   return Status::OK();

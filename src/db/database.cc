@@ -1070,21 +1070,22 @@ class PagedResultWriter {
   storage::PagedTableBuilder builder_;
 };
 
-/// Runs the row-local operator `fn` over `input` one window at a time and
-/// concatenates the windows' outputs. A resident input is one window,
-/// shared copy-on-write, whose output is the result; a paged input gives one
-/// window per storage chunk, and the outputs stream back out through a
-/// PagedResultWriter (under the first output's schema), so at most one
-/// window of input and of output is resident.
+/// Runs `fn`, an operator local to the rows of `input` (a filter, a
+/// projection, a hash join's probe of its built table), over `input` one
+/// window at a time and concatenates the windows' outputs in window order.
+/// A resident input is one window, the input itself, whose output is the
+/// result; a paged input gives one window per storage chunk, and the outputs
+/// stream back out through a PagedResultWriter (under the first output's
+/// schema), so at most one window of input and of output is resident.
 Result<Table> MapWindows(const Table& input,
                          const std::function<Result<Table>(const Table&)>& fn) {
+  if (!input.is_paged()) return fn(input);
   const std::unique_ptr<storage::ColumnSource> source =
       storage::MakeColumnSource(std::make_shared<Table>(input), 0);
   std::unique_ptr<PagedResultWriter> writer;
   for (int64_t w = 0; w < source->num_windows(); ++w) {
     DL2SQL_ASSIGN_OR_RETURN(Table window, source->ReadWindow(w));
     DL2SQL_ASSIGN_OR_RETURN(Table piece, fn(window));
-    if (!input.is_paged()) return piece;
     if (writer == nullptr) {
       writer = std::make_unique<PagedResultWriter>(
           input.paged()->shared_engine(), piece.schema());
@@ -1334,6 +1335,24 @@ struct Database::HashJoinSides {
 
   int64_t probe_rows() const { return static_cast<int64_t>(probe_ids.size()); }
 
+  /// The probe step: evaluates `node`'s probe-side keys over `probe` (the
+  /// probe input, or one window of it) and sets probe_ids, with the
+  /// transient arrays charged to `scratch`.
+  Status Probe(const PlanNode& node, const Table& probe, EvalContext* ctx,
+               ScopedMemCharge* scratch) {
+    std::vector<ColumnHandle> cols;
+    std::vector<const Column*> keys;
+    for (const auto& [lk, rk] : node.equi_keys) {
+      DL2SQL_ASSIGN_OR_RETURN(ColumnHandle c,
+                              EvalExpr(build_left ? *rk : *lk, probe, ctx));
+      keys.push_back(c.get());
+      cols.push_back(std::move(c));
+    }
+    DL2SQL_ASSIGN_OR_RETURN(probe_ids,
+                            ProbeJoinTable(table(), keys, ctx, scratch));
+    return Status::OK();
+  }
+
   /// Build rows matching probe row `p`, ascending (empty when none).
   std::pair<const int64_t*, const int64_t*> Matches(int64_t p) const {
     const KeyHashTable::KeyId k = probe_ids[static_cast<size_t>(p)];
@@ -1357,19 +1376,56 @@ struct Database::HashJoinSides {
     }
     return p;
   }
+
+  /// Every probe row's pairs, as AppendPairs emits them, into the empty
+  /// `lrows` and `rrows`; TooManyJoinPairs past `max_pairs`. With a pool the
+  /// probe is morsel-parallel: the table is immutable once built, so any
+  /// number of workers may probe it; each probe morsel collects its pairs
+  /// into its own row-id vectors and these are concatenated in morsel
+  /// order, which reproduces the serial pair order for every thread count.
+  Status AllPairs(const EvalContext& ctx, int64_t max_pairs,
+                  std::vector<int64_t>* lrows,
+                  std::vector<int64_t>* rrows) const {
+    const size_t limit = static_cast<size_t>(max_pairs) + 1;
+    const int64_t pn = probe_rows();
+    const int64_t m = ctx.morsel_size;
+    if (ctx.pool == nullptr || ctx.pool->num_threads() <= 1 || pn <= m) {
+      AppendPairs(0, pn, limit, lrows, rrows);
+      return lrows->size() >= limit ? TooManyJoinPairs() : Status::OK();
+    }
+    std::vector<std::pair<std::vector<int64_t>, std::vector<int64_t>>> parts(
+        static_cast<size_t>((pn + m - 1) / m));
+    std::atomic<int64_t> total_pairs{0};
+    DL2SQL_RETURN_NOT_OK(ctx.pool->ParallelForMorsel(
+        pn, m, [&](int64_t bgn, int64_t end, int) -> Status {
+          auto& [l, r] = parts[static_cast<size_t>(bgn / m)];
+          AppendPairs(bgn, end, limit, &l, &r);
+          const int64_t sz = static_cast<int64_t>(l.size());
+          if (total_pairs.fetch_add(sz) + sz > max_pairs) {
+            return TooManyJoinPairs();
+          }
+          return Status::OK();
+        }));
+    lrows->reserve(static_cast<size_t>(total_pairs.load()));
+    rrows->reserve(static_cast<size_t>(total_pairs.load()));
+    for (const auto& [l, r] : parts) {
+      lrows->insert(lrows->end(), l.begin(), l.end());
+      rrows->insert(rrows->end(), r.begin(), r.end());
+    }
+    return Status::OK();
+  }
 };
 
-Result<Database::HashJoinSides> Database::PrepareHashJoin(
-    const PlanNode& node, const Table& left, const Table& right,
-    EvalContext* ctx, ScopedMemCharge* scratch) {
+Result<Database::HashJoinSides> Database::BuildHashJoin(
+    const PlanNode& node, const Table& build, EvalContext* ctx,
+    ScopedMemCharge* scratch) {
   HashJoinSides s;
   s.build_left = node.join_build_left;
-  std::vector<ColumnHandle> build_key_cols, probe_key_cols;
+  std::vector<Column> keys;
   for (const auto& [lk, rk] : node.equi_keys) {
-    DL2SQL_ASSIGN_OR_RETURN(ColumnHandle lc, EvalExpr(*lk, left, ctx));
-    DL2SQL_ASSIGN_OR_RETURN(ColumnHandle rc, EvalExpr(*rk, right, ctx));
-    build_key_cols.push_back(s.build_left ? lc : rc);
-    probe_key_cols.push_back(s.build_left ? rc : lc);
+    DL2SQL_ASSIGN_OR_RETURN(ColumnHandle c,
+                            EvalExpr(s.build_left ? *lk : *rk, build, ctx));
+    keys.push_back(*c);
   }
 
   // Reuse a prebuilt base-table index when the build side is an unfiltered
@@ -1389,8 +1445,7 @@ Result<Database::HashJoinSides> Database::PrepareHashJoin(
     s.index = catalog_.GetIndex(
         build_plan.table_name,
         dot == std::string::npos ? qualified : qualified.substr(dot + 1));
-    const int64_t build_rows = (s.build_left ? left : right).num_rows();
-    if (s.index != nullptr && s.index->indexed_rows() != build_rows) {
+    if (s.index != nullptr && s.index->indexed_rows() != build.num_rows()) {
       s.index = nullptr;  // stale snapshot guard
     }
   }
@@ -1400,32 +1455,35 @@ Result<Database::HashJoinSides> Database::PrepareHashJoin(
         MetricsRegistry::Global().counter("db.index_joins");
     index_counter->Increment();
   } else {
-    std::vector<Column> keys;
-    for (const auto& c : build_key_cols) keys.push_back(*c);
     DL2SQL_ASSIGN_OR_RETURN(s.built,
                             BuildJoinTable(std::move(keys), ctx, scratch));
   }
-  std::vector<const Column*> probe_keys;
-  for (const auto& c : probe_key_cols) probe_keys.push_back(c.get());
-  DL2SQL_ASSIGN_OR_RETURN(s.probe_ids,
-                          ProbeJoinTable(s.table(), probe_keys, ctx, scratch));
   return s;
 }
 
 Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) {
-  if (left.is_paged() || right.is_paged()) {
-    // Try to admit each paged side into the query's memory budget; whatever
-    // doesn't fit forces the grace (partitioned, spilling) join, which only
-    // exists for equi joins. Cross and symmetric-hash joins have no spill
-    // path — surface the budget refusal instead of silently thrashing.
+  Table& build = node.join_build_left ? left : right;
+  Table& probe = node.join_build_left ? right : left;
+  const bool hash = !node.equi_keys.empty() && !node.use_symmetric_hash;
+  if (hash) {
+    // The hybrid hash join's admission: the optimizer's build side must be
+    // resident, so one over the query budget takes the grace (partitioned,
+    // spilling) join. A probe side that does not fit stays paged and
+    // streams through the built table.
+    DL2SQL_ASSIGN_OR_RETURN(bool build_fits,
+                            TryEnsureResident(PlanKind::kJoin, &build));
+    if (!build_fits) {
+      return ExecJoinGrace(node, std::move(left), std::move(right));
+    }
+    DL2SQL_RETURN_NOT_OK(TryEnsureResident(PlanKind::kJoin, &probe).status());
+  } else if (left.is_paged() || right.is_paged()) {
+    // Cross and symmetric-hash joins read both inputs whole and have no
+    // spill path — surface the budget refusal instead of silently thrashing.
     DL2SQL_ASSIGN_OR_RETURN(bool left_fits,
                             TryEnsureResident(PlanKind::kJoin, &left));
     DL2SQL_ASSIGN_OR_RETURN(bool right_fits,
                             TryEnsureResident(PlanKind::kJoin, &right));
     if (!left_fits || !right_fits) {
-      if (!node.equi_keys.empty() && !node.use_symmetric_hash) {
-        return ExecJoinGrace(node, std::move(left), std::move(right));
-      }
       return Status::ResourceExhausted(
           "join input (", left.ByteSize() + right.ByteSize(),
           " bytes) exceeds the query memory budget and this join shape "
@@ -1435,16 +1493,25 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
   Stopwatch watch;
   EvalContext ctx = MakeEvalContext();
   // Transient join state — build-side hash table, probe hashes and the pair
-  // row ids — is charged against op.join while live and released on
-  // return. Estimates, not malloc-exact: the accounting answers "which
-  // operator holds the memory", not "what does malloc say".
+  // row ids — is charged against op.join while live. Estimates, not
+  // malloc-exact: the accounting answers "which operator holds the memory",
+  // not "what does malloc say".
   ScopedMemCharge scratch_mem(OpScratchTracker(PlanKind::kJoin));
-  // Join pair i is row lrows[i] of the left input and row rrows[i] of the
-  // right one.
+  // Join pair i is row lrows[i] of `l` and row rrows[i] of `r`; the row ids
+  // are charged to `mem` while the pairs materialize.
+  auto materialize = [&](const Table& l, const Table& r,
+                         const std::vector<int64_t>& lrows,
+                         const std::vector<int64_t>& rrows,
+                         ScopedMemCharge* mem) -> Result<Table> {
+    DL2SQL_RETURN_NOT_OK(mem->Charge(
+        static_cast<int64_t>(2 * lrows.size() * sizeof(int64_t))));
+    return MaterializeJoinPairs(node, l, r, lrows, rrows, &ctx);
+  };
+  Table joined;
   std::vector<int64_t> lrows, rrows;
-  const size_t limit = static_cast<size_t>(kMaxJoinPairs) + 1;
 
   if (node.use_symmetric_hash && node.equi_keys.size() == 1) {
+    const size_t limit = static_cast<size_t>(kMaxJoinPairs) + 1;
     DL2SQL_RETURN_NOT_OK(SymmetricHashJoinPairs(
         left, right, *node.equi_keys[0].first, *node.equi_keys[0].second,
         &ctx, SymmetricHashJoinOptions{}, &scratch_mem, limit, &lrows,
@@ -1454,42 +1521,32 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
     static Counter* const symmetric_counter =
         MetricsRegistry::Global().counter("db.symmetric_joins");
     symmetric_counter->Increment();
-  } else if (!node.equi_keys.empty()) {
     DL2SQL_ASSIGN_OR_RETURN(
-        HashJoinSides sides,
-        PrepareHashJoin(node, left, right, &ctx, &scratch_mem));
-    // Morsel-parallel probe: the table is immutable once built, so any
-    // number of workers may probe it; each probe morsel collects its pairs
-    // into its own row-id vectors and these are concatenated in morsel
-    // order, which reproduces the serial pair order for every thread count.
-    const int64_t pn = sides.probe_rows();
-    const int64_t m = ctx.morsel_size;
-    if (ctx.pool == nullptr || ctx.pool->num_threads() <= 1 || pn <= m) {
-      sides.AppendPairs(0, pn, limit, &lrows, &rrows);
-      if (lrows.size() >= limit) return TooManyJoinPairs();
-    } else {
-      std::vector<std::pair<std::vector<int64_t>, std::vector<int64_t>>>
-          parts(static_cast<size_t>((pn + m - 1) / m));
-      std::atomic<int64_t> total_pairs{0};
-      DL2SQL_RETURN_NOT_OK(ctx.pool->ParallelForMorsel(
-          pn, m, [&](int64_t bgn, int64_t end, int) -> Status {
-            auto& [l, r] = parts[static_cast<size_t>(bgn / m)];
-            sides.AppendPairs(bgn, end, limit, &l, &r);
-            const int64_t sz = static_cast<int64_t>(l.size());
-            if (total_pairs.fetch_add(sz) + sz > kMaxJoinPairs) {
-              return TooManyJoinPairs();
-            }
-            return Status::OK();
-          }));
-      lrows.reserve(static_cast<size_t>(total_pairs.load()));
-      rrows.reserve(static_cast<size_t>(total_pairs.load()));
-      for (const auto& [l, r] : parts) {
-        lrows.insert(lrows.end(), l.begin(), l.end());
-        rrows.insert(rrows.end(), r.begin(), r.end());
-      }
-    }
+        joined, materialize(left, right, lrows, rrows, &scratch_mem));
+  } else if (!node.equi_keys.empty()) {
+    // The build step runs once, the probe step once per probe window, and
+    // windows run in order, so pairs come out probe-ascending as in one
+    // window; the pair cap counts across windows. The table is charged on
+    // the join's scope, a window's probe arrays and row ids on its own.
+    DL2SQL_ASSIGN_OR_RETURN(HashJoinSides sides,
+                            BuildHashJoin(node, build, &ctx, &scratch_mem));
+    int64_t pairs = 0;
+    auto join_window = [&](const Table& window) -> Result<Table> {
+      ScopedMemCharge window_mem(OpScratchTracker(PlanKind::kJoin));
+      DL2SQL_RETURN_NOT_OK(sides.Probe(node, window, &ctx, &window_mem));
+      lrows.clear();
+      rrows.clear();
+      DL2SQL_RETURN_NOT_OK(
+          sides.AllPairs(ctx, kMaxJoinPairs - pairs, &lrows, &rrows));
+      pairs += static_cast<int64_t>(lrows.size());
+      return sides.build_left
+                 ? materialize(build, window, lrows, rrows, &window_mem)
+                 : materialize(window, build, lrows, rrows, &window_mem);
+    };
+    DL2SQL_ASSIGN_OR_RETURN(joined, MapWindows(probe, join_window));
   } else {
-    // Cross product (with optional residual condition applied below).
+    // Cross product (the residual condition applies as the pairs
+    // materialize).
     const int64_t total = left.num_rows() * right.num_rows();
     if (total > kMaxJoinPairs) {
       return Status::ResourceExhausted("cross join of ", left.num_rows(), " x ",
@@ -1503,13 +1560,9 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
         rrows.push_back(r);
       }
     }
+    DL2SQL_ASSIGN_OR_RETURN(
+        joined, materialize(left, right, lrows, rrows, &scratch_mem));
   }
-
-  DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(
-      static_cast<int64_t>(2 * lrows.size() * sizeof(int64_t))));
-  DL2SQL_ASSIGN_OR_RETURN(
-      Table joined,
-      MaterializeJoinPairs(node, left, right, lrows, rrows, &ctx));
   const double inf = DrainEvalContext(ctx);
   ChargeOperator("join", watch.ElapsedSeconds(), inf);
   return joined;
@@ -1665,8 +1718,12 @@ Result<std::optional<Table>> Database::ExecJoinAggregate(
                                          left.num_rows() + right.num_rows(),
                                          &agg_mem);
 
-  DL2SQL_ASSIGN_OR_RETURN(HashJoinSides sides,
-                          PrepareHashJoin(join, left, right, &ctx, &join_mem));
+  DL2SQL_ASSIGN_OR_RETURN(
+      HashJoinSides sides,
+      BuildHashJoin(join, join.join_build_left ? left : right, &ctx,
+                    &join_mem));
+  DL2SQL_RETURN_NOT_OK(sides.Probe(join, join.join_build_left ? right : left,
+                                   &ctx, &join_mem));
 
   // Hashed grouping compares and copies key rows by one row number, so its
   // bare key columns are gathered too. A bare key still hashes through
@@ -1955,15 +2012,27 @@ Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
   const size_t num_keys = node.group_keys.size();
   const size_t num_aggs = node.agg_calls.size();
   // Spill rows carry the group keys, then the aggregate arguments packed
-  // densely (COUNT(*) has none).
+  // densely (COUNT(*) has none). Aggregates over the same bare column share
+  // its slot; a computed argument keeps its own, so an nUDF in it runs as
+  // often as in memory.
   std::vector<const Expr*> exprs;
   for (const auto& k : node.group_keys) exprs.push_back(k.get());
   std::vector<int> arg_slot(num_aggs, -1);
+  std::map<int, int> column_slot;  // bound_index -> slot
   for (size_t a = 0; a < num_aggs; ++a) {
     const Expr& call = *node.agg_calls[a];
     if (call.agg_func == AggFunc::kCountStar) continue;
+    const Expr& arg = *call.children[0];
     arg_slot[a] = static_cast<int>(exprs.size() - num_keys);
-    exprs.push_back(call.children[0].get());
+    if (arg.kind == ExprKind::kColumnRef && arg.bound_index >= 0) {
+      const auto [it, added] =
+          column_slot.emplace(arg.bound_index, arg_slot[a]);
+      if (!added) {
+        arg_slot[a] = it->second;
+        continue;
+      }
+    }
+    exprs.push_back(&arg);
   }
   const int64_t num_parts =
       num_keys == 0

@@ -385,6 +385,12 @@ class Database {
   /// streams its output back out to paged storage.
   Result<Table> ExecFilter(const PlanNode& node, Table input);
   Result<Table> ExecProject(const PlanNode& node, Table input);
+  /// An equi hash join admits its build side first: one over the query
+  /// budget takes the grace join; otherwise the table is built once and the
+  /// probe side runs through it one window at a time (a resident probe side
+  /// is one window, a paged one that does not fit gives a window per storage
+  /// chunk and streams its output back out to paged storage). Cross and
+  /// symmetric-hash joins need both inputs resident.
   Result<Table> ExecJoin(const PlanNode& node, Table left, Table right);
   Result<Table> ExecAggregate(const PlanNode& node, Table input);
   Result<Table> ExecSort(const PlanNode& node, Table input);
@@ -393,15 +399,16 @@ class Database {
   /// @{
   /// Build/probe state of an equi hash join (defined in database.cc).
   struct HashJoinSides;
-  /// Evaluates both inputs' equi keys, takes the optimizer's build side's
-  /// table — a prebuilt HashIndex when the build side is an unfiltered scan
-  /// of an indexed column, else a KeyHashTable built here and charged to
-  /// `scratch` — and looks up every probe row's key id. The build and probe
-  /// steps are the ones each grace-join partition runs.
-  Result<HashJoinSides> PrepareHashJoin(const PlanNode& node,
-                                        const Table& left, const Table& right,
-                                        EvalContext* ctx,
-                                        ScopedMemCharge* scratch);
+  /// The hash join's build step: evaluates the equi keys of the optimizer's
+  /// build side `build` and takes its table — a prebuilt HashIndex when the
+  /// build side is an unfiltered scan of an indexed column, else a
+  /// KeyHashTable built here and charged to `scratch`. The probe step
+  /// (HashJoinSides::Probe) then looks up the key ids of the probe input, or
+  /// of each window of it. Each grace-join partition runs the same two steps
+  /// over its spilled key columns.
+  Result<HashJoinSides> BuildHashJoin(const PlanNode& node, const Table& build,
+                                      EvalContext* ctx,
+                                      ScopedMemCharge* scratch);
   /// Aggregate `agg` over inner equi-join `join` of resident inputs in one
   /// pass: probe matches are collected batch by batch as two row-id
   /// vectors; bare column keys and arguments, and SUM/AVG/STDDEV products
@@ -429,10 +436,11 @@ class Database {
   /// `t` is (now) resident, false if its resident form would not fit under
   /// the query memory budget (the caller must take a spill path or fail).
   Result<bool> TryEnsureResident(PlanKind kind, Table* t);
-  /// Grace hash join: partitions both sides' typed key columns by key hash
-  /// into block-file spill runs, joins each partition pair with the
-  /// in-memory join's build and probe steps, restores the in-memory pair
-  /// order and materializes the pairs as the in-memory join does.
+  /// Grace hash join, for a build side over the query budget: partitions
+  /// both sides' typed key columns by key hash into block-file spill runs,
+  /// joins each partition pair with the in-memory join's build and probe
+  /// steps, restores the in-memory pair order and materializes the pairs as
+  /// the in-memory join does.
   Result<Table> ExecJoinGrace(const PlanNode& node, Table left, Table right);
   /// External aggregation: partitions rows (typed key and argument columns)
   /// into block-file spill runs with the grace join's partitioner, folds

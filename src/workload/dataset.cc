@@ -1,5 +1,8 @@
 #include "workload/dataset.h"
 
+#include <cstdio>
+
+#include "common/logging.h"
 #include "tensor/tensor_blob.h"
 
 namespace dl2sql::workload {
@@ -11,17 +14,20 @@ using db::TableSchema;
 
 namespace {
 
-/// Day index (0..364) to an ISO date string in 2021.
+/// Day index (0..364) to an ISO date string in 2021. The day is checked
+/// and narrowed to that range, so both fields provably fit `buf`.
 std::string DateString(int64_t day) {
-  static const int kDays[] = {31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31};
+  DL2SQL_CHECK(day >= 0 && day < 365) << "day " << day;
+  static const unsigned kDays[] = {31, 28, 31, 30, 31, 30,
+                                   31, 31, 30, 31, 30, 31};
+  unsigned mday = static_cast<unsigned>(day) % 365;
   int month = 0;
-  while (month < 12 && day >= kDays[month]) {
-    day -= kDays[month];
+  while (month < 12 && mday >= kDays[month]) {
+    mday -= kDays[month];
     ++month;
   }
   char buf[16];
-  std::snprintf(buf, sizeof(buf), "2021-%02d-%02d", month + 1,
-                static_cast<int>(day) + 1);
+  std::snprintf(buf, sizeof(buf), "2021-%02d-%02u", month + 1, mday + 1);
   return buf;
 }
 

@@ -1,10 +1,12 @@
 /// \file spill_exec_test.cc
-/// \brief Bit-identity of the spilling executor paths (grace hash join,
-/// external aggregation, windowed filter/project) against the in-memory
-/// executor, across several pool/query-memory budgets.
+/// \brief Bit-identity of the out-of-core executor paths (the hash join's
+/// streamed probe, the grace hash join, external aggregation, windowed
+/// filter/project) against the in-memory executor, across several
+/// pool/query-memory budgets.
 ///
-/// All databases here run without a device pool: the spill contract is
-/// bit-identity with the serial in-memory execution.
+/// The contract is bit-identity with the serial in-memory execution; every
+/// database here runs without a device pool but one, which checks that
+/// contract for a morsel-parallel streamed probe.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "accel/device.h"
 #include "common/logging.h"
 #include "common/mem_tracker.h"
 #include "db/database.h"
@@ -23,6 +26,7 @@ namespace {
 
 constexpr int64_t kRows = 30000;
 constexpr int64_t kDimRows = 96;
+constexpr int64_t kWideRows = 20000;
 
 class ScopedTrackingEnabled {
  public:
@@ -109,15 +113,34 @@ void FillTables(Database* db) {
             .ok());
   }
   DL2SQL_CHECK(db->RegisterTable("names", std::move(names)).ok());
+
+  // A build side over every query budget below (~2.8 MB): fewer rows than
+  // shapes, so the optimizer builds on it, each with a unique id, its name
+  // "n" + id (shapes' names n0..n96 each match one) and a payload.
+  TableSchema wide_schema({{"id", DataType::kInt64},
+                           {"w", DataType::kInt64},
+                           {"name", DataType::kString},
+                           {"payload", DataType::kString}});
+  Table wide{wide_schema};
+  const std::string wide_payload(112, 'q');
+  for (int64_t i = 0; i < kWideRows; ++i) {
+    DL2SQL_CHECK(wide.AppendRow({Value::Int(i), Value::Int((i * 37) % 1000),
+                                 Value::String("n" + std::to_string(i)),
+                                 Value::String(wide_payload)})
+                     .ok());
+  }
+  DL2SQL_CHECK(db->RegisterTable("wide", std::move(wide)).ok());
 }
 
 // The join probe side must be the whole fact table (nothing pushable below
 // the join), or the planner's pushed-down filter shrinks the input under the
-// query budget and the in-memory join runs instead of the grace join.
+// query budget and the probe side is admitted instead of streamed: dim
+// fits, so its table is built once and fact streams through it.
 const char* const kJoinSql =
     "SELECT F.id, F.grp, D.w FROM fact F INNER JOIN dim D ON F.grp = D.id";
 // The residual references both sides, so it must survive as a join_condition
-// applied after pair emission (slice-local in the grace path).
+// applied after pair emission (per probe window when streamed, per slice in
+// the grace path).
 const char* const kJoinResidualSql =
     "SELECT F.id, D.w FROM fact F INNER JOIN dim D "
     "ON F.grp = D.id AND F.id % 7 < D.id";
@@ -125,6 +148,17 @@ const char* const kAggSql =
     "SELECT grp, count(*) AS c, sum(val) AS s, avg(val) AS a, "
     "min(val) AS lo, max(val) AS hi, stddev_samp(val) AS sd "
     "FROM fact GROUP BY grp";
+// External aggregation spills each bare argument column once, however many
+// aggregates read it; a computed argument spills a column of its own.
+const char* const kNoArgAggSql =
+    "SELECT grp, count(*) AS c FROM fact GROUP BY grp";
+const char* const kOneArgAggSql =
+    "SELECT grp, sum(val) AS s FROM fact GROUP BY grp";
+const char* const kSharedArgAggSql =
+    "SELECT grp, sum(val) AS s, min(val) AS lo, max(val) AS hi FROM fact "
+    "GROUP BY grp";
+const char* const kTwoArgAggSql =
+    "SELECT grp, sum(val) AS s, sum(val + 1.0) AS t FROM fact GROUP BY grp";
 const char* const kGlobalAggSql =
     "SELECT count(*) AS c, sum(val) AS s, avg(val) AS a FROM fact";
 const char* const kFilterProjectSql =
@@ -139,30 +173,46 @@ const char* const kGenericAggSqls[] = {
     "avg(nv) AS a FROM shapes GROUP BY grp",
 };
 
-// Grace joins of the over-budget shapes table over every key shape: a
-// FLOAT64 key of integral values against INT64 dim.id, the NULL-bearing nv
-// (its NULL rows never join), a two-column key, and a STRING key.
-const char* const kFloatKeyJoinSql =
-    "SELECT S.grp, S.name, D.w FROM shapes S INNER JOIN dim D "
-    "ON S.grp * 1.0 = D.id";
-const char* const kNullKeyJoinSql =
-    "SELECT S.nv, S.name, D.w FROM shapes S INNER JOIN dim D ON S.nv = D.id";
+// The over-budget shapes table streamed through a small build side over
+// every key shape: a FLOAT64 key of integral values against INT64 dim.id,
+// the NULL-bearing nv (its NULL rows never join), a two-column key, and a
+// STRING key.
 const char* const kKeyJoinSqls[] = {
-    kFloatKeyJoinSql,
-    kNullKeyJoinSql,
+    "SELECT S.grp, S.name, D.w FROM shapes S INNER JOIN dim D "
+    "ON S.grp * 1.0 = D.id",
+    "SELECT S.nv, S.name, D.w FROM shapes S INNER JOIN dim D ON S.nv = D.id",
     "SELECT S.grp, S.nv, D.w FROM shapes S INNER JOIN dim D "
     "ON S.grp = D.id AND S.nv = D.w % 17",
     "SELECT S.grp, S.name, N.k FROM shapes S INNER JOIN names N "
     "ON S.name = N.name",
 };
-// Spilled columns whose windows evaluate to different types: lead + 1 is
-// FLOAT64 over the first chunk and INT64 after it, trail + 1 the other way
-// round (a join key, compared canonically).
-const char* const kTypeDriftSqls[] = {
+// Columns whose windows evaluate to different types: lead + 1 is FLOAT64
+// over the first chunk and INT64 after it (a spilled aggregate argument),
+// trail + 1 the other way round (a join key, compared canonically).
+const char* const kTypeDriftAggSql =
     "SELECT grp, sum(lead + 1) AS s, max(lead + 1) AS hi FROM shapes "
-    "GROUP BY grp",
+    "GROUP BY grp";
+const char* const kTypeDriftJoinSql =
     "SELECT S.grp, S.trail, D.w FROM shapes S INNER JOIN dim D "
-    "ON S.trail + 1 = D.id",
+    "ON S.trail + 1 = D.id";
+// Grace joins: the build side, wide, is over every budget, so both sides
+// spill. The same key shapes, the type-drifting key and a residual.
+const char* const kFloatKeyGraceSql =
+    "SELECT S.grp, S.name, W.w FROM shapes S INNER JOIN wide W "
+    "ON S.grp * 1.0 = W.id";
+const char* const kNullKeyGraceSql =
+    "SELECT S.nv, S.name, W.w FROM shapes S INNER JOIN wide W ON S.nv = W.id";
+const char* const kGraceJoinSqls[] = {
+    kFloatKeyGraceSql,
+    kNullKeyGraceSql,
+    "SELECT S.grp, S.nv, W.w FROM shapes S INNER JOIN wide W "
+    "ON S.grp = W.id AND S.nv = W.w % 17",
+    "SELECT S.grp, S.name, W.id FROM shapes S INNER JOIN wide W "
+    "ON S.name = W.name",
+    "SELECT S.grp, S.trail, W.w FROM shapes S INNER JOIN wide W "
+    "ON S.trail + 1 = W.id",
+    "SELECT S.grp, S.val, W.w FROM shapes S INNER JOIN wide W "
+    "ON S.grp = W.id AND S.val < W.w % 150",
 };
 
 std::vector<std::string> RunAll(Database* db,
@@ -206,52 +256,75 @@ struct PagedConfig {
   int64_t query_mem_limit;
 };
 
-void ExpectBitIdentical(const PagedConfig& cfg) {
-  std::vector<const char*> queries = {kJoinSql, kJoinResidualSql, kAggSql,
-                                      kGlobalAggSql, kFilterProjectSql};
-  queries.insert(queries.end(), std::begin(kGenericAggSqls),
-                 std::end(kGenericAggSqls));
-  queries.insert(queries.end(), std::begin(kKeyJoinSqls),
-                 std::end(kKeyJoinSqls));
-  queries.insert(queries.end(), std::begin(kTypeDriftSqls),
-                 std::end(kTypeDriftSqls));
-  const std::vector<std::string> expected = ReferenceRenders(queries);
-
-  Database db;
+/// A paged database over FillTables' data: every non-trivial table paged,
+/// the storage options of `cfg`, and its query memory limit.
+void OpenPaged(const PagedConfig& cfg, Database* db) {
   storage::StorageOptions opts;
   opts.pool_bytes = cfg.pool_bytes;
   opts.block_bytes = cfg.block_bytes;
   opts.shards = cfg.shards;
   opts.spill_partitions = cfg.spill_partitions;
   opts.page_min_bytes = 4096;  // page everything non-trivial
-  ASSERT_TRUE(db.set_storage_mode(StorageMode::kPaged, opts).ok());
-  FillTables(&db);
-  db.set_query_mem_limit(cfg.query_mem_limit);
+  DL2SQL_CHECK(db->set_storage_mode(StorageMode::kPaged, opts).ok());
+  FillTables(db);
+  db->set_query_mem_limit(cfg.query_mem_limit);
+}
 
+void ExpectBitIdentical(const PagedConfig& cfg) {
+  std::vector<const char*> queries = {
+      kJoinSql,         kJoinResidualSql,  kAggSql,
+      kGlobalAggSql,    kFilterProjectSql, kNoArgAggSql,
+      kOneArgAggSql,    kSharedArgAggSql,  kTwoArgAggSql,
+      kTypeDriftAggSql, kTypeDriftJoinSql};
+  queries.insert(queries.end(), std::begin(kGenericAggSqls),
+                 std::end(kGenericAggSqls));
+  queries.insert(queries.end(), std::begin(kKeyJoinSqls),
+                 std::end(kKeyJoinSqls));
+  queries.insert(queries.end(), std::begin(kGraceJoinSqls),
+                 std::end(kGraceJoinSqls));
+  const std::vector<std::string> expected = ReferenceRenders(queries);
+
+  Database db;
+  OpenPaged(cfg, &db);
   for (size_t q = 0; q < queries.size(); ++q) {
     auto r = db.Execute(queries[q]);
     ASSERT_TRUE(r.ok()) << queries[q] << ": " << r.status().ToString();
     EXPECT_EQ(r->ToString(r->num_rows()), expected[q]) << queries[q];
   }
 
-  // The fact table (~2.8 MB) cannot be admitted under the query budget, so
-  // the join and aggregation must have taken the spill paths.
-  EXPECT_GT(SpillBytesFor(&db, kJoinSql), 0);
-  EXPECT_GT(SpillBytesFor(&db, kAggSql), 0);
+  // The fact and shapes tables (~2.8 MB each) cannot be admitted under the
+  // query budget, so the aggregations must have spilled.
+  for (const char* sql : {kAggSql, kNoArgAggSql, kTypeDriftAggSql}) {
+    EXPECT_GT(SpillBytesFor(&db, sql), 0) << sql;
+  }
   for (const char* sql : kGenericAggSqls) {
     EXPECT_GT(SpillBytesFor(&db, sql), 0) << sql;
   }
-  for (const char* sql : kKeyJoinSqls) {
-    EXPECT_GT(SpillBytesFor(&db, sql), 0) << sql;
+  // Aggregates over one bare column spill it once; sum(val + 1.0) spills a
+  // second column, as many bytes as val adds to count(*)'s spill.
+  EXPECT_EQ(SpillBytesFor(&db, kSharedArgAggSql),
+            SpillBytesFor(&db, kOneArgAggSql));
+  EXPECT_EQ(SpillBytesFor(&db, kTwoArgAggSql) -
+                SpillBytesFor(&db, kOneArgAggSql),
+            SpillBytesFor(&db, kOneArgAggSql) -
+                SpillBytesFor(&db, kNoArgAggSql));
+  // A build side that fits is built once and the probe side streams
+  // through it: nothing spills.
+  for (const char* sql : {kJoinSql, kJoinResidualSql, kTypeDriftJoinSql}) {
+    EXPECT_EQ(SpillBytesFor(&db, sql), 0) << sql;
   }
-  for (const char* sql : kTypeDriftSqls) {
+  for (const char* sql : kKeyJoinSqls) {
+    EXPECT_EQ(SpillBytesFor(&db, sql), 0) << sql;
+  }
+  // A build side over the budget takes the grace join.
+  for (const char* sql : kGraceJoinSqls) {
     EXPECT_GT(SpillBytesFor(&db, sql), 0) << sql;
   }
   // NULL keys never join, so the grace join spills none of the fifth of
   // shapes rows whose nv is NULL: less than the same join on a NULL-free
   // key of every row.
-  EXPECT_LT(SpillBytesFor(&db, kNullKeyJoinSql),
-            SpillBytesFor(&db, kFloatKeyJoinSql));
+  EXPECT_LT(SpillBytesFor(&db, kNullKeyGraceSql),
+            SpillBytesFor(&db, kFloatKeyGraceSql));
 }
 
 TEST(SpillExecTest, GraceJoinAndExternalAggMatchInMemory) {
@@ -277,6 +350,25 @@ TEST(SpillExecTest, LargerBudgetStillSpillsIdentically) {
   ExpectBitIdentical({/*pool_bytes=*/1u << 20, /*block_bytes=*/32 * 1024,
                       /*shards=*/4, /*spill_partitions=*/16,
                       /*query_mem_limit=*/2 << 20});
+}
+
+TEST(SpillExecTest, StreamedProbeUnderDevicePoolMatchesSerial) {
+  ScopedTrackingEnabled guard;
+  // The probe side streams window by window; each window's probe and pair
+  // collection run morsel-parallel on four workers.
+  const std::vector<const char*> queries = {kJoinResidualSql};
+  const std::vector<std::string> expected = ReferenceRenders(queries);
+  DeviceProfile profile = Device::ServerCpuProfile();
+  profile.num_threads = 4;
+  Device device(profile);
+  Database db;
+  OpenPaged({/*pool_bytes=*/1u << 20, /*block_bytes=*/32 * 1024,
+             /*shards=*/4, /*spill_partitions=*/4,
+             /*query_mem_limit=*/1 << 20},
+            &db);
+  db.set_exec_options({&device, /*morsel_size=*/256});
+  EXPECT_EQ(RunAll(&db, queries), expected);
+  EXPECT_EQ(SpillBytesFor(&db, kJoinResidualSql), 0);
 }
 
 TEST(SpillExecTest, PagedModeWithoutPressureIsStillBitIdentical) {

@@ -1,18 +1,22 @@
 /// \file oocore_scale.cc
 /// \brief Out-of-core scale demonstration: a fig8-style relational mix
-/// (two hash joins, grouped + global aggregation, filter/project) over a
-/// fact table ~10x larger than the configured buffer-pool budget.
+/// (two hash joins, grouped + global aggregation, an aggregation with more
+/// groups than the query budget holds, filter/project) over a fact table
+/// ~10x larger than the configured buffer-pool budget.
 ///
 /// The paged run happens FIRST, before any in-memory copy of the data
 /// exists, so the sampled resident-set growth genuinely reflects the paged
 /// working set (pool frames + spill scratch + the served result), not the
 /// dataset. The run must
 ///   - keep the RSS delta below the logical data size (bounded peak RSS),
-///   - take each join path, per statement in system.query_profiles: the
-///     join with the small dim table streams fact through dim's table and
-///     spills nothing, while fact joined with itself has a build side over
-///     the budget and spills (grace join), as does the grouped aggregation
-///     (external aggregation),
+///   - take each join and aggregation path, per statement in
+///     system.query_profiles: the join with the small dim table streams
+///     fact through dim's table and spills nothing, while fact joined with
+///     itself has a build side over the budget and spills (grace join); the
+///     grouped and the global aggregation stream fact through one
+///     aggregator and spill nothing, while the aggregation with a group per
+///     two fact rows overflows the budget and spills the groups that arrive
+///     after it fills,
 ///   - and produce bit-identical results: every query's row-key checksum is
 ///     compared against a serial in-memory Database over the same data.
 ///
@@ -24,6 +28,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,10 +51,13 @@ constexpr int64_t kDimRows = 96;
 constexpr int64_t kSliceRows = 8192;  // load granularity (stays resident)
 
 // The fig8-style statement shapes: two joins, grouped aggregation, global
-// aggregation, filter+project. Neither join has a pushable single-side
-// filter, so the whole fact table reaches each join's inputs. dim's table
-// fits the budget and fact streams through it as the probe side; the
-// self-join builds on fact, which does not fit, so it takes the grace join.
+// aggregation, filter+project, and (OverflowAggSql) an aggregation with
+// more groups than the budget holds. Neither join has a pushable
+// single-side filter, so the whole fact table reaches each join's inputs.
+// dim's table fits the budget and fact streams through it as the probe
+// side; the self-join builds on fact, which does not fit, so it takes the
+// grace join. The grouped aggregation's 96 groups fit, and so does the
+// global one's.
 const char* const kStarJoinSql =
     "SELECT F.id, F.grp, D.w FROM fact F INNER JOIN dim D ON F.grp = D.id";
 const char* const kSelfJoinSql =
@@ -57,14 +65,22 @@ const char* const kSelfJoinSql =
 const char* const kGroupBySql =
     "SELECT grp, count(*) AS c, sum(val) AS s, avg(val) AS a, "
     "min(val) AS lo, max(val) AS hi FROM fact GROUP BY grp";
+const char* const kGlobalAggSql =
+    "SELECT count(*) AS c, sum(val) AS s FROM fact";
 const char* const kMixSql[] = {
     kStarJoinSql,
     kSelfJoinSql,
     kGroupBySql,
-    "SELECT count(*) AS c, sum(val) AS s FROM fact",
+    kGlobalAggSql,
     "SELECT id * 2 AS d, val + 1.0 AS v FROM fact WHERE grp < 7",
 };
-constexpr size_t kMixSize = sizeof(kMixSql) / sizeof(kMixSql[0]);
+
+/// fact grouped by id % (rows / 2): two rows a group, far more groups than
+/// the budget holds, and a result half the size of a per-id one.
+std::string OverflowAggSql(int64_t fact_rows) {
+  const std::string key = "id % " + std::to_string(fact_rows / 2);
+  return "SELECT " + key + " AS k, sum(val) AS s FROM fact GROUP BY " + key;
+}
 
 struct ScaleConfig {
   int64_t fact_rows;
@@ -74,10 +90,14 @@ struct ScaleConfig {
 
 /// Default exercises ~29 MB of data against a 2 MB pool (~14x); --quick
 /// shrinks to ~12 MB against 1 MB (~12x) for CI. The query memory limit must
-/// sit below the fact table (so the self-join and the grouped aggregation
-/// spill) but above the self-join's grace pair vector (16 bytes per
-/// matching pair, one per fact row); the star join streams and holds only
-/// one window's pairs.
+/// sit below the fact table (so the self-join spills) and below the
+/// overflowing aggregation's grouping state (about 100 bytes per group, half
+/// as many groups as fact rows), but above the self-join's grace pair vector
+/// (16 bytes per matching pair, one per fact row) and above what the
+/// overflowing aggregation's tail holds at once: the results of the groups
+/// before it (16 bytes per group) and one spill partition's groups. The star
+/// join streams and holds only one window's pairs; the grouped and the
+/// global aggregation hold only their groups.
 ScaleConfig PickScale(bool quick) {
   if (quick) return {160000, 1u << 20, 4 << 20};
   return {400000, 2u << 20, 12 << 20};
@@ -161,11 +181,11 @@ struct MixResult {
   std::vector<uint64_t> checksums;
 };
 
-MixResult RunMix(Database* db) {
+MixResult RunMix(Database* db, const std::vector<std::string>& mix) {
   const int64_t rss_base = storage::StorageEngine::UpdateProcessRssMetrics();
   MixResult out;
   Stopwatch watch;
-  for (const char* sql : kMixSql) {
+  for (const std::string& sql : mix) {
     auto r = db->Execute(sql);
     DL2SQL_CHECK(r.ok()) << sql << ": " << r.status().ToString();
     out.checksums.push_back(TableChecksum(*r));
@@ -177,7 +197,7 @@ MixResult RunMix(Database* db) {
 }
 
 /// spill_bytes recorded for `sql` in system.query_profiles (-1: none).
-int64_t StatementSpillBytes(Database* db, const char* sql) {
+int64_t StatementSpillBytes(Database* db, const std::string& sql) {
   auto r = db->Execute("SELECT sql, spill_bytes FROM system.query_profiles");
   DL2SQL_CHECK(r.ok()) << r.status().ToString();
   int64_t spill = -1;
@@ -210,6 +230,9 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
   const ScaleConfig cfg = PickScale(quick);
+  const std::string overflow_sql = OverflowAggSql(cfg.fact_rows);
+  std::vector<std::string> mix(std::begin(kMixSql), std::end(kMixSql));
+  mix.push_back(overflow_sql);
 
   MemTracker::SetEnabled(true);
   const bool tracking = MemTracker::Enabled();
@@ -243,7 +266,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const MixResult paged_run = RunMix(&paged);
+  const MixResult paged_run = RunMix(&paged, mix);
   const int64_t spill_bytes =
       tracking ? SumProfileColumn(&paged, "spill_bytes") : 0;
   const int64_t spill_partitions =
@@ -258,30 +281,33 @@ int main(int argc, char** argv) {
   DL2SQL_CHECK(ref.set_storage_mode(StorageMode::kInMemory).ok());
   FillDim(&ref);
   FillFactResident(&ref, cfg.fact_rows);
-  const MixResult ref_run = RunMix(&ref);
+  const MixResult ref_run = RunMix(&ref, mix);
   std::printf("in-memory mix: %.3fs\n", ref_run.seconds);
 
   bool ok = true;
-  for (size_t q = 0; q < kMixSize; ++q) {
+  for (size_t q = 0; q < mix.size(); ++q) {
     if (paged_run.checksums[q] != ref_run.checksums[q]) {
-      std::fprintf(stderr, "FAIL: result mismatch for %s\n", kMixSql[q]);
+      std::fprintf(stderr, "FAIL: result mismatch for %s\n", mix[q].c_str());
       ok = false;
     }
   }
   if (tracking) {
-    // Each join path, checked per statement: the grace join and external
-    // aggregation spill, the streamed star join does not.
-    for (const char* sql : {kSelfJoinSql, kGroupBySql}) {
+    // Each join and aggregation path, checked per statement: the grace join
+    // and the overflowing aggregation spill, the streamed star join and the
+    // aggregations whose groups fit do not.
+    for (const std::string& sql : {std::string(kSelfJoinSql), overflow_sql}) {
       if (StatementSpillBytes(&paged, sql) <= 0) {
-        std::fprintf(stderr, "FAIL: no spill recorded for %s\n", sql);
+        std::fprintf(stderr, "FAIL: no spill recorded for %s\n", sql.c_str());
         ok = false;
       }
     }
-    const int64_t star_spill = StatementSpillBytes(&paged, kStarJoinSql);
-    if (star_spill != 0) {
-      std::fprintf(stderr, "FAIL: the streamed join spilled (%lld bytes)\n",
-                   static_cast<long long>(star_spill));
-      ok = false;
+    for (const char* sql : {kStarJoinSql, kGroupBySql, kGlobalAggSql}) {
+      const int64_t spill = StatementSpillBytes(&paged, sql);
+      if (spill != 0) {
+        std::fprintf(stderr, "FAIL: %s spilled (%lld bytes)\n", sql,
+                     static_cast<long long>(spill));
+        ok = false;
+      }
     }
   }
   // Bounded peak RSS: the paged working set must stay below the logical data

@@ -60,9 +60,10 @@ pass_paged_storage() {
   # suite reruns with a deliberately tiny pool (2 MB), an aggressive paging
   # threshold, and a query memory budget, so every test table is paged and
   # read through the buffer pool (with constant eviction) and the windowed
-  # operators. No suite input outgrows the 64 MB budget: the spill paths
-  # (grace hash join, external aggregation) and the hash join's streamed
-  # probe run where a test sets a budget of its own (spill_exec_test).
+  # operators; aggregations over paged tables stream. No suite input
+  # outgrows the 64 MB budget: the spill paths (grace hash join, the
+  # aggregation's overflow tail) and the hash join's streamed probe run
+  # where a test sets a budget of its own (spill_exec_test).
   # Tests that assert in-memory accounting semantics pin
   # StorageMode::kInMemory themselves.
   DL2SQL_STORAGE=paged \
@@ -120,8 +121,9 @@ pass_profile_overhead() {
 pass_oocore_scale() {
   # Out-of-core scale guard: a fig8-style mix over data >= 10x the buffer
   # pool must complete bit-identical to the in-memory run with bounded RSS,
-  # the star join streaming without a spill and the self-join (grace) and
-  # grouped aggregation spilling. Runs from the build dir (emits
+  # the star join and the grouped and global aggregations streaming without
+  # a spill, and the self-join (grace) and the aggregation whose groups
+  # outgrow the budget spilling. Runs from the build dir (emits
   # BENCH_oocore.json).
   cmake --build build-ci -j "${JOBS}" --target bench_oocore_scale
   (cd build-ci && ./bench/bench_oocore_scale --quick)

@@ -1142,12 +1142,11 @@ Status TooManyJoinPairs() {
                                    " pairs");
 }
 
-/// Windows of one input may type an expression differently: integer
-/// arithmetic over a window holding a NULL evaluates to FLOAT64 (eval.cc's
-/// row-wise fallback). A spilled column keeps its first window's type. A
-/// later INT64 window widens to FLOAT64, as Column::Append coerces; with
-/// `canonical` (join keys, which only hash and compare canonically), an
-/// integral FLOAT64 window narrows to INT64, which keeps every key.
+/// A column of a later window conforms to the type of the operator's first
+/// window: an INT64 window widens to FLOAT64, as Column::Append coerces;
+/// with `canonical` (join and group keys, which only hash and compare
+/// canonically), an integral FLOAT64 window narrows to INT64, which keeps
+/// every key. Any other change of type is a TypeError.
 Result<Column> ConformSpillColumn(Column col, DataType type, bool canonical) {
   if (col.type() == type) return col;
   Column out(type);
@@ -1189,90 +1188,131 @@ struct SpillRun {
   int64_t used_parts = 0;  ///< partitions holding at least one row
 };
 
-/// The spill operators' one partitioner. Evaluates `exprs` (the first
-/// `num_keys` are the keys, the rest payload) over `input` window by window,
-/// routes each row to partition vec::HashKeyRange(keys) % num_parts, and
-/// appends each partition's rows of a window as one typed slice. With
-/// `join_keys`, rows with a NULL key part are dropped (NULL keys never
-/// join) and key columns conform canonically (ConformSpillColumn).
+/// The spill operators' one partitioner. Each Append routes rows of key and
+/// payload columns (the first `num_keys` are the keys) to partition
+/// vec::HashKeyRange(keys) % spill_partitions and appends each partition's
+/// rows as one typed slice. Columns conform to `types` (ConformSpillColumn);
+/// with `join_keys`, rows with a NULL key part are dropped (NULL keys never
+/// join) and key columns conform canonically.
+class SpillPartitioner {
+ public:
+  SpillPartitioner(const std::shared_ptr<storage::StorageEngine>& engine,
+                   std::vector<DataType> types, size_t num_keys,
+                   bool join_keys)
+      : num_keys_(num_keys),
+        join_keys_(join_keys),
+        rows_(static_cast<size_t>(
+            std::max(1, engine->options().spill_partitions))) {
+    schema_.AddField({"__row", DataType::kInt64});
+    for (size_t c = 0; c < types.size(); ++c) {
+      schema_.AddField({"__col" + std::to_string(c), types[c]});
+    }
+    run_.types = std::move(types);
+    run_.nulls.assign(run_.types.size(), 0);
+    for (size_t p = 0; p < rows_.size(); ++p) {
+      builders_.push_back(
+          std::make_unique<storage::PagedTableBuilder>(engine, schema_));
+    }
+  }
+
+  /// Appends rows `sel` of `cols` (every row when null), row r numbered
+  /// base + r. Rows must arrive in input order.
+  Status Append(std::vector<Column> cols, const std::vector<int64_t>* sel,
+                int64_t base) {
+    const int64_t n = cols[0].size();
+    for (size_t c = 0; c < cols.size(); ++c) {
+      DL2SQL_ASSIGN_OR_RETURN(
+          cols[c], ConformSpillColumn(std::move(cols[c]), run_.types[c],
+                                      join_keys_ && c < num_keys_));
+    }
+    std::vector<const Column*> keys;
+    for (size_t c = 0; c < num_keys_; ++c) keys.push_back(&cols[c]);
+    hashes_.resize(static_cast<size_t>(n));
+    vec::HashKeyRange(keys, 0, n, hashes_.data());
+    if (join_keys_) {
+      nulls_.resize(static_cast<size_t>(n));
+      vec::KeyNullRange(keys, 0, n, nulls_.data());
+    }
+    for (auto& r : rows_) r.clear();
+    auto route = [&](int64_t i) {
+      if (join_keys_ && nulls_[static_cast<size_t>(i)] != 0) return;
+      rows_[hashes_[static_cast<size_t>(i)] % rows_.size()].push_back(i);
+    };
+    if (sel == nullptr) {
+      for (int64_t i = 0; i < n; ++i) route(i);
+    } else {
+      for (const int64_t i : *sel) route(i);
+    }
+    for (size_t p = 0; p < rows_.size(); ++p) {
+      const std::vector<int64_t>& rows = rows_[p];
+      if (rows.empty()) continue;
+      std::vector<int64_t> ids(rows.size());
+      for (size_t i = 0; i < rows.size(); ++i) ids[i] = base + rows[i];
+      std::vector<Column> slice;
+      slice.push_back(Column::Ints(std::move(ids)));
+      const bool whole = static_cast<int64_t>(rows.size()) == n;
+      for (size_t c = 0; c < cols.size(); ++c) {
+        slice.push_back(whole ? cols[c] : cols[c].Take(rows));
+        if (slice.back().HasNulls()) run_.nulls[c] = 1;
+      }
+      DL2SQL_ASSIGN_OR_RETURN(Table t,
+                              Table::FromColumns(schema_, std::move(slice)));
+      DL2SQL_RETURN_NOT_OK(builders_[p]->Append(t));
+    }
+    return Status::OK();
+  }
+
+  Result<SpillRun> Finish() {
+    for (auto& b : builders_) {
+      DL2SQL_ASSIGN_OR_RETURN(std::shared_ptr<storage::PagedTableData> part,
+                              b->Finish());
+      if (part->num_rows() > 0) {
+        run_.bytes += part->logical_bytes();
+        ++run_.used_parts;
+      }
+      run_.parts.push_back(std::move(part));
+    }
+    return std::move(run_);
+  }
+
+ private:
+  const size_t num_keys_;
+  const bool join_keys_;
+  TableSchema schema_;
+  std::vector<std::unique_ptr<storage::PagedTableBuilder>> builders_;
+  std::vector<std::vector<int64_t>> rows_;  ///< per partition, one Append's
+  std::vector<uint64_t> hashes_;
+  std::vector<uint8_t> nulls_;
+  SpillRun run_;
+};
+
+/// Evaluates `exprs` (the first `num_keys` are the keys, the rest payload)
+/// over `input` window by window and partitions every row: the grace join's
+/// spill of one side, typed by its first window.
 Result<SpillRun> SpillPartitions(
     const Table& input, const std::vector<const Expr*>& exprs,
     size_t num_keys, bool join_keys,
-    const std::shared_ptr<storage::StorageEngine>& engine, int64_t num_parts,
-    EvalContext* ctx) {
-  SpillRun run;
-  TableSchema schema;
-  std::vector<std::unique_ptr<storage::PagedTableBuilder>> builders;
-  std::vector<uint64_t> hashes;
-  std::vector<uint8_t> nulls;
-  std::vector<std::vector<int64_t>> rows(static_cast<size_t>(num_parts));
+    const std::shared_ptr<storage::StorageEngine>& engine, EvalContext* ctx) {
+  std::unique_ptr<SpillPartitioner> spill;
   const std::unique_ptr<storage::ColumnSource> source =
       storage::MakeColumnSource(std::make_shared<Table>(input), 0);
   for (int64_t w = 0; w < source->num_windows(); ++w) {
     DL2SQL_ASSIGN_OR_RETURN(Table window, source->ReadWindow(w));
-    const int64_t n = window.num_rows();
     std::vector<Column> cols;
     for (const Expr* e : exprs) {
       DL2SQL_ASSIGN_OR_RETURN(ColumnHandle c, EvalExpr(*e, window, ctx));
       cols.push_back(*c);
     }
-    if (builders.empty()) {
-      schema.AddField({"__row", DataType::kInt64});
-      for (size_t c = 0; c < cols.size(); ++c) {
-        run.types.push_back(cols[c].type());
-        schema.AddField({"__col" + std::to_string(c), cols[c].type()});
-      }
-      run.nulls.assign(cols.size(), 0);
-      for (int64_t p = 0; p < num_parts; ++p) {
-        builders.push_back(
-            std::make_unique<storage::PagedTableBuilder>(engine, schema));
-      }
+    if (spill == nullptr) {
+      std::vector<DataType> types;
+      for (const Column& c : cols) types.push_back(c.type());
+      spill = std::make_unique<SpillPartitioner>(engine, std::move(types),
+                                                 num_keys, join_keys);
     }
-    for (size_t c = 0; c < cols.size(); ++c) {
-      DL2SQL_ASSIGN_OR_RETURN(
-          cols[c], ConformSpillColumn(std::move(cols[c]), run.types[c],
-                                      join_keys && c < num_keys));
-      if (cols[c].HasNulls()) run.nulls[c] = 1;
-    }
-    std::vector<const Column*> keys;
-    for (size_t c = 0; c < num_keys; ++c) keys.push_back(&cols[c]);
-    hashes.resize(static_cast<size_t>(n));
-    vec::HashKeyRange(keys, 0, n, hashes.data());
-    if (join_keys) {
-      nulls.resize(static_cast<size_t>(n));
-      vec::KeyNullRange(keys, 0, n, nulls.data());
-    }
-    for (auto& r : rows) r.clear();
-    for (int64_t i = 0; i < n; ++i) {
-      if (join_keys && nulls[static_cast<size_t>(i)] != 0) continue;
-      rows[hashes[static_cast<size_t>(i)] % static_cast<uint64_t>(num_parts)]
-          .push_back(i);
-    }
-    const int64_t base = source->window_start(w);
-    for (size_t p = 0; p < rows.size(); ++p) {
-      const std::vector<int64_t>& sel = rows[p];
-      if (sel.empty()) continue;
-      std::vector<int64_t> ids(sel.size());
-      for (size_t i = 0; i < sel.size(); ++i) ids[i] = base + sel[i];
-      std::vector<Column> slice;
-      slice.push_back(Column::Ints(std::move(ids)));
-      const bool whole = static_cast<int64_t>(sel.size()) == n;
-      for (const Column& c : cols) slice.push_back(whole ? c : c.Take(sel));
-      DL2SQL_ASSIGN_OR_RETURN(Table t,
-                              Table::FromColumns(schema, std::move(slice)));
-      DL2SQL_RETURN_NOT_OK(builders[p]->Append(t));
-    }
+    DL2SQL_RETURN_NOT_OK(
+        spill->Append(std::move(cols), nullptr, source->window_start(w)));
   }
-  for (auto& b : builders) {
-    DL2SQL_ASSIGN_OR_RETURN(std::shared_ptr<storage::PagedTableData> part,
-                            b->Finish());
-    if (part->num_rows() > 0) {
-      run.bytes += part->logical_bytes();
-      ++run.used_parts;
-    }
-    run.parts.push_back(std::move(part));
-  }
-  return run;
+  return spill->Finish();
 }
 
 }  // namespace
@@ -1859,8 +1899,6 @@ Result<Table> Database::ExecJoinGrace(const PlanNode& node, Table left,
   if (engine == nullptr) {
     return Status::InternalError("grace join requires a storage engine");
   }
-  const int64_t num_parts =
-      std::max<int64_t>(1, engine->options().spill_partitions);
 
   // Phase 1: partition. Each side spills (global row id, key columns in
   // their own types) into per-partition paged runs by the keys' canonical
@@ -1874,11 +1912,11 @@ Result<Table> Database::ExecJoinGrace(const PlanNode& node, Table left,
   DL2SQL_ASSIGN_OR_RETURN(
       const SpillRun lrun,
       SpillPartitions(left, lkeys, lkeys.size(), /*join_keys=*/true, engine,
-                      num_parts, &ctx));
+                      &ctx));
   DL2SQL_ASSIGN_OR_RETURN(
       const SpillRun rrun,
       SpillPartitions(right, rkeys, rkeys.size(), /*join_keys=*/true, engine,
-                      num_parts, &ctx));
+                      &ctx));
   TallySpill(lrun.bytes + rrun.bytes, lrun.used_parts + rrun.used_parts);
   static Counter* const grace_counter =
       MetricsRegistry::Global().counter("db.grace_joins");
@@ -1892,9 +1930,9 @@ Result<Table> Database::ExecJoinGrace(const PlanNode& node, Table left,
   const SpillRun& brun = build_left ? lrun : rrun;
   const SpillRun& prun = build_left ? rrun : lrun;
   std::vector<std::pair<int64_t, int64_t>> pb_pairs;  // (probe row, build row)
-  for (int64_t part = 0; part < num_parts; ++part) {
-    const auto& bp = brun.parts[static_cast<size_t>(part)];
-    const auto& pp = prun.parts[static_cast<size_t>(part)];
+  for (size_t part = 0; part < brun.parts.size(); ++part) {
+    const auto& bp = brun.parts[part];
+    const auto& pp = prun.parts[part];
     if (bp->num_rows() == 0 || pp->num_rows() == 0) continue;
     ScopedMemCharge part_mem(OpScratchTracker(PlanKind::kJoin));
     DL2SQL_ASSIGN_OR_RETURN(const std::vector<Column> bcols, bp->Materialize());
@@ -1966,55 +2004,14 @@ Result<Table> Database::ExecJoinGrace(const PlanNode& node, Table left,
 }
 
 Result<Table> Database::ExecAggregate(const PlanNode& node, Table input) {
-  if (input.is_paged()) {
-    DL2SQL_ASSIGN_OR_RETURN(bool fits,
-                            TryEnsureResident(PlanKind::kAggregate, &input));
-    if (!fits) return ExecAggregateExternal(node, input);
-  }
   Stopwatch watch;
   EvalContext ctx = MakeEvalContext();
-
-  // Evaluate group keys and aggregate arguments once, vectorized.
-  std::vector<ColumnHandle> key_cols;
-  for (const auto& k : node.group_keys) {
-    DL2SQL_ASSIGN_OR_RETURN(ColumnHandle c, EvalExpr(*k, input, &ctx));
-    key_cols.push_back(std::move(c));
-  }
-  std::vector<ColumnHandle> arg_cols(node.agg_calls.size());
-  for (size_t i = 0; i < node.agg_calls.size(); ++i) {
-    const Expr& call = *node.agg_calls[i];
-    if (call.agg_func != AggFunc::kCountStar) {
-      DL2SQL_ASSIGN_OR_RETURN(arg_cols[i],
-                              EvalExpr(*call.children[0], input, &ctx));
-    }
-  }
-  // The grouping state is charged against op.aggregate until return.
-  ScopedMemCharge agg_mem(OpScratchTracker(PlanKind::kAggregate));
-  DL2SQL_ASSIGN_OR_RETURN(
-      Table out, vec::TryVectorAggregate(node, key_cols, arg_cols,
-                                         input.num_rows(), &ctx, &agg_mem));
-  const double inf = DrainEvalContext(ctx);
-  ChargeOperator("groupby", watch.ElapsedSeconds(), inf);
-  return out;
-}
-
-Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
-                                              const Table& input) {
-  Stopwatch watch;
-  EvalContext ctx = MakeEvalContext();
-  // Finished partition results live until emit and bill against
-  // op.aggregate; each partition's grouping state is charged on its own
-  // per-iteration scope.
-  ScopedMemCharge scratch_mem(OpScratchTracker(PlanKind::kAggregate));
-  const std::shared_ptr<storage::StorageEngine>& engine =
-      input.paged()->shared_engine();
-
   const size_t num_keys = node.group_keys.size();
   const size_t num_aggs = node.agg_calls.size();
-  // Spill rows carry the group keys, then the aggregate arguments packed
-  // densely (COUNT(*) has none). Aggregates over the same bare column share
-  // its slot; a computed argument keeps its own, so an nUDF in it runs as
-  // often as in memory.
+  // Each window evaluates the group keys, then the aggregate arguments
+  // packed densely (COUNT(*) has none). Aggregates over the same bare column
+  // share its slot; a computed argument keeps its own, so an nUDF in it runs
+  // once per row, as over the whole input.
   std::vector<const Expr*> exprs;
   for (const auto& k : node.group_keys) exprs.push_back(k.get());
   std::vector<int> arg_slot(num_aggs, -1);
@@ -2034,20 +2031,109 @@ Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
     }
     exprs.push_back(&arg);
   }
-  const int64_t num_parts =
-      num_keys == 0
-          ? 1
-          : std::max<int64_t>(1, engine->options().spill_partitions);
+  // A resident input is one window; a paged one gives a window per storage
+  // chunk, so it is never materialized.
+  const std::shared_ptr<storage::StorageEngine> engine =
+      input.is_paged() ? input.paged()->shared_engine() : storage_;
+  const std::unique_ptr<storage::ColumnSource> source =
+      storage::MakeColumnSource(std::make_shared<Table>(std::move(input)), 0);
 
-  // Phase 1: partition by key hash; same-key rows land in one partition in
-  // global row order, so per-group accumulation in phase 2 replays exactly
-  // the serial order — float-identical results. An aggregate's state kind
-  // is fixed before its first row is folded, so the run also records which
-  // arguments hold a NULL anywhere.
-  DL2SQL_ASSIGN_OR_RETURN(
-      const SpillRun run,
-      SpillPartitions(input, exprs, num_keys, /*join_keys=*/false, engine,
-                      num_parts, &ctx));
+  Table out;
+  std::vector<int64_t> first_rows;
+  SpillRun run;
+  {
+    // The grouping state is charged against op.aggregate after every
+    // morsel. Once a charge is refused, the groups already resident keep
+    // folding in place and rows of new groups spill by key hash, so a
+    // group's rows are all resident or all in one partition, in row order.
+    ScopedMemCharge agg_mem(OpScratchTracker(PlanKind::kAggregate));
+    vec::BatchAggregator agg;
+    std::vector<DataType> types;  // per expression, its first window's type
+    std::unique_ptr<SpillPartitioner> spill;
+    std::vector<int64_t> absent;
+    int64_t morsels = 0;
+    for (int64_t w = 0; w < source->num_windows(); ++w) {
+      DL2SQL_ASSIGN_OR_RETURN(Table window, source->ReadWindow(w));
+      const int64_t n = window.num_rows();
+      const int64_t base = source->window_start(w);
+      std::vector<Column> cols;
+      for (size_t e = 0; e < exprs.size(); ++e) {
+        DL2SQL_ASSIGN_OR_RETURN(ColumnHandle c,
+                                EvalExpr(*exprs[e], window, &ctx));
+        if (w == 0) types.push_back(c->type());
+        DL2SQL_ASSIGN_OR_RETURN(
+            Column col,
+            ConformSpillColumn(*c, types[e], /*canonical=*/e < num_keys));
+        cols.push_back(std::move(col));
+      }
+      std::vector<vec::ColumnRead> kreads(num_keys);
+      for (size_t k = 0; k < num_keys; ++k) kreads[k].col = &cols[k];
+      std::vector<vec::ArgRead> areads(num_aggs);
+      std::vector<vec::ArgShape> shapes(num_aggs);
+      for (size_t a = 0; a < num_aggs; ++a) {
+        if (arg_slot[a] < 0) continue;
+        areads[a].x.col = &cols[num_keys + static_cast<size_t>(arg_slot[a])];
+        shapes[a] = vec::ShapeOf(areads[a]);
+      }
+      if (w == 0) {
+        // Shapes compile from the first window; a later window's first NULL
+        // turns the aggregates it reaches generic.
+        if (!agg.Compile(node,
+                         std::vector<DataType>(types.begin(),
+                                               types.begin() + num_keys),
+                         shapes, ctx.vectorized)) {
+          return Status::InternalError("aggregate refused without a product");
+        }
+      } else {
+        agg.AdmitNulls(shapes);
+      }
+      absent.clear();
+      for (int64_t bgn = 0; bgn < n; bgn += ctx.morsel_size) {
+        const int64_t end = std::min(n, bgn + ctx.morsel_size);
+        if (spill == nullptr) {
+          DL2SQL_RETURN_NOT_OK(agg.Consume(kreads, areads, bgn, end, base));
+        } else {
+          DL2SQL_RETURN_NOT_OK(
+              agg.ConsumeResident(kreads, areads, bgn, end, &absent));
+        }
+        ++morsels;
+        const int64_t growth = agg.ByteSize() - agg_mem.charged();
+        if (spill == nullptr) {
+          const Status charged = agg_mem.Charge(growth);
+          if (charged.ok()) continue;
+          if (engine == nullptr) return charged;
+          spill = std::make_unique<SpillPartitioner>(engine, types, num_keys,
+                                                     /*join_keys=*/false);
+        }
+        // Past the budget the growth (the refused morsel's new groups, or
+        // states turning generic) is charged over the limit.
+        agg_mem.Add(growth);
+      }
+      if (!absent.empty()) {
+        DL2SQL_RETURN_NOT_OK(spill->Append(std::move(cols), &absent, base));
+      }
+    }
+    if (ctx.vectorized) {
+      ctx.vec_batches += morsels;
+      ctx.vec_rows_in += source->num_rows();
+      ctx.vec_rows_selected += source->num_rows();
+    }
+    DL2SQL_ASSIGN_OR_RETURN(out, agg.Finish(node));
+    if (spill == nullptr) {
+      const double inf = DrainEvalContext(ctx);
+      ChargeOperator("groupby", watch.ElapsedSeconds(), inf);
+      return out;
+    }
+    first_rows = agg.first_rows();
+    DL2SQL_ASSIGN_OR_RETURN(run, spill->Finish());
+  }
+
+  // The overflow tail. The resident groups' state is released; their
+  // result and each partition's stay charged until emit, and each
+  // partition's grouping state is charged on its own per-iteration scope.
+  ScopedMemCharge scratch_mem(OpScratchTracker(PlanKind::kAggregate));
+  DL2SQL_RETURN_NOT_OK(
+      scratch_mem.Charge(static_cast<int64_t>(out.ByteSize())));
   TallySpill(run.bytes, run.used_parts);
   static Counter* const external_agg_counter =
       MetricsRegistry::Global().counter("db.external_aggs");
@@ -2062,14 +2148,15 @@ Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
     shapes[a].nulls = run.nulls[c] != 0;
   }
 
-  // Phase 2: per partition, fold its chunks one at a time, in spill order,
-  // through its own aggregator; a group's number is its first row's spilled
-  // id. Canonical key equality survives the spill round trip, so grouping
-  // matches the in-memory path. A global aggregate has one partition, whose
-  // result is its one row even when no row reached it.
+  // Per partition, fold its chunks one at a time, in spill order, through
+  // its own aggregator; a group's number is its first row's spilled id.
+  // Canonical key equality survives the spill round trip, so grouping
+  // matches the resident groups'. A global aggregate's one group is
+  // resident, so its partition stays empty and is skipped.
   std::vector<Table> results;
-  std::vector<int64_t> first_rows;
+  results.push_back(std::move(out));
   for (const auto& part : run.parts) {
+    if (part->num_rows() == 0) continue;
     ScopedMemCharge part_mem(OpScratchTracker(PlanKind::kAggregate));
     vec::BatchAggregator agg;
     if (!agg.Compile(node, key_types, shapes, ctx.vectorized)) {
@@ -2098,9 +2185,9 @@ Result<Table> Database::ExecAggregateExternal(const PlanNode& node,
     results.push_back(std::move(result));
   }
 
-  // Partitions hold disjoint groups, each in its own first-seen order; the
-  // serial emit order is ascending first row across all of them.
-  Table out = std::move(results[0]);
+  // The resident groups and each partition's are disjoint, each in its own
+  // first-seen order; the emit order is ascending first row across all.
+  out = std::move(results[0]);
   for (size_t p = 1; p < results.size(); ++p) {
     DL2SQL_RETURN_NOT_OK(out.AppendTable(results[p]));
   }

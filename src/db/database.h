@@ -39,8 +39,8 @@ struct StorageOptions;
 /// kInMemory (the default) keeps every table fully resident — the exact
 /// pre-storage-engine behavior. kPaged pages base tables at least
 /// page_min_bytes large out to the engine's block file behind the pinning
-/// buffer pool, and arms the executor's spill paths (grace hash join,
-/// external aggregation) for inputs that exceed the query memory budget.
+/// buffer pool, and arms the executor's spill paths (grace hash join, the
+/// aggregation's overflow) for state that exceeds the query memory budget.
 /// Results are bit-identical in both modes; the environment variable
 /// DL2SQL_STORAGE=paged selects kPaged at Database construction.
 enum class StorageMode {
@@ -335,7 +335,7 @@ class Database {
     /// left at depth 0 (the root output) are released at end of statement.
     std::vector<std::vector<std::pair<MemTracker*, int64_t>>> mem_frames;
     /// @}
-    /// \name Out-of-core spill accounting (grace join / external aggregation)
+    /// \name Out-of-core spill accounting (grace join / aggregation overflow)
     /// @{
     /// Logical bytes written to spill partitions in the block file.
     int64_t spill_bytes = 0;
@@ -392,6 +392,13 @@ class Database {
   /// chunk and streams its output back out to paged storage). Cross and
   /// symmetric-hash joins need both inputs resident.
   Result<Table> ExecJoin(const PlanNode& node, Table left, Table right);
+  /// A GROUP BY folds its input one window at a time (a resident input is
+  /// one window, a paged one gives a window per storage chunk) through one
+  /// vec::BatchAggregator, whose state is charged after every morsel. When
+  /// a charge is refused and the Database has a storage engine, resident
+  /// groups keep folding in place, rows of new groups spill by key hash
+  /// (the grace join's partitioner), and each partition folds after the
+  /// scan; groups come out in first-seen order either way.
   Result<Table> ExecAggregate(const PlanNode& node, Table input);
   Result<Table> ExecSort(const PlanNode& node, Table input);
 
@@ -442,12 +449,6 @@ class Database {
   /// steps, restores the in-memory pair order and materializes the pairs as
   /// the in-memory join does.
   Result<Table> ExecJoinGrace(const PlanNode& node, Table left, Table right);
-  /// External aggregation: partitions rows (typed key and argument columns)
-  /// into block-file spill runs with the grace join's partitioner, folds
-  /// each partition through its own vec::BatchAggregator, and puts the
-  /// groups back into first-seen order.
-  Result<Table> ExecAggregateExternal(const PlanNode& node,
-                                      const Table& input);
   /// Folds spilled bytes/partitions into the running statement's stats and the
   /// db.spill.* metrics counters.
   void TallySpill(int64_t bytes, int64_t partitions);

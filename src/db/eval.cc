@@ -432,13 +432,17 @@ Result<ColumnHandle> EvalBinary(const Expr& e, const Table& input,
   }
 
   // Row-wise fallback with full NULL semantics. The output column type is
-  // determined by the operator so empty and all-NULL results stay typed
-  // (filters require BOOL masks even over zero rows).
+  // determined by the operator and the operand types, as FastBinary and
+  // InferExprType type it, so empty and all-NULL results stay typed
+  // (filters require BOOL masks even over zero rows) and a NULL operand
+  // never changes the type.
   const int64_t n = l->size();
   DataType out_type;
   if (IsComparison(op) || op == BinaryOp::kAnd || op == BinaryOp::kOr) {
     out_type = DataType::kBool;
-  } else if (op == BinaryOp::kMod) {
+  } else if (op == BinaryOp::kMod ||
+             (op != BinaryOp::kDiv && l->type() == DataType::kInt64 &&
+              r->type() == DataType::kInt64)) {
     out_type = DataType::kInt64;
   } else {
     out_type = DataType::kFloat64;
@@ -727,11 +731,13 @@ Result<ColumnHandle> EvalExpr(const Expr& e, const Table& input,
         }
         return Own(std::move(out));
       }
-      // Negation.
-      if (x->type() == DataType::kInt64 && !x->HasNulls()) {
+      // Negation; an INT64 operand stays INT64, NULLs included.
+      if (x->type() == DataType::kInt64) {
         std::vector<int64_t> out(static_cast<size_t>(n));
         for (int64_t i = 0; i < n; ++i) out[i] = -x->ints()[i];
-        return Own(Column::Ints(std::move(out)));
+        Column neg = Column::Ints(std::move(out));
+        neg.SetValidity(x->validity());
+        return Own(std::move(neg));
       }
       Column out(DataType::kFloat64);
       out.Reserve(n);

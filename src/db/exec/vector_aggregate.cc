@@ -8,8 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "accel/thread_pool.h"
-#include "common/trace.h"
 #include "db/exec/vector_batch.h"
 
 namespace dl2sql::db::vec {
@@ -389,6 +387,64 @@ Status BatchAggregator::Consume(const std::vector<ColumnRead>& keys,
   return Accumulate(args, begin, n);
 }
 
+Status BatchAggregator::ConsumeResident(const std::vector<ColumnRead>& keys,
+                                        const std::vector<ArgRead>& args,
+                                        int64_t begin, int64_t end,
+                                        std::vector<int64_t>* absent) {
+  const SelIndex n = static_cast<SelIndex>(end - begin);
+  gid_buf_.resize(static_cast<size_t>(n));
+  if (keys.empty()) {
+    std::fill(gid_buf_.begin(), gid_buf_.end(), 0);
+  } else {
+    std::vector<const Column*> cols;
+    for (const ColumnRead& k : keys) cols.push_back(k.col);
+    hash_buf_.resize(static_cast<size_t>(n));
+    HashKeyRange(cols, begin, end, hash_buf_.data());
+    table_.FindRange(cols, begin, end, hash_buf_.data(), nullptr,
+                     gid_buf_.data());
+  }
+  // Compact the resident rows' groups to the front of gid_buf_ and fold
+  // those rows through their row ids.
+  sel_buf_.clear();
+  for (SelIndex i = 0; i < n; ++i) {
+    const SelIndex g = gid_buf_[static_cast<size_t>(i)];
+    if (g == KeyHashTable::kAbsent) {
+      absent->push_back(begin + i);
+    } else {
+      gid_buf_[sel_buf_.size()] = g;
+      sel_buf_.push_back(begin + i);
+    }
+  }
+  std::vector<ArgRead> sel_args = args;
+  for (ArgRead& a : sel_args) {
+    if (a.x.col != nullptr) a.x.rows = sel_buf_.data();
+    if (a.y.col != nullptr) a.y.rows = sel_buf_.data();
+  }
+  return Accumulate(sel_args, 0, static_cast<SelIndex>(sel_buf_.size()));
+}
+
+void BatchAggregator::AdmitNulls(const std::vector<ArgShape>& args) {
+  for (size_t a = 0; a < specs_.size(); ++a) {
+    VAggSpec& s = specs_[a];
+    if (s.kind == VAggSpec::Kind::kGeneric || !args[a].nulls) continue;
+    std::vector<GenericAggState>& generic = generic_[a];
+    generic.resize(typed_[a].size());
+    for (size_t g = 0; g < generic.size(); ++g) {
+      const VAggState& t = typed_[a][g];
+      generic[g].count = t.count;
+      generic[g].sum = t.sum;
+      generic[g].sumsq = t.sumsq;
+      if (t.has_minmax) {
+        generic[g].extremum = s.arg_type == DataType::kInt64
+                                  ? Value::Int(t.imin_max)
+                                  : Value::Float(t.fmin_max);
+      }
+    }
+    typed_[a] = {};
+    s.kind = VAggSpec::Kind::kGeneric;
+  }
+}
+
 int64_t BatchAggregator::ByteSize() const {
   size_t per_group = sizeof(int64_t) * (1 + dense_keys_.size());
   for (const VAggSpec& s : specs_) {
@@ -450,45 +506,6 @@ Result<Table> BatchAggregator::Finish(const PlanNode& node) {
     out_cols.push_back(std::move(c));
   }
   return Table::FromColumns(std::move(out_schema), std::move(out_cols));
-}
-
-Result<Table> TryVectorAggregate(const PlanNode& node,
-                                 const std::vector<ColumnHandle>& key_cols,
-                                 const std::vector<ColumnHandle>& arg_cols,
-                                 int64_t n, EvalContext* ctx,
-                                 ScopedMemCharge* charge) {
-  std::vector<DataType> key_types;
-  std::vector<ColumnRead> kreads;
-  for (const auto& c : key_cols) {
-    key_types.push_back(c->type());
-    kreads.push_back({c.get(), nullptr});
-  }
-  std::vector<ArgRead> areads;
-  std::vector<ArgShape> shapes;
-  for (const auto& c : arg_cols) {
-    areads.push_back({{c.get(), nullptr}, {}});
-    shapes.push_back(ShapeOf(areads.back()));
-  }
-  BatchAggregator agg;
-  if (!agg.Compile(node, key_types, shapes, ctx->vectorized)) {
-    return Status::InternalError("aggregate refused without a product");
-  }
-
-  DL2SQL_TRACE_SPAN("vector", "aggregate");
-  const int64_t m =
-      ctx->morsel_size > 0 ? ctx->morsel_size : ThreadPool::kDefaultMorselSize;
-  for (int64_t bgn = 0; bgn < n; bgn += m) {
-    DL2SQL_RETURN_NOT_OK(agg.Consume(kreads, areads, bgn, std::min(n, bgn + m),
-                                     0));
-  }
-  DL2SQL_RETURN_NOT_OK(charge->Charge(agg.ByteSize()));
-  DL2SQL_ASSIGN_OR_RETURN(Table result, agg.Finish(node));
-  if (ctx->vectorized) {
-    ctx->vec_batches += (n + m - 1) / m;
-    ctx->vec_rows_in += n;
-    ctx->vec_rows_selected += n;
-  }
-  return result;
 }
 
 }  // namespace dl2sql::db::vec

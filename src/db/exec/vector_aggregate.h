@@ -2,13 +2,13 @@
 /// \brief Hash aggregation: lindb's one GROUP BY implementation.
 ///
 /// BatchAggregator folds batches of group keys and aggregate arguments into
-/// per-group states, serially, on the calling thread. Three callers feed it:
-/// TryVectorAggregate (the input's morsels), the fused join→aggregate pass
-/// (batches of join pairs) and the external aggregation (each spilled
-/// partition's chunks). Group assignment happens a batch at a time (batched
-/// canonical key hashing, then one KeyHashTable lookup per row, or dense
-/// slots) and produces a gid-per-row buffer; each aggregate then folds the
-/// batch into its own state array.
+/// per-group states, serially, on the calling thread. Two callers feed it:
+/// the aggregate operator (its input's morsels, window by window, and after
+/// an overflow each spilled partition's chunks) and the fused
+/// join→aggregate pass (batches of join pairs). Group assignment happens a
+/// batch at a time (batched canonical key hashing, then one KeyHashTable
+/// lookup per row, or dense slots) and produces a gid-per-row buffer; each
+/// aggregate then folds the batch into its own state array.
 ///
 /// An aggregate keeps one of two kinds of state. A typed VAggState is
 /// updated by one tight kernel loop per batch; it needs a vectorized
@@ -16,14 +16,14 @@
 /// folds the argument's values one row at a time, skipping NULLs, over any
 /// type. Both kinds fold every group's rows in input row order with the same
 /// float operations and share one set of final-value formulas, so results
-/// are bit-identical whichever kind, caller or thread count runs them.
+/// are bit-identical whichever kind, caller or thread count runs them, and
+/// a typed state converts to a generic one without loss (AdmitNulls).
 #pragma once
 
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "db/eval.h"
 #include "db/exec/hash_table.h"
 #include "db/exec/vector_kernels.h"
 #include "db/plan.h"
@@ -136,6 +136,22 @@ class BatchAggregator {
                  int64_t base, const uint64_t* hashes = nullptr,
                  const int64_t* ids = nullptr);
 
+  /// Consume's lookup without insertion, for an aggregator that may not
+  /// grow: folds the rows of [begin, end) whose key already has a group and
+  /// appends the others' row indices to `absent`, in row order. Keys and
+  /// arguments are read contiguously (no row ids), through hashed grouping;
+  /// a global aggregate's one group must exist (a consumed row made it).
+  Status ConsumeResident(const std::vector<ColumnRead>& keys,
+                         const std::vector<ArgRead>& args, int64_t begin,
+                         int64_t end, std::vector<int64_t>* absent);
+
+  /// Converts to the generic state every typed aggregate whose argument
+  /// `args[a]` now holds a NULL, as Compile would have chosen had the
+  /// first batch held it: count, sum and sum of squares carry over, and a
+  /// typed extremum becomes its Value. Lossless, since both kinds fold the
+  /// same float operations and share the final-value formulas.
+  void AdmitNulls(const std::vector<ArgShape>& args);
+
   /// Number of each group's first row, in group order.
   const std::vector<int64_t>& first_rows() const { return first_row_; }
 
@@ -176,16 +192,7 @@ class BatchAggregator {
   std::vector<std::vector<GenericAggState>> generic_;
   std::vector<uint64_t> hash_buf_;
   std::vector<SelIndex> gid_buf_;
+  std::vector<int64_t> sel_buf_;
 };
-
-/// Aggregates `node` over its pre-evaluated group keys and aggregate
-/// arguments (`n` input rows), folding them morsel by morsel on the calling
-/// thread; kernels run when ctx->vectorized. Charges the grouping state to
-/// `charge` before the result is built.
-Result<Table> TryVectorAggregate(const PlanNode& node,
-                                 const std::vector<ColumnHandle>& key_cols,
-                                 const std::vector<ColumnHandle>& arg_cols,
-                                 int64_t n, EvalContext* ctx,
-                                 ScopedMemCharge* charge);
 
 }  // namespace dl2sql::db::vec

@@ -32,7 +32,7 @@ struct StorageOptions {
   /// mode — paging tiny dimension tables costs more than it saves.
   /// Env: DL2SQL_PAGE_MIN_BYTES.
   size_t page_min_bytes = 1 << 20;
-  /// Partition fan-out for grace hash join and external aggregation.
+  /// Partition fan-out for grace hash join and the aggregation's overflow.
   /// Env: DL2SQL_SPILL_PARTITIONS.
   int spill_partitions = 16;
   /// Directory for the (unlinked) tablespace temp file; empty = TMPDIR or

@@ -162,7 +162,7 @@ TEST(ThreadCpuTest, CpuClockAdvancesUnderWork) {
   const int64_t before = ThreadCpuNanos();
   if (before == 0) GTEST_SKIP() << "thread CPU clock unavailable";
   volatile uint64_t sink = 0;
-  for (uint64_t i = 0; i < 2'000'000; ++i) sink += i * i;
+  for (uint64_t i = 0; i < 2'000'000; ++i) sink = sink + i * i;
   (void)sink;
   EXPECT_GT(ThreadCpuNanos(), before);
 }

@@ -1,8 +1,8 @@
 /// \file spill_exec_test.cc
 /// \brief Bit-identity of the out-of-core executor paths (the hash join's
-/// streamed probe, the grace hash join, external aggregation, windowed
-/// filter/project) against the in-memory executor, across several
-/// pool/query-memory budgets.
+/// streamed probe, the grace hash join, the streamed aggregation and its
+/// overflow into spill partitions, windowed filter/project) against the
+/// in-memory executor, across several pool/query-memory budgets.
 ///
 /// The contract is bit-identity with the serial in-memory execution; every
 /// database here runs without a device pool but one, which checks that
@@ -69,9 +69,9 @@ void FillTables(Database* db) {
   // The aggregate shapes the typed kernels do not take: a string column and
   // an INT64 one with NULLs, beside a bool and a float one. `lead` holds
   // NULLs in the first storage chunk only and `trail` in the last one only,
-  // so integer arithmetic over them evaluates to FLOAT64 in those windows
-  // and to INT64 in the others. The payload keeps the table over the query
-  // budgets below.
+  // so a streamed aggregate over them meets its first NULL in its first or
+  // its last window. The payload keeps the table over the query budgets
+  // below.
   TableSchema shapes_schema({{"grp", DataType::kInt64},
                              {"val", DataType::kFloat64},
                              {"flag", DataType::kBool},
@@ -144,21 +144,14 @@ const char* const kJoinSql =
 const char* const kJoinResidualSql =
     "SELECT F.id, D.w FROM fact F INNER JOIN dim D "
     "ON F.grp = D.id AND F.id % 7 < D.id";
+// Aggregations whose groups fit every budget below: each streams its paged
+// input through one aggregator and spills nothing.
 const char* const kAggSql =
     "SELECT grp, count(*) AS c, sum(val) AS s, avg(val) AS a, "
     "min(val) AS lo, max(val) AS hi, stddev_samp(val) AS sd "
     "FROM fact GROUP BY grp";
-// External aggregation spills each bare argument column once, however many
-// aggregates read it; a computed argument spills a column of its own.
 const char* const kNoArgAggSql =
     "SELECT grp, count(*) AS c FROM fact GROUP BY grp";
-const char* const kOneArgAggSql =
-    "SELECT grp, sum(val) AS s FROM fact GROUP BY grp";
-const char* const kSharedArgAggSql =
-    "SELECT grp, sum(val) AS s, min(val) AS lo, max(val) AS hi FROM fact "
-    "GROUP BY grp";
-const char* const kTwoArgAggSql =
-    "SELECT grp, sum(val) AS s, sum(val + 1.0) AS t FROM fact GROUP BY grp";
 const char* const kGlobalAggSql =
     "SELECT count(*) AS c, sum(val) AS s, avg(val) AS a FROM fact";
 const char* const kFilterProjectSql =
@@ -171,6 +164,19 @@ const char* const kGenericAggSqls[] = {
     "SELECT grp, avg(nv) AS a, stddev_samp(nv) AS sd FROM shapes GROUP BY grp",
     "SELECT grp, count(flag) AS cf, sum(val) AS s, min(name) AS mn, "
     "avg(nv) AS a FROM shapes GROUP BY grp",
+};
+// Every aggregate over `trail`, whose first NULL arrives in the last window:
+// the typed states compiled from the first window turn generic there.
+const char* const kLateNullAggSql =
+    "SELECT grp, sum(trail) AS s, avg(trail) AS a, stddev_samp(trail) AS sd, "
+    "min(trail) AS lo, max(trail) AS hi, count(trail) AS c FROM shapes "
+    "GROUP BY grp";
+// Integer arithmetic over a column with NULLs stays INT64 in every window,
+// as a key and as an argument.
+const char* const kIntArithAggSqls[] = {
+    "SELECT grp, min(trail + 1) AS lo FROM shapes GROUP BY grp",
+    "SELECT trail + 1 AS k, count(*) AS c FROM shapes GROUP BY trail + 1",
+    "SELECT grp, min(-trail) AS lo, sum(-trail) AS s FROM shapes GROUP BY grp",
 };
 
 // The over-budget shapes table streamed through a small build side over
@@ -186,9 +192,9 @@ const char* const kKeyJoinSqls[] = {
     "SELECT S.grp, S.name, N.k FROM shapes S INNER JOIN names N "
     "ON S.name = N.name",
 };
-// Columns whose windows evaluate to different types: lead + 1 is FLOAT64
-// over the first chunk and INT64 after it (a spilled aggregate argument),
-// trail + 1 the other way round (a join key, compared canonically).
+// Integer arithmetic over the columns whose NULLs sit in one chunk: lead + 1
+// as an aggregate argument with NULLs in the first window, trail + 1 as a
+// join key with NULLs in the last one.
 const char* const kTypeDriftAggSql =
     "SELECT grp, sum(lead + 1) AS s, max(lead + 1) AS hi FROM shapes "
     "GROUP BY grp";
@@ -216,9 +222,9 @@ const char* const kGraceJoinSqls[] = {
 };
 
 std::vector<std::string> RunAll(Database* db,
-                                const std::vector<const char*>& queries) {
+                                const std::vector<std::string>& queries) {
   std::vector<std::string> renders;
-  for (const char* sql : queries) {
+  for (const std::string& sql : queries) {
     auto r = db->Execute(sql);
     DL2SQL_CHECK(r.ok()) << sql << ": " << r.status().ToString();
     renders.push_back(r->ToString(r->num_rows()));
@@ -228,7 +234,7 @@ std::vector<std::string> RunAll(Database* db,
 
 /// Reference renders from a serial in-memory database.
 std::vector<std::string> ReferenceRenders(
-    const std::vector<const char*>& queries) {
+    const std::vector<std::string>& queries) {
   Database ref;
   DL2SQL_CHECK(ref.set_storage_mode(StorageMode::kInMemory).ok());
   FillTables(&ref);
@@ -254,7 +260,18 @@ struct PagedConfig {
   int shards;
   int spill_partitions;
   int64_t query_mem_limit;
+  /// Groups of the overflowing aggregations (fact by id % fact_groups,
+  /// wide's first name_groups rows by name): more than the budget holds,
+  /// few enough that each spill partition's groups fit it.
+  int64_t fact_groups;
+  int64_t name_groups;
 };
+
+/// `fact` grouped by id % `groups`, with `aggs` as the select list's tail.
+std::string FactOverflowSql(int64_t groups, const char* aggs) {
+  const std::string key = "id % " + std::to_string(groups);
+  return "SELECT " + key + " AS k, " + aggs + " FROM fact GROUP BY " + key;
+}
 
 /// A paged database over FillTables' data: every non-trivial table paged,
 /// the storage options of `cfg`, and its query memory limit.
@@ -271,17 +288,41 @@ void OpenPaged(const PagedConfig& cfg, Database* db) {
 }
 
 void ExpectBitIdentical(const PagedConfig& cfg) {
-  std::vector<const char*> queries = {
-      kJoinSql,         kJoinResidualSql,  kAggSql,
-      kGlobalAggSql,    kFilterProjectSql, kNoArgAggSql,
-      kOneArgAggSql,    kSharedArgAggSql,  kTwoArgAggSql,
-      kTypeDriftAggSql, kTypeDriftJoinSql};
-  queries.insert(queries.end(), std::begin(kGenericAggSqls),
-                 std::end(kGenericAggSqls));
+  std::vector<std::string> streamed = {kAggSql, kNoArgAggSql, kGlobalAggSql,
+                                       kTypeDriftAggSql, kLateNullAggSql};
+  streamed.insert(streamed.end(), std::begin(kGenericAggSqls),
+                  std::end(kGenericAggSqls));
+  streamed.insert(streamed.end(), std::begin(kIntArithAggSqls),
+                  std::end(kIntArithAggSqls));
+  // The overflowing aggregations. The three slot-sharing variants keep
+  // resident states of one size (three typed aggregates), so the same rows
+  // spill in each.
+  const std::vector<std::string> shared_slots = {
+      FactOverflowSql(cfg.fact_groups,
+                      "sum(val) AS s, min(val) AS lo, max(val) AS hi"),
+      FactOverflowSql(cfg.fact_groups,
+                      "sum(val) AS s, min(val + 0.0) AS lo, max(val) AS hi"),
+      FactOverflowSql(
+          cfg.fact_groups,
+          "sum(val) AS s, min(val + 0.0) AS lo, max(val + 1.0) AS hi"),
+  };
+  std::vector<std::string> overflowing = {
+      FactOverflowSql(cfg.fact_groups,
+                      "count(*) AS c, avg(val) AS a, stddev_samp(val) AS sd"),
+      "SELECT name, count(*) AS c, min(name) AS lo, max(name) AS hi "
+      "FROM wide WHERE id < " +
+          std::to_string(cfg.name_groups) + " GROUP BY name",
+  };
+  overflowing.insert(overflowing.end(), shared_slots.begin(),
+                     shared_slots.end());
+  std::vector<std::string> queries = {kJoinSql, kJoinResidualSql,
+                                      kFilterProjectSql, kTypeDriftJoinSql};
   queries.insert(queries.end(), std::begin(kKeyJoinSqls),
                  std::end(kKeyJoinSqls));
   queries.insert(queries.end(), std::begin(kGraceJoinSqls),
                  std::end(kGraceJoinSqls));
+  queries.insert(queries.end(), streamed.begin(), streamed.end());
+  queries.insert(queries.end(), overflowing.begin(), overflowing.end());
   const std::vector<std::string> expected = ReferenceRenders(queries);
 
   Database db;
@@ -292,22 +333,22 @@ void ExpectBitIdentical(const PagedConfig& cfg) {
     EXPECT_EQ(r->ToString(r->num_rows()), expected[q]) << queries[q];
   }
 
-  // The fact and shapes tables (~2.8 MB each) cannot be admitted under the
-  // query budget, so the aggregations must have spilled.
-  for (const char* sql : {kAggSql, kNoArgAggSql, kTypeDriftAggSql}) {
+  // The fact and shapes tables (~2.8 MB each) are over the query budget,
+  // but these aggregations' groups fit it: they stream and spill nothing.
+  for (const std::string& sql : streamed) {
+    EXPECT_EQ(SpillBytesFor(&db, sql), 0) << sql;
+  }
+  // Groups over the budget: those arriving after it fills spill.
+  for (const std::string& sql : overflowing) {
     EXPECT_GT(SpillBytesFor(&db, sql), 0) << sql;
   }
-  for (const char* sql : kGenericAggSqls) {
-    EXPECT_GT(SpillBytesFor(&db, sql), 0) << sql;
-  }
-  // Aggregates over one bare column spill it once; sum(val + 1.0) spills a
-  // second column, as many bytes as val adds to count(*)'s spill.
-  EXPECT_EQ(SpillBytesFor(&db, kSharedArgAggSql),
-            SpillBytesFor(&db, kOneArgAggSql));
-  EXPECT_EQ(SpillBytesFor(&db, kTwoArgAggSql) -
-                SpillBytesFor(&db, kOneArgAggSql),
-            SpillBytesFor(&db, kOneArgAggSql) -
-                SpillBytesFor(&db, kNoArgAggSql));
+  // Aggregates over one bare column spill it once; each computed argument
+  // spills a column of its own, as many bytes each time.
+  const int64_t one_slot = SpillBytesFor(&db, shared_slots[0]);
+  const int64_t two_slots = SpillBytesFor(&db, shared_slots[1]);
+  EXPECT_GT(two_slots, one_slot);
+  EXPECT_EQ(SpillBytesFor(&db, shared_slots[2]) - two_slots,
+            two_slots - one_slot);
   // A build side that fits is built once and the probe side streams
   // through it: nothing spills.
   for (const char* sql : {kJoinSql, kJoinResidualSql, kTypeDriftJoinSql}) {
@@ -332,7 +373,8 @@ TEST(SpillExecTest, GraceJoinAndExternalAggMatchInMemory) {
   // Comfortable pool, a query budget below the fact table's footprint.
   ExpectBitIdentical({/*pool_bytes=*/4u << 20, /*block_bytes=*/64 * 1024,
                       /*shards=*/4, /*spill_partitions=*/4,
-                      /*query_mem_limit=*/1 << 20});
+                      /*query_mem_limit=*/1 << 20, /*fact_groups=*/12000,
+                      /*name_groups=*/12000});
 }
 
 TEST(SpillExecTest, TinyPoolForcesAllPartitionsThroughDisk) {
@@ -342,21 +384,23 @@ TEST(SpillExecTest, TinyPoolForcesAllPartitionsThroughDisk) {
   // partitions than the pool can hold frames for.
   ExpectBitIdentical({/*pool_bytes=*/64 * 1024, /*block_bytes=*/16 * 1024,
                       /*shards=*/2, /*spill_partitions=*/8,
-                      /*query_mem_limit=*/1 << 20});
+                      /*query_mem_limit=*/1 << 20, /*fact_groups=*/12000,
+                      /*name_groups=*/12000});
 }
 
 TEST(SpillExecTest, LargerBudgetStillSpillsIdentically) {
   ScopedTrackingEnabled guard;
   ExpectBitIdentical({/*pool_bytes=*/1u << 20, /*block_bytes=*/32 * 1024,
                       /*shards=*/4, /*spill_partitions=*/16,
-                      /*query_mem_limit=*/2 << 20});
+                      /*query_mem_limit=*/2 << 20, /*fact_groups=*/20000,
+                      /*name_groups=*/20000});
 }
 
 TEST(SpillExecTest, StreamedProbeUnderDevicePoolMatchesSerial) {
   ScopedTrackingEnabled guard;
   // The probe side streams window by window; each window's probe and pair
   // collection run morsel-parallel on four workers.
-  const std::vector<const char*> queries = {kJoinResidualSql};
+  const std::vector<std::string> queries = {kJoinResidualSql};
   const std::vector<std::string> expected = ReferenceRenders(queries);
   DeviceProfile profile = Device::ServerCpuProfile();
   profile.num_threads = 4;
@@ -364,7 +408,8 @@ TEST(SpillExecTest, StreamedProbeUnderDevicePoolMatchesSerial) {
   Database db;
   OpenPaged({/*pool_bytes=*/1u << 20, /*block_bytes=*/32 * 1024,
              /*shards=*/4, /*spill_partitions=*/4,
-             /*query_mem_limit=*/1 << 20},
+             /*query_mem_limit=*/1 << 20, /*fact_groups=*/0,
+             /*name_groups=*/0},
             &db);
   db.set_exec_options({&device, /*morsel_size=*/256});
   EXPECT_EQ(RunAll(&db, queries), expected);
@@ -372,9 +417,10 @@ TEST(SpillExecTest, StreamedProbeUnderDevicePoolMatchesSerial) {
 }
 
 TEST(SpillExecTest, PagedModeWithoutPressureIsStillBitIdentical) {
-  // No query memory limit: paged inputs are admitted (materialized) rather
-  // than spilled, which must also reproduce the in-memory results exactly.
-  const std::vector<const char*> queries = {kJoinSql, kAggSql,
+  // No query memory limit: the join admits (materializes) its paged inputs,
+  // while the aggregation and the filter stream theirs window by window;
+  // each must reproduce the in-memory results exactly.
+  const std::vector<std::string> queries = {kJoinSql, kAggSql,
                                             kFilterProjectSql};
   const std::vector<std::string> expected = ReferenceRenders(queries);
   Database db;

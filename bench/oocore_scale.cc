@@ -7,12 +7,15 @@
 /// The paged run happens FIRST, before any in-memory copy of the data
 /// exists, so the sampled resident-set growth genuinely reflects the paged
 /// working set (pool frames + spill scratch + the served result), not the
-/// dataset. The run must
+/// dataset. Each statement reads only the fact columns it names (none reads
+/// the 48-byte payload that is most of fact's bytes), and a paged scan pins
+/// only the blocks holding them. The run must
 ///   - keep the RSS delta below the logical data size (bounded peak RSS),
 ///   - take each join and aggregation path, per statement in
 ///     system.query_profiles: the join with the small dim table streams
 ///     fact through dim's table and spills nothing, while fact joined with
-///     itself has a build side over the budget and spills (grace join); the
+///     itself has a build side (fact's id and val) that with the table built
+///     over it is over the budget, and spills (grace join); the
 ///     grouped and the global aggregation stream fact through one
 ///     aggregator and spill nothing, while the aggregation with a group per
 ///     two fact rows overflows the budget and spills the groups that arrive
@@ -52,12 +55,13 @@ constexpr int64_t kSliceRows = 8192;  // load granularity (stays resident)
 
 // The fig8-style statement shapes: two joins, grouped aggregation, global
 // aggregation, filter+project, and (OverflowAggSql) an aggregation with
-// more groups than the budget holds. Neither join has a pushable
-// single-side filter, so the whole fact table reaches each join's inputs.
-// dim's table fits the budget and fact streams through it as the probe
-// side; the self-join builds on fact, which does not fit, so it takes the
-// grace join. The grouped aggregation's 96 groups fit, and so does the
-// global one's.
+// more groups than the budget holds. Each scan reads only the columns its
+// statement names. Neither join has a pushable single-side filter, so every
+// fact row reaches each join's inputs. dim's table fits the budget and
+// fact's id and grp stream through it as the probe side; the self-join
+// builds on fact's id and val, which beside their table do not fit, so it
+// takes the grace join. The grouped aggregation's 96 groups fit, and so
+// does the global one's.
 const char* const kStarJoinSql =
     "SELECT F.id, F.grp, D.w FROM fact F INNER JOIN dim D ON F.grp = D.id";
 const char* const kSelfJoinSql =
@@ -89,15 +93,18 @@ struct ScaleConfig {
 };
 
 /// Default exercises ~29 MB of data against a 2 MB pool (~14x); --quick
-/// shrinks to ~12 MB against 1 MB (~12x) for CI. The query memory limit must
-/// sit below the fact table (so the self-join spills) and below the
-/// overflowing aggregation's grouping state (about 100 bytes per group, half
-/// as many groups as fact rows), but above the self-join's grace pair vector
-/// (16 bytes per matching pair, one per fact row) and above what the
-/// overflowing aggregation's tail holds at once: the results of the groups
-/// before it (16 bytes per group) and one spill partition's groups. The star
-/// join streams and holds only one window's pairs; the grouped and the
-/// global aggregation hold only their groups.
+/// shrinks to ~12 MB against 1 MB (~12x) for CI. Statements read only the
+/// columns they name, so the query memory limit is set against those: it
+/// must sit below the self-join's build side (fact's id and val, 16 bytes a
+/// row) plus the table built over it (about 45 bytes a row, 8 a bucket), so
+/// the self-join spills, and below the overflowing aggregation's grouping
+/// state (about 100 bytes per group, half as many groups as fact rows), but
+/// above the self-join's grace pair vector (16 bytes per matching pair, one
+/// per fact row) and above what the overflowing aggregation's tail holds at
+/// once: every group's result (16 bytes per group), the output they merge
+/// into, and one spill partition's groups. The star join streams and holds
+/// only one window's pairs; the grouped and the global aggregation hold
+/// only their groups.
 ScaleConfig PickScale(bool quick) {
   if (quick) return {160000, 1u << 20, 4 << 20};
   return {400000, 2u << 20, 12 << 20};

@@ -60,10 +60,10 @@ pass_paged_storage() {
   # suite reruns with a deliberately tiny pool (2 MB), an aggressive paging
   # threshold, and a query memory budget, so every test table is paged and
   # read through the buffer pool (with constant eviction) and the windowed
-  # operators; aggregations over paged tables stream. No suite input
-  # outgrows the 64 MB budget: the spill paths (grace hash join, the
-  # aggregation's overflow tail) and the hash join's streamed probe run
-  # where a test sets a budget of its own (spill_exec_test).
+  # operators; aggregations over paged tables stream, and so does every
+  # paged probe side of a hash join. No suite input outgrows the 64 MB
+  # budget: the spill paths (grace hash join, the aggregation's overflow
+  # tail) run where a test sets a budget of its own (spill_exec_test).
   # Tests that assert in-memory accounting semantics pin
   # StorageMode::kInMemory themselves.
   DL2SQL_STORAGE=paged \

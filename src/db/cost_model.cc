@@ -139,13 +139,8 @@ Status DefaultCostModel::Annotate(PlanNode* node, const CostContext& ctx) const 
   const double par = std::max(1.0, ctx.parallelism);
   switch (node->kind) {
     case PlanKind::kScan: {
-      double rows = ScanRows(*node, ctx);
-      double cost = rows;  // one unit per row scanned
-      for (const auto& p : node->scan_predicates) {
-        rows *= EstimateSelectivity(*p, *node, ctx);
-      }
-      node->est_rows = rows;
-      node->est_cost = cost;
+      node->est_rows = ScanRows(*node, ctx);
+      node->est_cost = node->est_rows;  // one unit per row scanned
       return Status::OK();
     }
     case PlanKind::kFilter: {

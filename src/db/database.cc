@@ -667,17 +667,20 @@ Status Database::ChargeOperatorOutput(StatementStats* stats,
   return Status::OK();
 }
 
-Result<bool> Database::TryEnsureResident(PlanKind kind, Table* t) {
+Result<bool> Database::TryEnsureResident(PlanKind kind, Table* t,
+                                         int64_t scratch_bytes) {
   if (!t->is_paged()) return true;
   const int64_t bytes = static_cast<int64_t>(t->ByteSize());
   StatementStats* const stats = tls_stats_;
   if (stats != nullptr && stats->mem != nullptr) {
     MemTracker* const tracker = OpScratchTracker(kind);
-    // Admission check: does the resident form fit under the query budget?
-    // On admission the charge is parked in the operator's own frame (popped
-    // when it finishes), billing the materialized input for exactly as long
-    // as the operator holds it.
-    if (!tracker->TryConsume(bytes).ok()) return false;
+    // Admission check: do the resident form and the operator's scratch fit
+    // under the query budget? On admission the input's charge is parked in
+    // the operator's own frame (popped when it finishes), billing the
+    // materialized input for exactly as long as the operator holds it; the
+    // operator charges its scratch itself.
+    if (!tracker->TryConsume(bytes + scratch_bytes).ok()) return false;
+    tracker->Release(scratch_bytes);
     if (!stats->mem_frames.empty()) {
       stats->mem_frames.back().emplace_back(tracker, bytes);
     } else {
@@ -1009,32 +1012,27 @@ Result<Table> Database::ExecScan(const PlanNode& node) {
     // rows from live engine state, so even a plan-cache hit sees current
     // data.
     DL2SQL_ASSIGN_OR_RETURN(table, provider->Materialize());
-    if (table->num_columns() != node.output_schema.num_fields()) {
-      return Status::InternalError(
-          "virtual table '", node.table_name, "' materialized ",
-          table->num_columns(), " columns, plan expected ",
-          node.output_schema.num_fields());
-    }
   } else {
     DL2SQL_ASSIGN_OR_RETURN(table, catalog_.GetTable(node.table_name));
   }
-  if (table->is_paged()) {
-    // Zero-copy paged view: the scan output shares the table's backing under
-    // the plan's qualified schema. Consumers either window over it, spill,
-    // or materialize it after an admission check (TryEnsureResident).
-    Table out = Table::FromPaged(node.output_schema, table->paged());
-    ChargeOperator("scan", watch.ElapsedSeconds(), 0);
-    return out;
+  std::vector<int> columns = node.scan_columns;
+  if (columns.empty()) {
+    columns.resize(static_cast<size_t>(table->num_columns()));
+    std::iota(columns.begin(), columns.end(), 0);
   }
-  // Columns are shared copy-on-write; only the schema is rewritten with the
-  // qualified names assigned at planning time.
-  std::vector<Column> cols;
-  cols.reserve(static_cast<size_t>(table->num_columns()));
-  for (int i = 0; i < table->num_columns(); ++i) cols.push_back(table->column(i));
-  DL2SQL_ASSIGN_OR_RETURN(Table out,
-                          Table::FromColumns(node.output_schema, std::move(cols)));
+  // Only the columns the plan reads, under the qualified schema assigned at
+  // planning time: resident columns are shared copy-on-write; a paged table
+  // gives a zero-copy view whose windows read only these columns' bytes.
+  // Consumers either window over a paged view, spill, or materialize it
+  // after an admission check (TryEnsureResident).
+  auto out = table->SelectColumns(node.output_schema, columns);
+  if (!out.ok()) {
+    return Status::InternalError("scan of '", node.table_name, "' (",
+                                 table->num_columns(), " columns): ",
+                                 out.status().ToString());
+  }
   ChargeOperator("scan", watch.ElapsedSeconds(), 0);
-  return out;
+  return std::move(*out);
 }
 
 namespace {
@@ -1476,7 +1474,6 @@ Result<Database::HashJoinSides> Database::BuildHashJoin(
   const Expr& build_key_expr = s.build_left ? *node.equi_keys[0].first
                                             : *node.equi_keys[0].second;
   if (node.equi_keys.size() == 1 && build_plan.kind == PlanKind::kScan &&
-      build_plan.scan_predicates.empty() &&
       build_key_expr.kind == ExprKind::kColumnRef &&
       build_key_expr.bound_index >= 0) {
     const std::string& qualified =
@@ -1507,15 +1504,17 @@ Result<Table> Database::ExecJoin(const PlanNode& node, Table left, Table right) 
   const bool hash = !node.equi_keys.empty() && !node.use_symmetric_hash;
   if (hash) {
     // The hybrid hash join's admission: the optimizer's build side must be
-    // resident, so one over the query budget takes the grace (partitioned,
-    // spilling) join. A probe side that does not fit stays paged and
-    // streams through the built table.
-    DL2SQL_ASSIGN_OR_RETURN(bool build_fits,
-                            TryEnsureResident(PlanKind::kJoin, &build));
+    // resident beside the table built over it, so one whose bytes and
+    // table bound are over the query budget takes the grace (partitioned,
+    // spilling) join. A paged probe side streams through the built table,
+    // one window per storage chunk.
+    DL2SQL_ASSIGN_OR_RETURN(
+        bool build_fits,
+        TryEnsureResident(PlanKind::kJoin, &build,
+                          BuildJoinTableBound(build.num_rows())));
     if (!build_fits) {
       return ExecJoinGrace(node, std::move(left), std::move(right));
     }
-    DL2SQL_RETURN_NOT_OK(TryEnsureResident(PlanKind::kJoin, &probe).status());
   } else if (left.is_paged() || right.is_paged()) {
     // Cross and symmetric-hash joins read both inputs whole and have no
     // spill path — surface the budget refusal instead of silently thrashing.
@@ -2129,8 +2128,9 @@ Result<Table> Database::ExecAggregate(const PlanNode& node, Table input) {
   }
 
   // The overflow tail. The resident groups' state is released; their
-  // result and each partition's stay charged until emit, and each
-  // partition's grouping state is charged on its own per-iteration scope.
+  // result and each partition's stay charged until the merge below has
+  // emitted them, and each partition's grouping state is charged on its own
+  // per-iteration scope.
   ScopedMemCharge scratch_mem(OpScratchTracker(PlanKind::kAggregate));
   DL2SQL_RETURN_NOT_OK(
       scratch_mem.Charge(static_cast<int64_t>(out.ByteSize())));
@@ -2154,7 +2154,9 @@ Result<Table> Database::ExecAggregate(const PlanNode& node, Table input) {
   // matches the resident groups'. A global aggregate's one group is
   // resident, so its partition stays empty and is skipped.
   std::vector<Table> results;
+  std::vector<std::vector<int64_t>> results_first_rows;
   results.push_back(std::move(out));
+  results_first_rows.push_back(std::move(first_rows));
   for (const auto& part : run.parts) {
     if (part->num_rows() == 0) continue;
     ScopedMemCharge part_mem(OpScratchTracker(PlanKind::kAggregate));
@@ -2180,24 +2182,46 @@ Result<Table> Database::ExecAggregate(const PlanNode& node, Table input) {
     DL2SQL_ASSIGN_OR_RETURN(Table result, agg.Finish(node));
     DL2SQL_RETURN_NOT_OK(
         scratch_mem.Charge(static_cast<int64_t>(result.ByteSize())));
-    first_rows.insert(first_rows.end(), agg.first_rows().begin(),
-                      agg.first_rows().end());
+    for (int c = 0; c < result.num_columns(); ++c) {
+      if (result.column(c).type() != results[0].column(c).type()) {
+        return Status::TypeError("aggregate column ", c,
+                                 " changes type across spill partitions");
+      }
+    }
+    results_first_rows.push_back(agg.first_rows());
     results.push_back(std::move(result));
   }
 
-  // The resident groups and each partition's are disjoint, each in its own
-  // first-seen order; the emit order is ascending first row across all.
-  out = std::move(results[0]);
-  for (size_t p = 1; p < results.size(); ++p) {
-    DL2SQL_RETURN_NOT_OK(out.AppendTable(results[p]));
+  // The resident groups and each partition's are disjoint runs, each in
+  // ascending first-row order, and the emit order is ascending first row
+  // across all: merge them straight into the output columns, charged as
+  // they grow.
+  out = Table(results[0].schema());
+  constexpr int64_t kChargeRows = 16384;
+  int64_t out_bytes = 0;
+  std::vector<size_t> next(results.size(), 0);  // per run, its next group
+  for (int64_t emitted = 0;; ++emitted) {
+    size_t from = results.size();  // the run whose next group came first
+    for (size_t r = 0; r < results.size(); ++r) {
+      const std::vector<int64_t>& firsts = results_first_rows[r];
+      if (next[r] < firsts.size() &&
+          (from == results.size() ||
+           firsts[next[r]] < results_first_rows[from][next[from]])) {
+        from = r;
+      }
+    }
+    const bool done = from == results.size();
+    if (done || emitted % kChargeRows == kChargeRows - 1) {
+      const int64_t bytes = static_cast<int64_t>(out.ByteSize());
+      DL2SQL_RETURN_NOT_OK(scratch_mem.Charge(bytes - out_bytes));
+      out_bytes = bytes;
+    }
+    if (done) break;
+    const int64_t row = static_cast<int64_t>(next[from]++);
+    for (int c = 0; c < out.num_columns(); ++c) {
+      out.mutable_column(c).AppendFrom(results[from].column(c), row);
+    }
   }
-  std::vector<int64_t> order(first_rows.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-    return first_rows[static_cast<size_t>(a)] <
-           first_rows[static_cast<size_t>(b)];
-  });
-  out = out.TakeRows(order);
 
   const double inf = DrainEvalContext(ctx);
   ChargeOperator("groupby", watch.ElapsedSeconds(), inf);

@@ -440,9 +440,12 @@ class Database {
   /// the table's logical size reaches page_min_bytes; no-op otherwise.
   Status MaybePageOut(Table* table);
   /// Admission probe + materialization for a paged operator input: true if
-  /// `t` is (now) resident, false if its resident form would not fit under
+  /// `t` is (now) resident, false if its resident form plus `scratch_bytes`
+  /// (what the operator will charge while it holds `t`) would not fit under
   /// the query memory budget (the caller must take a spill path or fail).
-  Result<bool> TryEnsureResident(PlanKind kind, Table* t);
+  /// Once admitted, only `t`'s bytes stay charged.
+  Result<bool> TryEnsureResident(PlanKind kind, Table* t,
+                                 int64_t scratch_bytes = 0);
   /// Grace hash join, for a build side over the query budget: partitions
   /// both sides' typed key columns by key hash into block-file spill runs,
   /// joins each partition pair with the in-memory join's build and probe

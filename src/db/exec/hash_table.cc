@@ -12,6 +12,9 @@ namespace dl2sql::db {
 
 namespace {
 
+/// The build step's transient arrays per row: its hash and NULL flag.
+constexpr int64_t kBuildHashBytesPerRow = sizeof(uint64_t) + 1;
+
 size_t BucketsFor(int64_t keys) {
   return std::bit_ceil(static_cast<size_t>(std::max<int64_t>(keys, 16)));
 }
@@ -215,6 +218,15 @@ int64_t KeyHashTable::ByteSize() const {
   return bytes;
 }
 
+int64_t KeyHashTable::JoinByteSizeBound(int64_t rows) {
+  // ForJoin's heads_; per row, as a key of its own, next_, hashes_, rep_ and
+  // offsets_ and as a listed row rows_; and the offsets' end.
+  return static_cast<int64_t>(BucketsFor(2 * rows) * sizeof(KeyId)) +
+         rows * static_cast<int64_t>(sizeof(KeyId) + sizeof(uint64_t) +
+                                     3 * sizeof(int64_t)) +
+         static_cast<int64_t>(sizeof(int64_t));
+}
+
 Status HashJoinKeys(const std::vector<const Column*>& keys,
                     const KeyHashTable* table, EvalContext* ctx,
                     std::vector<uint64_t>* hash, std::vector<uint8_t>* nulls,
@@ -260,9 +272,13 @@ Result<KeyHashTable> BuildJoinTable(std::vector<Column> keys,
   const int64_t n = static_cast<int64_t>(hash.size());
   KeyHashTable table =
       KeyHashTable::ForJoin(std::move(keys), hash.data(), nulls.data());
-  DL2SQL_RETURN_NOT_OK(scratch->Charge(
-      table.ByteSize() + n * static_cast<int64_t>(sizeof(uint64_t) + 1)));
+  DL2SQL_RETURN_NOT_OK(
+      scratch->Charge(table.ByteSize() + n * kBuildHashBytesPerRow));
   return table;
+}
+
+int64_t BuildJoinTableBound(int64_t rows) {
+  return KeyHashTable::JoinByteSizeBound(rows) + rows * kBuildHashBytesPerRow;
 }
 
 }  // namespace dl2sql::db

@@ -103,6 +103,9 @@ class KeyHashTable {
   /// Approximate heap bytes of the table's own arrays (key columns a join
   /// table shares with its input are not counted).
   int64_t ByteSize() const;
+  /// Upper bound of ByteSize() for a join table over `rows` build rows:
+  /// the layout above with every row a distinct key.
+  static int64_t JoinByteSizeBound(int64_t rows);
 
  private:
   bool KeyEquals(const std::vector<const Column*>& probe, int64_t row,
@@ -154,5 +157,8 @@ Status HashJoinKeys(const std::vector<const Column*>& keys,
 Result<KeyHashTable> BuildJoinTable(std::vector<Column> keys,
                                     EvalContext* ctx,
                                     ScopedMemCharge* scratch);
+
+/// Upper bound of what BuildJoinTable charges for `rows` build rows.
+int64_t BuildJoinTableBound(int64_t rows);
 
 }  // namespace dl2sql::db

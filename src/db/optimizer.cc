@@ -1,6 +1,7 @@
 #include "db/optimizer.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/logging.h"
 #include "db/planner.h"
@@ -22,7 +23,6 @@ PlanPtr ClonePlan(const PlanPtr& node) {
   for (auto& e : n->group_keys) clone_expr(e);
   for (auto& e : n->agg_calls) clone_expr(e);
   for (auto& e : n->sort_keys) clone_expr(e);
-  for (auto& e : n->scan_predicates) clone_expr(e);
   for (auto& [l, r] : n->equi_keys) {
     clone_expr(l);
     clone_expr(r);
@@ -376,11 +376,259 @@ Result<PlanPtr> Optimizer::ReorderJoins(PlanPtr node) {
                      original_schema);
 }
 
+namespace {
+
+// ------------------------------------------------------------ pruning ----
+
+/// Flags in `used` (one flag per column of `e`'s scope) every column `e`
+/// reads. An unbound reference resolves by name at run time, so it keeps
+/// every column of its scope.
+void MarkReads(const Expr& e, std::vector<bool>* used) {
+  if (e.kind == ExprKind::kColumnRef) {
+    if (e.bound_index < 0 ||
+        e.bound_index >= static_cast<int>(used->size())) {
+      used->assign(used->size(), true);
+    } else {
+      (*used)[static_cast<size_t>(e.bound_index)] = true;
+    }
+    return;
+  }
+  for (const auto& c : e.children) MarkReads(*c, used);
+}
+
+bool IsIdentity(const std::vector<int>& map) {
+  for (size_t i = 0; i < map.size(); ++i) {
+    if (map[i] != static_cast<int>(i)) return false;
+  }
+  return true;
+}
+
+/// Per column, its index among the kept ones, or -1 where it is dropped.
+std::vector<int> KeepMap(const std::vector<bool>& keep) {
+  std::vector<int> map(keep.size(), -1);
+  int next = 0;
+  for (size_t i = 0; i < keep.size(); ++i) {
+    if (keep[i]) map[i] = next++;
+  }
+  return map;
+}
+
+/// The fields of `schema` that `map` keeps, in order.
+TableSchema Narrow(const TableSchema& schema, const std::vector<int>& map) {
+  TableSchema out;
+  for (int i = 0; i < schema.num_fields(); ++i) {
+    if (map[static_cast<size_t>(i)] >= 0) out.AddField(schema.field(i));
+  }
+  return out;
+}
+
+/// True when a bound reference in `e` moves under `map`.
+bool Moves(const Expr& e, const std::vector<int>& map) {
+  if (e.kind == ExprKind::kColumnRef && e.bound_index >= 0) {
+    return e.bound_index >= static_cast<int>(map.size()) ||
+           map[static_cast<size_t>(e.bound_index)] != e.bound_index;
+  }
+  return std::any_of(e.children.begin(), e.children.end(),
+                     [&](const ExprPtr& c) { return Moves(*c, map); });
+}
+
+Status RenumberInPlace(Expr* e, const std::vector<int>& map) {
+  if (e->kind == ExprKind::kColumnRef && e->bound_index >= 0) {
+    const int to = e->bound_index < static_cast<int>(map.size())
+                       ? map[static_cast<size_t>(e->bound_index)]
+                       : -1;
+    if (to < 0) {
+      return Status::InternalError("column pruning dropped column #",
+                                   e->bound_index, ", which ", e->ToString(),
+                                   " reads");
+    }
+    e->bound_index = to;
+  }
+  for (auto& c : e->children) {
+    DL2SQL_RETURN_NOT_OK(RenumberInPlace(c.get(), map));
+  }
+  return Status::OK();
+}
+
+/// `e` with its bound references renumbered through `map`: `e` itself when
+/// none moves, else a renumbered clone (plan nodes may share an
+/// expression, so none is edited in place).
+Result<ExprPtr> Renumber(const ExprPtr& e, const std::vector<int>& map) {
+  if (!Moves(*e, map)) return e;
+  ExprPtr out = e->Clone();
+  DL2SQL_RETURN_NOT_OK(RenumberInPlace(out.get(), map));
+  return out;
+}
+
+/// When `keep` flags none of `schema`'s columns, flags one: a table needs a
+/// column to carry its row count. The first fixed-width one is the cheapest
+/// to decode; with none, the first column.
+void KeepOneIfNone(const TableSchema& schema, std::vector<bool>* keep) {
+  if (keep->empty() ||
+      std::any_of(keep->begin(), keep->end(), [](bool k) { return k; })) {
+    return;
+  }
+  const std::vector<Field>& fields = schema.fields();
+  const auto fixed =
+      std::find_if(fields.begin(), fields.end(), [](const Field& f) {
+        return f.type == DataType::kBool || f.type == DataType::kInt64 ||
+               f.type == DataType::kFloat64;
+      });
+  (*keep)[fixed == fields.end()
+              ? 0
+              : static_cast<size_t>(fixed - fields.begin())] = true;
+}
+
+/// Column pruning. `used` flags the output columns of `node` that its
+/// parent reads; the subtree is rewritten to output the flagged columns and
+/// those its own operators must keep. Returns, per output column, its new
+/// index, or -1 where it is dropped. A node that loses no column is left as
+/// it is.
+Result<std::vector<int>> PruneColumns(PlanNode* node, std::vector<bool> used) {
+  const int width = node->output_schema.num_fields();
+  switch (node->kind) {
+    case PlanKind::kScan: {
+      KeepOneIfNone(node->output_schema, &used);  // SELECT count(*) FROM t
+      std::vector<int> map = KeepMap(used);
+      if (IsIdentity(map)) return map;
+      std::vector<int> columns;
+      for (int i = 0; i < width; ++i) {
+        if (!used[static_cast<size_t>(i)]) continue;
+        columns.push_back(node->scan_columns.empty()
+                              ? i
+                              : node->scan_columns[static_cast<size_t>(i)]);
+      }
+      node->scan_columns = std::move(columns);
+      node->output_schema = Narrow(node->output_schema, map);
+      return map;
+    }
+    case PlanKind::kFilter:
+    case PlanKind::kSort:
+    case PlanKind::kLimit: {
+      // Row operators output their child's columns: the ones they read
+      // themselves stay, whether or not the parent reads them.
+      if (node->predicate != nullptr) MarkReads(*node->predicate, &used);
+      for (const auto& k : node->sort_keys) MarkReads(*k, &used);
+      DL2SQL_ASSIGN_OR_RETURN(
+          std::vector<int> map,
+          PruneColumns(node->children[0].get(), std::move(used)));
+      if (IsIdentity(map)) return map;
+      if (node->predicate != nullptr) {
+        DL2SQL_ASSIGN_OR_RETURN(node->predicate,
+                                Renumber(node->predicate, map));
+      }
+      for (auto& k : node->sort_keys) {
+        DL2SQL_ASSIGN_OR_RETURN(k, Renumber(k, map));
+      }
+      node->output_schema = Narrow(node->output_schema, map);
+      return map;
+    }
+    case PlanKind::kJoin: {
+      const size_t left_width = static_cast<size_t>(
+          node->children[0]->output_schema.num_fields());
+      if (node->join_condition != nullptr) {
+        MarkReads(*node->join_condition, &used);
+      }
+      std::vector<bool> left_used(used.begin(),
+                                  used.begin() + static_cast<long>(left_width));
+      std::vector<bool> right_used(
+          used.begin() + static_cast<long>(left_width), used.end());
+      for (const auto& [lk, rk] : node->equi_keys) {
+        MarkReads(*lk, &left_used);
+        MarkReads(*rk, &right_used);
+      }
+      DL2SQL_ASSIGN_OR_RETURN(
+          std::vector<int> left_map,
+          PruneColumns(node->children[0].get(), std::move(left_used)));
+      DL2SQL_ASSIGN_OR_RETURN(
+          std::vector<int> right_map,
+          PruneColumns(node->children[1].get(), std::move(right_used)));
+      const int new_left_width = node->children[0]->output_schema.num_fields();
+      std::vector<int> map = left_map;
+      for (const int r : right_map) {
+        map.push_back(r < 0 ? -1 : new_left_width + r);
+      }
+      if (IsIdentity(map)) return map;
+      for (auto& [lk, rk] : node->equi_keys) {
+        DL2SQL_ASSIGN_OR_RETURN(lk, Renumber(lk, left_map));
+        DL2SQL_ASSIGN_OR_RETURN(rk, Renumber(rk, right_map));
+      }
+      if (node->join_condition != nullptr) {
+        DL2SQL_ASSIGN_OR_RETURN(node->join_condition,
+                                Renumber(node->join_condition, map));
+      }
+      node->output_schema = Narrow(node->output_schema, map);
+      return map;
+    }
+    case PlanKind::kAggregate: {
+      // The aggregate's own output never changes; its input keeps the
+      // columns of the group keys and the aggregates' arguments.
+      std::vector<bool> child_used(static_cast<size_t>(
+          node->children[0]->output_schema.num_fields()));
+      for (const auto& k : node->group_keys) MarkReads(*k, &child_used);
+      for (const auto& a : node->agg_calls) MarkReads(*a, &child_used);
+      DL2SQL_ASSIGN_OR_RETURN(
+          const std::vector<int> child_map,
+          PruneColumns(node->children[0].get(), std::move(child_used)));
+      if (!IsIdentity(child_map)) {
+        for (auto& k : node->group_keys) {
+          DL2SQL_ASSIGN_OR_RETURN(k, Renumber(k, child_map));
+        }
+        for (auto& a : node->agg_calls) {
+          DL2SQL_ASSIGN_OR_RETURN(a, Renumber(a, child_map));
+        }
+      }
+      std::vector<int> map(static_cast<size_t>(width));
+      std::iota(map.begin(), map.end(), 0);
+      return map;
+    }
+    case PlanKind::kProject: {
+      // Every computed expression stays, so an nUDF runs exactly as
+      // without pruning; an unread bare column reference is dropped.
+      std::vector<bool> keep(static_cast<size_t>(width));
+      for (size_t i = 0; i < keep.size(); ++i) {
+        keep[i] = used[i] || node->exprs[i]->kind != ExprKind::kColumnRef;
+      }
+      KeepOneIfNone(node->output_schema, &keep);
+      std::vector<bool> child_used(static_cast<size_t>(
+          node->children[0]->output_schema.num_fields()));
+      for (size_t i = 0; i < keep.size(); ++i) {
+        if (keep[i]) MarkReads(*node->exprs[i], &child_used);
+      }
+      DL2SQL_ASSIGN_OR_RETURN(
+          const std::vector<int> child_map,
+          PruneColumns(node->children[0].get(), std::move(child_used)));
+      std::vector<int> map = KeepMap(keep);
+      if (IsIdentity(map) && IsIdentity(child_map)) return map;
+      std::vector<ExprPtr> exprs;
+      std::vector<std::string> names;
+      for (size_t i = 0; i < keep.size(); ++i) {
+        if (!keep[i]) continue;
+        DL2SQL_ASSIGN_OR_RETURN(ExprPtr e, Renumber(node->exprs[i], child_map));
+        exprs.push_back(std::move(e));
+        names.push_back(node->names[i]);
+      }
+      node->exprs = std::move(exprs);
+      node->names = std::move(names);
+      node->output_schema = Narrow(node->output_schema, map);
+      return map;
+    }
+  }
+  return Status::InternalError("unhandled plan kind in column pruning");
+}
+
+}  // namespace
+
 Result<PlanPtr> Optimizer::Optimize(PlanPtr plan) {
   DL2SQL_ASSIGN_OR_RETURN(plan, OptimizeNode(std::move(plan)));
   if (options_.enable_join_reorder) {
     DL2SQL_ASSIGN_OR_RETURN(plan, ReorderJoins(std::move(plan)));
   }
+  // Every scan outputs only the columns the plan above it reads; the root
+  // reads every column of its own output, which therefore never changes.
+  std::vector<bool> all(
+      static_cast<size_t>(plan->output_schema.num_fields()), true);
+  DL2SQL_RETURN_NOT_OK(PruneColumns(plan.get(), std::move(all)).status());
   DL2SQL_RETURN_NOT_OK(model_->Annotate(plan.get(), ctx_));
   DL2SQL_RETURN_NOT_OK(ChooseBuildSides(plan.get()));
   return plan;

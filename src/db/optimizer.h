@@ -1,6 +1,7 @@
 /// \file optimizer.h
-/// \brief Plan rewrites: predicate pushdown, equi-join extraction, and the
-/// paper's nUDF hint rules (Section IV-B).
+/// \brief Plan rewrites: predicate pushdown, equi-join extraction, join
+/// reordering, column pruning, and the paper's nUDF hint rules (Section
+/// IV-B).
 #pragma once
 
 #include <memory>
@@ -41,6 +42,9 @@ class Optimizer {
  public:
   Optimizer(OptimizerOptions options, CostContext ctx);
 
+  /// Pushdown and hint placement, join reordering, then column pruning
+  /// (each scan outputs only the columns the plan above it reads; the
+  /// root's output schema never changes), then cost annotation.
   Result<PlanPtr> Optimize(PlanPtr plan);
 
  private:

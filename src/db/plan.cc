@@ -34,8 +34,14 @@ std::string PlanNode::ToString(int indent) const {
       if (!qualifier.empty() && qualifier != table_name) {
         oss << " AS " << qualifier;
       }
-      for (const auto& p : scan_predicates) {
-        oss << " [pred: " << p->ToString() << "]";
+      if (!scan_columns.empty()) {
+        oss << " [columns: ";
+        for (int i = 0; i < output_schema.num_fields(); ++i) {
+          const std::string& name = output_schema.field(i).name;
+          if (i > 0) oss << ", ";
+          oss << name.substr(name.rfind('.') + 1);
+        }
+        oss << "]";
       }
       break;
     case PlanKind::kFilter:

@@ -14,7 +14,7 @@
 namespace dl2sql::db {
 
 enum class PlanKind : uint8_t {
-  kScan,       ///< base-table scan (optionally with an inlined predicate)
+  kScan,       ///< base-table scan of all or some of the table's columns
   kFilter,
   kProject,
   kJoin,       ///< inner or cross join
@@ -41,9 +41,10 @@ struct PlanNode {
   // ---- kScan ----
   std::string table_name;  ///< catalog name
   std::string qualifier;   ///< alias used to qualify output columns
-  /// Conjuncts evaluated during the scan itself (pushed-down predicates,
-  /// including nUDF predicates the optimizer chose to evaluate at scan time).
-  std::vector<ExprPtr> scan_predicates;
+  /// The table columns the scan outputs, ascending (output_schema holds one
+  /// field per entry); empty means every column. Set by the optimizer's
+  /// column pruning to the columns the plan above reads.
+  std::vector<int> scan_columns;
 
   // ---- kFilter ----
   ExprPtr predicate;

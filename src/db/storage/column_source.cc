@@ -60,7 +60,8 @@ class PagedSource : public ColumnSource {
   Result<Table> ReadWindow(int64_t w) const override {
     const auto& paged = *table_->paged();
     if (paged.num_chunks() == 0) return Table(table_->schema());
-    DL2SQL_ASSIGN_OR_RETURN(std::vector<Column> cols, paged.ReadChunk(w));
+    DL2SQL_ASSIGN_OR_RETURN(std::vector<Column> cols,
+                            paged.ReadChunk(w, table_->paged_columns()));
     return Table::FromColumns(table_->schema(), std::move(cols));
   }
 

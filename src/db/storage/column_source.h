@@ -7,8 +7,9 @@
 /// which materializes to a small resident Table on demand:
 ///   - resident tables yield fixed-size slice windows (or one whole-table
 ///     window when the size hint is 0) — cheap columnar Takes;
-///   - paged tables yield one window per storage chunk, so a full pass pins
-///     at most one chunk's blocks at a time.
+///   - paged tables yield one window per storage chunk, holding only the
+///     columns the table exposes, so a full pass pins at most one chunk's
+///     blocks at a time, and of those only the ones holding its columns.
 /// Iterating windows in order therefore bounds executor residency to
 /// max(window bytes) regardless of table size.
 #pragma once

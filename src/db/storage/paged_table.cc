@@ -58,43 +58,89 @@ int64_t PagedTableData::ChunkOfRow(int64_t row) const {
   return c;
 }
 
-Result<std::string> PagedTableData::ReadChunkBytes(const ChunkRef& chunk) const {
+std::vector<int> PagedTableData::ColumnIds(
+    const std::vector<int>& columns) const {
+  if (!columns.empty()) return columns;
+  std::vector<int> all(types_.size());
+  std::iota(all.begin(), all.end(), 0);
+  return all;
+}
+
+int64_t PagedTableData::logical_bytes(const std::vector<int>& columns) const {
+  if (columns.empty()) return logical_bytes_;
+  int64_t bytes = 0;
+  for (const int c : columns) bytes += column_bytes_[static_cast<size_t>(c)];
+  return bytes;
+}
+
+Result<std::string> PagedTableData::ReadChunkBytes(const ChunkRef& chunk,
+                                                   int64_t begin,
+                                                   int64_t end) const {
+  const int64_t bb =
+      static_cast<int64_t>(engine_->block_file().block_bytes());
   std::string buf;
-  buf.reserve(static_cast<size_t>(chunk.encoded_bytes));
-  int64_t remaining = chunk.encoded_bytes;
-  for (const int64_t block : chunk.blocks) {
-    DL2SQL_ASSIGN_OR_RETURN(PinnedBlock pin, engine_->pool().Pin(block));
-    const size_t take = static_cast<size_t>(std::min<int64_t>(
-        remaining, static_cast<int64_t>(pin.size())));
-    buf.append(pin.data(), take);
-    remaining -= static_cast<int64_t>(take);
-  }
-  if (remaining != 0) {
-    return Status::InternalError("chunk byte count mismatch: ", remaining,
-                                 " bytes unread");
+  buf.reserve(static_cast<size_t>(end - begin));
+  for (int64_t pos = begin; pos < end;) {
+    const int64_t b = pos / bb;
+    DL2SQL_ASSIGN_OR_RETURN(
+        PinnedBlock pin,
+        engine_->pool().Pin(chunk.blocks[static_cast<size_t>(b)]));
+    const int64_t off = pos - b * bb;
+    const int64_t take =
+        std::min(end - pos, static_cast<int64_t>(pin.size()) - off);
+    if (take <= 0) {
+      return Status::InternalError("chunk block ", b, " holds ", pin.size(),
+                                   " bytes, expected more than ", off);
+    }
+    buf.append(pin.data() + off, static_cast<size_t>(take));
+    pos += take;
   }
   return buf;
 }
 
-Result<std::vector<Column>> PagedTableData::ReadChunk(int64_t c) const {
+Result<std::vector<Column>> PagedTableData::ReadChunk(
+    int64_t c, const std::vector<int>& columns) const {
   const ChunkRef& chunk = chunks_[static_cast<size_t>(c)];
-  DL2SQL_ASSIGN_OR_RETURN(std::string buf, ReadChunkBytes(chunk));
-  std::vector<Column> cols;
-  cols.reserve(types_.size());
-  size_t pos = 0;
-  for (const DataType type : types_) {
-    DL2SQL_ASSIGN_OR_RETURN(Column col,
-                            DecodeColumnSlice(type, chunk.rows, buf, &pos));
-    cols.push_back(std::move(col));
+  const std::vector<int> ids = ColumnIds(columns);
+  for (const int id : ids) {
+    if (id < 0 || id >= num_columns()) {
+      return Status::InvalidArgument("column ", id, " of a ", num_columns(),
+                                     "-column paged table");
+    }
+  }
+  // Columns are laid out in id order: requested ids in ascending order split
+  // into runs of adjacent columns, and each run's bytes are read at once.
+  std::vector<size_t> order(ids.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](size_t a, size_t b) { return ids[a] < ids[b]; });
+  std::vector<Column> cols(ids.size());
+  for (size_t i = 0; i < order.size();) {
+    size_t j = i + 1;
+    while (j < order.size() && ids[order[j]] <= ids[order[j - 1]] + 1) ++j;
+    const int64_t begin = chunk.offsets[static_cast<size_t>(ids[order[i]])];
+    const int64_t end =
+        chunk.offsets[static_cast<size_t>(ids[order[j - 1]]) + 1];
+    DL2SQL_ASSIGN_OR_RETURN(std::string buf,
+                            ReadChunkBytes(chunk, begin, end));
+    for (size_t k = i; k < j; ++k) {
+      const size_t id = static_cast<size_t>(ids[order[k]]);
+      size_t pos = static_cast<size_t>(chunk.offsets[id] - begin);
+      DL2SQL_ASSIGN_OR_RETURN(cols[order[k]],
+                              DecodeColumnSlice(types_[id], chunk.rows, buf,
+                                                &pos));
+    }
+    i = j;
   }
   return cols;
 }
 
 Result<std::vector<Column>> PagedTableData::Gather(
-    const std::vector<int64_t>& rows) const {
+    const std::vector<int64_t>& rows, const std::vector<int>& columns) const {
+  const std::vector<int> ids = ColumnIds(columns);
   std::vector<Column> out;
-  out.reserve(types_.size());
-  for (const DataType type : types_) out.emplace_back(type);
+  out.reserve(ids.size());
+  for (const int id : ids) out.emplace_back(types_[static_cast<size_t>(id)]);
   int64_t cached_chunk = -1;
   std::vector<Column> cached;
   // Each maximal run of requested rows falling in one chunk becomes one
@@ -103,7 +149,7 @@ Result<std::vector<Column>> PagedTableData::Gather(
   while (i < rows.size()) {
     const int64_t c = ChunkOfRow(rows[i]);
     if (c != cached_chunk) {
-      DL2SQL_ASSIGN_OR_RETURN(cached, ReadChunk(c));
+      DL2SQL_ASSIGN_OR_RETURN(cached, ReadChunk(c, ids));
       cached_chunk = c;
     }
     const ChunkRef& chunk = chunks_[static_cast<size_t>(c)];
@@ -120,12 +166,14 @@ Result<std::vector<Column>> PagedTableData::Gather(
   return out;
 }
 
-Result<std::vector<Column>> PagedTableData::Materialize() const {
+Result<std::vector<Column>> PagedTableData::Materialize(
+    const std::vector<int>& columns) const {
+  const std::vector<int> ids = ColumnIds(columns);
   std::vector<Column> out;
-  out.reserve(types_.size());
-  for (const DataType type : types_) out.emplace_back(type);
+  out.reserve(ids.size());
+  for (const int id : ids) out.emplace_back(types_[static_cast<size_t>(id)]);
   for (int64_t c = 0; c < num_chunks(); ++c) {
-    DL2SQL_ASSIGN_OR_RETURN(std::vector<Column> cols, ReadChunk(c));
+    DL2SQL_ASSIGN_OR_RETURN(std::vector<Column> cols, ReadChunk(c, ids));
     for (size_t k = 0; k < out.size(); ++k) {
       out[k].AppendColumn(cols[k]);
     }
@@ -150,17 +198,19 @@ PagedTableBuilder::PagedTableBuilder(std::shared_ptr<StorageEngine> engine,
 Status PagedTableBuilder::FlushChunk(const Table& t, int64_t begin,
                                      int64_t end) {
   std::string buf;
-  int64_t slice_bytes = 0;
+  PagedTableData::ChunkRef chunk;
+  std::vector<int64_t> slice_bytes(static_cast<size_t>(t.num_columns()));
   for (int c = 0; c < t.num_columns(); ++c) {
+    chunk.offsets.push_back(static_cast<int64_t>(buf.size()));
     DL2SQL_RETURN_NOT_OK(EncodeColumnSlice(t.column(c), begin, end, &buf));
-    slice_bytes += SliceByteSize(t.column(c), begin, end);
+    slice_bytes[static_cast<size_t>(c)] =
+        SliceByteSize(t.column(c), begin, end);
   }
+  chunk.offsets.push_back(static_cast<int64_t>(buf.size()));
   const size_t bb = engine_->block_file().block_bytes();
   const int64_t n_blocks = static_cast<int64_t>((buf.size() + bb - 1) / bb);
-  PagedTableData::ChunkRef chunk;
   chunk.first_row = data_->num_rows_;
   chunk.rows = end - begin;
-  chunk.encoded_bytes = static_cast<int64_t>(buf.size());
   chunk.blocks = engine_->AllocateBlocks(n_blocks);
   for (int64_t b = 0; b < n_blocks; ++b) {
     const size_t off = static_cast<size_t>(b) * bb;
@@ -174,7 +224,10 @@ Status PagedTableBuilder::FlushChunk(const Table& t, int64_t begin,
   }
   data_->chunks_.push_back(std::move(chunk));
   data_->num_rows_ += end - begin;
-  data_->logical_bytes_ += slice_bytes;
+  for (size_t c = 0; c < slice_bytes.size(); ++c) {
+    data_->logical_bytes_ += slice_bytes[c];
+    data_->column_bytes_[c] += slice_bytes[c];
+  }
   return Status::OK();
 }
 

@@ -4,11 +4,13 @@
 /// A paged table's rows live in the StorageEngine's block file as a sequence
 /// of *chunks* (chunk_rows rows each, last one short). One chunk is the
 /// concatenation of every column's EncodeColumnSlice output, split across
-/// ceil(bytes / block_bytes) blocks; decoding a chunk therefore needs all of
-/// its blocks pinned at once, which bounds the pin footprint of a scan window
-/// to one chunk. The codec is lossless (codec.h slice functions), so a paged
-/// table materializes back to exactly the Table it was built from — the
-/// bit-identity contract of DL2SQL_STORAGE=paged rests on this.
+/// ceil(bytes / block_bytes) blocks, and records where each column's bytes
+/// start. Reading a subset of the columns pins only the blocks covering
+/// their bytes and decodes only them, so a scan that names few columns of a
+/// wide table reads few of its blocks; the pin footprint of a scan window is
+/// at most one chunk. The codec is lossless (codec.h slice functions), so a
+/// paged table materializes back to exactly the Table it was built from —
+/// the bit-identity contract of DL2SQL_STORAGE=paged rests on this.
 ///
 /// PagedTableData is immutable after Finish(); mutation goes through
 /// Table::EnsureResident() (decode everything, drop the backing). The
@@ -39,6 +41,8 @@ class PagedTableData {
   /// Resident-equivalent payload bytes (what Table::ByteSize() would report
   /// after materializing). Logical, not on-disk.
   int64_t logical_bytes() const { return logical_bytes_; }
+  /// The same, over the columns `columns` only (empty: every column).
+  int64_t logical_bytes(const std::vector<int>& columns) const;
   int64_t num_chunks() const { return static_cast<int64_t>(chunks_.size()); }
   int64_t chunk_first_row(int64_t c) const {
     return chunks_[static_cast<size_t>(c)].first_row;
@@ -56,17 +60,27 @@ class PagedTableData {
     return engine_;
   }
 
-  /// Decodes one chunk into resident columns (all blocks pinned during the
-  /// read, released before returning).
-  Result<std::vector<Column>> ReadChunk(int64_t c) const;
+  /// \name Reads
+  /// Each read returns the columns `columns` (backing column ids, in that
+  /// order; empty: every column).
+  /// @{
+  /// Decodes one chunk into resident columns. Only the blocks holding the
+  /// requested columns' bytes are pinned during the read, and released
+  /// before returning.
+  Result<std::vector<Column>> ReadChunk(
+      int64_t c, const std::vector<int>& columns = {}) const;
 
   /// Decodes rows by global index, in the given (arbitrary) order. Chunks
   /// are decoded at most once per contiguous run, so mostly-ascending index
   /// lists (limits, delete keep-lists, sorted join sides) stay cheap.
-  Result<std::vector<Column>> Gather(const std::vector<int64_t>& rows) const;
+  Result<std::vector<Column>> Gather(
+      const std::vector<int64_t>& rows,
+      const std::vector<int>& columns = {}) const;
 
   /// Decodes every chunk into full resident columns.
-  Result<std::vector<Column>> Materialize() const;
+  Result<std::vector<Column>> Materialize(
+      const std::vector<int>& columns = {}) const;
+  /// @}
 
  private:
   friend class PagedTableBuilder;
@@ -75,21 +89,31 @@ class PagedTableData {
     int64_t first_row = 0;
     int64_t rows = 0;
     std::vector<int64_t> blocks;
-    int64_t encoded_bytes = 0;  ///< payload length inside the block run
+    /// Column k's encoding is bytes [offsets[k], offsets[k + 1]) of the
+    /// payload; the last entry is the payload length.
+    std::vector<int64_t> offsets;
   };
 
   PagedTableData(std::shared_ptr<StorageEngine> engine,
                  std::vector<DataType> types)
-      : engine_(std::move(engine)), types_(std::move(types)) {}
+      : engine_(std::move(engine)),
+        types_(std::move(types)),
+        column_bytes_(types_.size(), 0) {}
 
-  /// Reassembles a chunk's encoded payload from its pinned blocks.
-  Result<std::string> ReadChunkBytes(const ChunkRef& chunk) const;
+  /// `columns`, or every column id when it is empty.
+  std::vector<int> ColumnIds(const std::vector<int>& columns) const;
+
+  /// Bytes [begin, end) of a chunk's encoded payload, from the blocks
+  /// covering them (pinned for the copy only).
+  Result<std::string> ReadChunkBytes(const ChunkRef& chunk, int64_t begin,
+                                     int64_t end) const;
 
   std::shared_ptr<StorageEngine> engine_;
   std::vector<DataType> types_;
   std::vector<ChunkRef> chunks_;
   int64_t num_rows_ = 0;
   int64_t logical_bytes_ = 0;
+  std::vector<int64_t> column_bytes_;  ///< logical bytes per column
 };
 
 /// \brief Streaming writer: feed rows in order, get a PagedTableData.

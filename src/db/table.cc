@@ -38,26 +38,65 @@ Result<Table> Table::FromColumns(TableSchema schema,
 }
 
 Table Table::FromPaged(TableSchema schema,
-                       std::shared_ptr<storage::PagedTableData> paged) {
+                       std::shared_ptr<storage::PagedTableData> paged,
+                       std::vector<int> columns) {
+  // Every backing column in order is kept as the canonical empty list.
+  bool all = static_cast<int>(columns.size()) == paged->num_columns();
+  for (size_t i = 0; all && i < columns.size(); ++i) {
+    all = columns[i] == static_cast<int>(i);
+  }
   Table t;
   t.schema_ = std::move(schema);
   t.paged_ = std::move(paged);
+  if (!all) t.paged_columns_ = std::move(columns);
   return t;
+}
+
+Result<Table> Table::SelectColumns(TableSchema schema,
+                                   const std::vector<int>& ids) const {
+  if (static_cast<int>(ids.size()) != schema.num_fields()) {
+    return Status::InvalidArgument("SelectColumns: ", ids.size(),
+                                   " columns vs ", schema.num_fields(),
+                                   " fields");
+  }
+  for (const int id : ids) {
+    if (id < 0 || id >= num_columns()) {
+      return Status::InvalidArgument("SelectColumns: column ", id, " of ",
+                                     num_columns());
+    }
+  }
+  if (paged_ != nullptr) {
+    std::vector<int> backing;
+    backing.reserve(ids.size());
+    for (const int id : ids) {
+      backing.push_back(paged_columns_.empty()
+                            ? id
+                            : paged_columns_[static_cast<size_t>(id)]);
+    }
+    return FromPaged(std::move(schema), paged_, std::move(backing));
+  }
+  std::vector<Column> cols;
+  cols.reserve(ids.size());
+  for (const int id : ids) cols.push_back(columns_[static_cast<size_t>(id)]);
+  return FromColumns(std::move(schema), std::move(cols));
 }
 
 int64_t Table::PagedRows() const { return paged_->num_rows(); }
 
 Status Table::EnsureResident() {
   if (paged_ == nullptr) return Status::OK();
-  DL2SQL_ASSIGN_OR_RETURN(std::vector<Column> cols, paged_->Materialize());
+  DL2SQL_ASSIGN_OR_RETURN(std::vector<Column> cols,
+                          paged_->Materialize(paged_columns_));
   columns_ = std::move(cols);
   paged_.reset();
+  paged_columns_.clear();
   return Status::OK();
 }
 
 Result<Table> Table::Materialize() const {
   if (paged_ == nullptr) return *this;
-  DL2SQL_ASSIGN_OR_RETURN(std::vector<Column> cols, paged_->Materialize());
+  DL2SQL_ASSIGN_OR_RETURN(std::vector<Column> cols,
+                          paged_->Materialize(paged_columns_));
   return FromColumns(schema_, std::move(cols));
 }
 
@@ -94,7 +133,7 @@ Status Table::AppendRow(const std::vector<Value>& row) {
 
 std::vector<Value> Table::GetRow(int64_t i) const {
   if (paged_ != nullptr) {
-    auto cols = paged_->Gather({i});
+    auto cols = paged_->Gather({i}, paged_columns_);
     DL2SQL_CHECK(cols.ok()) << "paged row read failed: "
                             << cols.status().ToString();
     std::vector<Value> row;
@@ -130,7 +169,7 @@ Status Table::AppendTable(const Table& other) {
 
 Table Table::TakeRows(const std::vector<int64_t>& indices) const {
   if (paged_ != nullptr) {
-    auto cols = paged_->Gather(indices);
+    auto cols = paged_->Gather(indices, paged_columns_);
     DL2SQL_CHECK(cols.ok()) << "paged gather failed: "
                             << cols.status().ToString();
     auto t = FromColumns(schema_, std::move(*cols));
@@ -161,7 +200,7 @@ Status Table::RenameFields(const std::vector<std::string>& names) {
 
 uint64_t Table::ByteSize() const {
   if (paged_ != nullptr) {
-    return static_cast<uint64_t>(paged_->logical_bytes());
+    return static_cast<uint64_t>(paged_->logical_bytes(paged_columns_));
   }
   uint64_t bytes = 0;
   for (const auto& c : columns_) bytes += c.ByteSize();

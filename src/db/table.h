@@ -24,8 +24,10 @@ class StorageEngine;
 ///
 /// A table is either *resident* (columns in memory, the default and the only
 /// form in in-memory storage mode) or *paged* (rows live in a
-/// storage::PagedTableData backing; columns_ is empty). Paged tables are
-/// immutable snapshots: row-level readers (GetRow, TakeRows, ToString)
+/// storage::PagedTableData backing; columns_ is empty). A paged table
+/// exposes some or all of its backing's columns, so a scan naming a few
+/// columns is a zero-copy view that reads only their bytes. Paged tables
+/// are immutable snapshots: row-level readers (GetRow, TakeRows, ToString)
 /// transparently decode the needed chunks, while mutators either auto-heal
 /// by materializing first (AppendRow, AppendTable) or require the caller to
 /// EnsureResident() (column accessors DL2SQL_CHECK residency). Copying a
@@ -39,9 +41,18 @@ class Table {
   static Result<Table> FromColumns(TableSchema schema,
                                    std::vector<Column> columns);
 
-  /// Wraps a finished paged backing (storage::PagedTableBuilder::Finish).
+  /// Wraps a finished paged backing (storage::PagedTableBuilder::Finish),
+  /// exposing its columns `columns` (backing column ids, one per field of
+  /// `schema`; empty: every column).
   static Table FromPaged(TableSchema schema,
-                         std::shared_ptr<storage::PagedTableData> paged);
+                         std::shared_ptr<storage::PagedTableData> paged,
+                         std::vector<int> columns = {});
+
+  /// Columns `ids` of this table, in that order, under `schema` (one field
+  /// per id, of the column's type): shared copy-on-write when resident, a
+  /// zero-copy view of the same backing when paged.
+  Result<Table> SelectColumns(TableSchema schema,
+                              const std::vector<int>& ids) const;
 
   const TableSchema& schema() const { return schema_; }
   int num_columns() const {
@@ -59,6 +70,8 @@ class Table {
   const std::shared_ptr<storage::PagedTableData>& paged() const {
     return paged_;
   }
+  /// The backing columns a paged table exposes, in order (empty: all).
+  const std::vector<int>& paged_columns() const { return paged_columns_; }
 
   /// Decodes the paged backing into resident columns and drops it (no-op on
   /// resident tables). Required before any direct column access or mutation.
@@ -128,6 +141,7 @@ class Table {
   std::vector<Column> columns_;
   int64_t zero_column_rows_ = 0;
   std::shared_ptr<storage::PagedTableData> paged_;
+  std::vector<int> paged_columns_;
 };
 
 using TablePtr = std::shared_ptr<Table>;

@@ -1,7 +1,8 @@
 /// \file buffer_pool_test.cc
 /// \brief BufferPool behavior: pin counts, eviction, dirty write-back,
 /// budget enforcement — serial and under 8-thread contention (this binary is
-/// TSAN-pinned by name, see scripts/ci.sh).
+/// TSAN-pinned by name, see scripts/ci.sh) — and a paged table's column
+/// reads, which pin only the blocks holding the columns they decode.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 
 #include "common/logging.h"
 #include "db/storage/buffer_pool.h"
+#include "db/storage/paged_table.h"
 #include "db/storage/storage_engine.h"
 
 namespace dl2sql::db::storage {
@@ -204,6 +206,84 @@ TEST(BufferPoolTest, DiscardDropsFramesWithoutWriteBack) {
   engine->FreeBlocks(blocks);  // discards cached frames, returns ids
   EXPECT_EQ(pool.stats().writebacks, wb_before);
   EXPECT_EQ(pool.stats().dirty, 0);
+}
+
+/// Every value of `c`, rendered.
+std::vector<std::string> Render(const Column& c) {
+  std::vector<std::string> out;
+  for (int64_t r = 0; r < c.size(); ++r) {
+    out.push_back(c.GetValue(r).ToString());
+  }
+  return out;
+}
+
+TEST(PagedTableTest, ColumnReadsPinOnlyTheirBlocks) {
+  // One 1500-row chunk of ~40 KB over 4 KB blocks: every column's bytes
+  // span fewer blocks than the chunk's.
+  StorageOptions opts;
+  opts.pool_bytes = 256 * 4096;
+  opts.block_bytes = 4096;
+  opts.shards = 1;
+  auto engine = StorageEngine::Create(opts);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const TableSchema schema({{"id", DataType::kInt64},
+                            {"val", DataType::kFloat64},
+                            {"maybe", DataType::kInt64},
+                            {"name", DataType::kString},
+                            {"flag", DataType::kBool}});
+  Table t{schema};
+  for (int64_t i = 0; i < 1500; ++i) {
+    ASSERT_TRUE(t.AppendRow({Value::Int(i), Value::Float(i * 0.25),
+                             i % 3 == 0 ? Value::Null() : Value::Int(i * 11),
+                             Value::String("name-" + std::to_string(i * 7) +
+                                           std::string(12, 'n')),
+                             Value::Bool(i % 2 == 0)})
+                    .ok());
+  }
+  PagedTableBuilder builder(*engine, schema);
+  ASSERT_TRUE(builder.Append(t).ok());
+  auto data = builder.Finish();
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  const PagedTableData& paged = **data;
+  ASSERT_EQ(paged.num_chunks(), 1);
+
+  BufferPool& pool = (*engine)->pool();
+  auto pins = [&] { return pool.stats().hits + pool.stats().misses; };
+  int64_t before = pins();
+  auto full = paged.ReadChunk(0);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  const int64_t full_pins = pins() - before;
+  EXPECT_GT(full_pins, 5);
+  for (int k = 0; k < schema.num_fields(); ++k) {
+    before = pins();
+    auto one = paged.ReadChunk(0, {k});
+    ASSERT_TRUE(one.ok()) << one.status().ToString();
+    EXPECT_LT(pins() - before, full_pins) << schema.field(k).name;
+    ASSERT_EQ(one->size(), 1u);
+    EXPECT_EQ(Render((*one)[0]), Render((*full)[static_cast<size_t>(k)]))
+        << schema.field(k).name;
+  }
+  // Any order and subset; Gather and Materialize read the same columns.
+  const std::vector<int> subset = {4, 0, 2};
+  auto some = paged.ReadChunk(0, subset);
+  auto gathered = paged.Gather({7, 3, 1499}, subset);
+  auto all_rows = paged.Materialize(subset);
+  ASSERT_TRUE(some.ok() && gathered.ok() && all_rows.ok());
+  for (size_t i = 0; i < subset.size(); ++i) {
+    const Column& want = (*full)[static_cast<size_t>(subset[i])];
+    EXPECT_EQ(Render((*some)[i]), Render(want));
+    EXPECT_EQ(Render((*all_rows)[i]), Render(want));
+    EXPECT_EQ(Render((*gathered)[i]), Render(want.Take({7, 3, 1499})));
+  }
+  // A view of the subset reports and materializes only those columns.
+  const Table view = Table::FromPaged(
+      TableSchema({{"flag", DataType::kBool}, {"id", DataType::kInt64}}),
+      *data, {4, 0});
+  EXPECT_EQ(view.ByteSize(), t.column(4).ByteSize() + t.column(0).ByteSize());
+  auto resident = view.Materialize();
+  ASSERT_TRUE(resident.ok()) << resident.status().ToString();
+  EXPECT_EQ(Render(resident->column(0)), Render(t.column(4)));
+  EXPECT_EQ(Render(resident->column(1)), Render(t.column(0)));
 }
 
 }  // namespace

@@ -88,6 +88,23 @@ TEST(KeyHashTableTest, NullKeysNeverMatch) {
   EXPECT_EQ(Matches(table, probe, 1), (std::vector<int64_t>{0, 2}));
 }
 
+TEST(KeyHashTableTest, JoinByteSizeBoundCoversEveryJoinTable) {
+  // A build side's admission asks for this bound before the table exists:
+  // it must cover any join table over as many rows, and is exact when every
+  // row holds a distinct key.
+  for (const int64_t n : {1, 15, 1000, 4097}) {
+    std::vector<int64_t> distinct(static_cast<size_t>(n));
+    std::vector<int64_t> repeated(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      distinct[static_cast<size_t>(i)] = i;
+      repeated[static_cast<size_t>(i)] = i % 7;
+    }
+    const int64_t bound = KeyHashTable::JoinByteSizeBound(n);
+    EXPECT_EQ(JoinTableOver(Column::Ints(distinct)).ByteSize(), bound) << n;
+    EXPECT_LE(JoinTableOver(Column::Ints(repeated)).ByteSize(), bound) << n;
+  }
+}
+
 TEST(KeyHashTableTest, IntKeyMatchesIntegralFloat) {
   const KeyHashTable table = JoinTableOver(Column::Ints({3, 4}));
   const Column probe = Column::Floats({3.0, 3.5, 4.0});

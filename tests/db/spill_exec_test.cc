@@ -132,10 +132,9 @@ void FillTables(Database* db) {
   DL2SQL_CHECK(db->RegisterTable("wide", std::move(wide)).ok());
 }
 
-// The join probe side must be the whole fact table (nothing pushable below
-// the join), or the planner's pushed-down filter shrinks the input under the
-// query budget and the probe side is admitted instead of streamed: dim
-// fits, so its table is built once and fact streams through it.
+// dim fits, so its table is built once and fact, the paged probe side,
+// streams through it a storage chunk at a time (a paged probe side always
+// streams, whatever its size).
 const char* const kJoinSql =
     "SELECT F.id, F.grp, D.w FROM fact F INNER JOIN dim D ON F.grp = D.id";
 // The residual references both sides, so it must survive as a join_condition
@@ -202,21 +201,38 @@ const char* const kTypeDriftJoinSql =
     "SELECT S.grp, S.trail, D.w FROM shapes S INNER JOIN dim D "
     "ON S.trail + 1 = D.id";
 // Grace joins: the build side, wide, is over every budget, so both sides
-// spill. The same key shapes, the type-drifting key and a residual.
+// spill. The same key shapes, the type-drifting key and a residual. Each
+// reads W.payload: a scan reads only the columns its query names, and
+// wide's other columns fit the larger budgets.
 const char* const kFloatKeyGraceSql =
-    "SELECT S.grp, S.name, W.w FROM shapes S INNER JOIN wide W "
-    "ON S.grp * 1.0 = W.id";
+    "SELECT S.grp, S.name, W.w, length(W.payload) AS pl FROM shapes S "
+    "INNER JOIN wide W ON S.grp * 1.0 = W.id";
 const char* const kNullKeyGraceSql =
-    "SELECT S.nv, S.name, W.w FROM shapes S INNER JOIN wide W ON S.nv = W.id";
+    "SELECT S.nv, S.name, W.w, length(W.payload) AS pl FROM shapes S "
+    "INNER JOIN wide W ON S.nv = W.id";
 const char* const kGraceJoinSqls[] = {
     kFloatKeyGraceSql,
     kNullKeyGraceSql,
-    "SELECT S.grp, S.nv, W.w FROM shapes S INNER JOIN wide W "
-    "ON S.grp = W.id AND S.nv = W.w % 17",
+    "SELECT S.grp, S.nv, W.w, length(W.payload) AS pl FROM shapes S "
+    "INNER JOIN wide W ON S.grp = W.id AND S.nv = W.w % 17",
+    "SELECT S.grp, S.name, W.id, length(W.payload) AS pl FROM shapes S "
+    "INNER JOIN wide W ON S.name = W.name",
+    "SELECT S.grp, S.trail, W.w, length(W.payload) AS pl FROM shapes S "
+    "INNER JOIN wide W ON S.trail + 1 = W.id",
+    "SELECT S.grp, S.val, W.w, length(W.payload) AS pl FROM shapes S "
+    "INNER JOIN wide W ON S.grp = W.id AND S.val < W.w % 150",
+};
+
+// The same joins over wide's key and read columns only (no payload): those
+// fit every budget below, but beside the table built over them they fit
+// only the 2 MB one. At 1 MB the build side's admission counts the table,
+// so they take the grace join; at 2 MB they build in memory.
+const char* const kPrunedBuildSqls[] = {
+    "SELECT S.grp, S.name, W.w FROM shapes S INNER JOIN wide W "
+    "ON S.grp * 1.0 = W.id",
+    "SELECT S.nv, S.name, W.w FROM shapes S INNER JOIN wide W ON S.nv = W.id",
     "SELECT S.grp, S.name, W.id FROM shapes S INNER JOIN wide W "
     "ON S.name = W.name",
-    "SELECT S.grp, S.trail, W.w FROM shapes S INNER JOIN wide W "
-    "ON S.trail + 1 = W.id",
     "SELECT S.grp, S.val, W.w FROM shapes S INNER JOIN wide W "
     "ON S.grp = W.id AND S.val < W.w % 150",
 };
@@ -321,6 +337,8 @@ void ExpectBitIdentical(const PagedConfig& cfg) {
                  std::end(kKeyJoinSqls));
   queries.insert(queries.end(), std::begin(kGraceJoinSqls),
                  std::end(kGraceJoinSqls));
+  queries.insert(queries.end(), std::begin(kPrunedBuildSqls),
+                 std::end(kPrunedBuildSqls));
   queries.insert(queries.end(), streamed.begin(), streamed.end());
   queries.insert(queries.end(), overflowing.begin(), overflowing.end());
   const std::vector<std::string> expected = ReferenceRenders(queries);
@@ -366,6 +384,14 @@ void ExpectBitIdentical(const PagedConfig& cfg) {
   // key of every row.
   EXPECT_LT(SpillBytesFor(&db, kNullKeyGraceSql),
             SpillBytesFor(&db, kFloatKeyGraceSql));
+  // A build side that fits only without its table takes the grace join.
+  for (const char* sql : kPrunedBuildSqls) {
+    if (cfg.query_mem_limit <= (1 << 20)) {
+      EXPECT_GT(SpillBytesFor(&db, sql), 0) << sql;
+    } else {
+      EXPECT_EQ(SpillBytesFor(&db, sql), 0) << sql;
+    }
+  }
 }
 
 TEST(SpillExecTest, GraceJoinAndExternalAggMatchInMemory) {
@@ -416,10 +442,49 @@ TEST(SpillExecTest, StreamedProbeUnderDevicePoolMatchesSerial) {
   EXPECT_EQ(SpillBytesFor(&db, kJoinResidualSql), 0);
 }
 
+TEST(SpillExecTest, JoinWhoseReadColumnsFitRunsInMemory) {
+  ScopedTrackingEnabled guard;
+  // t and u are each over the 1 MB budget at full width, but the join reads
+  // only their keys: t's 3000 keys and the table built over them fit, so
+  // the join builds on t in memory and streams u through it, a storage
+  // chunk at a time. Over every column t would not fit, and the grace join
+  // would hold all 90000 pairs (16 bytes each) at once, over the budget.
+  auto fill = [](Database* db) {
+    const std::string pad(400, 't');
+    Table t{TableSchema({{"a", DataType::kInt64}, {"pad", DataType::kString}})};
+    for (int64_t i = 0; i < 3000; ++i) {
+      DL2SQL_CHECK(t.AppendRow({Value::Int(i), Value::String(pad)}).ok());
+    }
+    DL2SQL_CHECK(db->RegisterTable("t", std::move(t)).ok());
+    Table u{TableSchema({{"x", DataType::kInt64}, {"pad", DataType::kString}})};
+    for (int64_t i = 0; i < 90000; ++i) {
+      DL2SQL_CHECK(
+          u.AppendRow({Value::Int(i % 3000), Value::String("u")}).ok());
+    }
+    DL2SQL_CHECK(db->RegisterTable("u", std::move(u)).ok());
+  };
+  const char* const sql = "SELECT count(*) AS c FROM t, u WHERE t.a = u.x";
+  Database ref;
+  ASSERT_TRUE(ref.set_storage_mode(StorageMode::kInMemory).ok());
+  fill(&ref);
+  const std::vector<std::string> expected = RunAll(&ref, {sql});
+  Database db;
+  storage::StorageOptions opts;
+  opts.pool_bytes = 2u << 20;
+  opts.page_min_bytes = 4096;
+  ASSERT_TRUE(db.set_storage_mode(StorageMode::kPaged, opts).ok());
+  fill(&db);
+  db.set_query_mem_limit(1 << 20);
+  auto r = db.Execute(sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(std::vector<std::string>{r->ToString(r->num_rows())}, expected);
+  EXPECT_EQ(SpillBytesFor(&db, sql), 0);
+}
+
 TEST(SpillExecTest, PagedModeWithoutPressureIsStillBitIdentical) {
-  // No query memory limit: the join admits (materializes) its paged inputs,
-  // while the aggregation and the filter stream theirs window by window;
-  // each must reproduce the in-memory results exactly.
+  // No query memory limit: the join builds on resident dim and streams its
+  // paged probe side, and the aggregation and the filter stream theirs,
+  // window by window; each must reproduce the in-memory results exactly.
   const std::vector<std::string> queries = {kJoinSql, kAggSql,
                                             kFilterProjectSql};
   const std::vector<std::string> expected = ReferenceRenders(queries);
